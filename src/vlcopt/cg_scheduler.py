@@ -41,7 +41,6 @@ from .lp import (
 from .optics import channel_gain, illum_gain_many, lambertian_order, BeamPose
 from .scenario import Link, Scenario, build_candidate_links
 
-KAPPA = 1.0                    # convexity-row multiplier in the lower bound
 RATE_SCALE = 1e6               # demand rows are expressed in Mbit/s
 SHORTFALL_COST = 1e6           # W per Mbit/s of unmet demand (big-M column)
 REDUCED_COST_TOL = 1e-9        # pricing outcome treated as non-negative above this
@@ -557,7 +556,7 @@ class SchedulingInstance:
             rmp = self.solve_rmp(pool)
             column, reduced, reduced_bound = self.solve_pricing(rmp.lambda_bps, rmp.mu)
             z_lower = max(z_lower,
-                          min(rmp.z_upper + KAPPA * reduced_bound, rmp.z_upper))
+                          min(rmp.z_upper + reduced_bound, rmp.z_upper))
             log.append(IterationRecord(
                 it, rmp.z_upper, z_lower, reduced,
                 (time.monotonic() - t0) * 1e3,

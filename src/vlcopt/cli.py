@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import __version__
+from . import __version__, cg_scheduler, lp
 from .baselines import mwis_schedule, vico_random_schedule
 from .cg_scheduler import (
     CgSolution,
@@ -34,11 +34,12 @@ from .cg_scheduler import (
 )
 from .scenario import Scenario, default_config, load_scenario, scenario_from_dict
 
+# read from the solver modules so the manifest reports what the code uses
 _TOLERANCES = {
-    "lp_feasibility": 1e-7,
-    "lp_duality_rel": 1e-6,
-    "reduced_cost_cutoff": 1e-9,
-    "illuminance_slack_lux": 1e-6,
+    "lp_feasibility": lp.FEAS_TOL,
+    "lp_duality_rel": lp.DUALITY_REL_TOL,
+    "reduced_cost_cutoff": cg_scheduler.REDUCED_COST_TOL,
+    "illuminance_slack_lux": cg_scheduler.ILLUM_SLACK,
 }
 
 

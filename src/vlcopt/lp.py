@@ -1,10 +1,29 @@
 """Self-contained linear programming with exact dual extraction.
 
-Dense two-phase tableau simplex: Dantzig pricing that falls back to Bland's
-rule when the objective stalls, deterministic lowest-index tie-breaking, and
-a final refinement step that re-solves the optimal basis to recover primal
-values and row duals at full precision. A branch-and-bound wrapper handles
-mixed integrality with most-fractional branching and best-bound search.
+A bounded-variable dense tableau solved by the dual simplex method. Each row
+gets one slack and the slack basis is the start (`>=` rows are negated, an
+`==` row's slack is fixed at zero). Finite upper bounds enter the ratio
+tests instead of becoming rows, and a nonbasic variable at its upper bound
+is complemented (x = u - x'). Complementing the negative-cost columns that
+have a finite bound makes the slack basis dual feasible for every program
+this package builds, so there is no phase 1 and no artificial column. When
+a negative cost has no finite bound, it is zeroed for the dual pass (cost
+modification) and a bounded primal simplex finishes with the true costs,
+reporting UNBOUNDED when nothing limits a step.
+
+Pivoting is deterministic: the largest bound violation leaves, Harris's
+ratio test picks the entering column, the lowest index wins ties, and a
+Bland-style rule takes over when the objective stalls. INFEASIBLE is
+declared only after the offending row has been rebuilt from a fresh solve
+with the basis. The optimal basis is re-solved explicitly for primal values
+and row duals at full precision, and feasibility and strong duality are
+checked before OPTIMAL is reported.
+
+Branch and bound uses most-fractional branching and best-bound search. An
+open node keeps its LP's final basis (basic columns and complement flags,
+not the tableau); a child rebuilds its tableau from it with one dense solve
+and continues with dual pivots, or starts cold if that basis is singular or
+not dual feasible.
 
 Problem sizes here are desk scale (at most a couple of thousand columns), so
 a dense tableau is deliberate: it keeps the pivot arithmetic transparent and
@@ -15,10 +34,9 @@ from __future__ import annotations
 
 import heapq
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -27,6 +45,7 @@ DUALITY_REL_TOL = 1e-6   # relative primal/dual objective agreement at optimal
 RC_TOL = 1e-9            # reduced-cost threshold for entering columns
 PIVOT_TOL = 1e-9         # minimum magnitude of an acceptable pivot element
 INT_TOL = 1e-7           # integrality recognition threshold
+_BOUND_TOL = 1e-9        # bound violation that makes a basic variable leave
 _STALL_LIMIT = 200       # degenerate pivots tolerated before Bland's rule
 
 
@@ -88,6 +107,15 @@ class LinearProgram:
         return self.b.shape[0]
 
 
+class Basis(NamedTuple):
+    """A simplex basis over the structural columns followed by one slack per
+    row: the basic column of each row, and which columns are complemented
+    (measured down from their upper bound)."""
+
+    basic: np.ndarray
+    complemented: np.ndarray
+
+
 @dataclass
 class LpSolution:
     status: LpStatus
@@ -95,6 +123,7 @@ class LpSolution:
     objective: Optional[float] = None
     duals: Optional[np.ndarray] = None
     iterations: int = 0
+    basis: Optional[Basis] = None  # final basis of an optimal solve
 
 
 @dataclass
@@ -123,200 +152,180 @@ class MilpSolution:
 
 
 class _Tableau:
-    """Dense simplex state over the standard-form expansion of a program."""
+    """Bounded dense simplex state in the shifted space x - lb.
+
+    Columns are the structural variables, one slack per row, then the right
+    side; the last row holds the reduced costs and minus the objective.
+    Column j is complemented where `flip[j]` is set.
+    """
 
     def __init__(self, p: LinearProgram):
-        n = p.n_vars
         if np.any(p.ub - p.lb < -FEAS_TOL):
             raise _Infeasible
-        shift_b = p.b - p.a @ p.lb
-        rows = [p.a]
-        rhs = [shift_b]
-        rels = list(p.rel)
-        # finite upper bounds become explicit rows in the shifted space
-        ub_rows = np.nonzero(np.isfinite(p.ub))[0]
-        for i in ub_rows:
-            e = np.zeros(n)
-            e[i] = 1.0
-            rows.append(e[None, :])
-            rhs.append(np.array([max(p.ub[i] - p.lb[i], 0.0)]))
-            rels.append("<=")
-        a = np.vstack(rows)
-        b = np.concatenate(rhs)
-        m = a.shape[0]
-        flip = b < 0.0
-        a[flip] *= -1.0
-        b[flip] *= -1.0
-        swapped = {"<=": ">=", ">=": "<=", "==": "=="}
-        rels = [swapped[r] if f else r for r, f in zip(rels, flip)]
-
-        n_slack = sum(1 for r in rels if r != "==")
-        n_art = sum(1 for r in rels if r != "<=")
-        total = n + n_slack + n_art
-        t = np.zeros((m, total + 1))
-        t[:, :n] = a
-        t[:, -1] = b
-        basis = np.empty(m, dtype=int)
-        art_cols: list[int] = []
-        si = n
-        ai = n + n_slack
-        for i, r in enumerate(rels):
-            if r == "<=":
-                t[i, si] = 1.0
-                basis[i] = si
-                si += 1
-            elif r == ">=":
-                t[i, si] = -1.0
-                si += 1
-                t[i, ai] = 1.0
-                basis[i] = ai
-                art_cols.append(ai)
-                ai += 1
-            else:
-                t[i, ai] = 1.0
-                basis[i] = ai
-                art_cols.append(ai)
-                ai += 1
-
-        self.p = p
-        self.t = t
-        self.basis = basis
-        self.n = n
-        self.n_structural = n
-        self.total = total
-        self.art_cols = np.array(art_cols, dtype=int)
-        self.flip = flip
-        self.n_user_rows = p.n_rows
-        self.ub_rows = ub_rows
-        self.row_alive = np.ones(m, dtype=bool)
+        m, n = p.n_rows, p.n_vars
+        self.sign = np.array([-1.0 if r == ">=" else 1.0 for r in p.rel])
+        self.a0 = np.hstack([p.a * self.sign[:, None], np.eye(m)])
+        self.b0 = self.sign * (p.b - p.a @ p.lb)
+        self.c0 = np.concatenate([p.c, np.zeros(m)])
+        self.u = np.concatenate([np.maximum(p.ub - p.lb, 0.0),
+                                 [0.0 if r == "==" else np.inf for r in p.rel]])
+        self.movable = self.u > 0.0  # fixed columns never enter
+        # dual slack for the ratio test and warm starts, scaled as pricing costs
+        # reach ~1e9, where round-off alone leaves reduced costs ~1e-7 below 0
+        self.rc_tol = RC_TOL * max(1.0, float(np.max(np.abs(p.c), initial=0.0)))
+        self.m = m
+        self.t = np.empty((m + 1, n + m + 1))
         self.iterations = 0
+        self.max_iter = 2000 + 60 * (2 * m + n)
 
-    def _pivot(self, prow: int, pcol: int, r: np.ndarray) -> None:
+    def _load(self, basic: np.ndarray, flip: np.ndarray, cost: np.ndarray) -> None:
+        """Tableau of a basis, by one dense solve with it (none for slacks)."""
+        m = self.m
+        a = self.a0 * np.where(flip, -1.0, 1.0)
+        body = np.hstack([a, (self.b0 - self.a0[:, flip] @ self.u[flip])[:, None]])
+        if not np.array_equal(basic, np.arange(a.shape[1] - m, a.shape[1])):
+            body = np.linalg.solve(a[:, basic], body)
+            body[:, basic] = np.eye(m)
+        self.t[:m] = body
+        self.basic, self.flip = basic.copy(), flip.copy()
+        self._price(cost)
+
+    def _price(self, cost: np.ndarray) -> None:
+        """Reduced-cost row for `cost`, given in the uncomplemented orientation."""
+        t, basic = self.t, self.basic
+        cf = np.where(self.flip, -cost, cost)
+        t[-1, :-1] = cf - cf[basic] @ t[:-1, :-1]
+        t[-1, -1] = -(cf[basic] @ t[:-1, -1] + cost[self.flip] @ self.u[self.flip])
+
+    def _pivot(self, r: int, q: int) -> None:
         t = self.t
-        t[prow] /= t[prow, pcol]
-        col = t[:, pcol].copy()
-        col[prow] = 0.0
-        mask = col != 0.0
-        if np.any(mask):
-            t[mask] -= np.outer(col[mask], t[prow])
-        r -= r[pcol] * t[prow, :-1]
-        self.basis[prow] = pcol
+        t[r] /= t[r, q]
+        col = t[:, q].copy()
+        col[r] = 0.0
+        t -= np.outer(col, t[r])
+        self.basic[r] = q
         self.iterations += 1
+        if self.iterations > self.max_iter:
+            raise _Numerical("simplex iteration cap exceeded")
 
-    def _run_phase(self, cost: np.ndarray, banned: np.ndarray) -> str:
-        """Pivot until optimal/unbounded for the given cost vector."""
+    def _flip_nonbasic(self, j: int) -> None:
         t = self.t
-        r = cost - cost[self.basis] @ t[:, :-1]
-        r[banned] = 0.0  # banned columns may never enter
-        bland = False
-        stall = 0
-        last_obj = math.inf
-        max_iter = 2000 + 60 * (t.shape[0] + self.total)
+        t[:, -1] -= self.u[j] * t[:, j]
+        t[:, j] *= -1.0
+        self.flip[j] = not self.flip[j]
+
+    def _flip_basic(self, r: int) -> None:
+        t, j = self.t, self.basic[r]
+        t[r] *= -1.0
+        t[r, j] = 1.0
+        t[r, -1] += self.u[j]
+        self.flip[j] = not self.flip[j]
+
+    def solve(self, warm: Optional[Basis]) -> None:
+        m, total = self.m, self.c0.shape[0]
+        if warm is None or not self._load_warm(warm):
+            # cold start: the slack basis, made dual feasible by complementing
+            # bounded negative-cost columns and zeroing the unbounded ones
+            neg = self.c0 < 0.0
+            flip = neg & np.isfinite(self.u)
+            cost = np.where(neg & ~flip, 0.0, self.c0)
+            self._load(np.arange(total - m, total), flip, cost)
+            self._dual(cost)
+            if not np.array_equal(cost, self.c0):
+                self._price(self.c0)
+        else:
+            self._dual(self.c0)
+        self._primal()
+
+    def _load_warm(self, warm: Basis) -> bool:
+        """Load a basis of another program with the same rows and columns;
+        False if it is singular or not dual feasible here."""
+        try:
+            self._load(warm.basic, warm.complemented, self.c0)
+        except np.linalg.LinAlgError:
+            return False
+        return bool(np.all(np.isfinite(self.t))
+                    and not np.any((self.t[-1, :-1] < -self.rc_tol) & self.movable))
+
+    def _dual(self, cost: np.ndarray) -> None:
+        """Dual simplex pivots from a dual feasible basis to primal feasibility."""
+        t, m = self.t, self.m
+        bland, stall, last, fresh = False, 0, -math.inf, False
         while True:
-            if self.iterations > max_iter:
-                raise _Numerical("simplex iteration cap exceeded")
-            if bland:
-                cand = np.nonzero(r < -RC_TOL)[0]
-                if cand.size == 0:
-                    return "optimal"
-                pcol = int(cand[0])
-            else:
-                pcol = int(np.argmin(r))
-                if r[pcol] >= -RC_TOL:
-                    return "optimal"
-            alive = self.row_alive
-            col = t[:, pcol]
-            ratios = np.full(t.shape[0], np.inf)
-            ok = alive & (col > PIVOT_TOL)
-            if not np.any(ok):
-                return "unbounded"
-            ratios[ok] = t[ok, -1] / col[ok]
-            best = np.min(ratios)
-            ties = np.nonzero(ratios <= best + 1e-12)[0]
-            # leaving tie-break: smallest basis column index (anti-cycling)
-            prow = int(min(ties, key=lambda i: self.basis[i]))
-            self._pivot(prow, pcol, r)
-            r[banned] = 0.0
-            obj = float(cost[self.basis] @ t[:, -1])
-            if obj < last_obj - 1e-12:
-                stall = 0
-            else:
-                stall += 1
-                if stall > _STALL_LIMIT:
-                    bland = True
-            last_obj = obj
-
-    def solve(self) -> tuple[np.ndarray, np.ndarray]:
-        """Returns (shifted structural solution, internal duals per live row)."""
-        m = self.t.shape[0]
-        banned = np.zeros(self.total, dtype=bool)
-        if self.art_cols.size:
-            cost1 = np.zeros(self.total)
-            cost1[self.art_cols] = 1.0
-            out = self._run_phase(cost1, banned)
-            if out == "unbounded":  # cannot happen: phase-1 objective >= 0
-                raise _Numerical("phase-1 reported unbounded")
-            obj1 = float(cost1[self.basis] @ self.t[:, -1])
-            if obj1 > FEAS_TOL * (1.0 + float(np.max(np.abs(self.t[:, -1])))):
-                raise _Infeasible
-            self._evict_artificials()
-            banned[self.art_cols] = True
-        cost2 = np.zeros(self.total)
-        cost2[: self.n_structural] = self.p.c
-        out = self._run_phase(cost2, banned)
-        if out == "unbounded":
-            raise _Unbounded
-        return self._extract(cost2)
-
-    def _evict_artificials(self) -> None:
-        """Pivot zero-level artificials out of the basis; drop redundant rows."""
-        art_set = set(self.art_cols.tolist())
-        for prow in range(self.t.shape[0]):
-            if not self.row_alive[prow] or self.basis[prow] not in art_set:
+            beta, ub = t[:m, -1], self.u[self.basic]
+            viol = np.maximum(-beta, beta - ub)
+            bad = np.nonzero(viol > _BOUND_TOL)[0]
+            if bad.size == 0:
+                return
+            r = int(bad[np.argmin(self.basic[bad])] if bland else bad[np.argmax(viol[bad])])
+            if beta[r] > ub[r]:
+                self._flip_basic(r)
+            row = t[r, :-1]
+            cand = np.nonzero((row < -PIVOT_TOL) & self.movable)[0]
+            if cand.size == 0:
+                if fresh:
+                    raise _Infeasible
+                self._load(self.basic, self.flip, cost)  # rule out drift first
+                fresh = True
                 continue
-            row = self.t[prow, : self.total]
-            cands = np.nonzero(np.abs(row) > 1e-7)[0]
-            cands = [c for c in cands if c not in art_set]
-            if cands:
-                r = np.zeros(self.total)
-                self._pivot(prow, int(cands[0]), r)
-            else:
-                # redundant constraint: retire the row
-                self.row_alive[prow] = False
-                self.t[prow, :] = 0.0
+            # Harris: the largest pivot among ratios within rc_tol of the least
+            # (the least alone took 1e-9 pivots and left a singular basis)
+            alpha = -row[cand]
+            ratio = t[-1, cand] / alpha
+            near = ratio <= np.min((t[-1, cand] + self.rc_tol) / alpha)
+            q = int(cand[np.argmax(np.where(near, alpha, 0.0))])
+            self._pivot(r, q)
+            fresh = False
+            z = -t[-1, -1]
+            stall = 0 if z > last + 1e-12 else stall + 1
+            bland = bland or stall > _STALL_LIMIT
+            last = max(last, z)
 
-    def _extract(self, cost2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        m = self.t.shape[0]
-        x_hat = np.zeros(self.total)
-        for i in range(m):
-            if self.row_alive[i]:
-                x_hat[self.basis[i]] = self.t[i, -1]
-        # refine through the explicit basis for accuracy
-        live = np.nonzero(self.row_alive)[0]
-        duals_int = np.zeros(m)
-        if live.size:
-            cols = self.basis[live]
-            bmat = self._column(cols)[live]
-            try:
-                xb = np.linalg.solve(bmat, self._rhs0()[live])
-                y = np.linalg.solve(bmat.T, cost2[cols])
-            except np.linalg.LinAlgError as exc:
-                raise _Numerical(f"singular basis: {exc}") from exc
-            x_hat[:] = 0.0
-            x_hat[cols] = xb
-            duals_int[live] = y
-        return x_hat[: self.n_structural], duals_int
+    def _primal(self) -> None:
+        """Bounded primal simplex pivots from a primal feasible basis."""
+        t, m = self.t, self.m
+        bland, stall, last = False, 0, math.inf
+        while True:
+            cand = np.nonzero((t[-1, :-1] < -RC_TOL) & self.movable)[0]
+            if cand.size == 0:
+                return
+            q = int(cand[0] if bland else cand[np.argmin(t[-1, cand])])
+            col, beta, ub = t[:m, q], t[:m, -1], self.u[self.basic]
+            ratio = np.full(m, np.inf)
+            down = col > PIVOT_TOL
+            up = (col < -PIVOT_TOL) & np.isfinite(ub)
+            ratio[down] = beta[down] / col[down]
+            ratio[up] = (beta[up] - ub[up]) / col[up]
+            ratio = np.maximum(ratio, 0.0)
+            step = float(ratio.min()) if m else math.inf
+            if self.u[q] <= step:  # the entering column reaches its own bound
+                if math.isinf(self.u[q]):
+                    raise _Unbounded
+                self._flip_nonbasic(q)
+                continue
+            ties = np.nonzero(ratio <= step + 1e-12)[0]
+            r = int(ties[np.argmin(self.basic[ties])])
+            leaving, at_upper = self.basic[r], col[r] < 0.0
+            self._pivot(r, q)
+            if at_upper:
+                self._flip_nonbasic(leaving)
+            z = -t[-1, -1]
+            stall = 0 if z < last - 1e-12 else stall + 1
+            bland = bland or stall > _STALL_LIMIT
+            last = min(last, z)
 
-    def _column(self, cols: np.ndarray) -> np.ndarray:
-        """Original standard-form columns (pre-pivot) for the basis solve."""
-        return self._a0[:, cols]
-
-    def _rhs0(self) -> np.ndarray:
-        return self._b0
-
-    def snapshot_original(self) -> None:
-        self._a0 = self.t[:, : self.total].copy()
-        self._b0 = self.t[:, -1].copy()
+    def extract(self) -> tuple[np.ndarray, np.ndarray]:
+        """(shifted values of every column, internal row duals), re-solved
+        through the explicit basis for accuracy."""
+        y = np.where(self.flip, self.u, 0.0)
+        y[self.basic] = 0.0
+        bmat = self.a0[:, self.basic]
+        try:
+            y[self.basic] = np.linalg.solve(bmat, self.b0 - self.a0 @ y)
+            duals = np.linalg.solve(bmat.T, self.c0[self.basic])
+        except np.linalg.LinAlgError as exc:
+            raise _Numerical(f"singular basis: {exc}") from exc
+        return y, duals
 
 
 class _Infeasible(Exception):
@@ -332,16 +341,18 @@ class _Numerical(Exception):
         self.msg = msg
 
 
-def solve_lp(p: LinearProgram) -> LpSolution:
+def solve_lp(p: LinearProgram, _warm: Optional[Basis] = None) -> LpSolution:
     """Solve a linear program; duals follow the shadow-price convention
-    (dual of a >= row is >= 0, of a <= row is <= 0, of an equality free)."""
+    (dual of a >= row is >= 0, of a <= row is <= 0, of an equality free).
+    `_warm` is a basis of a program with the same rows and columns, such as
+    a branch-and-bound parent's, to start from."""
     try:
         tab = _Tableau(p)
     except _Infeasible:
         return LpSolution(LpStatus.INFEASIBLE)
-    tab.snapshot_original()
     try:
-        x_hat, duals_int = tab.solve()
+        tab.solve(_warm)
+        y, duals_int = tab.extract()
     except _Infeasible:
         return LpSolution(LpStatus.INFEASIBLE, iterations=tab.iterations)
     except _Unbounded:
@@ -349,25 +360,19 @@ def solve_lp(p: LinearProgram) -> LpSolution:
     except _Numerical:
         return LpSolution(LpStatus.NUMERICAL, iterations=tab.iterations)
 
-    x = p.lb + x_hat
+    x = p.lb + y[: p.n_vars]
     objective = float(p.c @ x)
-
-    # translate internal duals back to user rows (undo the sign flips)
-    duals = np.empty(p.n_rows)
-    for i in range(p.n_rows):
-        duals[i] = -duals_int[i] if tab.flip[i] else duals_int[i]
-
-    if not _verify(p, x, duals, duals_int, tab, objective):
-        return LpSolution(LpStatus.NUMERICAL, x=x, objective=objective,
-                          duals=duals, iterations=tab.iterations)
-    return LpSolution(LpStatus.OPTIMAL, x=x, objective=objective,
-                      duals=duals, iterations=tab.iterations)
+    duals = tab.sign * duals_int  # undo the negation of >= rows
+    status = (LpStatus.OPTIMAL if _verify(p, x, duals_int, tab, objective)
+              else LpStatus.NUMERICAL)
+    return LpSolution(status, x=x, objective=objective, duals=duals,
+                      iterations=tab.iterations, basis=Basis(tab.basic, tab.flip))
 
 
-def _verify(p: LinearProgram, x: np.ndarray, duals: np.ndarray,
-            duals_int: np.ndarray, tab: _Tableau, objective: float) -> bool:
-    scale = 1.0 + float(np.max(np.abs(p.b))) if p.n_rows else 1.0
-    ax = p.a @ x if p.n_rows else np.zeros(0)
+def _feasible(p: LinearProgram, x: np.ndarray) -> bool:
+    """Rows hold to FEAS_TOL scaled by the largest right side, bounds to FEAS_TOL."""
+    scale = 1.0 + (float(np.max(np.abs(p.b))) if p.n_rows else 0.0)
+    ax = p.a @ x
     for i, r in enumerate(p.rel):
         resid = ax[i] - p.b[i]
         if r == "<=" and resid > FEAS_TOL * scale:
@@ -376,11 +381,20 @@ def _verify(p: LinearProgram, x: np.ndarray, duals: np.ndarray,
             return False
         if r == "==" and abs(resid) > FEAS_TOL * scale:
             return False
-    if np.any(x < p.lb - FEAS_TOL) or np.any(x > p.ub + FEAS_TOL):
+    return not (np.any(x < p.lb - FEAS_TOL) or np.any(x > p.ub + FEAS_TOL))
+
+
+def _verify(p: LinearProgram, x: np.ndarray, duals_int: np.ndarray,
+            tab: _Tableau, objective: float) -> bool:
+    if not _feasible(p, x):
         return False
-    # strong duality in the internal (shifted, flipped) space
+    # strong duality in the internal (shifted, sign-adjusted) space: the row
+    # term plus the reduced costs of the columns held at their upper bounds
+    at_upper = tab.flip.copy()
+    at_upper[tab.basic] = False
+    d_upper = tab.c0[at_upper] - duals_int @ tab.a0[:, at_upper]
     z_int = objective - float(p.c @ p.lb)
-    z_dual = float(duals_int @ tab._b0)
+    z_dual = float(duals_int @ tab.b0) + float(d_upper @ tab.u[at_upper])
     return abs(z_int - z_dual) <= DUALITY_REL_TOL * (1.0 + abs(z_int))
 
 
@@ -390,7 +404,6 @@ def _verify(p: LinearProgram, x: np.ndarray, duals: np.ndarray,
 
 def solve_milp(
     mip: MixedIntegerProgram,
-    time_budget: Optional[float] = None,
     abs_gap: float = 1e-9,
     node_limit: Optional[int] = None,
     incumbents: Optional[Sequence[np.ndarray]] = None,
@@ -399,12 +412,12 @@ def solve_milp(
 
     Branches on the most fractional integer variable (ties to the lowest
     index), explores nodes in best-bound order, and stops when the tree is
-    exhausted or bounds agree within abs_gap. `incumbents` may seed feasible
-    integer points for early pruning; infeasible seeds are ignored.
+    exhausted or bounds agree within abs_gap. Children start from their
+    parent's final basis. `incumbents` may seed feasible integer points for
+    early pruning; infeasible seeds are ignored.
     """
     p = mip.lp
     int_idx = np.nonzero(mip.integer)[0]
-    deadline = None if time_budget is None else time.monotonic() + time_budget
 
     best_x: Optional[np.ndarray] = None
     best_obj = math.inf
@@ -435,9 +448,7 @@ def solve_milp(
         bound, _, lb, ub, rel = heapq.heappop(heap)
         if bound >= best_obj - abs_gap:
             continue  # cannot improve
-        if (deadline is not None and time.monotonic() > deadline) or (
-            node_limit is not None and nodes >= node_limit
-        ):
+        if node_limit is not None and nodes >= node_limit:
             counter += 1
             heapq.heappush(heap, (bound, counter, lb, ub, rel))
             break
@@ -459,7 +470,8 @@ def solve_milp(
                 lb2[frac_var] = max(lb2[frac_var], float(base + 1))
             if lb2[frac_var] > ub2[frac_var] + 1e-12:
                 continue
-            child = solve_lp(LinearProgram(p.c, p.a, p.rel, p.b, lb2, ub2))
+            child = solve_lp(LinearProgram(p.c, p.a, p.rel, p.b, lb2, ub2),
+                             _warm=rel.basis)
             nodes += 1
             if child.status == LpStatus.INFEASIBLE:
                 continue
@@ -496,18 +508,6 @@ def _most_fractional(x: np.ndarray, int_idx: np.ndarray) -> Optional[int]:
 def _check_incumbent(p: LinearProgram, integer: np.ndarray, x: np.ndarray) -> Optional[float]:
     if x.shape != (p.n_vars,):
         return None
-    if np.any(np.abs(x[integer] - np.round(x[integer])) > INT_TOL):
+    if np.any(np.abs(x[integer] - np.round(x[integer])) > INT_TOL) or not _feasible(p, x):
         return None
-    if np.any(x < p.lb - FEAS_TOL) or np.any(x > p.ub + FEAS_TOL):
-        return None
-    ax = p.a @ x if p.n_rows else np.zeros(0)
-    scale = 1.0 + (float(np.max(np.abs(p.b))) if p.n_rows else 0.0)
-    for i, r in enumerate(p.rel):
-        resid = ax[i] - p.b[i]
-        if r == "<=" and resid > FEAS_TOL * scale:
-            return None
-        if r == ">=" and resid < -FEAS_TOL * scale:
-            return None
-        if r == "==" and abs(resid) > FEAS_TOL * scale:
-            return None
     return float(p.c @ x)

@@ -6,6 +6,7 @@ import json
 import pytest
 
 import helpers
+from vlcopt import cg_scheduler, lp
 from vlcopt.cli import _parse_values, main, sweep_sir
 from vlcopt.scenario import scenario_from_dict
 
@@ -43,6 +44,20 @@ def test_solve_writes_results_and_manifest(tmp_path, capsys):
     assert manifest["scenario_digests"] == [
         scenario_from_dict(helpers.tiny_config(n_uts=2, seed=1)).digest()]
     assert "power" in capsys.readouterr().out
+
+
+def test_manifest_tolerances_are_the_solver_constants(tmp_path):
+    cfg = _write_config(tmp_path, n_uts=2, seed=1)
+    out = tmp_path / "run"
+    assert main(["solve", "--config", cfg, "--epsilon", "0.0",
+                 "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["tolerances"] == {
+        "lp_feasibility": lp.FEAS_TOL,
+        "lp_duality_rel": lp.DUALITY_REL_TOL,
+        "reduced_cost_cutoff": cg_scheduler.REDUCED_COST_TOL,
+        "illuminance_slack_lux": cg_scheduler.ILLUM_SLACK,
+    }
 
 
 def test_solve_is_reproducible(tmp_path):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from vlcopt import lp as lp_module
 from vlcopt.lp import (
     LinearProgram,
     LpStatus,
@@ -21,17 +22,19 @@ from vlcopt.lp import (
 _REL_SIGN = {"<=": -1.0, ">=": 1.0}
 
 
-def lagrangian_bound(p: LinearProgram, y: np.ndarray) -> float:
+def lagrangian_bound(p: LinearProgram, y: np.ndarray, rc_tol: float = 0.0) -> float:
     """Dual bound valid for any y with the right row signs.
 
     Every feasible x satisfies c.x >= y.b + sum_j min over [lb_j, ub_j] of
-    (c - a.T y)_j * x_j, so this never exceeds the optimal value.
+    (c - a.T y)_j * x_j, so this never exceeds the optimal value. A reduced
+    cost within rc_tol below zero on a column without an upper bound is
+    taken as round-off of a zero (a basic column's), not as a -inf bound.
     """
     red = p.c - p.a.T @ y
     total = float(y @ p.b)
     for j in range(p.n_vars):
         lo, hi = p.lb[j], p.ub[j]
-        if red[j] >= 0:
+        if red[j] >= 0 or (math.isinf(hi) and red[j] >= -rc_tol):
             total += red[j] * lo
         elif math.isinf(hi):
             return -math.inf
@@ -59,7 +62,7 @@ def assert_duals_consistent(p: LinearProgram, sol, tol: float = 1e-6):
             assert y[i] <= tol
         elif rel == ">=":
             assert y[i] >= -tol
-    assert lagrangian_bound(p, y) == pytest.approx(sol.objective, abs=tol)
+    assert lagrangian_bound(p, y, rc_tol=1e-9) == pytest.approx(sol.objective, abs=tol)
 
 
 # -- basics ----------------------------------------------------------------------
@@ -186,6 +189,87 @@ def test_weak_duality_holds(seed, n, m):
     assert_primal_feasible(p, sol.x)
 
 
+def _highs(p: LinearProgram):
+    eq = np.array([r == "==" for r in p.rel], dtype=bool)
+    sign = np.array([_REL_SIGN.get(r, 0.0) for r in p.rel])
+    return linprog(p.c, A_ub=(p.a * -sign[:, None])[~eq] if np.any(~eq) else None,
+                   b_ub=(p.b * -sign)[~eq] if np.any(~eq) else None,
+                   A_eq=p.a[eq] if np.any(eq) else None,
+                   b_eq=p.b[eq] if np.any(eq) else None,
+                   bounds=list(zip(p.lb, p.ub)), method="highs")
+
+
+def _assert_matches_highs(p: LinearProgram):
+    sol = solve_lp(p)
+    ref = _highs(p)
+    assert ref.status == 0
+    assert sol.status is LpStatus.OPTIMAL
+    assert sol.objective == pytest.approx(ref.fun, abs=1e-6 * (1.0 + abs(ref.fun)))
+    assert_primal_feasible(p, sol.x)
+    assert_duals_consistent(p, sol)
+
+
+def test_negative_costs_bounded_only_by_rows():
+    # the slack basis is not dual feasible: x0 and x1 want to grow without
+    # a bound of their own, and only the rows stop them
+    p = LinearProgram(c=[-1.0, -2.0, 0.5], a=[[1.0, 1.0, 0.0], [1.0, 3.0, -1.0]],
+                      rel=("<=", "<="), b=[4.0, 6.0], ub=[np.inf, np.inf, 2.0])
+    _assert_matches_highs(p)
+    # after the dual pass, x1 enters with nothing but its own bound to stop it
+    p = LinearProgram(c=[-1.0, 0.5], a=[[1.0, -1.0]], rel=("<=",), b=[1.0],
+                      ub=[np.inf, 3.0])
+    _assert_matches_highs(p)
+    assert solve_lp(p).x == pytest.approx([4.0, 3.0])
+    rng = np.random.default_rng(3)
+    for trial in range(20):
+        n, m = int(rng.integers(2, 6)), int(rng.integers(1, 5))
+        a = rng.uniform(0.1, 1.0, size=(m, n))
+        p = LinearProgram(c=rng.uniform(-1.0, 0.3, size=n), a=a, rel=("<=",) * m,
+                          b=rng.uniform(1.0, 3.0, size=m))
+        _assert_matches_highs(p)
+
+
+def test_redundant_equality_rows():
+    p = LinearProgram(c=[1.0, 2.0, -1.0],
+                      a=[[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [2.0, 2.0, 0.0],
+                         [0.0, 1.0, 1.0], [1.0, 2.0, 1.0]],
+                      rel=("==", "==", "==", "==", "=="), b=[2.0, 2.0, 4.0, 1.0, 3.0],
+                      ub=[5.0, 5.0, 5.0])
+    _assert_matches_highs(p)
+    q = LinearProgram(c=p.c, a=np.vstack([p.a, [[1.0, 0.0, 0.0]]]), rel=p.rel + (">=",),
+                      b=np.append(p.b, 0.5), ub=p.ub)
+    _assert_matches_highs(q)
+
+
+def test_matches_scipy_with_lower_bounds_and_mixed_rows():
+    rng = np.random.default_rng(19)
+    for trial in range(40):
+        n, m = int(rng.integers(2, 8)), int(rng.integers(1, 7))
+        lb = rng.uniform(-2.0, 1.0, size=n)
+        ub = np.where(rng.random(n) < 0.3, np.inf, lb + rng.uniform(0.5, 3.0, size=n))
+        x0 = lb + rng.uniform(0.1, 0.4, size=n)  # inside every box
+        a = rng.uniform(-1.0, 1.0, size=(m, n))
+        rel = tuple(rng.choice(["<=", ">=", "=="], size=m, p=[0.4, 0.4, 0.2]))
+        slack = rng.uniform(0.1, 1.0, size=m)
+        gap = np.select([np.array(rel) == "<=", np.array(rel) == ">="], [slack, -slack], 0.0)
+        # costs are nonnegative where nothing bounds a column from above
+        c = np.where(np.isinf(ub), rng.uniform(0.0, 1.0, size=n), rng.uniform(-1.0, 1.0, size=n))
+        p = LinearProgram(c=c, a=a, rel=rel, b=a @ x0 + gap, lb=lb, ub=ub)
+        _assert_matches_highs(p)
+
+
+def test_beale_cycling_example_terminates():
+    # Beale (1955): Dantzig pricing with the lowest-index leaving rule cycles
+    # here without an anti-cycling fallback
+    c = [-0.75, 20.0, -0.5, 6.0]
+    a = [[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]]
+    p = LinearProgram(c=c, a=a, rel=("<=", "<=", "<="), b=[0.0, 0.0, 1.0])
+    sol = solve_lp(p)
+    assert sol.status is LpStatus.OPTIMAL
+    assert sol.objective == pytest.approx(-1.25)
+    _assert_matches_highs(p)
+
+
 # -- branch and bound ---------------------------------------------------------------
 
 def _knapsack(values, weights, cap) -> MixedIntegerProgram:
@@ -207,6 +291,29 @@ def test_knapsack_matches_exhaustion():
     assert sol.objective == pytest.approx(best)
     assert sol.objective >= sol.best_bound - 1e-9
     assert np.allclose(sol.x, np.round(sol.x), atol=1e-9)
+
+
+def test_deeper_knapsack_matches_exhaustion_with_warm_children(monkeypatch):
+    values, weights, cap = [10.0, 13.0, 7.0, 8.0, 9.0, 4.0], [5.0, 7.0, 4.0, 5.0, 6.0, 3.0], 15.0
+    best = min(
+        -sum(v * t for v, t in zip(values, take))
+        for take in itertools.product((0, 1), repeat=len(values))
+        if sum(w * t for w, t in zip(weights, take)) <= cap
+    )
+    warm = []
+    inner = lp_module.solve_lp
+
+    def counting(p, _warm=None):
+        warm.append(_warm is not None)
+        return inner(p, _warm=_warm)
+
+    monkeypatch.setattr(lp_module, "solve_lp", counting)
+    sol = solve_milp(_knapsack(values, weights, cap))
+    assert sol.status is MilpStatus.OPTIMAL
+    assert sol.nodes > 3
+    assert sol.objective == pytest.approx(best)
+    assert np.allclose(sol.x, np.round(sol.x), atol=1e-9)
+    assert warm[0] is False and all(warm[1:]) and len(warm) == sol.nodes
 
 
 def test_integral_relaxation_needs_one_node():
