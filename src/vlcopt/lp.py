@@ -180,13 +180,12 @@ class _Tableau:
 
     def _load(self, basic: np.ndarray, flip: np.ndarray, cost: np.ndarray) -> None:
         """Tableau of a basis, by one dense solve with it (none for slacks)."""
-        m = self.m
-        a = self.a0 * np.where(flip, -1.0, 1.0)
-        body = np.hstack([a, (self.b0 - self.a0[:, flip] @ self.u[flip])[:, None]])
-        if not np.array_equal(basic, np.arange(a.shape[1] - m, a.shape[1])):
-            body = np.linalg.solve(a[:, basic], body)
+        m, body = self.m, self.t[:-1]
+        np.multiply(self.a0, np.where(flip, -1.0, 1.0), out=body[:, :-1])
+        body[:, -1] = self.b0 - self.a0[:, flip] @ self.u[flip]
+        if not np.array_equal(basic, np.arange(self.a0.shape[1] - m, self.a0.shape[1])):
+            body[:] = np.linalg.solve(body[:, basic], body)
             body[:, basic] = np.eye(m)
-        self.t[:m] = body
         self.basic, self.flip = basic.copy(), flip.copy()
         self._price(cost)
 
