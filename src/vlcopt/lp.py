@@ -123,7 +123,7 @@ class LpSolution:
     objective: Optional[float] = None
     duals: Optional[np.ndarray] = None
     iterations: int = 0
-    basis: Optional[Basis] = None  # final basis of an optimal solve
+    basis: Optional[Basis] = None  # final basis, once the pivoting has finished
 
 
 @dataclass
