@@ -49,30 +49,16 @@ class BaselineSolution(CgSolution):
 
 def _greedy_insert(inst: SchedulingInstance, order: Sequence[int]) -> list[int]:
     """Maximal independent set grown in the given link order."""
-    g = inst.graph
-    s = inst.s
+    adjacency = inst.graph.adjacency
+    groups, caps = inst.cap_groups
+    used = np.zeros(len(caps))
     members: list[int] = []
-    per_ap: dict[int, int] = {}
-    per_ut: dict[int, int] = {}
-    used_tx: set[tuple[int, int]] = set()
-    used_rx: set[tuple[int, int]] = set()
     for i in order:
-        ln = inst.links[i]
-        if any(g.adjacency[i, j] for j in members):
-            continue
-        if (ln.ap_index, ln.chip_index) in used_tx:
-            continue
-        if (ln.ut_index, ln.rx_index) in used_rx:
-            continue
-        if per_ap.get(ln.ap_index, 0) >= s.ap_concurrency_cap(ln.ap_index):
-            continue
-        if per_ut.get(ln.ut_index, 0) >= s.uts[ln.ut_index].n_receivers:
+        mine = groups[:, i]
+        if adjacency[i, members].any() or np.any(used[mine] >= caps[mine]):
             continue
         members.append(i)
-        used_tx.add((ln.ap_index, ln.chip_index))
-        used_rx.add((ln.ut_index, ln.rx_index))
-        per_ap[ln.ap_index] = per_ap.get(ln.ap_index, 0) + 1
-        per_ut[ln.ut_index] = per_ut.get(ln.ut_index, 0) + 1
+        used[mine] += 1
     return members
 
 

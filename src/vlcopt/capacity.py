@@ -9,12 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional
-
-from .optics import channel_gain
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .scenario import Link
+from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -69,29 +64,3 @@ def physical_capacity(
     denom = (responsivity * p_interference) ** 2 + noise_variance
     return bandwidth_hz * math.log2(1.0 + signal / denom)
 
-
-def interference_power(victim: "Link", active_links: Iterable["Link"]) -> float:
-    """Aggregate optical interference power (W) falling on a link's receiver.
-
-    Sums over concurrently active links on the same channel, each seen through
-    the victim receiver's field of view with the interferer's own beam pose.
-    The victim's own transmitter contributes nothing.
-    """
-    total = 0.0
-    rx = victim.receiver
-    for other in active_links:
-        if other.index == victim.index:
-            continue
-        if other.channel_index != victim.channel_index:
-            continue
-        h = channel_gain(
-            other.ac_pose,
-            victim.rx_position,
-            victim.rx_normal,
-            area_m2=rx.area_m2,
-            fov_half_deg=rx.fov_half_deg,
-            filter_gain=rx.filter_gain,
-            lens_index=rx.lens_index,
-        )
-        total += h * other.p_ac_pp
-    return total

@@ -29,7 +29,14 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .capacity import LinkRate, physical_capacity
-from .conflict import ConflictGraph, ScheduleVector, build_conflict_graph, is_independent
+from .conflict import (
+    ConflictGraph,
+    ScheduleVector,
+    build_conflict_graph,
+    cap_groups,
+    cross_gains,
+    is_independent,
+)
 from .lp import (
     LinearProgram,
     LpStatus,
@@ -38,7 +45,7 @@ from .lp import (
     solve_lp,
     solve_milp,
 )
-from .optics import channel_gain, illum_gain_many, lambertian_order, BeamPose
+from .optics import illum_gain_many, lighting_pose
 from .scenario import Link, Scenario, build_candidate_links
 
 RATE_SCALE = 1e6               # demand rows are expressed in Mbit/s
@@ -152,19 +159,19 @@ class SchedulingInstance:
         s: Scenario,
         sir_threshold: Optional[float] = None,
         links: Optional[Sequence[Link]] = None,
-        graph: Optional[ConflictGraph] = None,
     ):
         self.s = s
         self.links: list[Link] = list(links) if links is not None else build_candidate_links(s)
-        if graph is not None:
-            self.graph = graph
-            self.sir_threshold = graph.sir_threshold
-        elif sir_threshold is not None:
+        if sir_threshold is not None:
             self.graph = build_conflict_graph(self.links, sir_threshold)
             self.sir_threshold = float(sir_threshold)
         else:
             self.graph = None
             self.sir_threshold = None
+        # _h_cross[i, j] is the gain of link j's beam at link i's receiver
+        # (same channel only, zero on the diagonal)
+        self._h_cross = self.graph.gains if self.graph is not None else cross_gains(self.links)
+        self.cap_groups = cap_groups(self.links, s)
 
         L = len(self.links)
         M = len(s.uts)
@@ -181,9 +188,7 @@ class SchedulingInstance:
         self.dc_cap = np.array([s.aps[a].chips[c].p_max for a, c in self.dc_txs])
         self.dc_light = np.empty((T, K))  # lux per optical W
         for t, (a, c) in enumerate(self.dc_txs):
-            chip = s.aps[a].chips[c]
-            pose = BeamPose(s.aps[a].position, (0.0, 0.0, -1.0),
-                            lambertian_order(chip.theta_half_dc_deg))
+            pose = lighting_pose(s.aps[a], s.aps[a].chips[c])
             self.dc_light[t] = rho * illum_gain_many(pose, self.pts)
 
         self.ac_light = np.empty((L, K))  # lux contributed by each active link
@@ -211,21 +216,6 @@ class SchedulingInstance:
                 ]
             self.budget_links.append(members)
 
-        # cross gains: _h_cross[i, j] is the gain of link j's beam at link i's
-        # receiver (same channel only, zero on the diagonal)
-        self._h_cross = np.zeros((L, L))
-        for i, a in enumerate(self.links):
-            for j, b in enumerate(self.links):
-                if i == j or a.channel_index != b.channel_index:
-                    continue
-                self._h_cross[i, j] = channel_gain(
-                    b.ac_pose, a.rx_position, a.rx_normal,
-                    area_m2=a.receiver.area_m2,
-                    fov_half_deg=a.receiver.fov_half_deg,
-                    filter_gain=a.receiver.filter_gain,
-                    lens_index=a.receiver.lens_index,
-                )
-
         # lazy working sets of illuminance grid rows
         stride = max(1, K // 48)
         seed = list(range(0, K, stride))
@@ -252,6 +242,11 @@ class SchedulingInstance:
     def optimize_dc_for_schedule(self, active: Sequence[int]) -> np.ndarray:
         """Optimal lighting currents (optical W per chip) alongside a pattern."""
         return self._solve_dc(tuple(active))
+
+    def illuminance(self, dc: Sequence[float], active: Sequence[int]) -> np.ndarray:
+        """Desk illuminance (lux above ambient) at every grid point in the
+        operating state with lighting powers `dc` and data links `active`."""
+        return np.asarray(dc) @ self.dc_light + self._ac_field(active)
 
     def _ac_field(self, active: Sequence[int]) -> np.ndarray:
         if len(active) == 0:
@@ -378,7 +373,7 @@ class SchedulingInstance:
         caps = self._dc_caps_for(col.schedule.active)
         if np.any(dc > caps + 1e-9):
             return False
-        field = dc @ self.dc_light + self._ac_field(col.schedule.active)
+        field = self.illuminance(dc, col.schedule.active)
         return bool(
             np.all(field >= self.e_lo - tol) and np.all(field <= self.e_hi + tol)
         )
@@ -440,20 +435,8 @@ class SchedulingInstance:
 
         for q in _clique_cover(g.adjacency):
             emit(q, 1.0)
-        groups: dict[str, dict] = {"tx": {}, "rx": {}, "ap": {}, "ut": {}}
-        for i, ln in enumerate(self.links):
-            groups["tx"].setdefault((ln.ap_index, ln.chip_index), []).append(i)
-            groups["rx"].setdefault((ln.ut_index, ln.rx_index), []).append(i)
-            groups["ap"].setdefault(ln.ap_index, []).append(i)
-            groups["ut"].setdefault(ln.ut_index, []).append(i)
-        for members in groups["tx"].values():
-            emit(members, 1.0)
-        for members in groups["rx"].values():
-            emit(members, 1.0)
-        for ap_index, members in groups["ap"].items():
-            emit(members, float(self.s.ap_concurrency_cap(ap_index)))
-        for ut_index, members in groups["ut"].items():
-            emit(members, float(self.s.uts[ut_index].n_receivers))
+        for row, cap in zip(*self.cap_groups):
+            emit(np.nonzero(row)[0].tolist(), float(cap))
         self._static_rows = rows
         return rows
 
@@ -523,7 +506,7 @@ class SchedulingInstance:
             x = res.x
             active = tuple(int(i) for i in np.nonzero(x[:L] > 0.5)[0])
             dc = np.maximum(x[L:], 0.0)
-            field = dc @ self.dc_light + self._ac_field(active)
+            field = self.illuminance(dc, active)
             added = self._collect_violations(field, self.e_lo, self.e_hi)
             if added == 0:
                 self._last_pricing = x.copy()
@@ -612,9 +595,10 @@ class SchedulingInstance:
         active = col.schedule.active
         rate = np.zeros(len(self.s.uts))
         link_rates = []
-        for i in active:
+        idx = list(active)
+        p_interference = self._h_cross[np.ix_(idx, idx)] @ self.p_ac_pp[idx]
+        for i, p_i in zip(idx, p_interference.tolist()):
             ln = self.links[i]
-            p_i = float(sum(self._h_cross[i, j] * self.p_ac_pp[j] for j in active))
             cap = physical_capacity(
                 ln.bandwidth_hz,
                 self.s.constants.responsivity,
@@ -686,50 +670,6 @@ def _clique_cover(adjacency: np.ndarray) -> list[tuple[int, ...]]:
             covered[np.ix_(arr, arr)] = True
             cliques.append(tuple(members))
     return cliques
-
-
-# ---------------------------------------------------------------------------
-# module-level operations (thin wrappers constructing an instance per call)
-
-
-def min_illumination_power(s: Scenario) -> tuple[float, np.ndarray]:
-    """Electrical power and per-chip optical powers of the cheapest lighting
-    state meeting the illuminance band with no data beams active."""
-    return SchedulingInstance(s).min_illumination_power()
-
-
-def optimize_dc_for_schedule(s: Scenario, x: ScheduleVector,
-                             links: Optional[Sequence[Link]] = None) -> np.ndarray:
-    return SchedulingInstance(s, links=links).optimize_dc_for_schedule(x.active)
-
-
-def initial_columns(s: Scenario, links: Optional[Sequence[Link]] = None
-                    ) -> list[IndependentSetColumn]:
-    return SchedulingInstance(s, links=links).initial_columns()
-
-
-def solve_rmp(cols: Sequence[IndependentSetColumn], s: Scenario,
-              links: Optional[Sequence[Link]] = None) -> RmpResult:
-    return SchedulingInstance(s, links=links).solve_rmp(cols)
-
-
-def solve_pricing(lambda_bps: np.ndarray, mu: float, s: Scenario,
-                  g: ConflictGraph) -> tuple[IndependentSetColumn, float]:
-    inst = SchedulingInstance(s, links=list(g.links), graph=g)
-    column, reduced, _ = inst.solve_pricing(lambda_bps, mu)
-    return column, reduced
-
-
-def column_generation(s: Scenario, epsilon: float, sir_threshold: float = 3.0,
-                      max_iterations: int = 300) -> CgSolution:
-    return SchedulingInstance(s, sir_threshold=sir_threshold).column_generation(
-        epsilon, max_iterations=max_iterations)
-
-
-def reality_check(sol: CgSolution, s: Scenario, sir_threshold: Optional[float] = None
-                  ) -> CgSolution:
-    inst = SchedulingInstance(s, sir_threshold=sir_threshold or sol.sir_threshold)
-    return inst.reality_check(sol)
 
 
 def write_iteration_csv(records: Iterable[IterationRecord], path: str | Path) -> None:

@@ -132,21 +132,14 @@ def export_heatmap(inst: SchedulingInstance, sol: CgSolution, path: Path,
     of grid points that leave the illuminance band in at least one state.
     """
     s = inst.s
-    ambient = s.illum.ambient_lux
-    states: list[tuple[float, np.ndarray]] = []
-    for col, w in sol.active():
-        f = np.asarray(col.dc_power) @ inst.dc_light \
-            + inst._ac_field(col.schedule.active) + ambient
-        states.append((w, f))
-    idle = 1.0 - sum(w for w, _ in states)
+    states = [(w, col.dc_power, col.schedule.active) for col, w in sol.active()]
+    idle = 1.0 - sum(w for w, _, _ in states)
     if idle > 1e-9:
-        if include_idle_lighting:
-            f = np.asarray(sol.dc_min) @ inst.dc_light + ambient
-        else:
-            f = np.full(inst.pts.shape[0], ambient)
-        states.append((idle, f))
-    fields = np.stack([f for _, f in states])
-    weights = np.array([w for w, _ in states])
+        dc_idle = sol.dc_min if include_idle_lighting else np.zeros(len(inst.dc_txs))
+        states.append((idle, dc_idle, ()))
+    fields = np.stack([inst.illuminance(dc, active) + s.illum.ambient_lux
+                       for _, dc, active in states])
+    weights = np.array([w for w, _, _ in states])
     e_weighted = weights @ fields / max(weights.sum(), 1e-12)
     e_min = fields.min(axis=0)
     e_max = fields.max(axis=0)
@@ -278,10 +271,15 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sweep_sir(args) -> int:
+    start = getattr(args, "from")
+    if not args.step > 0.0:
+        raise SystemExit("--step must be positive")
+    if not args.to >= start:
+        raise SystemExit("--to must not be below --from")
     out = _outdir(args)
     s = _scenario_from_args(args)
-    n = int(round((args.to - getattr(args, "from")) / args.step))
-    thresholds = [getattr(args, "from") + i * args.step for i in range(n + 1)]
+    n = int(round((args.to - start) / args.step))
+    thresholds = [start + i * args.step for i in range(n + 1)]
     lower, upper, table = sweep_sir(s, thresholds, epsilon=args.epsilon)
     _write_csv(out / "results.csv", table)
     _write_manifest(out, "sweep-sir", _args_dict(args), [s.digest()],
@@ -309,11 +307,7 @@ def _cmd_compare(args) -> int:
                 s = _scenario_from_args(args, seed=seed, n_uts=int(value))
             else:
                 s = _scenario_from_args(args, seed=seed, demand_bps=value * 1e6)
-            try:
-                inst = SchedulingInstance(s, sir_threshold=args.sir)
-            except IlluminationInfeasible as exc:
-                print(f"skipping value={value} seed={seed}: {exc}", file=sys.stderr)
-                continue
+            inst = SchedulingInstance(s, sir_threshold=args.sir)
             digests.append(s.digest())
             for algo in algos:
                 proto, real = run_algorithm(inst, algo, args.epsilon, seed)

@@ -1,25 +1,29 @@
-"""Pairwise interference conflicts and independent-set feasibility.
+"""Same-channel cross gains, interference conflicts and activation caps.
 
-Two same-channel links conflict when either direction of their mutual
-signal-to-interference ratio (a ratio of received optical powers, so the
-photodiode responsivity cancels) falls below the scheduling threshold.
-Same-channel links that share a transmitter chip or a receiver also conflict
-outright. Multiplicity limits that are not pairwise (per-AP and per-terminal
-activation caps, cross-channel transmitter/receiver exclusivity) are applied
-by `is_independent` on top of the graph.
+`cross_gains` builds the one L x L matrix of same-channel cross gains: entry
+(i, j) is the line-of-sight gain of link j's data beam at link i's receiver.
+The conflict graph thresholds the signal-to-interference ratios read from it
+(ratios of received optical powers, so the photodiode responsivity cancels):
+two same-channel links conflict when either direction falls below the
+scheduling threshold, and outright when they share a transmitter chip or a
+receiver. The validation pass reuses the same matrix for the interference
+each active link actually receives.
+
+`cap_groups` is the one table of activation caps that are not pairwise: one
+group per transmitter chip and per receiver (one stream each, across all
+channels), per access point and per terminal. `is_independent`, the greedy
+heuristic and the pricing problem's rows all read it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .capacity import interference_power
-from .optics import channel_gain
+from .optics import channel_gain_many
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scenario import Link, Scenario
@@ -36,33 +40,51 @@ class ScheduleVector:
             raise ValueError("active link indices must be sorted and unique")
 
 
-def pairwise_sir(a: "Link", b: "Link") -> tuple[float, float]:
-    """(SIR at a's receiver from b, SIR at b's receiver from a).
-
-    Ratios of received optical power. A direction with zero interference gain
-    is +inf; a link whose own signal gain is zero gets 0 regardless.
-    """
-    return _one_way_sir(a, b), _one_way_sir(b, a)
+def _same(links: Sequence["Link"], *attrs: str) -> np.ndarray:
+    """(L, L) mask of link pairs that agree on every named attribute."""
+    k = np.array([[getattr(ln, a) for a in attrs] for ln in links]).reshape(len(links), len(attrs))
+    return np.all(k[:, None, :] == k[None, :, :], axis=-1)
 
 
-def _one_way_sir(victim: "Link", interferer: "Link") -> float:
-    signal = victim.gain * victim.p_ac_pp
-    if signal <= 0.0:
-        return 0.0
-    rx = victim.receiver
-    h = channel_gain(
-        interferer.ac_pose,
-        victim.rx_position,
-        victim.rx_normal,
-        area_m2=rx.area_m2,
-        fov_half_deg=rx.fov_half_deg,
-        filter_gain=rx.filter_gain,
-        lens_index=rx.lens_index,
+def cross_gains(links: Sequence["Link"]) -> np.ndarray:
+    """H[i, j]: gain of link j's data beam at link i's receiver, seen through
+    link i's field of view; zero across channels and on the diagonal."""
+
+    def vec(values) -> np.ndarray:
+        return np.array(values, dtype=float).reshape(len(links), 3)
+
+    def num(values) -> np.ndarray:
+        return np.array(values, dtype=float)
+
+    poses = [ln.ac_pose for ln in links]
+    rx = [ln.receiver for ln in links]
+    # interferers j run along axis 1, victims i along axis 0
+    h = channel_gain_many(
+        vec([p.origin for p in poses])[None],
+        vec([p.direction for p in poses])[None],
+        num([p.ml for p in poses])[None],
+        vec([ln.rx_position for ln in links])[:, None],
+        vec([ln.rx_normal for ln in links])[:, None],
+        area_m2=num([r.area_m2 for r in rx])[:, None],
+        fov_half_deg=num([r.fov_half_deg for r in rx])[:, None],
+        filter_gain=num([r.filter_gain for r in rx])[:, None],
+        lens_index=num([r.lens_index for r in rx])[:, None],
     )
-    interference = h * interferer.p_ac_pp
-    if interference <= 0.0:
-        return math.inf
-    return signal / interference
+    h[~_same(links, "channel_index")] = 0.0
+    np.fill_diagonal(h, 0.0)
+    return h
+
+
+def sir_matrix(links: Sequence["Link"], gains: np.ndarray) -> np.ndarray:
+    """S[i, j]: signal-to-interference ratio at link i's receiver with link j
+    as the only interferer. +inf where j's beam does not reach i; 0 for every
+    j when link i's own signal gain is zero."""
+    signal = np.array([ln.gain * ln.p_ac_pp for ln in links])
+    interference = gains * np.array([ln.p_ac_pp for ln in links])[None, :]
+    sir = np.full(gains.shape, np.inf)
+    np.divide(signal[:, None], interference, out=sir, where=interference > 0.0)
+    sir[signal <= 0.0] = 0.0
+    return sir
 
 
 @dataclass(eq=False)
@@ -70,6 +92,7 @@ class ConflictGraph:
     links: tuple
     sir_threshold: float
     adjacency: np.ndarray  # boolean, symmetric, zero diagonal
+    gains: np.ndarray      # cross_gains(links)
 
     @property
     def n_links(self) -> int:
@@ -91,25 +114,38 @@ def build_conflict_graph(links: Sequence["Link"], sir_threshold: float) -> Confl
     """
     if not sir_threshold >= 1.0:
         raise ValueError(f"sir_threshold={sir_threshold}: must be >= 1")
-    n = len(links)
-    adj = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        a = links[i]
-        for j in range(i + 1, n):
-            b = links[j]
-            if a.channel_index != b.channel_index:
-                continue
-            if (a.ap_index, a.chip_index) == (b.ap_index, b.chip_index):
-                adj[i, j] = adj[j, i] = True
-                continue
-            if (a.ut_index, a.rx_index) == (b.ut_index, b.rx_index):
-                adj[i, j] = adj[j, i] = True
-                continue
-            s_ab, s_ba = pairwise_sir(a, b)
-            if min(s_ab, s_ba) < sir_threshold:
-                adj[i, j] = adj[j, i] = True
+    gains = cross_gains(links)
+    sir = sir_matrix(links, gains)
+    shared = _same(links, "ap_index", "chip_index") | _same(links, "ut_index", "rx_index")
+    adj = _same(links, "channel_index") & (shared | (np.minimum(sir, sir.T) < sir_threshold))
+    np.fill_diagonal(adj, False)
     adj.setflags(write=False)
-    return ConflictGraph(tuple(links), float(sir_threshold), adj)
+    return ConflictGraph(tuple(links), float(sir_threshold), adj, gains)
+
+
+def cap_groups(links: Sequence["Link"], s: "Scenario") -> tuple[np.ndarray, np.ndarray]:
+    """Activation caps as (members, caps): row g of the boolean (G, L) matrix
+    marks the links of group g, of which at most caps[g] may be on at once.
+
+    Groups come per transmitter chip, then per receiver (cap 1 each, across
+    all channels), then per access point and per terminal; within a kind, in
+    order of first appearance among the links.
+    """
+    kinds = (
+        lambda ln: (("tx", ln.ap_index, ln.chip_index), 1),
+        lambda ln: (("rx", ln.ut_index, ln.rx_index), 1),
+        lambda ln: (("ap", ln.ap_index), s.ap_concurrency_cap(ln.ap_index)),
+        lambda ln: (("ut", ln.ut_index), s.uts[ln.ut_index].n_receivers),
+    )
+    groups: dict[tuple, tuple[int, list[int]]] = {}
+    for group_of in kinds:
+        for i, ln in enumerate(links):
+            key, cap = group_of(ln)
+            groups.setdefault(key, (cap, []))[1].append(i)
+    members = np.zeros((len(groups), len(links)), dtype=bool)
+    for g, (_, idx) in enumerate(groups.values()):
+        members[g, idx] = True
+    return members, np.array([cap for cap, _ in groups.values()], dtype=float)
 
 
 def is_independent(x: ScheduleVector, g: ConflictGraph, s: "Scenario") -> bool:
@@ -119,36 +155,10 @@ def is_independent(x: ScheduleVector, g: ConflictGraph, s: "Scenario") -> bool:
     for i in idx:
         if not 0 <= i < g.n_links:
             raise IndexError(f"link index {i} out of range")
-    for p, i in enumerate(idx):
-        for j in idx[p + 1 :]:
-            if g.adjacency[i, j]:
-                return False
-    per_tx: dict[tuple[int, int], int] = {}
-    per_rx: dict[tuple[int, int], int] = {}
-    per_ap: dict[int, int] = {}
-    per_ut: dict[int, int] = {}
-    for i in idx:
-        ln = g.links[i]
-        per_tx[(ln.ap_index, ln.chip_index)] = per_tx.get((ln.ap_index, ln.chip_index), 0) + 1
-        per_rx[(ln.ut_index, ln.rx_index)] = per_rx.get((ln.ut_index, ln.rx_index), 0) + 1
-        per_ap[ln.ap_index] = per_ap.get(ln.ap_index, 0) + 1
-        per_ut[ln.ut_index] = per_ut.get(ln.ut_index, 0) + 1
-    # one stream per transmitter chip and per receiver, across all channels
-    if any(v > 1 for v in per_tx.values()) or any(v > 1 for v in per_rx.values()):
+    if g.adjacency[np.ix_(idx, idx)].any():
         return False
-    for ap_index, count in per_ap.items():
-        if count > s.ap_concurrency_cap(ap_index):
-            return False
-    for ut_index, count in per_ut.items():
-        if count > s.uts[ut_index].n_receivers:
-            return False
-    return True
-
-
-def column_interference(links: Sequence["Link"], active: Sequence[int]) -> dict[int, float]:
-    """Optical interference power each active link receives from the others."""
-    chosen = [links[i] for i in active]
-    return {ln.index: interference_power(ln, chosen) for ln in chosen}
+    members, caps = cap_groups(g.links, s)
+    return bool(np.all(members[:, idx].sum(axis=1) <= caps))
 
 
 def write_adjacency(g: ConflictGraph, path: str | Path) -> None:

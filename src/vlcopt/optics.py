@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
-    from .scenario import AccessPoint, Chip, Scenario
+    from .scenario import AccessPoint, Chip
 
 Vec3 = tuple[float, float, float]
 
@@ -51,15 +51,6 @@ class BeamPose:
             raise ValueError(f"lambertian order must be positive, got {self.ml}")
 
 
-@dataclass(frozen=True)
-class LinkGeometry:
-    """Distance plus radiance/incidence angles (radians) of one LOS path."""
-
-    distance: float
-    radiance_angle: float
-    incidence_angle: float
-
-
 def _unit(v: Sequence[float]) -> np.ndarray:
     a = np.asarray(v, dtype=float)
     n = float(np.linalg.norm(a))
@@ -68,28 +59,10 @@ def _unit(v: Sequence[float]) -> np.ndarray:
     return a / n
 
 
-def link_geometry(tx: BeamPose, rx_position: Sequence[float], rx_normal: Sequence[float]) -> LinkGeometry:
-    """Geometry between an emitter pose and a receiver aperture.
-
-    The radiance angle is measured from the beam axis, the incidence angle
-    from the receiver normal toward the emitter.
-    """
-    origin = np.asarray(tx.origin, dtype=float)
-    rx = np.asarray(rx_position, dtype=float)
-    d = rx - origin
-    dist = float(np.linalg.norm(d))
-    if dist < 1e-12:
-        raise ValueError("transmitter and receiver are co-located")
-    d_hat = d / dist
-    n_hat = _unit(rx_normal)
-    return LinkGeometry(dist, _angle(np.asarray(tx.direction, float), d_hat),
-                        _angle(n_hat, -d_hat))
-
-
-def _angle(u: np.ndarray, v: np.ndarray) -> float:
-    # atan2 of the rejection keeps full precision near 0 and pi, where acos
-    # of a rounded dot product loses half the significant digits
-    return math.atan2(float(np.linalg.norm(np.cross(u, v))), float(np.dot(u, v)))
+def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # written out so every element rounds the same way whatever the array
+    # shape: a link's own gain and its entry in a batch are bit-identical
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
 
 
 def channel_gain(
@@ -107,24 +80,53 @@ def channel_gain(
     Uses an idealised non-imaging concentrator: gain lens_index^2 / sin^2(FOV)
     inside the field of view, nothing outside.
     """
-    geo = link_geometry(tx, rx_position, rx_normal)
-    fov = math.radians(fov_half_deg)
-    if geo.incidence_angle > fov:
-        return 0.0
-    cos_rad = math.cos(geo.radiance_angle)
-    cos_inc = math.cos(geo.incidence_angle)
-    if cos_rad <= 0.0 or cos_inc <= 0.0:
-        return 0.0
-    concentrator = lens_index * lens_index / (math.sin(fov) ** 2)
-    return (
-        (tx.ml + 1.0)
+    return float(channel_gain_many(
+        tx.origin, tx.direction, tx.ml, rx_position, rx_normal, area_m2=area_m2,
+        fov_half_deg=fov_half_deg, filter_gain=filter_gain, lens_index=lens_index))
+
+
+def channel_gain_many(
+    origin: np.ndarray,
+    direction: np.ndarray,
+    ml: np.ndarray,
+    rx_position: np.ndarray,
+    rx_normal: np.ndarray,
+    *,
+    area_m2: float | np.ndarray,
+    fov_half_deg: float | np.ndarray,
+    filter_gain: float | np.ndarray = 1.0,
+    lens_index: float | np.ndarray = 1.5,
+) -> np.ndarray:
+    """Vectorised channel_gain over emitters and receivers that broadcast
+    against each other; points and directions run along a last axis of 3.
+
+    Emitter directions must be unit vectors (a BeamPose checks that);
+    receiver normals are normalised here.
+    """
+    origin, direction, rx_position, rx_normal = (
+        np.asarray(v, dtype=float) for v in (origin, direction, rx_position, rx_normal))
+    n_len = np.sqrt(_dot3(rx_normal, rx_normal))
+    if np.any(n_len < 1e-12):
+        raise ValueError("zero-length vector has no direction")
+    d = rx_position - origin
+    dist = np.sqrt(_dot3(d, d))
+    if np.any(dist < 1e-12):
+        raise ValueError("transmitter and receiver are co-located")
+    u = d / dist[..., None]
+    cos_rad = np.maximum(_dot3(u, direction), 0.0)
+    cos_inc = -_dot3(u, rx_normal / n_len[..., None])
+    fov = np.radians(fov_half_deg)
+    gain = (
+        (ml + 1.0)
         * area_m2
-        / (2.0 * math.pi * geo.distance**2)
-        * cos_rad**tx.ml
+        / (2.0 * math.pi * dist * dist)
+        * cos_rad**ml
         * filter_gain
-        * concentrator
+        * (lens_index * lens_index / np.sin(fov) ** 2)
         * cos_inc
     )
+    # a ray exactly on the edge of the field of view still counts
+    return np.where((cos_inc >= np.cos(fov)) & (cos_inc > 0.0), gain, 0.0)
 
 
 def illum_gain(tx: BeamPose, point: Sequence[float]) -> float:
@@ -171,28 +173,29 @@ def coverage_center(ap: "AccessPoint", chip: "Chip", plane_z: float) -> Vec3:
     return (float(p[0]), float(p[1]), float(plane_z))
 
 
+def lighting_pose(ap: "AccessPoint", chip: "Chip") -> BeamPose:
+    """Pose of a lighting chip's DC emission: straight down with its wide
+    semi-angle, in every layout (config c lights with its central chip)."""
+    return _vertical_pose(ap.position, chip.theta_half_dc_deg)
+
+
 def beam_for_link(
     config_kind: str,
     ap: "AccessPoint",
     chip: "Chip",
     ut_position: Sequence[float],
-) -> tuple[BeamPose, BeamPose]:
-    """AC (data) and DC (lighting) poses for a link served by `chip`.
+) -> BeamPose:
+    """AC (data) pose for a link served by `chip`.
 
-    Config a: both vertical with the chip's wide semi-angles.
-    Config b: lighting stays vertical, the data beam tracks the terminal.
-    Config c: the data beam is the serving peripheral chip's fixed pose and
-    lighting rides on the central chip; asking for AC on any other chip of
-    the same access point is an error.
+    Config a: vertical with the chip's wide semi-angle.
+    Config b: the data beam tracks the terminal.
+    Config c: the data beam is the serving peripheral chip's fixed pose;
+    asking for AC on any other chip of the same access point is an error.
     """
     if config_kind == "a":
-        dc = _vertical_pose(ap.position, chip.theta_half_dc_deg)
-        ac = _vertical_pose(ap.position, chip.theta_half_ac_deg)
-        return ac, dc
+        return _vertical_pose(ap.position, chip.theta_half_ac_deg)
     if config_kind == "b":
-        dc = _vertical_pose(ap.position, chip.theta_half_dc_deg)
-        ac = _aimed_pose(ap.position, ut_position, chip.theta_half_ac_deg)
-        return ac, dc
+        return _aimed_pose(ap.position, ut_position, chip.theta_half_ac_deg)
     if config_kind == "c":
         if chip.role != "peripheral":
             raise ValueError("config c carries data only on peripheral chips")
@@ -201,10 +204,7 @@ def beam_for_link(
             raise ValueError(
                 "config c: requested chip is not the serving chip for this terminal"
             )
-        ac = BeamPose(ap.position, chip.beam_direction, lambertian_order(chip.theta_half_ac_deg))
-        central = next(c for c in ap.chips if c.role == "central")
-        dc = _vertical_pose(ap.position, central.theta_half_dc_deg)
-        return ac, dc
+        return BeamPose(ap.position, chip.beam_direction, lambertian_order(chip.theta_half_ac_deg))
     raise ValueError(f"unknown config kind {config_kind!r}")
 
 
@@ -224,31 +224,3 @@ def serving_chip_index(ap: "AccessPoint", ut_position: Sequence[float]) -> int:
         raise ValueError("access point has no peripheral chips")
     return best
 
-
-def illuminance_field(
-    s: "Scenario",
-    active_links: Iterable,
-    dc_power: np.ndarray,
-) -> np.ndarray:
-    """Horizontal illuminance (lux) at every grid point for one operating state.
-
-    `dc_power` is aligned with `s.dc_transmitters()`; `active_links` carry
-    their own AC poses and average optical powers.
-    """
-    pts = s.grid_points()
-    field = np.full(pts.shape[0], float(s.illum.ambient_lux))
-    rho = s.constants.luminosity_efficacy
-    dc = np.asarray(dc_power, dtype=float)
-    txs = s.dc_transmitters()
-    if dc.shape != (len(txs),):
-        raise ValueError(f"dc_power must have shape ({len(txs)},), got {dc.shape}")
-    for p, (ap_i, chip_i) in zip(dc, txs):
-        if p == 0.0:
-            continue
-        ap = s.aps[ap_i]
-        chip = ap.chips[chip_i]
-        pose = _vertical_pose(ap.position, chip.theta_half_dc_deg)
-        field += rho * p * illum_gain_many(pose, pts)
-    for link in active_links:
-        field += rho * link.p_ac_avg * illum_gain_many(link.ac_pose, pts)
-    return field

@@ -333,6 +333,8 @@ def _expand_aps(raw: Any, room: Vec3) -> tuple[Optional[float], list[Vec3]]:
         raw = {"grid": {"nx": 6, "ny": 6, "spacing": 1.0}}
     if isinstance(raw, dict) and "grid" in raw:
         g = raw["grid"]
+        for key in ("nx", "ny", "spacing"):
+            _require(key in g, f"aps.grid.{key}", "missing")
         nx, ny = int(g["nx"]), int(g["ny"])
         sp = float(g["spacing"])
         _require(nx > 0 and ny > 0, "aps.grid", "nx and ny must be positive")
@@ -346,8 +348,8 @@ def _expand_aps(raw: Any, room: Vec3) -> tuple[Optional[float], list[Vec3]]:
     _require(isinstance(raw, list), "aps", "must be a grid spec or a list of entries")
     positions = []
     for i, entry in enumerate(raw):
-        pos = entry["position"]
-        _require(len(pos) == 3, f"aps[{i}].position", "must be [x, y, z]")
+        pos = entry.get("position")
+        _require(pos is not None and len(pos) == 3, f"aps[{i}].position", "must be [x, y, z]")
         positions.append(tuple(float(v) for v in pos))
     return None, positions
 
@@ -385,6 +387,7 @@ def _build_chips(kind: str, ap_pos: Vec3, chip_cfg: dict, n: int, cell: float, d
 def _expand_uts(raw: Any, room: Vec3, desk: float) -> tuple[UserTerminal, ...]:
     _require(raw is not None, "uts", "missing")
     if isinstance(raw, dict):
+        _require("count" in raw, "uts.count", "missing")
         count = int(raw["count"])
         _require(count > 0, "uts.count", "must be positive")
         seed = int(raw.get("seed", 0))
@@ -398,8 +401,9 @@ def _expand_uts(raw: Any, room: Vec3, desk: float) -> tuple[UserTerminal, ...]:
     _require(isinstance(raw, list), "uts", "must be a sampling spec or a list of entries")
     out = []
     for i, entry in enumerate(raw):
-        pos = entry["position"]
-        _require(len(pos) in (2, 3), f"uts[{i}].position", "must be [x, y] or [x, y, z]")
+        pos = entry.get("position")
+        _require(pos is not None and len(pos) in (2, 3), f"uts[{i}].position",
+                 "must be [x, y] or [x, y, z]")
         x, y = float(pos[0]), float(pos[1])
         z = float(pos[2]) if len(pos) == 3 else desk
         _require(abs(z - desk) <= 1e-9, f"uts[{i}].position", "must sit on the desk plane")
@@ -453,7 +457,7 @@ def build_candidate_links(s: Scenario) -> list[Link]:
                     ap = s.aps[ap_index]
                     chip_index = _serving_chip(s, ap, ut)
                     chip = ap.chips[chip_index]
-                    ac_pose, _ = optics.beam_for_link(s.config_kind, ap, chip, ut.position)
+                    ac_pose = optics.beam_for_link(s.config_kind, ap, chip, ut.position)
                     rx_normal = _receiver_normal(s, ap, ut)
                     gain = optics.channel_gain(
                         ac_pose,

@@ -15,8 +15,8 @@ from vlcopt.baselines import mwis_schedule, vico_random_schedule
 from vlcopt.capacity import physical_capacity, protocol_capacity
 from vlcopt.cg_scheduler import CgStatus, SchedulingInstance
 from vlcopt.cli import export_heatmap, sweep_sir
-from vlcopt.optics import BeamPose, channel_gain, illuminance_field, lambertian_order
-from vlcopt.scenario import build_candidate_links, default_config, scenario_from_dict
+from vlcopt.optics import BeamPose, channel_gain, lambertian_order
+from vlcopt.scenario import default_config, scenario_from_dict
 
 SIR_DEFAULT = 3.0
 
@@ -244,13 +244,12 @@ def test_criterion_8_formula_spot_checks(acceptance_report):
                        area_m2=1e-4, fov_half_deg=60.0)
     inv_square = near / far == pytest.approx((2.2 / 1.1) ** 2, rel=1e-12)
 
-    s = scenario_from_dict(helpers.tiny_config(n_uts=2, seed=1))
-    links = build_candidate_links(s)
+    inst = SchedulingInstance(scenario_from_dict(helpers.tiny_config(n_uts=2, seed=1)))
     rng = np.random.default_rng(3)
-    da = rng.uniform(0.0, 3.0, size=len(s.dc_transmitters()))
-    db = rng.uniform(0.0, 3.0, size=len(s.dc_transmitters()))
-    joint = illuminance_field(s, links[:2], da + db)
-    split = illuminance_field(s, links[:1], da) + illuminance_field(s, links[1:2], db)
+    da = rng.uniform(0.0, 3.0, size=len(inst.dc_txs))
+    db = rng.uniform(0.0, 3.0, size=len(inst.dc_txs))
+    joint = inst.illuminance(da + db, (0, 1))
+    split = inst.illuminance(da, (0,)) + inst.illuminance(db, (1,))
     linear = bool(np.allclose(joint, split, rtol=1e-9, atol=0.0))
 
     elapsed = time.monotonic() - t0

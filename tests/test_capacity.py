@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from vlcopt.capacity import interference_power, physical_capacity, protocol_capacity
+from vlcopt.capacity import physical_capacity, protocol_capacity
+from vlcopt.conflict import cross_gains
 from vlcopt.scenario import build_candidate_links, scenario_from_dict
 
 BAND = 1e8
@@ -62,6 +63,12 @@ def test_negative_inputs_rejected():
 
 # -- interference aggregation ---------------------------------------------------
 
+def interference_power(links, victim, active):
+    """Optical interference (W) at link `victim`'s receiver from the active links."""
+    h = cross_gains(links)
+    return sum(h[victim, j] * links[j].p_ac_pp for j in active)
+
+
 def _row_links(n, room_x):
     positions = [(float(x), 1.0) for x in range(1, n + 1)]
     s = scenario_from_dict(helpers.pinned_config(
@@ -71,19 +78,19 @@ def _row_links(n, room_x):
 
 def test_lone_link_sees_no_interference():
     _, links = _row_links(3, 4.0)
-    assert interference_power(links[0], [links[0]]) == 0.0
+    assert interference_power(links, 0, [0]) == 0.0
 
 
 def test_interferer_outside_fov_contributes_nothing():
     # 4 m of lateral offset puts the interferer past the 60 degree aperture
     _, links = _row_links(5, 6.0)
-    assert interference_power(links[0], [links[0], links[4]]) == 0.0
+    assert interference_power(links, 0, [0, 4]) == 0.0
 
 
 def test_symmetric_interferers_add_up():
     _, links = _row_links(3, 4.0)
-    one = interference_power(links[1], [links[0], links[1]])
-    both = interference_power(links[1], [links[0], links[1], links[2]])
+    one = interference_power(links, 1, [0, 1])
+    both = interference_power(links, 1, [0, 1, 2])
     assert one > 0.0
     assert both == pytest.approx(2.0 * one, rel=1e-12)
 
@@ -96,7 +103,7 @@ def test_interference_matches_reference_gains():
         links[1].receiver.area_m2, links[1].receiver.fov_half_deg)
         * other.p_ac_pp
         for other in (links[0], links[2]))
-    got = interference_power(links[1], links)
+    got = interference_power(links, 1, range(len(links)))
     assert got == pytest.approx(want, rel=1e-9)
 
 
@@ -104,9 +111,9 @@ def test_cross_channel_links_do_not_interfere():
     s = scenario_from_dict(helpers.pinned_config(
         [(1.0, 1.0), (2.0, 1.0)], channels=2))
     links = build_candidate_links(s)
-    victim = links[0]
-    other = next(ln for ln in links if ln.channel_index != victim.channel_index)
-    assert interference_power(victim, [victim, other]) == 0.0
+    other = next(i for i, ln in enumerate(links)
+                 if ln.channel_index != links[0].channel_index)
+    assert interference_power(links, 0, [0, other]) == 0.0
 
 
 # -- order properties ------------------------------------------------------------

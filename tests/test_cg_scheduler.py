@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 
 import helpers
+from vlcopt.capacity import physical_capacity
 from vlcopt.cg_scheduler import (
     CgStatus,
     IlluminationInfeasible,
     IterationRecord,
     SchedulingInstance,
-    column_generation,
-    min_illumination_power,
     write_iteration_csv,
 )
 from vlcopt.conflict import ScheduleVector
@@ -39,7 +38,7 @@ def test_ambient_alone_inside_band_costs_nothing():
     doc = helpers.tiny_config(n_uts=1,
                               illum={"lower_lux": 300.0, "upper_lux": 500.0,
                                      "spacing": 0.5, "ambient_lux": 400.0})
-    p0, dc = min_illumination_power(scenario_from_dict(doc))
+    p0, dc = SchedulingInstance(scenario_from_dict(doc)).min_illumination_power()
     assert p0 == 0.0
     assert np.all(dc == 0.0)
 
@@ -47,7 +46,7 @@ def test_ambient_alone_inside_band_costs_nothing():
 def test_single_lamp_inversion():
     # one chip, one constraint point: required optical power inverts in closed form
     s = scenario_from_dict(_one_lamp_doc(lower=200.0, upper=500.0))
-    p0, dc = min_illumination_power(s)
+    p0, dc = SchedulingInstance(s).min_illumination_power()
     want_optical = 200.0 / (300.0 * GAIN_BELOW_WIDE)
     assert dc[0] == pytest.approx(want_optical, rel=1e-9)
     assert p0 == pytest.approx(want_optical / 0.1, rel=1e-9)
@@ -57,7 +56,7 @@ def test_unreachable_floor_names_witness_point():
     # 12.5 W through the closed-form gain caps the field near 203 lux
     s = scenario_from_dict(_one_lamp_doc(lower=300.0, upper=500.0))
     with pytest.raises(IlluminationInfeasible) as exc:
-        min_illumination_power(s)
+        SchedulingInstance(s).min_illumination_power()
     assert exc.value.point_index == 0
     assert exc.value.point[:2] == (1.0, 1.0)
 
@@ -65,7 +64,7 @@ def test_unreachable_floor_names_witness_point():
 def test_office_idle_field_stays_in_band():
     """Default office: recompute the optimized idle field from scratch."""
     s = scenario_from_dict(default_config())
-    p0, dc = min_illumination_power(s)
+    p0, dc = SchedulingInstance(s).min_illumination_power()
     assert p0 == pytest.approx(float(np.sum(dc / 0.1)), rel=1e-12)
     field = helpers.ref_idle_field(s, dc)
     assert np.all(field >= 300.0 - 1e-4)
@@ -294,6 +293,28 @@ def test_concurrent_rates_never_beat_scheduled_rates():
             assert lr.capacity_physical <= lr.capacity_protocol + 1e-9
 
 
+def test_validation_rates_match_reference_interference():
+    # every same-channel link in the pattern interferes, seen through the
+    # victim's own aperture; links on the other channel do not (steered
+    # beams make the gains one-way: j's beam at i differs from i's at j)
+    inst = helpers.tiny_instance(n_uts=3, seed=4, channels=2, sir=1.0, kind="b")
+    c = inst.s.constants
+    for combo in helpers.all_independent_sets(inst):
+        col = inst.build_column(combo, dc=np.zeros(len(inst.dc_txs)))
+        for lr in inst.physical_rates(col).link_rates:
+            ln = inst.links[lr.link_index]
+            p_i = sum(
+                helpers.ref_channel_gain(
+                    other.ac_pose.origin, other.ac_pose.direction, other.ac_pose.ml,
+                    ln.rx_position, ln.rx_normal, ln.receiver.area_m2,
+                    ln.receiver.fov_half_deg) * other.p_ac_pp
+                for other in (inst.links[j] for j in combo)
+                if other.index != ln.index and other.channel_index == ln.channel_index)
+            want = physical_capacity(ln.bandwidth_hz, c.responsivity, ln.gain,
+                                     ln.p_ac_pp, p_i, c.noise_variance)
+            assert lr.capacity_physical == pytest.approx(want, rel=1e-9)
+
+
 def test_interference_strictly_slows_a_shared_channel():
     # two terminals one cell apart hear each other, yet pass a loose threshold
     doc = helpers.pinned_config([(1.0, 1.0), (2.0, 1.0)],
@@ -346,9 +367,9 @@ def test_iteration_log_roundtrips_through_csv(tmp_path):
     assert float(rows[1]["reduced_cost"]) == -0.0625
 
 
-def test_module_level_entry_point():
+def test_solution_records_its_settings():
     s = scenario_from_dict(helpers.tiny_config(n_uts=2, seed=1))
-    sol = column_generation(s, epsilon=0.01, sir_threshold=3.0)
+    sol = SchedulingInstance(s, sir_threshold=3.0).column_generation(epsilon=0.01)
     assert sol.stage == "protocol"
     assert sol.epsilon == 0.01
     assert sol.sir_threshold == 3.0

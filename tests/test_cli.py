@@ -85,9 +85,15 @@ def test_solve_with_heuristics(tmp_path):
         assert row["reality_feasible"] == "1"
 
 
-def test_unattainable_lighting_exits_with_code_2(tmp_path, capsys):
+def _dark_doc():
+    """One luminaire under a 300 lux floor it cannot reach (~203 lux at best)."""
     doc = helpers.tiny_config(n_uts=1)
     doc["aps"] = {"grid": {"nx": 1, "ny": 1, "spacing": 1.0}}
+    return doc
+
+
+def test_unattainable_lighting_exits_with_code_2(tmp_path, capsys):
+    doc = _dark_doc()
     doc["uts"] = [{"position": [1.0, 1.0], "demand_bps": 1e6}]
     path = tmp_path / "dark.json"
     path.write_text(json.dumps(doc))
@@ -117,6 +123,16 @@ def test_compare_grid_of_rows_and_summary(tmp_path):
                     if r["axis_value"] == value and r["seed"] == seed}
             assert cell["cg"] <= cell["vico"] + 1e-9
             assert cell["cg"] <= cell["mwis"] + 1e-9
+
+
+def test_compare_on_unattainable_lighting_exits_with_code_2(tmp_path, capsys):
+    # sampled terminals: compare re-seeds them, which an explicit list forbids
+    path = tmp_path / "dark.json"
+    path.write_text(json.dumps(_dark_doc()))
+    assert main(["compare", "--config", str(path), "--axis", "uts",
+                 "--values", "1", "--seeds", "1",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_compare_rejects_empty_algorithm_list(tmp_path):
@@ -149,6 +165,20 @@ def test_sweep_reports_workable_range(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["sir_lower"] == 1.0
     assert manifest["sir_upper"] == 3.0
+
+
+@pytest.mark.parametrize("bounds", [
+    ["--step", "0"],
+    ["--step", "-1"],
+    ["--from", "3", "--to", "1"],
+])
+def test_sweep_rejects_empty_or_endless_range(tmp_path, bounds):
+    cfg = _write_config(tmp_path, n_uts=1, seed=1)
+    out = tmp_path / "sweep"
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep-sir", "--config", cfg, *bounds, "--out", str(out)])
+    assert isinstance(exc.value.code, str)
+    assert not out.exists()
 
 
 def test_sweep_feasibility_never_recovers_as_threshold_grows():

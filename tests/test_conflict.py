@@ -10,8 +10,9 @@ import helpers
 from vlcopt.conflict import (
     ScheduleVector,
     build_conflict_graph,
+    cross_gains,
     is_independent,
-    pairwise_sir,
+    sir_matrix,
     write_adjacency,
 )
 from vlcopt.scenario import build_candidate_links, scenario_from_dict
@@ -21,16 +22,29 @@ def _row(positions, **kw):
     return scenario_from_dict(helpers.pinned_config(positions, **kw))
 
 
+def _sir(links, i, j):
+    """(SIR at link i's receiver from link j, SIR at j's receiver from i)."""
+    sir = sir_matrix(links, cross_gains(links))
+    return sir[i, j], sir[j, i]
+
+
+def _ref_gain(victim, rival):
+    return helpers.ref_channel_gain(
+        rival.ac_pose.origin, rival.ac_pose.direction, rival.ac_pose.ml,
+        victim.rx_position, victim.rx_normal, victim.receiver.area_m2,
+        victim.receiver.fov_half_deg, victim.receiver.filter_gain,
+        victim.receiver.lens_index)
+
+
 def test_colocated_identical_links_have_unit_ratio():
     s = _row([(2.0, 1.0), (2.0, 1.0)])
-    a, b = build_candidate_links(s)
-    assert pairwise_sir(a, b) == (1.0, 1.0)
+    links = build_candidate_links(s)
+    assert _sir(links, 0, 1) == (1.0, 1.0)
 
 
 def test_distant_interferer_is_invisible():
     s = _row([(1.0, 1.0), (5.0, 1.0)], room=(6.0, 2.0, 3.0), grid=(5, 1))
-    a, b = build_candidate_links(s)
-    sab, sba = pairwise_sir(a, b)
+    sab, sba = _sir(build_candidate_links(s), 0, 1)
     assert math.isinf(sab) and math.isinf(sba)
 
 
@@ -39,9 +53,9 @@ def test_ratio_ladder_frozen_values():
     s = _row([(1.0, 1.0), (2.0, 1.0), (3.0, 1.0), (4.0, 1.0)],
              room=(6.0, 2.0, 3.0), grid=(5, 1))
     ln = build_candidate_links(s)
-    assert pairwise_sir(ln[0], ln[1])[0] == pytest.approx(1.4083153822938723, rel=1e-9)
-    assert pairwise_sir(ln[0], ln[2])[0] == pytest.approx(2.998589888666404, rel=1e-9)
-    assert pairwise_sir(ln[0], ln[3])[0] == pytest.approx(6.789400158638618, rel=1e-9)
+    assert _sir(ln, 0, 1)[0] == pytest.approx(1.4083153822938723, rel=1e-9)
+    assert _sir(ln, 0, 2)[0] == pytest.approx(2.998589888666404, rel=1e-9)
+    assert _sir(ln, 0, 3)[0] == pytest.approx(6.789400158638618, rel=1e-9)
 
 
 def test_dead_link_reports_zero_ratio():
@@ -49,9 +63,9 @@ def test_dead_link_reports_zero_ratio():
     doc["uts"] = [{"position": [29.0, 1.0], "demand_bps": 1e6},
                   {"position": [14.0, 1.0], "demand_bps": 1e6}]
     s = scenario_from_dict(doc)
-    dead, live = build_candidate_links(s)
-    assert dead.gain == 0.0
-    assert pairwise_sir(dead, live)[0] == 0.0
+    links = build_candidate_links(s)
+    assert links[0].gain == 0.0
+    assert _sir(links, 0, 1)[0] == 0.0
 
 
 # -- graph construction ----------------------------------------------------------
@@ -65,7 +79,7 @@ def test_threshold_below_one_rejected():
 def test_threshold_tie_stays_compatible():
     s = _row([(1.0, 1.0), (2.0, 1.0)])
     links = build_candidate_links(s)
-    tie = min(pairwise_sir(links[0], links[1]))
+    tie = min(_sir(links, 0, 1))
     assert not build_conflict_graph(links, tie).conflicts(0, 1)
     assert build_conflict_graph(links, tie * (1.0 + 1e-9)).conflicts(0, 1)
 
@@ -73,8 +87,8 @@ def test_threshold_tie_stays_compatible():
 def test_huge_threshold_serializes_each_channel():
     s = _row([(1.0, 1.0), (2.0, 1.0), (3.0, 1.0)], channels=2)
     links = build_candidate_links(s)
-    finite = [v for a, b in itertools.combinations(links, 2)
-              for v in pairwise_sir(a, b) if math.isfinite(v)]
+    finite = [v for i, j in itertools.combinations(range(len(links)), 2)
+              for v in _sir(links, i, j) if math.isfinite(v)]
     g = build_conflict_graph(links, max(finite) + 1.0)
     for i, j in itertools.combinations(range(len(links)), 2):
         same_channel = links[i].channel_index == links[j].channel_index
@@ -111,6 +125,21 @@ def test_edge_set_matches_reference_rule():
                     return signal / noise if noise > 0 else math.inf
                 want = min(one_way(a, b), one_way(b, a)) < threshold
             assert g.conflicts(i, j) == want, (i, j, threshold)
+
+
+def test_cross_gains_match_reference_pairs():
+    """Every entry of the batched matrix against the one-pair reference, on
+    steered beams with tilted receivers, two channels and k = 2."""
+    s = scenario_from_dict(helpers.tiny_config(n_uts=3, seed=4, channels=2, k=2,
+                                               kind="b"))
+    links = build_candidate_links(s)
+    h = cross_gains(links)
+    for i, j in itertools.product(range(len(links)), repeat=2):
+        if i == j or links[i].channel_index != links[j].channel_index:
+            assert h[i, j] == 0.0
+        else:
+            assert h[i, j] == pytest.approx(_ref_gain(links[i], links[j]),
+                                            rel=1e-12, abs=1e-300)
 
 
 def test_adjacency_symmetric_and_irreflexive():

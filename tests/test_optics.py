@@ -6,16 +6,18 @@ import numpy as np
 import pytest
 
 import helpers
+from vlcopt.cg_scheduler import SchedulingInstance
+from vlcopt.cli import export_heatmap
 from vlcopt.optics import (
     BeamPose,
     beam_for_link,
     channel_gain,
+    channel_gain_many,
     coverage_center,
     illum_gain,
     illum_gain_many,
-    illuminance_field,
     lambertian_order,
-    link_geometry,
+    lighting_pose,
     serving_chip_index,
 )
 from vlcopt.scenario import build_candidate_links, default_config, scenario_from_dict
@@ -40,23 +42,44 @@ def test_lambertian_order_rejects_degenerate_semi_angles(bad):
         lambertian_order(bad)
 
 
+# first-order emitter into a 1 cm^2, 60 degree aperture: the gain is
+# _LOS_SCALE * cos(radiance) * cos(incidence) / distance^2
+_LOS_SCALE = 2.0 * 1e-4 / (2.0 * math.pi) * 1.5**2 / math.sin(math.radians(60.0)) ** 2
+
+
 def test_link_geometry_collinear():
-    geo = link_geometry(BeamPose((0.0, 0.0, 3.0), DOWN, 1.0), (0.0, 0.0, 0.8), UP)
-    assert geo.distance == pytest.approx(2.2, abs=1e-12)
-    assert geo.radiance_angle == pytest.approx(0.0, abs=1e-9)
-    assert geo.incidence_angle == pytest.approx(0.0, abs=1e-9)
+    # 2.2 m straight down: both angles are zero
+    g = channel_gain(BeamPose((0.0, 0.0, 3.0), DOWN, 1.0), (0.0, 0.0, 0.8), UP,
+                     area_m2=1e-4, fov_half_deg=60.0)
+    assert g == pytest.approx(_LOS_SCALE / 2.2**2, rel=1e-12)
 
 
 def test_link_geometry_forty_five_degree_offset():
-    geo = link_geometry(BeamPose((0.0, 0.0, 3.0), DOWN, 1.0), (2.2, 0.0, 0.8), UP)
-    assert geo.distance == pytest.approx(2.2 * math.sqrt(2.0), rel=1e-12)
-    assert geo.radiance_angle == pytest.approx(math.pi / 4.0, rel=1e-12)
-    assert geo.incidence_angle == pytest.approx(math.pi / 4.0, rel=1e-12)
+    # 2.2 m over, 2.2 m down: range 2.2*sqrt(2), both angles pi/4; the batch
+    # gives each pair exactly what the one-pair form gives
+    tx = BeamPose((0.0, 0.0, 3.0), DOWN, 1.0)
+    rx = np.array([(0.0, 0.0, 0.8), (2.2, 0.0, 0.8)])
+    g = channel_gain_many(tx.origin, tx.direction, tx.ml, rx, UP,
+                          area_m2=1e-4, fov_half_deg=60.0)
+    want = _LOS_SCALE * math.cos(math.pi / 4.0) ** 2 / (2.2 * math.sqrt(2.0)) ** 2
+    assert g[1] == pytest.approx(want, rel=1e-12)
+    for p, got in zip(rx, g):
+        assert got == channel_gain(tx, p, UP, area_m2=1e-4, fov_half_deg=60.0)
 
 
 def test_link_geometry_rejects_coincident_points():
     with pytest.raises(ValueError):
-        link_geometry(BeamPose((0.0, 0.0, 3.0), DOWN, 1.0), (0.0, 0.0, 3.0), UP)
+        channel_gain(BeamPose((0.0, 0.0, 3.0), DOWN, 1.0), (0.0, 0.0, 3.0), UP,
+                     area_m2=1e-4, fov_half_deg=60.0)
+
+
+def test_channel_gain_normalises_receiver_normal():
+    tx = BeamPose((0.0, 0.0, 3.0), DOWN, 1.0)
+    kw = dict(area_m2=1e-4, fov_half_deg=60.0)
+    assert channel_gain(tx, (1.0, 0.0, 0.8), (0.0, 0.0, 2.0), **kw) == \
+        pytest.approx(channel_gain(tx, (1.0, 0.0, 0.8), UP, **kw), rel=1e-15)
+    with pytest.raises(ValueError):
+        channel_gain(tx, (0.0, 0.0, 0.8), (0.0, 0.0, 0.0), **kw)
 
 
 def test_channel_gain_zero_outside_field_of_view():
@@ -130,7 +153,8 @@ def _one_ap_scenario(kind, ut_xy=(1.3, 0.7)):
 def test_fixed_configuration_keeps_both_beams_vertical():
     s = _one_ap_scenario("a")
     ap = s.aps[0]
-    ac, dc = beam_for_link("a", ap, ap.chips[0], s.uts[0].position)
+    ac = beam_for_link("a", ap, ap.chips[0], s.uts[0].position)
+    dc = lighting_pose(ap, ap.chips[0])
     assert np.allclose(ac.direction, DOWN) and np.allclose(dc.direction, DOWN)
     assert ac.ml == pytest.approx(lambertian_order(70.0), rel=1e-12)
     assert dc.ml == pytest.approx(lambertian_order(70.0), rel=1e-12)
@@ -139,7 +163,8 @@ def test_fixed_configuration_keeps_both_beams_vertical():
 def test_steerable_configuration_tracks_terminal():
     s = _one_ap_scenario("b", ut_xy=(2.0, 1.0))  # 1 m east of the luminaire
     ap = s.aps[0]
-    ac, dc = beam_for_link("b", ap, ap.chips[0], s.uts[0].position)
+    ac = beam_for_link("b", ap, ap.chips[0], s.uts[0].position)
+    dc = lighting_pose(ap, ap.chips[0])
     want = np.array([1.0, 0.0, -2.2])
     want /= np.linalg.norm(want)
     assert np.allclose(ac.direction, want, atol=1e-12)
@@ -151,8 +176,11 @@ def test_steerable_configuration_tracks_terminal():
 def test_steerable_configuration_zero_radiance_angle():
     s = scenario_from_dict(helpers.tiny_config(kind="b", n_uts=6, seed=3))
     for ln in build_candidate_links(s):
-        geo = link_geometry(ln.ac_pose, ln.rx_position, ln.rx_normal)
-        assert geo.radiance_angle <= 1e-9
+        d = np.subtract(ln.rx_position, ln.ac_pose.origin)
+        d /= np.linalg.norm(d)
+        # sine of the radiance angle, exact near zero where acos is not
+        assert np.linalg.norm(np.cross(ln.ac_pose.direction, d)) <= 1e-9
+        assert np.dot(ln.ac_pose.direction, d) > 0.0
 
 
 def test_selectable_configuration_coverage_centers():
@@ -210,12 +238,15 @@ def test_selectable_configuration_coverage_radius_monte_carlo():
 
 # -- illuminance field ---------------------------------------------------------
 
-def test_illuminance_field_idle_is_ambient():
-    doc = helpers.tiny_config()
+def test_illuminance_field_idle_is_ambient(tmp_path):
+    doc = helpers.tiny_config(demand_bps=0.0)
     doc["illum"] = {"lower_lux": 0.0, "upper_lux": 500.0, "spacing": 0.5,
                     "ambient_lux": 7.5}
-    s = scenario_from_dict(doc)
-    field = illuminance_field(s, [], np.zeros(len(s.dc_transmitters())))
+    inst = SchedulingInstance(scenario_from_dict(doc), sir_threshold=3.0)
+    sol = inst.column_generation(epsilon=0.0)
+    assert sol.active() == []  # nothing to serve: the frame idles, lights off
+    rows, _ = export_heatmap(inst, sol, tmp_path / "idle.csv")
+    field = np.array([[r["e_min"], r["e_max"]] for r in rows])
     assert np.allclose(field, 7.5, atol=1e-12)
 
 
@@ -226,20 +257,19 @@ def test_illuminance_field_single_source_frozen_product():
     doc["uts"] = [{"position": [1.0, 1.0], "demand_bps": 0.0}]
     doc["illum"] = {"points": [[1.0, 1.0]], "lower_lux": 0.0,
                     "upper_lux": 1000.0, "ambient_lux": 0.0}
-    s = scenario_from_dict(doc)
-    field = illuminance_field(s, [], np.array([12.5]))
+    inst = SchedulingInstance(scenario_from_dict(doc))
+    field = inst.illuminance(np.array([12.5]), ())
     assert field.shape == (1,)
     assert field[0] == pytest.approx(202.97912442208263, rel=1e-9)
 
 
 def test_illuminance_field_additive_in_sources():
-    s = scenario_from_dict(helpers.tiny_config(n_uts=3, seed=5))
-    links = build_candidate_links(s)
+    inst = SchedulingInstance(scenario_from_dict(helpers.tiny_config(n_uts=3, seed=5)))
     rng = np.random.default_rng(0)
-    n_tx = len(s.dc_transmitters())
+    n_tx = len(inst.dc_txs)
     a = rng.uniform(0.0, 6.0, n_tx)
     b = rng.uniform(0.0, 6.0, n_tx)
-    fa = illuminance_field(s, links[:2], a)
-    fb = illuminance_field(s, [], b)
-    combined = illuminance_field(s, links[:2], a + b)
+    fa = inst.illuminance(a, (0, 1))
+    fb = inst.illuminance(b, ())
+    combined = inst.illuminance(a + b, (0, 1))
     assert np.allclose(combined, fa + fb, rtol=1e-9, atol=1e-12)

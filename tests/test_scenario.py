@@ -67,6 +67,12 @@ def test_contradictory_brightness_band_rejected():
     lambda d: d.update(channels=[]),
     lambda d: d.update(association_k=99),
     lambda d: d.update(illum={"spacing": -0.5}),
+    lambda d: d.update(aps={"grid": {"ny": 2, "spacing": 1.0}}),
+    lambda d: d.update(aps={"grid": {"nx": 2, "spacing": 1.0}}),
+    lambda d: d.update(aps={"grid": {"nx": 2, "ny": 2}}),
+    lambda d: d.update(aps=[{"chips": []}]),
+    lambda d: d.update(uts={"seed": 1}),
+    lambda d: d.update(uts=[{"demand_bps": 1e6}]),
 ])
 def test_invariant_violations_rejected(mutate):
     doc = helpers.tiny_config()
