@@ -19,6 +19,7 @@ check is clean. Solutions are exact for the full row set.
 
 from __future__ import annotations
 
+import copy
 import math
 import time
 from dataclasses import dataclass, field
@@ -143,6 +144,14 @@ class CgSolution:
             and sum(self.shortfall_bps) <= _SHORTFALL_TOL_BPS
         )
 
+    @property
+    def net_gap(self) -> float:
+        """Certified gap relative to net power (above the lighting floor):
+        (z_upper - z_lower) / (z_upper - p_illumi_min), 0 when the net power
+        is not positive; NaN without a lower bound (heuristic schedules)."""
+        net = self.z_upper - self.p_illumi_min
+        return (self.z_upper - self.z_lower) / net if net > 0.0 else 0.0
+
     def active(self) -> list[tuple[IndependentSetColumn, float]]:
         return [
             (col, float(w))
@@ -154,14 +163,9 @@ class CgSolution:
 class SchedulingInstance:
     """Precomputed tables shared by every optimization pass on one scenario."""
 
-    def __init__(
-        self,
-        s: Scenario,
-        sir_threshold: Optional[float] = None,
-        links: Optional[Sequence[Link]] = None,
-    ):
+    def __init__(self, s: Scenario, sir_threshold: Optional[float] = None):
         self.s = s
-        self.links: list[Link] = list(links) if links is not None else build_candidate_links(s)
+        self.links: list[Link] = build_candidate_links(s)
         if sir_threshold is not None:
             self.graph = build_conflict_graph(self.links, sir_threshold)
             self.sir_threshold = float(sir_threshold)
@@ -221,14 +225,41 @@ class SchedulingInstance:
         seed = list(range(0, K, stride))
         if K - 1 not in seed:
             seed.append(K - 1)
-        self._lo_rows: list[int] = list(seed)
-        self._hi_rows: list[int] = list(seed)
-        self._lo_set = set(seed)
-        self._hi_set = set(seed)
+        self._start_rows(seed, seed)
 
         self._p0: Optional[tuple[float, np.ndarray]] = None
+        # single-link columns, with the lazy rows held right after they were built
+        self._initial: Optional[tuple[tuple[IndependentSetColumn, ...],
+                                      tuple[int, ...], tuple[int, ...]]] = None
         self._static_rows: Optional[tuple] = None
         self._last_pricing: Optional[np.ndarray] = None
+
+    def _start_rows(self, lo: Sequence[int], hi: Sequence[int]) -> None:
+        self._lo_rows: list[int] = list(lo)
+        self._hi_rows: list[int] = list(hi)
+        self._lo_set = set(lo)
+        self._hi_set = set(hi)
+
+    def at_sir_threshold(self, sir_threshold: float) -> SchedulingInstance:
+        """This scenario at another SIR threshold, sharing this instance's
+        threshold-free tables, lighting floor and initial columns (solved here
+        if they are not yet); only the conflict graph is built anew.
+
+        The lazy rows start from a copy of those held right after the initial
+        columns were built. So when this instance built them before solving
+        anything else, the result solves exactly as
+        `SchedulingInstance(s, sir_threshold)` does; pricing on it adds rows
+        to no other instance.
+        """
+        self.initial_columns()
+        _, lo, hi = self._initial
+        inst = copy.copy(self)
+        inst.graph = build_conflict_graph(self.links, sir_threshold)
+        inst.sir_threshold = float(sir_threshold)
+        inst._start_rows(lo, hi)
+        inst._static_rows = None
+        inst._last_pricing = None
+        return inst
 
     # -- lighting -----------------------------------------------------------
 
@@ -353,15 +384,20 @@ class SchedulingInstance:
         )
 
     def initial_columns(self) -> list[IndependentSetColumn]:
-        cols = []
-        for i in range(len(self.links)):
-            try:
-                cols.append(self.build_column((i,)))
-            except IlluminationInfeasible:
-                continue  # a beam nobody can light around; unusable as a column
-        if not cols:
-            raise CgError("no candidate link admits a lighting-feasible column")
-        return cols
+        """One column per link that admits lighting on its own, solved once
+        (after the lighting floor) and returned as a new list on every call."""
+        if self._initial is None:
+            self.min_illumination_power()
+            cols = []
+            for i in range(len(self.links)):
+                try:
+                    cols.append(self.build_column((i,)))
+                except IlluminationInfeasible:
+                    continue  # a beam nobody can light around; unusable as a column
+            if not cols:
+                raise CgError("no candidate link admits a lighting-feasible column")
+            self._initial = (tuple(cols), tuple(self._lo_rows), tuple(self._hi_rows))
+        return list(self._initial[0])
 
     def column_is_valid(self, col: IndependentSetColumn, tol: float = ILLUM_SLACK) -> bool:
         """Recheck independence, power budgets and the illuminance band."""

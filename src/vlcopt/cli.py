@@ -53,19 +53,23 @@ def sweep_sir(s: Scenario, thresholds: Sequence[float], epsilon: float = 0.01,
     Returns (sir_lower, sir_upper, table): the smallest threshold whose
     validation pass stays feasible, the largest whose protocol solution is
     feasible, and one table row per threshold.
+
+    The lighting floor and the single-link columns do not depend on the
+    threshold, so the sweep solves them once, before the first threshold;
+    each row's `wall_ms` excludes that shared time.
     """
     thresholds = list(thresholds)
     if any(t > u for t, u in zip(thresholds, thresholds[1:])):
         raise ValueError("thresholds must be sorted ascending")
     if thresholds and thresholds[0] < 1.0:
         raise ValueError("thresholds must be >= 1")
-    inst0 = SchedulingInstance(s)
-    p0 = inst0.min_illumination_power()[0]
+    base = SchedulingInstance(s)
+    p0 = base.min_illumination_power()[0]
     table = []
     sir_upper = None
     sir_lower = None
     for t in thresholds:
-        inst = SchedulingInstance(s, sir_threshold=float(t), links=inst0.links)
+        inst = base.at_sir_threshold(float(t))
         proto = inst.column_generation(epsilon=epsilon)
         real = inst.reality_check(proto)
         if proto.feasible:
@@ -78,6 +82,7 @@ def sweep_sir(s: Scenario, thresholds: Sequence[float], epsilon: float = 0.01,
             "reality_feasible": real.feasible,
             "protocol_power_w": proto.z_upper - p0 if proto.feasible else math.nan,
             "reality_power_w": real.z_upper - p0 if real.feasible else math.nan,
+            "net_gap": proto.net_gap,
             "iterations": proto.iterations,
             "wall_ms": proto.wall_ms + real.wall_ms,
         })
@@ -115,6 +120,7 @@ def result_row(inst: SchedulingInstance, algorithm: str, proto: CgSolution,
         "protocol_power_w": proto.z_upper - p0 if proto.feasible else math.nan,
         "reality_power_w": real.z_upper - p0 if real.feasible else math.nan,
         "p_illumi_min_w": p0,
+        "net_gap": proto.net_gap,
         "iterations": proto.iterations,
         "wall_ms": proto.wall_ms + real.wall_ms,
     }
@@ -231,14 +237,19 @@ def _scenario_from_args(args, seed: Optional[int] = None,
 
 
 def _parse_values(text: str, kind: type) -> list:
+    """Comma list of `kind` values; `a..b` expands to the integers a to b."""
     out = []
     for token in text.split(","):
         token = token.strip()
-        if ".." in token:
-            a, b = token.split("..")
-            out.extend(range(int(a), int(b) + 1))
-        elif token:
-            out.append(kind(token))
+        try:
+            if ".." in token:
+                a, b = token.split("..")
+                out.extend(range(int(a), int(b) + 1))
+            elif token:
+                out.append(kind(token))
+        except ValueError:
+            raise SystemExit(f"cannot parse {token!r}: expected a {kind.__name__} "
+                             f"or an integer range like 5..9") from None
     return [kind(v) for v in out]
 
 
@@ -298,6 +309,8 @@ def _cmd_compare(args) -> int:
     if not values:
         raise SystemExit("no axis values given")
     seeds = _parse_values(args.seeds, int)
+    if not seeds:
+        raise SystemExit("no seeds given")
     rows = []
     iter_rows = []
     digests = []

@@ -259,6 +259,16 @@ def test_impossible_demand_reported_infeasible():
     assert sum(sol.shortfall_bps) > 0.0
 
 
+def test_exact_solve_certifies_its_net_gap():
+    sol = helpers.tiny_instance(n_uts=3, seed=2).column_generation(epsilon=0.0)
+    net = sol.z_upper - sol.p_illumi_min
+    assert sol.status is CgStatus.OPTIMAL and net > 0.0
+    assert sol.net_gap == (sol.z_upper - sol.z_lower) / net
+    assert 0.0 <= sol.net_gap <= 1e-6
+    idle = helpers.tiny_instance(n_uts=2, demand_bps=0.0).column_generation(0.0)
+    assert idle.net_gap == 0.0
+
+
 def test_gap_setting_must_be_a_fraction():
     inst = helpers.tiny_instance()
     for eps in (-0.1, 1.0, 1.5):

@@ -2,13 +2,15 @@
 
 import csv
 import json
+from collections import Counter
 
 import pytest
 
 import helpers
 from vlcopt import cg_scheduler, lp
+from vlcopt.cg_scheduler import SchedulingInstance
 from vlcopt.cli import _parse_values, main, sweep_sir
-from vlcopt.scenario import scenario_from_dict
+from vlcopt.scenario import default_config, scenario_from_dict
 
 
 def _write_config(tmp_path, name="scenario.json", **kw):
@@ -142,12 +144,35 @@ def test_compare_rejects_empty_algorithm_list(tmp_path):
               "--algos", " ", "--out", str(tmp_path / "x")])
 
 
+def test_compare_rejects_empty_seed_range(tmp_path):
+    cfg = _write_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--config", cfg, "--axis", "uts", "--values", "2",
+              "--seeds", "3..1", "--out", str(tmp_path / "x")])
+    assert isinstance(exc.value.code, str)
+
+
 def test_parse_values_handles_lists_and_ranges():
     assert _parse_values("1..3", int) == [1, 2, 3]
     assert _parse_values("2,4,8", int) == [2, 4, 8]
     assert _parse_values("1,3..5", int) == [1, 3, 4, 5]
     assert _parse_values("0.5, 1.5", float) == [0.5, 1.5]
     assert _parse_values("", int) == []
+
+
+@pytest.mark.parametrize("text, kind", [
+    ("1.5..3", float),
+    ("1..2.5", int),
+    ("1..2..3", int),
+    ("..4", int),
+    ("2,x", float),
+    ("2.5", int),
+])
+def test_parse_values_rejects_malformed_tokens(text, kind):
+    with pytest.raises(SystemExit) as exc:
+        _parse_values(text, kind)
+    bad = [tok.strip() for tok in text.split(",")][-1]
+    assert isinstance(exc.value.code, str) and repr(bad) in exc.value.code
 
 
 # -- sweep-sir ---------------------------------------------------------------------
@@ -186,6 +211,88 @@ def test_sweep_feasibility_never_recovers_as_threshold_grows():
     _, _, table = sweep_sir(s, [1.0, 2.0, 4.0], epsilon=0.0)
     flags = [row["protocol_feasible"] for row in table]
     assert flags == sorted(flags, reverse=True)
+
+
+def _loaded_office():
+    """Six terminals at 120 Mbit/s on a 0.5 m desk grid: the optimum mixes
+    multi-link patterns and pricing adds lazy rows at every threshold."""
+    cfg = default_config(n_uts=6, seed=2, demand_bps=1.2e8)
+    cfg["illum"] = dict(cfg["illum"], spacing=0.5)
+    return scenario_from_dict(cfg)
+
+
+def _solution_key(sol):
+    return ([(col.schedule.active, col.dc_power) for col in sol.columns],
+            sol.omega.tolist(), sol.z_upper, sol.z_lower, sol.iterations)
+
+
+def test_sweep_solves_each_threshold_as_a_fresh_instance(monkeypatch):
+    s = _loaded_office()
+    thresholds = [1.0, 2.0, 4.0]
+    solved = []
+    column_generation = SchedulingInstance.column_generation
+
+    def recording(self, *args, **kwargs):
+        sol = column_generation(self, *args, **kwargs)
+        solved.append(sol)
+        return sol
+
+    monkeypatch.setattr(SchedulingInstance, "column_generation", recording)
+    _, _, table = sweep_sir(s, thresholds, epsilon=0.0)
+    monkeypatch.undo()
+    assert [sol.sir_threshold for sol in solved] == thresholds
+    assert max(sol.iterations for sol in solved) > 1
+    for t, sol, row in zip(thresholds, solved, table):
+        fresh = SchedulingInstance(s, sir_threshold=t).column_generation(0.0)
+        assert _solution_key(sol) == _solution_key(fresh)
+        assert row["net_gap"] == sol.net_gap
+
+
+def test_sweep_solves_single_link_lighting_once(monkeypatch):
+    s = _loaded_office()
+    singles = []
+    depth = [0]
+    solve_dc = SchedulingInstance._solve_dc
+    initial_columns = SchedulingInstance.initial_columns
+
+    def counting_solve_dc(self, active):
+        if depth[0] and len(active) == 1:
+            singles.append(active)
+        return solve_dc(self, active)
+
+    def counting_initial_columns(self):
+        depth[0] += 1
+        try:
+            return initial_columns(self)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(SchedulingInstance, "_solve_dc", counting_solve_dc)
+    monkeypatch.setattr(SchedulingInstance, "initial_columns", counting_initial_columns)
+    sweep_sir(s, [1.0, 2.0, 4.0], epsilon=0.0)
+    n_links = len(SchedulingInstance(s).links)
+    assert Counter(singles) == {(i,): 1 for i in range(n_links)}
+
+
+def test_derived_instances_share_no_pricing_state():
+    s = _loaded_office()
+    base = SchedulingInstance(s)
+
+    def rows(inst):
+        return (list(inst._lo_rows), list(inst._hi_rows),
+                set(inst._lo_set), set(inst._hi_set))
+
+    one, four = base.at_sir_threshold(1.0), base.at_sir_threshold(4.0)
+    before_base, before_four = rows(base), rows(four)
+    assert rows(one) == before_four
+    one.column_generation(0.0)
+    assert rows(one) != before_four  # pricing grew this working set ...
+    assert rows(base) == before_base  # ... and no other
+    assert rows(four) == before_four
+    # an instance derived from one that has priced starts clean as well
+    again = one.at_sir_threshold(4.0).column_generation(0.0)
+    fresh = SchedulingInstance(s, sir_threshold=4.0).column_generation(0.0)
+    assert _solution_key(again) == _solution_key(fresh)
 
 
 def test_sweep_validates_threshold_list():
