@@ -222,23 +222,15 @@ def mwis_schedule(
     inst = instance if instance is not None else SchedulingInstance(
         s, sir_threshold=sir_threshold)
     L = len(inst.links)
-    rows = inst._static_pattern_rows()
+    a, b = inst._static_pattern_rows()
 
     def pick(candidates: np.ndarray, remaining: np.ndarray) -> list[int]:
         cand_set = set(candidates.tolist())
         c = np.zeros(L)
         ub = np.zeros(L)
-        for i in candidates:
-            c[i] = -float(remaining[inst.ut_of_link[i]])
-            ub[i] = 1.0
-        a = np.zeros((len(rows), L))
-        rel = []
-        b = np.zeros(len(rows))
-        for r, (coef, relation, cap) in enumerate(rows):
-            a[r] = coef
-            rel.append(relation)
-            b[r] = cap
-        lp = LinearProgram(c=c, a=a, rel=tuple(rel), b=b, ub=ub)
+        c[candidates] = -remaining[inst.ut_of_link[candidates]]
+        ub[candidates] = 1.0
+        lp = LinearProgram(c=c, a=a, rel=("<=",) * len(b), b=b, ub=ub)
         res = solve_milp(MixedIntegerProgram(lp, np.ones(L, dtype=bool)))
         if res.status != MilpStatus.OPTIMAL or res.x is None:
             return []

@@ -11,10 +11,14 @@ caller-chosen multiplicative gap. A final validation pass recomputes link
 rates with the interference each column actually generates and re-optimizes
 the time shares over the scheduled columns alone.
 
-Illuminance and transmitter-budget rows are generated lazily: LPs start from
-a small working set of grid points, every candidate solution is checked
-against the full grid, and violated rows join the working set until the
-check is clean. Solutions are exact for the full row set.
+Every program is sliced from tables the instance holds: the lux each chip
+and each data beam gives every grid point, the transmitter budget table, and
+one cached block of conflict-clique and multiplicity-cap rows. Illuminance
+rows are generated lazily, by one loop that serves both the lighting LP and
+the pricing MILP: a program starts from a small working set of grid points,
+its solution is checked against the full grid, and violated rows join the
+working set until the check is clean. Solutions are exact for the full row
+set.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -39,6 +43,7 @@ from .conflict import (
     is_independent,
 )
 from .lp import (
+    ABS_GAP,
     LinearProgram,
     LpStatus,
     MilpStatus,
@@ -56,6 +61,8 @@ ILLUM_SLACK = 1e-6             # lux tolerance when validating bounds
 _ROW_CHECK_TOL = 5e-7          # lazy-row violation threshold (lux / W)
 _OMEGA_TOL = 1e-9
 _SHORTFALL_TOL_BPS = 1.0
+
+_Answer = TypeVar("_Answer")
 
 
 class CgStatus(str, Enum):
@@ -166,15 +173,15 @@ class SchedulingInstance:
     def __init__(self, s: Scenario, sir_threshold: Optional[float] = None):
         self.s = s
         self.links: list[Link] = build_candidate_links(s)
+        # _h_cross[i, j] is the gain of link j's beam at link i's receiver
+        # (same channel only, zero on the diagonal)
+        self._h_cross = cross_gains(self.links)
         if sir_threshold is not None:
-            self.graph = build_conflict_graph(self.links, sir_threshold)
+            self.graph = build_conflict_graph(self.links, self._h_cross, sir_threshold)
             self.sir_threshold = float(sir_threshold)
         else:
             self.graph = None
             self.sir_threshold = None
-        # _h_cross[i, j] is the gain of link j's beam at link i's receiver
-        # (same channel only, zero on the diagonal)
-        self._h_cross = self.graph.gains if self.graph is not None else cross_gains(self.links)
         self.cap_groups = cap_groups(self.links, s)
 
         L = len(self.links)
@@ -207,18 +214,13 @@ class SchedulingInstance:
             self.p_ac_pp[i] = ln.p_ac_pp
             self.p_ac_elec[i] = ln.p_ac_avg / ln.eta_ac
 
-        # links whose data beam draws on the same power budget as lighting chip t:
-        # same chip for single-chip layouts, whole access point for config c
-        self.budget_links: list[list[int]] = []
-        for a, c in self.dc_txs:
-            if s.config_kind == "c":
-                members = [i for i, ln in enumerate(self.links) if ln.ap_index == a]
-            else:
-                members = [
-                    i for i, ln in enumerate(self.links)
-                    if (ln.ap_index, ln.chip_index) == (a, c)
-                ]
-            self.budget_links.append(members)
+        # budget[t, i]: link i's data-beam power drawn from lighting chip t's
+        # budget, which is the same chip, or the whole access point for config c
+        tx = np.array(self.dc_txs, dtype=int).reshape(T, 2)
+        draws = tx[:, :1] == [ln.ap_index for ln in self.links]
+        if s.config_kind != "c":
+            draws &= tx[:, 1:] == [ln.chip_index for ln in self.links]
+        self.budget = np.where(draws, self.p_ac_pp, 0.0)
 
         # lazy working sets of illuminance grid rows
         stride = max(1, K // 48)
@@ -254,7 +256,7 @@ class SchedulingInstance:
         self.initial_columns()
         _, lo, hi = self._initial
         inst = copy.copy(self)
-        inst.graph = build_conflict_graph(self.links, sir_threshold)
+        inst.graph = build_conflict_graph(self.links, self._h_cross, sir_threshold)
         inst.sir_threshold = float(sir_threshold)
         inst._start_rows(lo, hi)
         inst._static_rows = None
@@ -272,7 +274,18 @@ class SchedulingInstance:
 
     def optimize_dc_for_schedule(self, active: Sequence[int]) -> np.ndarray:
         """Optimal lighting currents (optical W per chip) alongside a pattern."""
-        return self._solve_dc(tuple(active))
+        return self._solve_dc(self._pattern(active))
+
+    def _pattern(self, active: Iterable[int]) -> tuple[int, ...]:
+        """`active` as a tuple of link indices: IndexError for one outside
+        [0, L), ValueError for one given twice."""
+        active = tuple(active)
+        for i in active:
+            if not 0 <= i < len(self.links):
+                raise IndexError(f"link index {i} out of range")
+        if len(set(active)) != len(active):
+            raise ValueError(f"link indices {active} repeat")
+        return active
 
     def illuminance(self, dc: Sequence[float], active: Sequence[int]) -> np.ndarray:
         """Desk illuminance (lux above ambient) at every grid point in the
@@ -285,12 +298,7 @@ class SchedulingInstance:
         return self.ac_light[list(active)].sum(axis=0)
 
     def _dc_caps_for(self, active: Sequence[int]) -> np.ndarray:
-        caps = self.dc_cap.copy()
-        active_set = set(active)
-        for t, members in enumerate(self.budget_links):
-            drawn = sum(self.p_ac_pp[i] for i in members if i in active_set)
-            caps[t] -= drawn
-        return caps
+        return self.dc_cap - self.budget[:, list(active)].sum(1)
 
     def _solve_dc(self, active: tuple[int, ...]) -> np.ndarray:
         ac = self._ac_field(active)
@@ -313,38 +321,39 @@ class SchedulingInstance:
                 int(short), tuple(self.pts[int(short)]),
                 "lower illuminance bound exceeds what capped chips can deliver")
 
-        T = self.dc_light.shape[0]
         cost = 1.0 / self.dc_eta
-        for _ in range(200):
-            a_rows, rels, rhs = [], [], []
-            for k in self._lo_rows:
-                if lo[k] > 0.0:
-                    a_rows.append(self.dc_light[:, k])
-                    rels.append(">=")
-                    rhs.append(lo[k])
-            for k in self._hi_rows:
-                a_rows.append(self.dc_light[:, k])
-                rels.append("<=")
-                rhs.append(hi[k])
-            lp = LinearProgram(
+
+        def solve() -> tuple[np.ndarray, np.ndarray]:
+            lo_rows = np.array(self._lo_rows, dtype=int)
+            need = lo_rows[lo[lo_rows] > 0.0]
+            hi_rows = np.array(self._hi_rows, dtype=int)
+            sol = solve_lp(LinearProgram(
                 c=cost,
-                a=np.array(a_rows) if a_rows else np.zeros((0, T)),
-                rel=tuple(rels),
-                b=np.array(rhs) if rhs else np.zeros(0),
+                a=self.dc_light[:, np.concatenate([need, hi_rows])].T,
+                rel=(">=",) * len(need) + ("<=",) * len(hi_rows),
+                b=np.concatenate([lo[need], hi[hi_rows]]),
                 ub=caps,
-            )
-            sol = solve_lp(lp)
+            ))
             if sol.status == LpStatus.INFEASIBLE:
                 raise IlluminationInfeasible(
                     -1, (), "conflicting lower and upper bounds across grid points")
             if sol.status != LpStatus.OPTIMAL:
                 raise CgError(f"lighting LP failed with status {sol.status}")
             dc = np.maximum(sol.x, 0.0)
-            field = dc @ self.dc_light
-            new = self._collect_violations(field, lo, hi)
-            if not new:
-                return dc
-        raise CgError("lighting row generation did not settle")
+            return dc, dc @ self.dc_light
+
+        return self._with_lazy_rows("lighting", solve, lo, hi)
+
+    def _with_lazy_rows(self, what: str, solve: Callable[[], tuple[_Answer, np.ndarray]],
+                        lo: np.ndarray, hi: np.ndarray) -> _Answer:
+        """Row generation: `solve()` works on the current lazy rows and returns
+        its answer with the illuminance field it makes on the full grid; grid
+        points outside [lo, hi] join the rows until a field is clean."""
+        for _ in range(200):
+            answer, field = solve()
+            if not self._collect_violations(field, lo, hi):
+                return answer
+        raise CgError(f"{what} row generation did not settle")
 
     def _collect_violations(self, field: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> int:
         added = 0
@@ -366,7 +375,7 @@ class SchedulingInstance:
 
     def build_column(self, active: Sequence[int],
                      dc: Optional[np.ndarray] = None) -> IndependentSetColumn:
-        active = tuple(sorted(active))
+        active = tuple(sorted(self._pattern(active)))
         if dc is None:
             dc = self._solve_dc(active)
         rate = np.zeros(len(self.s.uts))
@@ -452,38 +461,29 @@ class SchedulingInstance:
             raise CgError("this operation needs a conflict graph; pass sir_threshold")
         return self.graph
 
-    def _static_pattern_rows(self) -> list[tuple[np.ndarray, str, float]]:
-        """Rows over x alone: conflict cliques and multiplicity caps."""
-        if self._static_rows is not None:
-            return self._static_rows
-        g = self._require_graph()
-        L = len(self.links)
-        rows: list[tuple[np.ndarray, str, float]] = []
-        seen: set[tuple[tuple[int, ...], float]] = set()
-
-        def emit(members: Sequence[int], cap: float) -> None:
-            key = (tuple(sorted(members)), cap)
-            if len(members) >= 2 and key not in seen:
-                seen.add(key)
-                coef = np.zeros(L)
-                coef[list(members)] = 1.0
-                rows.append((coef, "<=", cap))
-
-        for q in _clique_cover(g.adjacency):
-            emit(q, 1.0)
-        for row, cap in zip(*self.cap_groups):
-            emit(np.nonzero(row)[0].tolist(), float(cap))
-        self._static_rows = rows
-        return rows
+    def _static_pattern_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Rows A x <= b over the links alone: conflict cliques, then the
+        multiplicity caps, each (members, cap) once and with two or more
+        members."""
+        if self._static_rows is None:
+            cliques = _clique_cover(self._require_graph().adjacency)
+            groups, caps = self.cap_groups
+            a = np.vstack([cliques, groups]).astype(float)
+            b = np.concatenate([np.ones(len(cliques)), caps])
+            rows = np.nonzero(a.sum(1) >= 2)[0]
+            _, first = np.unique(np.column_stack([a, b])[rows], axis=0, return_index=True)
+            rows = rows[np.sort(first)]
+            self._static_rows = (a[rows], b[rows])
+        return self._static_rows
 
     def solve_pricing(self, lambda_bps: np.ndarray, mu: float,
                       ) -> tuple[IndependentSetColumn, float, float]:
         """Most negative reduced-cost activation pattern under the given duals.
 
         Returns the pattern as a column, its reduced cost, and a certified
-        lower bound on the reduced cost over all patterns (the enumeration
-        tree's bound less its termination slack), which is what the dual
-        bound on the master objective must be built from.
+        lower bound on the reduced cost over all patterns (the MILP optimum
+        less `lp.ABS_GAP`, within which branch and bound prunes), which is
+        what the dual bound on the master objective must be built from.
         """
         self._require_graph()
         p0_elec, dc_min = self.min_illumination_power()
@@ -499,59 +499,39 @@ class SchedulingInstance:
         ub = np.concatenate([np.ones(L), np.full(T, np.inf)])
         integer = np.concatenate([np.ones(L, bool), np.zeros(T, bool)])
 
-        base_rows = list(self._static_pattern_rows())
-        incumbent0 = np.concatenate([np.zeros(L), dc_min])
-        for _ in range(200):
-            a_rows, rels, rhs = [], [], []
-            for coef, rel, cap in base_rows:
-                row = np.zeros(n)
-                row[:L] = coef
-                a_rows.append(row)
-                rels.append(rel)
-                rhs.append(cap)
-            for t in range(T):
-                row = np.zeros(n)
-                row[L + t] = 1.0
-                for i in self.budget_links[t]:
-                    row[i] = self.p_ac_pp[i]
-                a_rows.append(row)
-                rels.append("<=")
-                rhs.append(float(self.dc_cap[t]))
-            for k in self._lo_rows:
-                row = np.zeros(n)
-                row[:L] = self.ac_light[:, k]
-                row[L:] = self.dc_light[:, k]
-                a_rows.append(row)
-                rels.append(">=")
-                rhs.append(float(self.e_lo[k]))
-            for k in self._hi_rows:
-                row = np.zeros(n)
-                row[:L] = self.ac_light[:, k]
-                row[L:] = self.dc_light[:, k]
-                a_rows.append(row)
-                rels.append("<=")
-                rhs.append(float(self.e_hi[k]))
-            lp = LinearProgram(c=c, a=np.array(a_rows), rel=tuple(rels),
-                               b=np.array(rhs), lb=lb, ub=ub)
-            incumbents = [incumbent0]
-            if self._last_pricing is not None and self._last_pricing.shape == (n,):
-                incumbents.append(self._last_pricing)
+        # static rows over the links, then one budget row per lighting chip
+        static_a, static_b = self._static_pattern_rows()
+        fixed_a = np.block([[static_a, np.zeros((len(static_b), T))],
+                            [self.budget, np.eye(T)]])
+        fixed_b = np.concatenate([static_b, self.dc_cap])
+        incumbents = [np.concatenate([np.zeros(L), dc_min])]
+        if self._last_pricing is not None:
+            incumbents.append(self._last_pricing)
+
+        def solve() -> tuple[tuple[float, tuple[int, ...], np.ndarray], np.ndarray]:
+            rows = self._lo_rows + self._hi_rows
+            lp = LinearProgram(
+                c=c,
+                a=np.vstack([fixed_a, np.hstack([self.ac_light[:, rows].T,
+                                                 self.dc_light[:, rows].T])]),
+                rel=(("<=",) * len(fixed_b) + (">=",) * len(self._lo_rows)
+                     + ("<=",) * len(self._hi_rows)),
+                b=np.concatenate([fixed_b, self.e_lo[self._lo_rows],
+                                  self.e_hi[self._hi_rows]]),
+                lb=lb, ub=ub)
             res = solve_milp(MixedIntegerProgram(lp, integer), incumbents=incumbents)
-            if res.status not in (MilpStatus.OPTIMAL,) or res.x is None:
+            if res.status != MilpStatus.OPTIMAL or res.x is None:
                 raise CgError(f"pricing MILP failed with status {res.status}")
-            x = res.x
-            active = tuple(int(i) for i in np.nonzero(x[:L] > 0.5)[0])
-            dc = np.maximum(x[L:], 0.0)
-            field = self.illuminance(dc, active)
-            added = self._collect_violations(field, self.e_lo, self.e_hi)
-            if added == 0:
-                self._last_pricing = x.copy()
-                column = self.build_column(active)
-                reduced = float(res.objective) - p0_elec - mu
-                bound = min(float(res.best_bound), float(res.objective))
-                reduced_bound = bound - 1e-9 - p0_elec - mu
-                return column, reduced, reduced_bound
-        raise CgError("pricing row generation did not settle")
+            active = tuple(int(i) for i in np.nonzero(res.x[:L] > 0.5)[0])
+            dc = np.maximum(res.x[L:], 0.0)
+            return (float(res.objective), active, res.x), self.illuminance(dc, active)
+
+        objective, active, x = self._with_lazy_rows("pricing", solve, self.e_lo, self.e_hi)
+        self._last_pricing = x.copy()
+        column = self.build_column(active)
+        reduced = objective - p0_elec - mu
+        reduced_bound = objective - ABS_GAP - p0_elec - mu
+        return column, reduced, reduced_bound
 
     # -- main loop -------------------------------------------------------------
 
@@ -685,27 +665,28 @@ class SchedulingInstance:
         )
 
 
-def _clique_cover(adjacency: np.ndarray) -> list[tuple[int, ...]]:
-    """Greedy clique cover of all edges, deterministic by index order."""
+def _clique_cover(adjacency: np.ndarray) -> np.ndarray:
+    """Greedy clique cover of all edges, deterministic by index order, as a
+    (cliques, L) boolean membership matrix."""
     L = adjacency.shape[0]
     covered = np.zeros_like(adjacency)
-    cliques: list[tuple[int, ...]] = []
+    cliques: list[np.ndarray] = []
     for i in range(L):
         for j in range(i + 1, L):
             if not adjacency[i, j] or covered[i, j]:
                 continue
-            members = [i, j]
+            clique = np.zeros(L, dtype=bool)
+            clique[[i, j]] = True
             mask = adjacency[i] & adjacency[j]
             mask[i] = mask[j] = False
             for v in range(L):
                 if mask[v]:
-                    members.append(v)
+                    clique[v] = True
                     mask &= adjacency[v]
-            members.sort()
-            arr = np.array(members)
-            covered[np.ix_(arr, arr)] = True
-            cliques.append(tuple(members))
-    return cliques
+            members = np.nonzero(clique)[0]
+            covered[np.ix_(members, members)] = True
+            cliques.append(clique)
+    return np.array(cliques, dtype=bool).reshape(-1, L)
 
 
 def write_iteration_csv(records: Iterable[IterationRecord], path: str | Path) -> None:

@@ -92,7 +92,6 @@ class ConflictGraph:
     links: tuple
     sir_threshold: float
     adjacency: np.ndarray  # boolean, symmetric, zero diagonal
-    gains: np.ndarray      # cross_gains(links)
 
     @property
     def n_links(self) -> int:
@@ -106,21 +105,22 @@ class ConflictGraph:
         return bool(self.adjacency[i, j])
 
 
-def build_conflict_graph(links: Sequence["Link"], sir_threshold: float) -> ConflictGraph:
-    """Conflict graph over candidate links at one SIR threshold (>= 1).
+def build_conflict_graph(links: Sequence["Link"], gains: np.ndarray,
+                         sir_threshold: float) -> ConflictGraph:
+    """Conflict graph over candidate links at one SIR threshold (>= 1), read
+    from their cross gains `cross_gains(links)`.
 
     Edges are strict: a pair sitting exactly on the threshold stays compatible.
     Links on different channels never share an edge.
     """
     if not sir_threshold >= 1.0:
         raise ValueError(f"sir_threshold={sir_threshold}: must be >= 1")
-    gains = cross_gains(links)
     sir = sir_matrix(links, gains)
     shared = _same(links, "ap_index", "chip_index") | _same(links, "ut_index", "rx_index")
     adj = _same(links, "channel_index") & (shared | (np.minimum(sir, sir.T) < sir_threshold))
     np.fill_diagonal(adj, False)
     adj.setflags(write=False)
-    return ConflictGraph(tuple(links), float(sir_threshold), adj, gains)
+    return ConflictGraph(tuple(links), float(sir_threshold), adj)
 
 
 def cap_groups(links: Sequence["Link"], s: "Scenario") -> tuple[np.ndarray, np.ndarray]:

@@ -45,6 +45,7 @@ DUALITY_REL_TOL = 1e-6   # relative primal/dual objective agreement at optimal
 RC_TOL = 1e-9            # reduced-cost threshold for entering columns
 PIVOT_TOL = 1e-9         # minimum magnitude of an acceptable pivot element
 INT_TOL = 1e-7           # integrality recognition threshold
+ABS_GAP = 1e-9           # branch and bound prunes nodes this close to the incumbent
 _BOUND_TOL = 1e-9        # bound violation that makes a basic variable leave
 _STALL_LIMIT = 200       # degenerate pivots tolerated before Bland's rule
 
@@ -58,7 +59,6 @@ class LpStatus(str, Enum):
 
 class MilpStatus(str, Enum):
     OPTIMAL = "optimal"
-    FEASIBLE = "feasible"  # search budget exhausted with an incumbent
     INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
     NUMERICAL = "numerical"
@@ -142,9 +142,7 @@ class MilpSolution:
     status: MilpStatus
     x: Optional[np.ndarray] = None
     objective: Optional[float] = None
-    best_bound: float = -math.inf
     nodes: int = 0
-    gap: float = math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -403,17 +401,16 @@ def _verify(p: LinearProgram, x: np.ndarray, duals_int: np.ndarray,
 
 def solve_milp(
     mip: MixedIntegerProgram,
-    abs_gap: float = 1e-9,
-    node_limit: Optional[int] = None,
     incumbents: Optional[Sequence[np.ndarray]] = None,
 ) -> MilpSolution:
     """Branch-and-bound over LP relaxations.
 
     Branches on the most fractional integer variable (ties to the lowest
-    index), explores nodes in best-bound order, and stops when the tree is
-    exhausted or bounds agree within abs_gap. Children start from their
-    parent's final basis. `incumbents` may seed feasible integer points for
-    early pruning; infeasible seeds are ignored.
+    index), explores nodes in best-bound order, and runs until the tree is
+    exhausted, pruning nodes whose bound is within ABS_GAP of the incumbent;
+    so no integer point beats an OPTIMAL objective by more than ABS_GAP.
+    Children start from their parent's final basis. `incumbents` may seed
+    feasible integer points for early pruning; infeasible seeds are ignored.
     """
     p = mip.lp
     int_idx = np.nonzero(mip.integer)[0]
@@ -432,7 +429,7 @@ def solve_milp(
     nodes = 1
     if root.status == LpStatus.INFEASIBLE:
         if best_x is not None:
-            return MilpSolution(MilpStatus.OPTIMAL, best_x, best_obj, best_obj, nodes, 0.0)
+            return MilpSolution(MilpStatus.OPTIMAL, best_x, best_obj, nodes)
         return MilpSolution(MilpStatus.INFEASIBLE, nodes=nodes)
     if root.status == LpStatus.UNBOUNDED:
         return MilpSolution(MilpStatus.UNBOUNDED, nodes=nodes)
@@ -445,12 +442,8 @@ def solve_milp(
 
     while heap:
         bound, _, lb, ub, rel = heapq.heappop(heap)
-        if bound >= best_obj - abs_gap:
+        if bound >= best_obj - ABS_GAP:
             continue  # cannot improve
-        if node_limit is not None and nodes >= node_limit:
-            counter += 1
-            heapq.heappush(heap, (bound, counter, lb, ub, rel))
-            break
         x = rel.x
         frac_var = _most_fractional(x, int_idx)
         if frac_var is None:
@@ -477,20 +470,13 @@ def solve_milp(
             if child.status in (LpStatus.UNBOUNDED, LpStatus.NUMERICAL):
                 return MilpSolution(MilpStatus.NUMERICAL, best_x,
                                     None if best_x is None else best_obj, nodes=nodes)
-            if child.objective < best_obj - abs_gap:
+            if child.objective < best_obj - ABS_GAP:
                 counter += 1
                 heapq.heappush(heap, (child.objective, counter, lb2, ub2, child))
 
-    open_bounds = [entry[0] for entry in heap]
-    best_bound = min(open_bounds) if open_bounds else best_obj
     if best_x is None:
-        if heap:
-            return MilpSolution(MilpStatus.FEASIBLE, nodes=nodes, best_bound=best_bound)
         return MilpSolution(MilpStatus.INFEASIBLE, nodes=nodes)
-    best_bound = min(best_bound, best_obj)
-    gap = best_obj - best_bound
-    status = MilpStatus.OPTIMAL if not heap or gap <= abs_gap else MilpStatus.FEASIBLE
-    return MilpSolution(status, best_x, best_obj, best_bound, nodes, max(gap, 0.0))
+    return MilpSolution(MilpStatus.OPTIMAL, best_x, best_obj, nodes)
 
 
 def _most_fractional(x: np.ndarray, int_idx: np.ndarray) -> Optional[int]:

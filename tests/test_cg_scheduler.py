@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import helpers
+from vlcopt import cg_scheduler
 from vlcopt.capacity import physical_capacity
 from vlcopt.cg_scheduler import (
     CgStatus,
@@ -121,6 +122,23 @@ def test_seed_pool_is_one_singleton_per_link():
     assert all(inst.column_is_valid(col) for col in cols)
 
 
+def test_bad_link_indices_rejected_before_any_lp(monkeypatch):
+    inst = helpers.tiny_instance(n_uts=2, seed=3)
+    L = len(inst.links)
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("an LP ran for a malformed pattern")
+
+    monkeypatch.setattr(cg_scheduler, "solve_lp", no_lp)
+    for bad, error in (((-1,), IndexError), ((L,), IndexError), ((0, 0), ValueError)):
+        with pytest.raises(error):
+            inst.build_column(bad)
+        with pytest.raises(error):
+            inst.build_column(bad, dc=np.zeros(len(inst.dc_txs)))
+        with pytest.raises(error):
+            inst.optimize_dc_for_schedule(bad)
+
+
 def test_master_with_zero_demand_idles():
     inst = helpers.tiny_instance(n_uts=2, demand_bps=0.0)
     res = inst.solve_rmp(inst.initial_columns())
@@ -218,14 +236,58 @@ def test_zero_demand_terminates_immediately():
     assert sol.feasible
 
 
+def _wide_room(n_uts):
+    """4 m room, luminaires 2 m apart, an 80-lux floor and 120 Mbit/s per
+    terminal: still enumerable, but its optimum needs a priced two-link
+    pattern (feasible with 3 terminals, infeasible with 4)."""
+    return helpers.tiny_config(
+        n_uts=n_uts, seed=3, demand_bps=1.2e8, room=[4.0, 4.0, 3.0],
+        aps={"grid": {"nx": 2, "ny": 2, "spacing": 2.0}},
+        illum={"lower_lux": 80.0, "upper_lux": 500.0, "spacing": 0.5,
+               "ambient_lux": 0.0})
+
+
+def _strong_beams(seed, p_ac_avg):
+    """Layout c with 5 W data beams, which eat into their access point's
+    lighting budget; at 2 W average they also push desks past the ceiling.
+    So the transmitter budget and upper illuminance rows bind in pricing."""
+    doc = helpers.tiny_config(n_uts=4, seed=seed, demand_bps=1.2e8, kind="c")
+    doc["chip"].update(p_ac_pp=5.0, p_ac_avg=p_ac_avg)
+    return doc
+
+
 def test_matches_full_enumeration():
-    inst = helpers.tiny_instance(n_uts=4, seed=7)
-    sol = inst.column_generation(epsilon=0.0)
-    ref = helpers.full_pool_optimum(inst)
-    assert sol.status is CgStatus.OPTIMAL
-    assert sol.z_upper == pytest.approx(ref.z_upper, rel=1e-7)
-    assert sol.z_lower <= ref.z_upper + 1e-6
-    assert sol.feasible
+    cases = ((helpers.tiny_config(n_uts=4, seed=7), False),
+             (_wide_room(3), True), (_wide_room(4), True),
+             (_strong_beams(3, 0.05), True), (_strong_beams(2, 2.0), True))
+    for cfg, priced in cases:
+        inst = SchedulingInstance(scenario_from_dict(cfg), sir_threshold=3.0)
+        calls = []
+        price = inst.solve_pricing
+
+        def recording(lam, mu, price=price, calls=calls):
+            out = price(lam, mu)
+            calls.append((lam, mu, out))
+            return out
+
+        inst.solve_pricing = recording
+        sol = inst.column_generation(epsilon=0.0)
+        ref = helpers.full_pool_optimum(inst)
+        assert sol.status is (CgStatus.OPTIMAL if ref.feasible else CgStatus.INFEASIBLE)
+        assert sol.feasible == ref.feasible
+        assert sol.z_upper == pytest.approx(ref.z_upper, rel=1e-7)
+        for rec in sol.iteration_log:
+            assert rec.z_lower <= ref.z_upper * (1.0 + 1e-9) + 1e-6
+            assert rec.z_upper >= ref.z_upper * (1.0 - 1e-9) - 1e-6
+        if priced:
+            assert sol.iterations >= 2
+            assert max(len(col.schedule.active) for col, _ in sol.active()) >= 2
+        pool = helpers.full_pool(inst)
+        for lam, mu, (_, reduced, bound) in calls:
+            best = min(helpers.ref_reduced_cost(inst, col, lam, mu) for col in pool)
+            tol = 1e-9 * max(1.0, abs(best), float(np.dot(lam, inst.demands)))
+            assert reduced == pytest.approx(best, abs=tol)
+            assert bound <= best + tol
 
 
 def test_bounds_tighten_monotonically():

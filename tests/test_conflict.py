@@ -71,17 +71,17 @@ def test_dead_link_reports_zero_ratio():
 # -- graph construction ----------------------------------------------------------
 
 def test_threshold_below_one_rejected():
-    s = _row([(1.0, 1.0), (2.0, 1.0)])
+    links = build_candidate_links(_row([(1.0, 1.0), (2.0, 1.0)]))
     with pytest.raises(ValueError):
-        build_conflict_graph(build_candidate_links(s), 0.8)
+        build_conflict_graph(links, cross_gains(links), 0.8)
 
 
 def test_threshold_tie_stays_compatible():
     s = _row([(1.0, 1.0), (2.0, 1.0)])
     links = build_candidate_links(s)
     tie = min(_sir(links, 0, 1))
-    assert not build_conflict_graph(links, tie).conflicts(0, 1)
-    assert build_conflict_graph(links, tie * (1.0 + 1e-9)).conflicts(0, 1)
+    assert not build_conflict_graph(links, cross_gains(links), tie).conflicts(0, 1)
+    assert build_conflict_graph(links, cross_gains(links), tie * (1.0 + 1e-9)).conflicts(0, 1)
 
 
 def test_huge_threshold_serializes_each_channel():
@@ -89,7 +89,7 @@ def test_huge_threshold_serializes_each_channel():
     links = build_candidate_links(s)
     finite = [v for i, j in itertools.combinations(range(len(links)), 2)
               for v in _sir(links, i, j) if math.isfinite(v)]
-    g = build_conflict_graph(links, max(finite) + 1.0)
+    g = build_conflict_graph(links, cross_gains(links), max(finite) + 1.0)
     for i, j in itertools.combinations(range(len(links)), 2):
         same_channel = links[i].channel_index == links[j].channel_index
         assert g.conflicts(i, j) == same_channel
@@ -97,7 +97,8 @@ def test_huge_threshold_serializes_each_channel():
 
 def test_shared_transmitter_and_receiver_always_conflict():
     s = _row([(2.0, 1.0), (2.0, 1.0)])  # same serving chip, ratio tie of 1.0
-    g = build_conflict_graph(build_candidate_links(s), 1.0)
+    links = build_candidate_links(s)
+    g = build_conflict_graph(links, cross_gains(links), 1.0)
     assert g.conflicts(0, 1)
 
 
@@ -106,7 +107,7 @@ def test_edge_set_matches_reference_rule():
     s = scenario_from_dict(helpers.tiny_config(n_uts=3, seed=8))
     links = build_candidate_links(s)
     for threshold in (1.0, 1.5, 3.0, 6.0):
-        g = build_conflict_graph(links, threshold)
+        g = build_conflict_graph(links, cross_gains(links), threshold)
         for i, j in itertools.combinations(range(len(links)), 2):
             a, b = links[i], links[j]
             if a.channel_index != b.channel_index:
@@ -154,7 +155,7 @@ def test_edges_grow_with_threshold():
     links = build_candidate_links(s)
     previous: set = set()
     for threshold in (1.0, 1.4, 2.0, 3.0, 6.0):
-        edges = set(build_conflict_graph(links, threshold).edges())
+        edges = set(build_conflict_graph(links, cross_gains(links), threshold).edges())
         assert previous <= edges
         previous = edges
 
@@ -184,7 +185,7 @@ def test_singletons_are_independent():
 def test_shared_receiver_rejected():
     s = _row([(2.0, 1.0)], channels=2)  # one terminal, one receiver, two bands
     links = build_candidate_links(s)
-    g = build_conflict_graph(links, 1.0)
+    g = build_conflict_graph(links, cross_gains(links), 1.0)
     assert len(links) == 2
     assert not is_independent(ScheduleVector((0, 1)), g, s)
 
