@@ -5,11 +5,14 @@ terminal's demand is met within a unit scheduling frame while room lighting
 stays inside its illuminance band; leftover frame time falls back to the
 cheapest lighting-only state. The restricted master is a small LP whose
 duals drive a pricing MILP that searches for the activation pattern with the
-most negative reduced cost; the loop carries both an incumbent objective and
-a certified lower bound, so it can stop either at proven optimality or at a
-caller-chosen multiplicative gap. A final validation pass recomputes link
-rates with the interference each column actually generates and re-optimizes
-the time shares over the scheduled columns alone.
+most negative reduced cost. It chooses the pattern's lighting powers with
+it, and the column it adds keeps them, so the loop solves a lighting LP
+only for the lighting floor and the single-link starting columns. The loop
+carries both an incumbent objective and a certified lower bound, so it can
+stop either at proven optimality or at a caller-chosen multiplicative gap.
+A final validation pass recomputes link rates with the interference each
+column actually generates and re-optimizes the time shares over the
+scheduled columns alone.
 
 Every program is sliced from tables the instance holds: the lux each chip
 and each data beam gives every grid point, the transmitter budget table, and
@@ -234,7 +237,6 @@ class SchedulingInstance:
         self._initial: Optional[tuple[tuple[IndependentSetColumn, ...],
                                       tuple[int, ...], tuple[int, ...]]] = None
         self._static_rows: Optional[tuple] = None
-        self._last_pricing: Optional[np.ndarray] = None
 
     def _start_rows(self, lo: Sequence[int], hi: Sequence[int]) -> None:
         self._lo_rows: list[int] = list(lo)
@@ -250,8 +252,9 @@ class SchedulingInstance:
         The lazy rows start from a copy of those held right after the initial
         columns were built. So when this instance built them before solving
         anything else, the result solves exactly as
-        `SchedulingInstance(s, sir_threshold)` does; pricing on it adds rows
-        to no other instance.
+        `SchedulingInstance(s, sir_threshold)` does. The lazy rows are the
+        only state pricing changes, and pricing on the result adds rows to no
+        other instance.
         """
         self.initial_columns()
         _, lo, hi = self._initial
@@ -260,7 +263,6 @@ class SchedulingInstance:
         inst.sir_threshold = float(sir_threshold)
         inst._start_rows(lo, hi)
         inst._static_rows = None
-        inst._last_pricing = None
         return inst
 
     # -- lighting -----------------------------------------------------------
@@ -429,22 +431,15 @@ class SchedulingInstance:
         p0_elec, _ = self.min_illumination_power()
         M = len(self.s.uts)
         Q = len(columns)
-        n = Q + M  # omega then one shortfall column per terminal
-        c = np.empty(n)
-        for q, col in enumerate(columns):
-            c[q] = col.electrical_total - p0_elec
-        c[Q:] = SHORTFALL_COST
-        a = np.zeros((M + 1, n))
-        b = np.empty(M + 1)
-        rel = [">="] * M + ["<="]
-        for j in range(M):
-            for q, col in enumerate(columns):
-                a[j, q] = col.rate_per_ut[j] / RATE_SCALE
-            a[j, Q + j] = 1.0
-            b[j] = self.demands[j] / RATE_SCALE
+        # omega then one shortfall column per terminal
+        c = np.concatenate([[col.electrical_total - p0_elec for col in columns],
+                            np.full(M, SHORTFALL_COST)])
+        a = np.zeros((M + 1, Q + M))
+        a[:M, :Q] = np.reshape([col.rate_per_ut for col in columns], (Q, M)).T / RATE_SCALE
+        a[:M, Q:] = np.eye(M)
         a[M, :Q] = 1.0
-        b[M] = 1.0
-        sol = solve_lp(LinearProgram(c=c, a=a, rel=tuple(rel), b=b))
+        b = np.append(self.demands / RATE_SCALE, 1.0)
+        sol = solve_lp(LinearProgram(c=c, a=a, rel=(">=",) * M + ("<=",), b=b))
         if sol.status != LpStatus.OPTIMAL:
             raise CgError(f"restricted master LP failed with status {sol.status}")
         omega = np.maximum(sol.x[:Q], 0.0)
@@ -484,9 +479,13 @@ class SchedulingInstance:
         lower bound on the reduced cost over all patterns (the MILP optimum
         less `lp.ABS_GAP`, within which branch and bound prunes), which is
         what the dual bound on the master objective must be built from.
+
+        The MILP chooses links and lighting powers together, so the column
+        keeps the MILP's powers and no lighting LP is solved: once the full
+        grid check is clean they are optimal for the pattern.
         """
         self._require_graph()
-        p0_elec, dc_min = self.min_illumination_power()
+        p0_elec, _ = self.min_illumination_power()
         lam = np.maximum(np.asarray(lambda_bps, dtype=float), 0.0)
         mu = min(float(mu), 0.0)
         L = len(self.links)
@@ -504,9 +503,6 @@ class SchedulingInstance:
         fixed_a = np.block([[static_a, np.zeros((len(static_b), T))],
                             [self.budget, np.eye(T)]])
         fixed_b = np.concatenate([static_b, self.dc_cap])
-        incumbents = [np.concatenate([np.zeros(L), dc_min])]
-        if self._last_pricing is not None:
-            incumbents.append(self._last_pricing)
 
         def solve() -> tuple[tuple[float, tuple[int, ...], np.ndarray], np.ndarray]:
             rows = self._lo_rows + self._hi_rows
@@ -519,16 +515,15 @@ class SchedulingInstance:
                 b=np.concatenate([fixed_b, self.e_lo[self._lo_rows],
                                   self.e_hi[self._hi_rows]]),
                 lb=lb, ub=ub)
-            res = solve_milp(MixedIntegerProgram(lp, integer), incumbents=incumbents)
+            res = solve_milp(MixedIntegerProgram(lp, integer))
             if res.status != MilpStatus.OPTIMAL or res.x is None:
                 raise CgError(f"pricing MILP failed with status {res.status}")
             active = tuple(int(i) for i in np.nonzero(res.x[:L] > 0.5)[0])
             dc = np.maximum(res.x[L:], 0.0)
-            return (float(res.objective), active, res.x), self.illuminance(dc, active)
+            return (float(res.objective), active, dc), self.illuminance(dc, active)
 
-        objective, active, x = self._with_lazy_rows("pricing", solve, self.e_lo, self.e_hi)
-        self._last_pricing = x.copy()
-        column = self.build_column(active)
+        objective, active, dc = self._with_lazy_rows("pricing", solve, self.e_lo, self.e_hi)
+        column = self.build_column(active, dc)
         reduced = objective - p0_elec - mu
         reduced_bound = objective - ABS_GAP - p0_elec - mu
         return column, reduced, reduced_bound

@@ -32,7 +32,13 @@ from .cg_scheduler import (
     SchedulingInstance,
     write_iteration_csv,
 )
-from .scenario import Scenario, default_config, load_scenario, scenario_from_dict
+from .scenario import (
+    Scenario,
+    ScenarioError,
+    default_config,
+    load_scenario,
+    scenario_from_dict,
+)
 
 # read from the solver modules so the manifest reports what the code uses
 _TOLERANCES = {
@@ -289,7 +295,8 @@ def _cmd_sweep_sir(args) -> int:
         raise SystemExit("--to must not be below --from")
     out = _outdir(args)
     s = _scenario_from_args(args)
-    n = int(round((args.to - start) / args.step))
+    # whole steps that fit, forgiving round-off in (to - from) / step
+    n = math.floor((args.to - start) / args.step + 1e-9)
     thresholds = [start + i * args.step for i in range(n + 1)]
     lower, upper, table = sweep_sir(s, thresholds, epsilon=args.epsilon)
     _write_csv(out / "results.csv", table)
@@ -442,7 +449,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except IlluminationInfeasible as exc:
+    except (IlluminationInfeasible, ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

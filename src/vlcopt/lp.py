@@ -19,11 +19,13 @@ with the basis. The optimal basis is re-solved explicitly for primal values
 and row duals at full precision, and feasibility and strong duality are
 checked before OPTIMAL is reported.
 
-Branch and bound uses most-fractional branching and best-bound search. An
-open node keeps its LP's final basis (basic columns and complement flags,
-not the tableau); a child rebuilds its tableau from it with one dense solve
-and continues with dual pivots, or starts cold if that basis is singular or
-not dual feasible.
+Branch and bound uses most-fractional branching and best-bound search. Its
+incumbents come from the tree alone: under best-bound order, a seed no
+better than the optimum could spare only nodes whose bound lies within
+ABS_GAP of it. An open node keeps its LP's final basis (basic columns and
+complement flags, not the tableau); a child rebuilds its tableau from it
+with one dense solve and continues with dual pivots, or starts cold if that
+basis is singular or not dual feasible.
 
 Problem sizes here are desk scale (at most a couple of thousand columns), so
 a dense tableau is deliberate: it keeps the pivot arithmetic transparent and
@@ -36,7 +38,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -94,6 +96,8 @@ class LinearProgram:
             raise ValueError("bound vectors must match the number of variables")
         if not np.all(np.isfinite(self.lb)):
             raise ValueError("lower bounds must be finite")
+        if np.any(np.isnan(self.ub)):
+            raise ValueError("upper bounds must not be NaN")
         for arr, name in ((self.c, "c"), (self.a, "a"), (self.b, "b")):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite entries")
@@ -399,37 +403,23 @@ def _verify(p: LinearProgram, x: np.ndarray, duals_int: np.ndarray,
 # branch and bound
 
 
-def solve_milp(
-    mip: MixedIntegerProgram,
-    incumbents: Optional[Sequence[np.ndarray]] = None,
-) -> MilpSolution:
+def solve_milp(mip: MixedIntegerProgram) -> MilpSolution:
     """Branch-and-bound over LP relaxations.
 
     Branches on the most fractional integer variable (ties to the lowest
     index), explores nodes in best-bound order, and runs until the tree is
     exhausted, pruning nodes whose bound is within ABS_GAP of the incumbent;
     so no integer point beats an OPTIMAL objective by more than ABS_GAP.
-    Children start from their parent's final basis. `incumbents` may seed
-    feasible integer points for early pruning; infeasible seeds are ignored.
+    Children start from their parent's final basis.
     """
     p = mip.lp
     int_idx = np.nonzero(mip.integer)[0]
 
     best_x: Optional[np.ndarray] = None
     best_obj = math.inf
-    if incumbents:
-        for cand in incumbents:
-            cand = np.asarray(cand, dtype=float)
-            obj = _check_incumbent(p, mip.integer, cand)
-            if obj is not None and obj < best_obj:
-                best_obj = obj
-                best_x = cand.copy()
-
     root = solve_lp(p)
     nodes = 1
     if root.status == LpStatus.INFEASIBLE:
-        if best_x is not None:
-            return MilpSolution(MilpStatus.OPTIMAL, best_x, best_obj, nodes)
         return MilpSolution(MilpStatus.INFEASIBLE, nodes=nodes)
     if root.status == LpStatus.UNBOUNDED:
         return MilpSolution(MilpStatus.UNBOUNDED, nodes=nodes)
@@ -489,10 +479,3 @@ def _most_fractional(x: np.ndarray, int_idx: np.ndarray) -> Optional[int]:
         return None
     return int(int_idx[worst])
 
-
-def _check_incumbent(p: LinearProgram, integer: np.ndarray, x: np.ndarray) -> Optional[float]:
-    if x.shape != (p.n_vars,):
-        return None
-    if np.any(np.abs(x[integer] - np.round(x[integer])) > INT_TOL) or not _feasible(p, x):
-        return None
-    return float(p.c @ x)

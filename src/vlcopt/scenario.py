@@ -34,6 +34,11 @@ def _require(cond: bool, field_name: str, rule: str) -> None:
         raise ScenarioError(f"{field_name}: {rule}")
 
 
+def _object(raw: Any, field_name: str) -> dict:
+    _require(isinstance(raw, dict), field_name, "must be a JSON object")
+    return raw
+
+
 @dataclass(frozen=True)
 class Receiver:
     area_m2: float = 1e-4
@@ -240,7 +245,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     kind = doc.get("config_kind", "a")
     _require(kind in CONFIG_KINDS, "config_kind", f"must be one of {CONFIG_KINDS}")
 
-    chip_cfg = {**_DEFAULT_CHIP, **doc.get("chip", {})}
+    chip_cfg = {**_DEFAULT_CHIP, **_object(doc.get("chip", {}), "chip")}
     for name in ("p_max", "p_ac_pp", "p_ac_avg", "eta_ac", "eta_dc"):
         _require(float(chip_cfg[name]) > 0, f"chip.{name}", "must be positive")
     _require(chip_cfg["p_ac_pp"] <= chip_cfg["p_max"], "chip.p_ac_pp", "must not exceed chip.p_max")
@@ -276,11 +281,11 @@ def scenario_from_dict(doc: dict) -> Scenario:
     _require(isinstance(ch_raw, list) and len(ch_raw) > 0, "channels", "must be a non-empty list")
     channels = []
     for i, ch in enumerate(ch_raw):
-        bw = float(ch.get("bandwidth_hz", 1e8))
+        bw = float(_object(ch, f"channels[{i}]").get("bandwidth_hz", 1e8))
         _require(bw > 0, f"channels[{i}].bandwidth_hz", "must be positive")
         channels.append(Channel(i, bw))
 
-    rx_cfg = doc.get("receiver", {})
+    rx_cfg = _object(doc.get("receiver", {}), "receiver")
     receiver = Receiver(
         area_m2=float(rx_cfg.get("area_m2", 1e-4)),
         fov_half_deg=float(rx_cfg.get("fov_half_deg", 60.0)),
@@ -292,9 +297,9 @@ def scenario_from_dict(doc: dict) -> Scenario:
     _require(receiver.filter_gain > 0, "receiver.filter_gain", "must be positive")
     _require(receiver.lens_index > 0, "receiver.lens_index", "must be positive")
 
-    illum = _expand_illum(doc.get("illum", {}), room)
+    illum = _expand_illum(_object(doc.get("illum", {}), "illum"), room)
 
-    const_cfg = doc.get("constants", {})
+    const_cfg = _object(doc.get("constants", {}), "constants")
     constants = PhysicalConstants(
         noise_variance=float(const_cfg.get("noise_variance", 4.7e-14)),
         luminosity_efficacy=float(const_cfg.get("luminosity_efficacy", 300.0)),
@@ -332,7 +337,7 @@ def _expand_aps(raw: Any, room: Vec3) -> tuple[Optional[float], list[Vec3]]:
     if raw is None:
         raw = {"grid": {"nx": 6, "ny": 6, "spacing": 1.0}}
     if isinstance(raw, dict) and "grid" in raw:
-        g = raw["grid"]
+        g = _object(raw["grid"], "aps.grid")
         for key in ("nx", "ny", "spacing"):
             _require(key in g, f"aps.grid.{key}", "missing")
         nx, ny = int(g["nx"]), int(g["ny"])
@@ -348,7 +353,7 @@ def _expand_aps(raw: Any, room: Vec3) -> tuple[Optional[float], list[Vec3]]:
     _require(isinstance(raw, list), "aps", "must be a grid spec or a list of entries")
     positions = []
     for i, entry in enumerate(raw):
-        pos = entry.get("position")
+        pos = _object(entry, f"aps[{i}]").get("position")
         _require(pos is not None and len(pos) == 3, f"aps[{i}].position", "must be [x, y, z]")
         positions.append(tuple(float(v) for v in pos))
     return None, positions
@@ -401,7 +406,7 @@ def _expand_uts(raw: Any, room: Vec3, desk: float) -> tuple[UserTerminal, ...]:
     _require(isinstance(raw, list), "uts", "must be a sampling spec or a list of entries")
     out = []
     for i, entry in enumerate(raw):
-        pos = entry.get("position")
+        pos = _object(entry, f"uts[{i}]").get("position")
         _require(pos is not None and len(pos) in (2, 3), f"uts[{i}].position",
                  "must be [x, y] or [x, y, z]")
         x, y = float(pos[0]), float(pos[1])

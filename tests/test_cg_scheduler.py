@@ -285,11 +285,31 @@ def test_matches_full_enumeration():
             assert sol.iterations >= 2
             assert max(len(col.schedule.active) for col, _ in sol.active()) >= 2
         pool = helpers.full_pool(inst)
-        for lam, mu, (_, reduced, bound) in calls:
+        for lam, mu, (priced, reduced, bound) in calls:
             best = min(helpers.ref_reduced_cost(inst, col, lam, mu) for col in pool)
             tol = 1e-9 * max(1.0, abs(best), float(np.dot(lam, inst.demands)))
             assert reduced == pytest.approx(best, abs=tol)
             assert bound <= best + tol
+            # the priced column keeps the MILP's lighting, which is optimal
+            assert inst.column_is_valid(priced)
+            dc = inst.optimize_dc_for_schedule(priced.schedule.active)
+            assert priced.p_dc_electrical == pytest.approx(
+                float(np.sum(dc / inst.dc_eta)), rel=1e-9)
+
+
+def test_pricing_solves_no_lighting_lp(monkeypatch):
+    inst = SchedulingInstance(scenario_from_dict(_wide_room(3)), sir_threshold=3.0)
+    rmp = inst.solve_rmp(inst.initial_columns())
+
+    def no_lighting_lp(self, active):
+        raise AssertionError(f"lighting LP solved for pattern {active}")
+
+    monkeypatch.setattr(SchedulingInstance, "_solve_dc", no_lighting_lp)
+    col, reduced, _ = inst.solve_pricing(rmp.lambda_bps, rmp.mu)
+    assert len(col.schedule.active) >= 2
+    assert inst.column_is_valid(col)
+    assert reduced == pytest.approx(
+        helpers.ref_reduced_cost(inst, col, rmp.lambda_bps, rmp.mu), abs=1e-9)
 
 
 def test_bounds_tighten_monotonically():

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 import helpers
-from vlcopt import cg_scheduler, lp
+from vlcopt import cg_scheduler, cli, lp
 from vlcopt.cg_scheduler import SchedulingInstance
 from vlcopt.cli import _parse_values, main, sweep_sir
 from vlcopt.scenario import default_config, scenario_from_dict
@@ -204,6 +204,35 @@ def test_sweep_rejects_empty_or_endless_range(tmp_path, bounds):
         main(["sweep-sir", "--config", cfg, *bounds, "--out", str(out)])
     assert isinstance(exc.value.code, str)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("to, step, expected", [
+    ("1.6", "1", [1.0]),
+    ("2.5", "1", [1.0, 2.0]),
+    ("2", "0.1", [1.0 + i * 0.1 for i in range(11)]),
+])
+def test_sweep_never_passes_its_upper_end(tmp_path, monkeypatch, to, step, expected):
+    solved = []
+
+    def recording(s, thresholds, epsilon):
+        solved.extend(thresholds)
+        return None, None, []
+
+    monkeypatch.setattr(cli, "sweep_sir", recording)
+    cfg = _write_config(tmp_path, n_uts=1, seed=1)
+    assert main(["sweep-sir", "--config", cfg, "--from", "1", "--to", to,
+                 "--step", step, "--out", str(tmp_path / "sweep")]) == 0
+    assert solved == pytest.approx(expected)
+
+
+def test_malformed_scenario_exits_with_code_2(tmp_path, capsys):
+    doc = helpers.tiny_config(n_uts=1)
+    doc["illum"] = [300.0, 500.0]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "error: illum:" in capsys.readouterr().err
 
 
 def test_sweep_feasibility_never_recovers_as_threshold_grows():

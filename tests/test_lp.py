@@ -104,6 +104,9 @@ def test_bad_inputs_rejected():
         LinearProgram(c=[1.0], a=[[1.0]], rel=("<=",), b=[1.0],
                       lb=[-np.inf])
     with pytest.raises(ValueError):
+        LinearProgram(c=[1.0], a=[[1.0]], rel=("<=",), b=[1.0],
+                      ub=[np.nan])
+    with pytest.raises(ValueError):
         LinearProgram(c=[1.0, 1.0], a=[[1.0, 0.0]], rel=("<=", "<="), b=[1.0])
 
 
@@ -290,6 +293,10 @@ def test_knapsack_matches_exhaustion():
     assert sol.status is MilpStatus.OPTIMAL
     assert sol.objective == pytest.approx(best)
     assert np.allclose(sol.x, np.round(sol.x), atol=1e-9)
+    # two packings are worth 5 here; the tree lands on the second
+    tied = solve_milp(_knapsack([5.0, 4.0, 1.0], [4.0, 3.0, 1.0], 4.0))
+    assert tied.objective == -5.0
+    assert np.array_equal(tied.x, [0.0, 1.0, 1.0])
 
 
 def test_deeper_knapsack_matches_exhaustion_with_warm_children(monkeypatch):
@@ -329,25 +336,6 @@ def test_fractional_equality_infeasible_in_integers():
                        ub=[1.0, 1.0])
     sol = solve_milp(MixedIntegerProgram(lp, np.array([True, True])))
     assert sol.status is MilpStatus.INFEASIBLE
-
-
-def test_seeded_incumbent_kept_when_tree_finds_nothing_better():
-    # two packings are worth 5; the tree alone lands on the second
-    mip = _knapsack([5.0, 4.0, 1.0], [4.0, 3.0, 1.0], 4.0)
-    assert np.array_equal(solve_milp(mip).x, [0.0, 1.0, 1.0])
-    seed = np.array([1.0, 0.0, 0.0])
-    sol = solve_milp(mip, incumbents=[seed])
-    assert sol.status is MilpStatus.OPTIMAL
-    assert np.array_equal(sol.x, seed)
-    assert sol.objective == -5.0
-
-
-def test_infeasible_incumbent_seeds_ignored():
-    mip = _knapsack([6.0, 5.0, 4.0], [5.0, 4.0, 3.0], 8.0)
-    over_cap = np.array([1.0, 1.0, 1.0])
-    sol = solve_milp(mip, incumbents=[over_cap])
-    assert sol.status is MilpStatus.OPTIMAL
-    assert sol.objective == pytest.approx(-10.0)
 
 
 def test_random_binary_programs_match_exhaustion():

@@ -73,6 +73,15 @@ def test_contradictory_brightness_band_rejected():
     lambda d: d.update(aps=[{"chips": []}]),
     lambda d: d.update(uts={"seed": 1}),
     lambda d: d.update(uts=[{"demand_bps": 1e6}]),
+    # sections and entries of the wrong JSON type
+    lambda d: d.update(illum=[300.0, 500.0]),
+    lambda d: d.update(receiver="wide"),
+    lambda d: d.update(constants=None),
+    lambda d: d.update(chip=[1.0]),
+    lambda d: d.update(channels=[1e8]),
+    lambda d: d.update(aps=[[0.5, 0.5, 3.0]]),
+    lambda d: d.update(aps={"grid": 4}),
+    lambda d: d.update(uts=[[1.0, 1.0]]),
 ])
 def test_invariant_violations_rejected(mutate):
     doc = helpers.tiny_config()
