@@ -11,21 +11,30 @@ a negative cost has no finite bound, it is zeroed for the dual pass (cost
 modification) and a bounded primal simplex finishes with the true costs,
 reporting UNBOUNDED when nothing limits a step.
 
+The tableau is kept in dictionary (compact) form (Chvatal 1983, Linear
+Programming, ch. 2): with n structural columns and m rows it stores only the
+n nonbasic columns and the right side, an (m+1) x (n+1) array, because the
+m basic columns are unit vectors. A pivot swaps the entering and leaving
+columns between `basic` and `nonbasic`, the leaving column taking the
+entering one's slot, and every stored entry comes out exactly as the full
+(m+1) x (n+m+1) tableau's update would leave it.
+
 Pivoting is deterministic: the largest bound violation leaves, Harris's
-ratio test picks the entering column, the lowest index wins ties, and a
-Bland-style rule takes over when the objective stalls. INFEASIBLE is
-declared only after the offending row has been rebuilt from a fresh solve
-with the basis. The optimal basis is re-solved explicitly for primal values
-and row duals at full precision, and feasibility and strong duality are
-checked before OPTIMAL is reported.
+ratio test picks the entering column, the lowest column id (never the lowest
+storage slot) wins ties, and a Bland-style rule takes over when the
+objective stalls. INFEASIBLE is declared only after the offending row has
+been rebuilt from a fresh solve with the basis. The optimal basis is
+re-solved explicitly for primal values and row duals at full precision, and
+feasibility and strong duality are checked before OPTIMAL is reported.
 
 Branch and bound uses most-fractional branching and best-bound search. Its
 incumbents come from the tree alone: under best-bound order, a seed no
 better than the optimum could spare only nodes whose bound lies within
 ABS_GAP of it. An open node keeps its LP's final basis (basic columns and
 complement flags, not the tableau); a child rebuilds its tableau from it
-with one dense solve and continues with dual pivots, or starts cold if that
-basis is singular or not dual feasible.
+with one dense solve against the nonbasic columns and the right side, and
+continues with dual pivots, or starts cold if that basis is singular or not
+dual feasible.
 
 Problem sizes here are desk scale (at most a couple of thousand columns), so
 a dense tableau is deliberate: it keeps the pivot arithmetic transparent and
@@ -154,11 +163,17 @@ class MilpSolution:
 
 
 class _Tableau:
-    """Bounded dense simplex state in the shifted space x - lb.
+    """Bounded dense simplex state in the shifted space x - lb, in dictionary
+    (compact) form.
 
-    Columns are the structural variables, one slack per row, then the right
-    side; the last row holds the reduced costs and minus the objective.
-    Column j is complemented where `flip[j]` is set.
+    Column ids run over the structural variables, then one slack per row.
+    The basic columns are unit vectors and are not stored: row i belongs to
+    column `basic[i]`, slot k holds column `nonbasic[k]`, the last slot is
+    the right side, and the last row holds the reduced costs and minus the
+    objective. Column j is complemented where `flip[j]` is set. A load
+    stores the nonbasic columns in id order and pivots swap ids between
+    slots, so ties between columns go to the lowest id, never to the lowest
+    slot.
     """
 
     def __init__(self, p: LinearProgram):
@@ -176,49 +191,64 @@ class _Tableau:
         # reach ~1e9, where round-off alone leaves reduced costs ~1e-7 below 0
         self.rc_tol = RC_TOL * max(1.0, float(np.max(np.abs(p.c), initial=0.0)))
         self.m = m
-        self.t = np.empty((m + 1, n + m + 1))
+        self.t = np.empty((m + 1, n + 1))
         self.iterations = 0
         self.max_iter = 2000 + 60 * (2 * m + n)
 
     def _load(self, basic: np.ndarray, flip: np.ndarray, cost: np.ndarray) -> None:
-        """Tableau of a basis, by one dense solve with it (none for slacks)."""
-        m, body = self.m, self.t[:-1]
-        np.multiply(self.a0, np.where(flip, -1.0, 1.0), out=body[:, :-1])
+        """Tableau of a basis: one dense solve with it against the nonbasic
+        columns and the right side, skipped when the basis is the identity
+        (the slacks in row order, none complemented)."""
+        total = self.c0.shape[0]
+        nonbasic = np.ones(total, dtype=bool)
+        nonbasic[basic] = False
+        nonbasic = np.flatnonzero(nonbasic)
+        sign, body = np.where(flip, -1.0, 1.0), self.t[:-1]
+        np.multiply(self.a0[:, nonbasic], sign[nonbasic], out=body[:, :-1])
         body[:, -1] = self.b0 - self.a0[:, flip] @ self.u[flip]
-        if not np.array_equal(basic, np.arange(self.a0.shape[1] - m, self.a0.shape[1])):
-            body[:] = np.linalg.solve(body[:, basic], body)
-            body[:, basic] = np.eye(m)
-        self.basic, self.flip = basic.copy(), flip.copy()
+        if (not np.array_equal(basic, np.arange(total - self.m, total))
+                or np.any(flip[basic])):
+            body[:] = np.linalg.solve(self.a0[:, basic] * sign[basic], body)
+        self.basic, self.nonbasic, self.flip = basic.copy(), nonbasic, flip.copy()
         self._price(cost)
 
     def _price(self, cost: np.ndarray) -> None:
         """Reduced-cost row for `cost`, given in the uncomplemented orientation."""
         t, basic = self.t, self.basic
         cf = np.where(self.flip, -cost, cost)
-        t[-1, :-1] = cf - cf[basic] @ t[:-1, :-1]
+        t[-1, :-1] = cf[self.nonbasic] - cf[basic] @ t[:-1, :-1]
         t[-1, -1] = -(cf[basic] @ t[:-1, -1] + cost[self.flip] @ self.u[self.flip])
 
-    def _pivot(self, r: int, q: int) -> None:
+    def _pivot(self, r: int, s: int) -> None:
+        """Exchange basic[r] with the column in slot s. The leaving column
+        takes the slot as the unit vector e_r, so the update gives it the
+        entries the full tableau would: 1/p in row r, -col/p elsewhere."""
         t = self.t
-        t[r] /= t[r, q]
-        col = t[:, q].copy()
+        p = t[r, s]
+        col = t[:, s].copy()
         col[r] = 0.0
+        t[:, s] = 0.0
+        t[r, s] = 1.0
+        t[r] /= p
         t -= np.outer(col, t[r])
-        self.basic[r] = q
+        self.basic[r], self.nonbasic[s] = self.nonbasic[s], self.basic[r]
         self.iterations += 1
         if self.iterations > self.max_iter:
             raise _Numerical("simplex iteration cap exceeded")
 
-    def _flip_nonbasic(self, j: int) -> None:
-        t = self.t
-        t[:, -1] -= self.u[j] * t[:, j]
-        t[:, j] *= -1.0
+    def _lowest_id(self, slots: np.ndarray) -> int:
+        """The slot among `slots` whose column has the lowest id."""
+        return int(slots[np.argmin(self.nonbasic[slots])])
+
+    def _flip_nonbasic(self, s: int) -> None:
+        t, j = self.t, self.nonbasic[s]
+        t[:, -1] -= self.u[j] * t[:, s]
+        t[:, s] *= -1.0
         self.flip[j] = not self.flip[j]
 
     def _flip_basic(self, r: int) -> None:
         t, j = self.t, self.basic[r]
         t[r] *= -1.0
-        t[r, j] = 1.0
         t[r, -1] += self.u[j]
         self.flip[j] = not self.flip[j]
 
@@ -246,7 +276,8 @@ class _Tableau:
         except np.linalg.LinAlgError:
             return False
         return bool(np.all(np.isfinite(self.t))
-                    and not np.any((self.t[-1, :-1] < -self.rc_tol) & self.movable))
+                    and not np.any((self.t[-1, :-1] < -self.rc_tol)
+                                   & self.movable[self.nonbasic]))
 
     def _dual(self, cost: np.ndarray) -> None:
         """Dual simplex pivots from a dual feasible basis to primal feasibility."""
@@ -262,7 +293,7 @@ class _Tableau:
             if beta[r] > ub[r]:
                 self._flip_basic(r)
             row = t[r, :-1]
-            cand = np.nonzero((row < -PIVOT_TOL) & self.movable)[0]
+            cand = np.nonzero((row < -PIVOT_TOL) & self.movable[self.nonbasic])[0]
             if cand.size == 0:
                 if fresh:
                     raise _Infeasible
@@ -274,8 +305,8 @@ class _Tableau:
             alpha = -row[cand]
             ratio = t[-1, cand] / alpha
             near = ratio <= np.min((t[-1, cand] + self.rc_tol) / alpha)
-            q = int(cand[np.argmax(np.where(near, alpha, 0.0))])
-            self._pivot(r, q)
+            alpha = np.where(near, alpha, 0.0)
+            self._pivot(r, self._lowest_id(cand[alpha == alpha.max()]))
             fresh = False
             z = -t[-1, -1]
             stall = 0 if z > last + 1e-12 else stall + 1
@@ -287,11 +318,13 @@ class _Tableau:
         t, m = self.t, self.m
         bland, stall, last = False, 0, math.inf
         while True:
-            cand = np.nonzero((t[-1, :-1] < -RC_TOL) & self.movable)[0]
+            cand = np.nonzero((t[-1, :-1] < -RC_TOL) & self.movable[self.nonbasic])[0]
             if cand.size == 0:
                 return
-            q = int(cand[0] if bland else cand[np.argmin(t[-1, cand])])
-            col, beta, ub = t[:m, q], t[:m, -1], self.u[self.basic]
+            if not bland:  # Dantzig: the most negative reduced costs
+                cand = cand[t[-1, cand] == t[-1, cand].min()]
+            s = self._lowest_id(cand)
+            col, beta, ub = t[:m, s], t[:m, -1], self.u[self.basic]
             ratio = np.full(m, np.inf)
             down = col > PIVOT_TOL
             up = (col < -PIVOT_TOL) & np.isfinite(ub)
@@ -299,17 +332,18 @@ class _Tableau:
             ratio[up] = (beta[up] - ub[up]) / col[up]
             ratio = np.maximum(ratio, 0.0)
             step = float(ratio.min()) if m else math.inf
+            q = self.nonbasic[s]
             if self.u[q] <= step:  # the entering column reaches its own bound
                 if math.isinf(self.u[q]):
                     raise _Unbounded
-                self._flip_nonbasic(q)
+                self._flip_nonbasic(s)
                 continue
             ties = np.nonzero(ratio <= step + 1e-12)[0]
             r = int(ties[np.argmin(self.basic[ties])])
-            leaving, at_upper = self.basic[r], col[r] < 0.0
-            self._pivot(r, q)
-            if at_upper:
-                self._flip_nonbasic(leaving)
+            at_upper = col[r] < 0.0
+            self._pivot(r, s)
+            if at_upper:  # the leaving column, now in slot s, sits at its bound
+                self._flip_nonbasic(s)
             z = -t[-1, -1]
             stall = 0 if z < last - 1e-12 else stall + 1
             bland = bland or stall > _STALL_LIMIT

@@ -39,6 +39,25 @@ def _object(raw: Any, field_name: str) -> dict:
     return raw
 
 
+_NOT_NUMBERS = (TypeError, ValueError, OverflowError)  # what int()/float() raise
+
+
+def _numbers(raw: dict, where: str, defaults: dict) -> dict:
+    """`defaults` with `raw`'s values for the same names, each converted to
+    its default's type; an int field takes only a whole number (not 2.5)."""
+    out = dict(defaults)
+    try:
+        for name, default in defaults.items():
+            value = raw.get(name, default)
+            out[name] = number = type(default)(value)
+            if isinstance(default, int) and number != value:
+                raise ValueError(name)
+    except _NOT_NUMBERS:
+        kind = "a whole number" if isinstance(defaults[name], int) else "a number"
+        raise ScenarioError(f"{where}{name}: must be {kind}") from None
+    return out
+
+
 @dataclass(frozen=True)
 class Receiver:
     area_m2: float = 1e-4
@@ -238,34 +257,39 @@ def scenario_from_dict(doc: dict) -> Scenario:
         raise ScenarioError("document: must be a JSON object")
     room_raw = doc.get("room")
     _require(isinstance(room_raw, (list, tuple)) and len(room_raw) == 3, "room", "must be [Lx, Ly, H]")
-    room = tuple(float(v) for v in room_raw)
+    try:
+        room = tuple(float(v) for v in room_raw)
+    except _NOT_NUMBERS:
+        raise ScenarioError("room: dimensions must be numbers") from None
     _require(all(v > 0 for v in room), "room", "dimensions must be positive")
-    desk = float(doc.get("desk_height", 0.8))
+    top = _numbers(doc, "", {"desk_height": 0.8, "association_k": 1, "config_c_n": 2})
+    desk = top["desk_height"]
     _require(0.0 < desk < room[2], "desk_height", "must lie strictly between floor and ceiling")
     kind = doc.get("config_kind", "a")
     _require(kind in CONFIG_KINDS, "config_kind", f"must be one of {CONFIG_KINDS}")
 
-    chip_cfg = {**_DEFAULT_CHIP, **_object(doc.get("chip", {}), "chip")}
+    chip_cfg = _numbers(_object(doc.get("chip", {}), "chip"), "chip.", _DEFAULT_CHIP)
     for name in ("p_max", "p_ac_pp", "p_ac_avg", "eta_ac", "eta_dc"):
-        _require(float(chip_cfg[name]) > 0, f"chip.{name}", "must be positive")
+        _require(chip_cfg[name] > 0, f"chip.{name}", "must be positive")
     _require(chip_cfg["p_ac_pp"] <= chip_cfg["p_max"], "chip.p_ac_pp", "must not exceed chip.p_max")
     _require(chip_cfg["p_ac_avg"] <= chip_cfg["p_ac_pp"], "chip.p_ac_avg", "must not exceed chip.p_ac_pp")
     for name in ("eta_ac", "eta_dc"):
-        _require(float(chip_cfg[name]) <= 1.0, f"chip.{name}", "must be <= 1")
+        _require(chip_cfg[name] <= 1.0, f"chip.{name}", "must be <= 1")
     _require(chip_cfg["eta_ac"] <= chip_cfg["eta_dc"], "chip.eta_ac",
              "must not exceed chip.eta_dc")
     for name in ("theta_half_wide_deg", "theta_half_narrow_deg"):
-        _require(0.0 < float(chip_cfg[name]) < 90.0, f"chip.{name}", "must lie in (0, 90) degrees")
+        _require(0.0 < chip_cfg[name] < 90.0, f"chip.{name}", "must lie in (0, 90) degrees")
 
     n_grid_spacing, ap_positions = _expand_aps(doc.get("aps"), room)
-    cfg_c_n = int(doc.get("config_c_n", 2))
-    cell = doc.get("config_c_cell_size", n_grid_spacing)
+    cfg_c_n, cell = top["config_c_n"], 1.0
     if kind == "c":
         _require(cfg_c_n > 0 and cfg_c_n % 2 == 0, "config_c_n", "must be a positive multiple of 2")
-        _require(cell is not None and float(cell) > 0,
-                 "config_c_cell_size", "required when access points are listed explicitly")
+        cell = _numbers(doc, "", {"config_c_cell_size": n_grid_spacing or 0.0})
+        cell = cell["config_c_cell_size"]
+        _require(cell > 0, "config_c_cell_size",
+                 "must be positive; required when access points are listed explicitly")
     aps = tuple(
-        AccessPoint(i, pos, _build_chips(kind, pos, chip_cfg, cfg_c_n, float(cell or 1.0), desk))
+        AccessPoint(i, pos, _build_chips(kind, pos, chip_cfg, cfg_c_n, cell, desk))
         for i, pos in enumerate(ap_positions)
     )
     _require(len(aps) > 0, "aps", "at least one access point required")
@@ -281,17 +305,14 @@ def scenario_from_dict(doc: dict) -> Scenario:
     _require(isinstance(ch_raw, list) and len(ch_raw) > 0, "channels", "must be a non-empty list")
     channels = []
     for i, ch in enumerate(ch_raw):
-        bw = float(_object(ch, f"channels[{i}]").get("bandwidth_hz", 1e8))
+        bw = _numbers(_object(ch, f"channels[{i}]"), f"channels[{i}].",
+                      {"bandwidth_hz": 1e8})["bandwidth_hz"]
         _require(bw > 0, f"channels[{i}].bandwidth_hz", "must be positive")
         channels.append(Channel(i, bw))
 
-    rx_cfg = _object(doc.get("receiver", {}), "receiver")
-    receiver = Receiver(
-        area_m2=float(rx_cfg.get("area_m2", 1e-4)),
-        fov_half_deg=float(rx_cfg.get("fov_half_deg", 60.0)),
-        filter_gain=float(rx_cfg.get("filter_gain", 1.0)),
-        lens_index=float(rx_cfg.get("lens_index", 1.5)),
-    )
+    receiver = Receiver(**_numbers(_object(doc.get("receiver", {}), "receiver"), "receiver.",
+                                   {"area_m2": 1e-4, "fov_half_deg": 60.0,
+                                    "filter_gain": 1.0, "lens_index": 1.5}))
     _require(receiver.area_m2 > 0, "receiver.area_m2", "must be positive")
     _require(0.0 < receiver.fov_half_deg <= 90.0, "receiver.fov_half_deg", "must lie in (0, 90]")
     _require(receiver.filter_gain > 0, "receiver.filter_gain", "must be positive")
@@ -299,17 +320,14 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
     illum = _expand_illum(_object(doc.get("illum", {}), "illum"), room)
 
-    const_cfg = _object(doc.get("constants", {}), "constants")
-    constants = PhysicalConstants(
-        noise_variance=float(const_cfg.get("noise_variance", 4.7e-14)),
-        luminosity_efficacy=float(const_cfg.get("luminosity_efficacy", 300.0)),
-        responsivity=float(const_cfg.get("responsivity", 0.54)),
-    )
+    constants = PhysicalConstants(**_numbers(
+        _object(doc.get("constants", {}), "constants"), "constants.",
+        {"noise_variance": 4.7e-14, "luminosity_efficacy": 300.0, "responsivity": 0.54}))
     _require(constants.noise_variance > 0, "constants.noise_variance", "must be positive")
     _require(constants.luminosity_efficacy > 0, "constants.luminosity_efficacy", "must be positive")
     _require(constants.responsivity > 0, "constants.responsivity", "must be positive")
 
-    k = int(doc.get("association_k", 1))
+    k = top["association_k"]
     _require(1 <= k <= len(aps), "association_k", "must lie in [1, number of access points]")
 
     orientation = doc.get("rx_orientation")
@@ -340,8 +358,8 @@ def _expand_aps(raw: Any, room: Vec3) -> tuple[Optional[float], list[Vec3]]:
         g = _object(raw["grid"], "aps.grid")
         for key in ("nx", "ny", "spacing"):
             _require(key in g, f"aps.grid.{key}", "missing")
-        nx, ny = int(g["nx"]), int(g["ny"])
-        sp = float(g["spacing"])
+        g = _numbers(g, "aps.grid.", {"nx": 0, "ny": 0, "spacing": 0.0})
+        nx, ny, sp = g["nx"], g["ny"], g["spacing"]
         _require(nx > 0 and ny > 0, "aps.grid", "nx and ny must be positive")
         _require(sp > 0, "aps.grid.spacing", "must be positive")
         x0 = (room[0] - (nx - 1) * sp) / 2.0
@@ -354,21 +372,17 @@ def _expand_aps(raw: Any, room: Vec3) -> tuple[Optional[float], list[Vec3]]:
     positions = []
     for i, entry in enumerate(raw):
         pos = _object(entry, f"aps[{i}]").get("position")
-        _require(pos is not None and len(pos) == 3, f"aps[{i}].position", "must be [x, y, z]")
-        positions.append(tuple(float(v) for v in pos))
+        _require(isinstance(pos, (list, tuple)) and len(pos) == 3, f"aps[{i}].position", "must be [x, y, z]")
+        try:
+            positions.append(tuple(float(v) for v in pos))
+        except _NOT_NUMBERS:
+            raise ScenarioError(f"aps[{i}].position: must hold numbers") from None
     return None, positions
 
 
 def _build_chips(kind: str, ap_pos: Vec3, chip_cfg: dict, n: int, cell: float, desk: float) -> tuple[Chip, ...]:
-    wide = float(chip_cfg["theta_half_wide_deg"])
-    narrow = float(chip_cfg["theta_half_narrow_deg"])
-    common = dict(
-        p_max=float(chip_cfg["p_max"]),
-        p_ac_pp=float(chip_cfg["p_ac_pp"]),
-        p_ac_avg=float(chip_cfg["p_ac_avg"]),
-        eta_ac=float(chip_cfg["eta_ac"]),
-        eta_dc=float(chip_cfg["eta_dc"]),
-    )
+    common = dict(chip_cfg)  # the _DEFAULT_CHIP names: two angles, then Chip's power fields
+    wide, narrow = common.pop("theta_half_wide_deg"), common.pop("theta_half_narrow_deg")
     if kind == "a":
         return (Chip("sole", _VERTICAL, wide, wide, **common),)
     if kind == "b":
@@ -393,10 +407,9 @@ def _expand_uts(raw: Any, room: Vec3, desk: float) -> tuple[UserTerminal, ...]:
     _require(raw is not None, "uts", "missing")
     if isinstance(raw, dict):
         _require("count" in raw, "uts.count", "missing")
-        count = int(raw["count"])
+        spec = _numbers(raw, "uts.", {"count": 0, "seed": 0, "demand_bps": 2e7})
+        count, seed, demand = spec["count"], spec["seed"], spec["demand_bps"]
         _require(count > 0, "uts.count", "must be positive")
-        seed = int(raw.get("seed", 0))
-        demand = float(raw.get("demand_bps", 2e7))
         _require(demand >= 0, "uts.demand_bps", "must be >= 0")
         rng = np.random.default_rng(seed)
         xy = rng.uniform([0.0, 0.0], [room[0], room[1]], size=(count, 2))
@@ -407,36 +420,50 @@ def _expand_uts(raw: Any, room: Vec3, desk: float) -> tuple[UserTerminal, ...]:
     out = []
     for i, entry in enumerate(raw):
         pos = _object(entry, f"uts[{i}]").get("position")
-        _require(pos is not None and len(pos) in (2, 3), f"uts[{i}].position",
+        _require(isinstance(pos, (list, tuple)) and len(pos) in (2, 3), f"uts[{i}].position",
                  "must be [x, y] or [x, y, z]")
-        x, y = float(pos[0]), float(pos[1])
-        z = float(pos[2]) if len(pos) == 3 else desk
+        try:
+            x, y = float(pos[0]), float(pos[1])
+            z = float(pos[2]) if len(pos) == 3 else desk
+        except _NOT_NUMBERS:
+            raise ScenarioError(f"uts[{i}].position: must hold numbers") from None
         _require(abs(z - desk) <= 1e-9, f"uts[{i}].position", "must sit on the desk plane")
         _require(0.0 <= x <= room[0] and 0.0 <= y <= room[1], f"uts[{i}].position",
                  "must lie inside the room footprint")
-        demand = float(entry.get("demand_bps", 0.0))
+        # inline rather than through _numbers: this runs once per terminal
+        try:
+            demand = float(entry.get("demand_bps", 0.0))
+        except _NOT_NUMBERS:
+            raise ScenarioError(f"uts[{i}].demand_bps: must be a number") from None
         _require(demand >= 0, f"uts[{i}].demand_bps", "must be >= 0")
-        n_rx = int(entry.get("receivers", 1))
-        _require(n_rx >= 1, f"uts[{i}].receivers", "must be >= 1")
-        out.append(UserTerminal(i, (x, y, z), demand, n_rx))
+        n_rx = entry.get("receivers", 1)
+        try:
+            n = int(n_rx)
+        except _NOT_NUMBERS:
+            n = 0
+        _require(n == n_rx and n >= 1, f"uts[{i}].receivers", "must be a whole number >= 1")
+        out.append(UserTerminal(i, (x, y, z), demand, n))
     return tuple(out)
 
 
 def _expand_illum(raw: dict, room: Vec3) -> IlluminanceGrid:
-    lower = float(raw.get("lower_lux", 300.0))
-    upper = float(raw.get("upper_lux", 500.0))
-    ambient = float(raw.get("ambient_lux", 0.0))
+    num = _numbers(raw, "illum.", {"lower_lux": 300.0, "upper_lux": 500.0,
+                                    "ambient_lux": 0.0, "spacing": 0.25})
+    lower, upper, ambient = num["lower_lux"], num["upper_lux"], num["ambient_lux"]
     _require(lower >= 0, "illum.lower_lux", "must be >= 0")
     _require(upper >= lower, "illum.upper_lux", "must be >= illum.lower_lux")
     _require(ambient >= 0, "illum.ambient_lux", "must be >= 0")
     if "points" in raw:
-        pts = tuple((float(p[0]), float(p[1])) for p in raw["points"])
+        try:
+            pts = tuple((float(p[0]), float(p[1])) for p in raw["points"])
+        except (*_NOT_NUMBERS, IndexError):
+            raise ScenarioError("illum.points: must be a list of [x, y] numbers") from None
         _require(len(pts) > 0, "illum.points", "must be non-empty")
         for i, (x, y) in enumerate(pts):
             _require(0.0 <= x <= room[0] and 0.0 <= y <= room[1], f"illum.points[{i}]",
                      "must lie inside the room footprint")
         return IlluminanceGrid(lower, upper, ambient, pts, None)
-    spacing = float(raw.get("spacing", 0.25))
+    spacing = num["spacing"]
     _require(spacing > 0, "illum.spacing", "must be positive")
     xs = np.linspace(0.0, room[0], int(round(room[0] / spacing)) + 1)
     ys = np.linspace(0.0, room[1], int(round(room[1] / spacing)) + 1)

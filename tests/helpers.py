@@ -33,6 +33,25 @@ def tiny_config(n_uts=2, seed=1, demand_bps=5e6, channels=1, k=1, kind="a",
     return doc
 
 
+# (field the error must name, change to `tiny_config`): scalars of the wrong
+# type, and non-whole values in the integer fields
+WRONG_SCALARS = [
+    ("chip.p_max", {"chip": {"p_max": "abc"}}),
+    ("room", {"room": ["a", "b", "c"]}),
+    ("channels[0].bandwidth_hz", {"channels": [{"bandwidth_hz": "x"}]}),
+    ("illum.points", {"illum": {"points": [3.0]}}),
+    ("illum.lower_lux", {"illum": {"lower_lux": None}}),
+    ("uts.count", {"uts": {"count": "x"}}),
+    ("uts[0].position", {"uts": [{"position": 5}]}),
+    ("aps.grid.nx", {"aps": {"grid": {"nx": 2.5, "ny": 2, "spacing": 1.0}}}),
+    ("aps.grid.ny", {"aps": {"grid": {"nx": 2, "ny": "2", "spacing": 1.0}}}),
+    ("uts.count", {"uts": {"count": 2.5}}),
+    ("association_k", {"association_k": 1.5}),
+    ("config_c_n", {"config_kind": "c", "config_c_n": 2.5}),
+    ("uts[0].receivers", {"uts": [{"position": [1.0, 1.0], "receivers": 1.5}]}),
+]
+
+
 def tiny_instance(sir=3.0, **kw):
     return SchedulingInstance(scenario_from_dict(tiny_config(**kw)),
                               sir_threshold=sir)

@@ -235,6 +235,17 @@ def test_malformed_scenario_exits_with_code_2(tmp_path, capsys):
     assert "error: illum:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, change", helpers.WRONG_SCALARS)
+def test_wrong_scalar_in_scenario_exits_with_code_2(tmp_path, capsys, field, change):
+    doc = helpers.tiny_config(n_uts=1)
+    doc.update(change)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert f"error: {field}:" in capsys.readouterr().err
+
+
 def test_sweep_feasibility_never_recovers_as_threshold_grows():
     s = scenario_from_dict(helpers.tiny_config(n_uts=3, seed=2))
     _, _, table = sweep_sir(s, [1.0, 2.0, 4.0], epsilon=0.0)

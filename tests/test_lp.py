@@ -210,6 +210,34 @@ def _assert_matches_highs(p: LinearProgram):
     assert sol.objective == pytest.approx(ref.fun, abs=1e-6 * (1.0 + abs(ref.fun)))
     assert_primal_feasible(p, sol.x)
     assert_duals_consistent(p, sol)
+    assert_tableau_matches_basis(p, sol)
+
+
+def assert_tableau_matches_basis(p: LinearProgram, sol, tol: float = 1e-9):
+    """Replay the solve and check the compact tableau it ends with: its
+    slots, right side and reduced costs equal B^-1 [A | b] and c - c_B B^-1 A,
+    recomputed densely from the program and the solution's final basis."""
+    tab = lp_module._Tableau(p)
+    tab.solve(None)
+    basic, flip = sol.basis.basic, sol.basis.complemented
+    assert np.array_equal(tab.basic, basic) and np.array_equal(tab.flip, flip)
+    m, n = p.n_rows, p.n_vars
+    assert sorted(tab.nonbasic.tolist()) == sorted(set(range(n + m)) - set(basic.tolist()))
+    # the internal form: >= rows negated, one slack per row, x shifted by lb,
+    # complemented columns measured down from their upper bound
+    sign = np.array([-1.0 if r == ">=" else 1.0 for r in p.rel])
+    a = np.hstack([p.a * sign[:, None], np.eye(m)])
+    u = np.concatenate([p.ub - p.lb, [0.0 if r == "==" else np.inf for r in p.rel]])
+    c = np.concatenate([p.c, np.zeros(m)])
+    d = np.where(flip, -1.0, 1.0)
+    rhs = sign * (p.b - p.a @ p.lb) - a[:, flip] @ u[flip]
+    body = np.linalg.solve(a[:, basic] * d[basic], np.column_stack([a * d, rhs]))
+    reduced = c * d - (c * d)[basic] @ body[:, :-1]
+    close = dict(rtol=tol, atol=tol)
+    np.testing.assert_allclose(tab.t[:-1, :-1], body[:, tab.nonbasic], **close)
+    np.testing.assert_allclose(tab.t[:-1, -1], body[:, -1], **close)
+    np.testing.assert_allclose(tab.t[-1, :-1], reduced[tab.nonbasic], **close)
+    np.testing.assert_allclose(-tab.t[-1, -1], sol.objective - p.c @ p.lb, **close)
 
 
 def test_negative_costs_bounded_only_by_rows():
@@ -270,6 +298,36 @@ def test_beale_cycling_example_terminates():
     sol = solve_lp(p)
     assert sol.status is LpStatus.OPTIMAL
     assert sol.objective == pytest.approx(-1.25)
+    _assert_matches_highs(p)
+
+
+@pytest.mark.parametrize("c, a, rel, b, ub, x", [
+    # primal pass (x0 and x2 have negative costs and no upper bound): after
+    # the first pivot, row 1's slack (id 4) sits in slot 0 and ties with x2
+    # (id 2, slot 2) on the most negative reduced cost
+    ([-2.0, -1.0, -1.0], [[1.0, 1.0, 0.0], [2.0, -1.0, 0.0], [2.0, -2.0, 1.0]],
+     ("<=", ">=", "<="), [3.0, 0.0, 3.0], [np.inf, 1.0, np.inf], [0.5, 1.0, 4.0]),
+    # dual pass: after two pivots, row 0's slack (id 3) sits in slot 1 and
+    # ties with x2 (id 2, slot 2) in Harris's ratio test
+    ([0.0, -1.0, 1.0], [[0.0, 2.0, -1.0], [0.0, 1.0, -1.0], [2.0, -1.0, -1.0]],
+     ("<=", "<=", ">="), [3.0, 1.0, 2.0], [np.inf, 2.0, 2.0], [2.5, 2.0, 1.0]),
+])
+def test_ties_follow_column_ids_not_slots(monkeypatch, c, a, rel, b, ub, x):
+    # each program has two optimal vertices; entering x2, the lower id, leads
+    # to `x`, while the column stored first leads to the other one
+    ties = []
+    lowest_id = lp_module._Tableau._lowest_id
+
+    def recording(tab, slots):
+        ties.append(tab.nonbasic[slots].tolist())
+        return lowest_id(tab, slots)
+
+    monkeypatch.setattr(lp_module._Tableau, "_lowest_id", recording)
+    p = LinearProgram(c=c, a=a, rel=rel, b=b, ub=ub)
+    sol = solve_lp(p)
+    assert any(ids != sorted(ids) for ids in ties)  # a tie stored out of id order
+    assert sol.status is LpStatus.OPTIMAL
+    assert sol.x == pytest.approx(x, abs=1e-12)
     _assert_matches_highs(p)
 
 

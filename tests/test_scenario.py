@@ -1,7 +1,9 @@
 """Scenario loading, validation, derived geometry, and candidate links."""
 
+import functools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -55,6 +57,11 @@ def test_contradictory_brightness_band_rejected():
         scenario_from_dict(doc)
 
 
+def _changed(field, change, doc):
+    doc.update(change)
+    return field
+
+
 @pytest.mark.parametrize("mutate", [
     lambda d: d.update(room=[6.0, -1.0, 3.0]),
     lambda d: d.update(config_kind="z"),
@@ -82,11 +89,13 @@ def test_contradictory_brightness_band_rejected():
     lambda d: d.update(aps=[[0.5, 0.5, 3.0]]),
     lambda d: d.update(aps={"grid": 4}),
     lambda d: d.update(uts=[[1.0, 1.0]]),
+    # wrong scalars: these return the field their error must name
+    *(functools.partial(_changed, field, change) for field, change in helpers.WRONG_SCALARS),
 ])
 def test_invariant_violations_rejected(mutate):
     doc = helpers.tiny_config()
-    mutate(doc)
-    with pytest.raises(ScenarioError):
+    field = mutate(doc)
+    with pytest.raises(ScenarioError, match=field and "^" + re.escape(field) + ":"):
         scenario_from_dict(doc)
 
 
