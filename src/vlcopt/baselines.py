@@ -31,7 +31,7 @@ from .cg_scheduler import (
     SchedulingInstance,
     _SHORTFALL_TOL_BPS,
 )
-from .lp import LinearProgram, MilpStatus, MixedIntegerProgram, solve_milp
+from .lp import LinearProgram, LpStatus, MixedIntegerProgram, solve_milp
 from .scenario import Scenario
 
 
@@ -232,7 +232,7 @@ def mwis_schedule(
         ub[candidates] = 1.0
         lp = LinearProgram(c=c, a=a, rel=("<=",) * len(b), b=b, ub=ub)
         res = solve_milp(MixedIntegerProgram(lp, np.ones(L, dtype=bool)))
-        if res.status != MilpStatus.OPTIMAL or res.x is None:
+        if res.status != LpStatus.OPTIMAL or res.x is None:
             return []
         return sorted(int(i) for i in np.nonzero(res.x > 0.5)[0]
                       if int(i) in cand_set)

@@ -18,10 +18,10 @@ Every program is sliced from tables the instance holds: the lux each chip
 and each data beam gives every grid point, the transmitter budget table, and
 one cached block of conflict-clique and multiplicity-cap rows. Illuminance
 rows are generated lazily, by one loop that serves both the lighting LP and
-the pricing MILP: a program starts from a small working set of grid points,
-its solution is checked against the full grid, and violated rows join the
-working set until the check is clean. Solutions are exact for the full row
-set.
+the pricing MILP: an instance's working sets of grid points start empty, each
+solution is checked against the full grid, and the worst violated rows join
+the working set until the check is clean, so the sets hold only rows some
+solve violated. Solutions are exact for the full row set.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from .lp import (
     ABS_GAP,
     LinearProgram,
     LpStatus,
-    MilpStatus,
     MixedIntegerProgram,
     solve_lp,
     solve_milp,
@@ -61,6 +60,7 @@ RATE_SCALE = 1e6               # demand rows are expressed in Mbit/s
 SHORTFALL_COST = 1e6           # W per Mbit/s of unmet demand (big-M column)
 REDUCED_COST_TOL = 1e-9        # pricing outcome treated as non-negative above this
 ILLUM_SLACK = 1e-6             # lux tolerance when validating bounds
+MAX_ITERATIONS = 300           # column-generation iterations before ITERATION_LIMIT
 _ROW_CHECK_TOL = 5e-7          # lazy-row violation threshold (lux / W)
 _OMEGA_TOL = 1e-9
 _SHORTFALL_TOL_BPS = 1.0
@@ -225,12 +225,8 @@ class SchedulingInstance:
             draws &= tx[:, 1:] == [ln.chip_index for ln in self.links]
         self.budget = np.where(draws, self.p_ac_pp, 0.0)
 
-        # lazy working sets of illuminance grid rows
-        stride = max(1, K // 48)
-        seed = list(range(0, K, stride))
-        if K - 1 not in seed:
-            seed.append(K - 1)
-        self._start_rows(seed, seed)
+        # lazy working sets of illuminance grid rows: only rows some solve violated
+        self._start_rows((), ())
 
         self._p0: Optional[tuple[float, np.ndarray]] = None
         # single-link columns, with the lazy rows held right after they were built
@@ -410,7 +406,7 @@ class SchedulingInstance:
             self._initial = (tuple(cols), tuple(self._lo_rows), tuple(self._hi_rows))
         return list(self._initial[0])
 
-    def column_is_valid(self, col: IndependentSetColumn, tol: float = ILLUM_SLACK) -> bool:
+    def column_is_valid(self, col: IndependentSetColumn) -> bool:
         """Recheck independence, power budgets and the illuminance band."""
         if self.graph is not None and not is_independent(col.schedule, self.graph, self.s):
             return False
@@ -422,7 +418,8 @@ class SchedulingInstance:
             return False
         field = self.illuminance(dc, col.schedule.active)
         return bool(
-            np.all(field >= self.e_lo - tol) and np.all(field <= self.e_hi + tol)
+            np.all(field >= self.e_lo - ILLUM_SLACK)
+            and np.all(field <= self.e_hi + ILLUM_SLACK)
         )
 
     # -- restricted master ----------------------------------------------------
@@ -516,7 +513,7 @@ class SchedulingInstance:
                                   self.e_hi[self._hi_rows]]),
                 lb=lb, ub=ub)
             res = solve_milp(MixedIntegerProgram(lp, integer))
-            if res.status != MilpStatus.OPTIMAL or res.x is None:
+            if res.status != LpStatus.OPTIMAL or res.x is None:
                 raise CgError(f"pricing MILP failed with status {res.status}")
             active = tuple(int(i) for i in np.nonzero(res.x[:L] > 0.5)[0])
             dc = np.maximum(res.x[L:], 0.0)
@@ -530,8 +527,7 @@ class SchedulingInstance:
 
     # -- main loop -------------------------------------------------------------
 
-    def column_generation(self, epsilon: float,
-                          max_iterations: int = 300) -> CgSolution:
+    def column_generation(self, epsilon: float) -> CgSolution:
         if not 0.0 <= epsilon < 1.0:
             raise ValueError(f"epsilon={epsilon}: must lie in [0, 1)")
         self._require_graph()
@@ -545,7 +541,7 @@ class SchedulingInstance:
         rmp: Optional[RmpResult] = None
         reduced = math.nan
 
-        for it in range(1, max_iterations + 1):
+        for it in range(1, MAX_ITERATIONS + 1):
             t0 = time.monotonic()
             rmp = self.solve_rmp(pool)
             column, reduced, reduced_bound = self.solve_pricing(rmp.lambda_bps, rmp.mu)

@@ -68,13 +68,6 @@ class LpStatus(str, Enum):
     NUMERICAL = "numerical"
 
 
-class MilpStatus(str, Enum):
-    OPTIMAL = "optimal"
-    INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
-    NUMERICAL = "numerical"
-
-
 @dataclass
 class LinearProgram:
     """min c.x subject to a x {<=,>=,==} b and lb <= x <= ub (lb finite)."""
@@ -152,7 +145,7 @@ class MixedIntegerProgram:
 
 @dataclass
 class MilpSolution:
-    status: MilpStatus
+    status: LpStatus
     x: Optional[np.ndarray] = None
     objective: Optional[float] = None
     nodes: int = 0
@@ -454,11 +447,11 @@ def solve_milp(mip: MixedIntegerProgram) -> MilpSolution:
     root = solve_lp(p)
     nodes = 1
     if root.status == LpStatus.INFEASIBLE:
-        return MilpSolution(MilpStatus.INFEASIBLE, nodes=nodes)
+        return MilpSolution(LpStatus.INFEASIBLE, nodes=nodes)
     if root.status == LpStatus.UNBOUNDED:
-        return MilpSolution(MilpStatus.UNBOUNDED, nodes=nodes)
+        return MilpSolution(LpStatus.UNBOUNDED, nodes=nodes)
     if root.status == LpStatus.NUMERICAL:
-        return MilpSolution(MilpStatus.NUMERICAL, nodes=nodes)
+        return MilpSolution(LpStatus.NUMERICAL, nodes=nodes)
 
     counter = 0
     heap: list[tuple[float, int, np.ndarray, np.ndarray, LpSolution]] = []
@@ -492,15 +485,15 @@ def solve_milp(mip: MixedIntegerProgram) -> MilpSolution:
             if child.status == LpStatus.INFEASIBLE:
                 continue
             if child.status in (LpStatus.UNBOUNDED, LpStatus.NUMERICAL):
-                return MilpSolution(MilpStatus.NUMERICAL, best_x,
+                return MilpSolution(LpStatus.NUMERICAL, best_x,
                                     None if best_x is None else best_obj, nodes=nodes)
             if child.objective < best_obj - ABS_GAP:
                 counter += 1
                 heapq.heappush(heap, (child.objective, counter, lb2, ub2, child))
 
     if best_x is None:
-        return MilpSolution(MilpStatus.INFEASIBLE, nodes=nodes)
-    return MilpSolution(MilpStatus.OPTIMAL, best_x, best_obj, nodes)
+        return MilpSolution(LpStatus.INFEASIBLE, nodes=nodes)
+    return MilpSolution(LpStatus.OPTIMAL, best_x, best_obj, nodes)
 
 
 def _most_fractional(x: np.ndarray, int_idx: np.ndarray) -> Optional[int]:

@@ -240,26 +240,66 @@ def _wide_room(n_uts):
     """4 m room, luminaires 2 m apart, an 80-lux floor and 120 Mbit/s per
     terminal: still enumerable, but its optimum needs a priced two-link
     pattern (feasible with 3 terminals, infeasible with 4)."""
-    return helpers.tiny_config(
-        n_uts=n_uts, seed=3, demand_bps=1.2e8, room=[4.0, 4.0, 3.0],
-        aps={"grid": {"nx": 2, "ny": 2, "spacing": 2.0}},
-        illum={"lower_lux": 80.0, "upper_lux": 500.0, "spacing": 0.5,
+    return _enumerable("a", 2, 2.0, 1, 1, n_uts, 3, 1.2e8, 80.0, None)
+
+
+def _enumerable(kind, nx, spacing, channels, k, n_uts, seed, demand_bps, lower_lux,
+                beam):
+    """A room under an nx x nx luminaire grid `spacing` m apart, with at most
+    12 links; `beam` is (p_ac_pp, p_ac_avg) in W, or None for the default."""
+    doc = helpers.tiny_config(
+        n_uts=n_uts, seed=seed, demand_bps=demand_bps, channels=channels, k=k,
+        kind=kind, room=[nx * spacing, nx * spacing, 3.0],
+        aps={"grid": {"nx": nx, "ny": nx, "spacing": spacing}},
+        illum={"lower_lux": lower_lux, "upper_lux": 500.0, "spacing": 0.5,
                "ambient_lux": 0.0})
-
-
-def _strong_beams(seed, p_ac_avg):
-    """Layout c with 5 W data beams, which eat into their access point's
-    lighting budget; at 2 W average they also push desks past the ceiling.
-    So the transmitter budget and upper illuminance rows bind in pricing."""
-    doc = helpers.tiny_config(n_uts=4, seed=seed, demand_bps=1.2e8, kind="c")
-    doc["chip"].update(p_ac_pp=5.0, p_ac_avg=p_ac_avg)
+    if beam is not None:
+        doc["chip"].update(p_ac_pp=beam[0], p_ac_avg=beam[1])
     return doc
 
 
+# `_enumerable` arguments, then whether the demands can be met. Every input
+# needs pricing: two or more iterations and an active pattern of two or more
+# links. The first two are layout c with 5 W data beams, which eat into
+# their access point's lighting budget; at 2 W average they also push desks
+# past the ceiling. So the transmitter budget and upper illuminance rows
+# bind in pricing. The rest were drawn from 2x2 and 3x3 luminaire grids,
+# layouts a, b and c, one or two channels, association_k 1 or 2, lower
+# bounds of 80-300 lux and demands of 20-400 Mbit/s, some unmeetable.
+_PRICED_CORPUS = (
+    ("c", 2, 1.0, 1, 1, 4, 3, 1.2e8, 300.0, (5.0, 0.05), True),
+    ("c", 2, 1.0, 1, 1, 4, 2, 1.2e8, 300.0, (5.0, 2.0), False),
+    ("a", 2, 1.0, 2, 2, 2, 4, 2e8, 300.0, None, True),
+    ("a", 2, 1.0, 2, 2, 3, 19, 4e8, 150.0, None, False),
+    ("a", 2, 1.5, 1, 1, 5, 12, 1.2e8, 150.0, None, True),
+    ("a", 2, 1.5, 2, 1, 2, 22, 2e8, 150.0, None, True),
+    ("a", 2, 1.5, 2, 2, 2, 14, 4e8, 150.0, None, False),
+    ("a", 2, 2.0, 2, 2, 2, 6, 2e8, 80.0, None, True),
+    ("a", 3, 1.0, 1, 1, 4, 13, 4e8, 150.0, None, False),
+    ("a", 3, 1.0, 1, 2, 3, 3, 2e8, 150.0, None, True),
+    ("b", 2, 1.0, 1, 1, 3, 7, 2e8, 80.0, (5.0, 2.0), True),
+    ("b", 2, 1.0, 1, 1, 3, 13, 6e7, 300.0, (5.0, 0.05), True),
+    ("b", 2, 1.0, 2, 1, 6, 8, 4e8, 300.0, (5.0, 0.05), False),
+    ("b", 2, 1.0, 2, 2, 2, 18, 2e8, 300.0, (5.0, 0.05), True),
+    ("b", 2, 1.5, 1, 1, 5, 14, 4e8, 150.0, (1.0, 0.5), False),
+    ("b", 2, 2.0, 2, 1, 2, 20, 4e8, 80.0, None, True),
+    ("b", 3, 1.0, 1, 1, 4, 17, 6e7, 80.0, (5.0, 2.0), True),
+    ("b", 3, 1.0, 1, 1, 5, 14, 4e8, 150.0, (5.0, 2.0), True),
+    ("b", 3, 1.5, 1, 2, 3, 28, 2e7, 80.0, (5.0, 2.0), True),
+    ("c", 2, 1.0, 2, 1, 2, 3, 2e7, 300.0, (5.0, 0.05), True),
+    ("c", 3, 1.0, 1, 1, 4, 2, 4e8, 150.0, None, False),
+    ("c", 3, 1.0, 1, 1, 4, 20, 4e8, 300.0, (1.0, 0.5), True),
+    ("c", 3, 1.0, 1, 1, 5, 20, 4e8, 150.0, None, False),
+    ("c", 3, 1.0, 1, 2, 2, 21, 6e7, 300.0, (1.0, 0.5), True),
+    ("c", 3, 1.0, 2, 2, 2, 16, 6e7, 300.0, (5.0, 0.05), True),
+    ("c", 3, 1.5, 2, 2, 2, 25, 4e8, 150.0, (5.0, 2.0), True),
+)
+
+
 def test_matches_full_enumeration():
-    cases = ((helpers.tiny_config(n_uts=4, seed=7), False, True),
-             (_wide_room(3), True, True), (_wide_room(4), True, False),
-             (_strong_beams(3, 0.05), True, True), (_strong_beams(2, 2.0), True, False))
+    cases = [(helpers.tiny_config(n_uts=4, seed=7), False, True),
+             (_wide_room(3), True, True), (_wide_room(4), True, False)]
+    cases += [(_enumerable(*spec), True, feasible) for *spec, feasible in _PRICED_CORPUS]
     for cfg, priced, feasible in cases:
         inst = SchedulingInstance(scenario_from_dict(cfg), sir_threshold=3.0)
         calls = []

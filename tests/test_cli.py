@@ -253,10 +253,11 @@ def test_sweep_feasibility_never_recovers_as_threshold_grows():
     assert flags == sorted(flags, reverse=True)
 
 
-def _loaded_office():
-    """Six terminals at 120 Mbit/s on a 0.5 m desk grid: the optimum mixes
-    multi-link patterns and pricing adds lazy rows at every threshold."""
-    cfg = default_config(n_uts=6, seed=2, demand_bps=1.2e8)
+def _loaded_office(n_uts=6):
+    """Terminals at 120 Mbit/s on a 0.5 m desk grid: with six, the optimum
+    mixes multi-link patterns; with ten, pricing at threshold 2 adds a lazy
+    lower row to those the initial columns left."""
+    cfg = default_config(n_uts=n_uts, seed=2, demand_bps=1.2e8)
     cfg["illum"] = dict(cfg["illum"], spacing=0.5)
     return scenario_from_dict(cfg)
 
@@ -315,22 +316,22 @@ def test_sweep_solves_single_link_lighting_once(monkeypatch):
 
 
 def test_derived_instances_share_no_pricing_state():
-    s = _loaded_office()
+    s = _loaded_office(n_uts=10)
     base = SchedulingInstance(s)
 
     def rows(inst):
         return (list(inst._lo_rows), list(inst._hi_rows),
                 set(inst._lo_set), set(inst._hi_set))
 
-    one, four = base.at_sir_threshold(1.0), base.at_sir_threshold(4.0)
+    two, four = base.at_sir_threshold(2.0), base.at_sir_threshold(4.0)
     before_base, before_four = rows(base), rows(four)
-    assert rows(one) == before_four
-    one.column_generation(0.0)
-    assert rows(one) != before_four  # pricing grew this working set ...
+    assert rows(two) == before_four
+    two.column_generation(0.0)
+    assert rows(two) != before_four  # pricing grew this working set ...
     assert rows(base) == before_base  # ... and no other
     assert rows(four) == before_four
     # an instance derived from one that has priced starts clean as well
-    again = one.at_sir_threshold(4.0).column_generation(0.0)
+    again = two.at_sir_threshold(4.0).column_generation(0.0)
     fresh = SchedulingInstance(s, sir_threshold=4.0).column_generation(0.0)
     assert _solution_key(again) == _solution_key(fresh)
 

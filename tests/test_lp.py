@@ -13,7 +13,6 @@ from vlcopt import lp as lp_module
 from vlcopt.lp import (
     LinearProgram,
     LpStatus,
-    MilpStatus,
     MixedIntegerProgram,
     solve_lp,
     solve_milp,
@@ -348,7 +347,7 @@ def test_knapsack_matches_exhaustion():
         if sum(w * t for w, t in zip(weights, take)) <= cap
     )
     sol = solve_milp(_knapsack(values, weights, cap))
-    assert sol.status is MilpStatus.OPTIMAL
+    assert sol.status is LpStatus.OPTIMAL
     assert sol.objective == pytest.approx(best)
     assert np.allclose(sol.x, np.round(sol.x), atol=1e-9)
     # two packings are worth 5 here; the tree lands on the second
@@ -373,7 +372,7 @@ def test_deeper_knapsack_matches_exhaustion_with_warm_children(monkeypatch):
 
     monkeypatch.setattr(lp_module, "solve_lp", counting)
     sol = solve_milp(_knapsack(values, weights, cap))
-    assert sol.status is MilpStatus.OPTIMAL
+    assert sol.status is LpStatus.OPTIMAL
     assert sol.nodes > 3
     assert sol.objective == pytest.approx(best)
     assert np.allclose(sol.x, np.round(sol.x), atol=1e-9)
@@ -383,7 +382,7 @@ def test_deeper_knapsack_matches_exhaustion_with_warm_children(monkeypatch):
 def test_integral_relaxation_needs_one_node():
     lp = LinearProgram(c=[-1.0], a=[[1.0]], rel=("<=",), b=[1.0], ub=[1.0])
     sol = solve_milp(MixedIntegerProgram(lp, np.array([True])))
-    assert sol.status is MilpStatus.OPTIMAL
+    assert sol.status is LpStatus.OPTIMAL
     assert sol.nodes == 1
     assert sol.objective == pytest.approx(-1.0)
 
@@ -393,7 +392,7 @@ def test_fractional_equality_infeasible_in_integers():
     lp = LinearProgram(c=[1.0, 1.0], a=[[2.0, 2.0]], rel=("==",), b=[1.0],
                        ub=[1.0, 1.0])
     sol = solve_milp(MixedIntegerProgram(lp, np.array([True, True])))
-    assert sol.status is MilpStatus.INFEASIBLE
+    assert sol.status is LpStatus.INFEASIBLE
 
 
 def test_random_binary_programs_match_exhaustion():
@@ -415,7 +414,7 @@ def test_random_binary_programs_match_exhaustion():
                 best = min(best, float(c @ x))
         sol = solve_milp(MixedIntegerProgram(lp, np.ones(n, dtype=bool)))
         if math.isinf(best):
-            assert sol.status is MilpStatus.INFEASIBLE, trial
+            assert sol.status is LpStatus.INFEASIBLE, trial
         else:
-            assert sol.status is MilpStatus.OPTIMAL, trial
+            assert sol.status is LpStatus.OPTIMAL, trial
             assert sol.objective == pytest.approx(best, abs=1e-7)
