@@ -22,6 +22,15 @@ the pricing MILP: an instance's working sets of grid points start empty, each
 solution is checked against the full grid, and the worst violated rows join
 the working set until the check is clean, so the sets hold only rows some
 solve violated. Solutions are exact for the full row set.
+
+Each program starts from the last optimal basis of its kind, carried by
+label across the rows and columns added since (`lp.carry_basis`): every
+lighting LP from the lighting floor's basis (rows labelled by grid point),
+each restricted master from the previous master's (columns labelled by
+pattern; a new one starts at zero), and each pricing MILP's root from the
+previous root's (rows labelled by static row index and grid point); a
+lazy-row round after the first starts from the round before. Only the first
+program of each kind starts cold.
 """
 
 from __future__ import annotations
@@ -47,9 +56,11 @@ from .conflict import (
 )
 from .lp import (
     ABS_GAP,
+    Basis,
     LinearProgram,
     LpStatus,
     MixedIntegerProgram,
+    carry_basis,
     solve_lp,
     solve_milp,
 )
@@ -66,6 +77,8 @@ _OMEGA_TOL = 1e-9
 _SHORTFALL_TOL_BPS = 1.0
 
 _Answer = TypeVar("_Answer")
+# a final basis with the row labels and column labels of its program
+_Held = tuple[Basis, list, list]
 
 
 class CgStatus(str, Enum):
@@ -233,6 +246,11 @@ class SchedulingInstance:
         self._initial: Optional[tuple[tuple[IndependentSetColumn, ...],
                                       tuple[int, ...], tuple[int, ...]]] = None
         self._static_rows: Optional[tuple] = None
+        # the last optimal basis of each kind of program: the lighting floor,
+        # the restricted master and the pricing MILP's root
+        self._floor_basis: Optional[_Held] = None
+        self._rmp_basis: Optional[_Held] = None
+        self._pricing_basis: Optional[_Held] = None
 
     def _start_rows(self, lo: Sequence[int], hi: Sequence[int]) -> None:
         self._lo_rows: list[int] = list(lo)
@@ -246,11 +264,13 @@ class SchedulingInstance:
         if they are not yet); only the conflict graph is built anew.
 
         The lazy rows start from a copy of those held right after the initial
-        columns were built. So when this instance built them before solving
-        anything else, the result solves exactly as
-        `SchedulingInstance(s, sir_threshold)` does. The lazy rows are the
-        only state pricing changes, and pricing on the result adds rows to no
-        other instance.
+        columns were built, the master and the pricing MILP start cold (the
+        conflict graph differs), and the lighting floor's basis, which no
+        later solve changes, is shared. So when this instance built the
+        initial columns before solving anything else, the result solves
+        exactly as `SchedulingInstance(s, sir_threshold)` does. The lazy rows
+        and the master and pricing bases are the only state a solve changes,
+        and solving the result changes them on no other instance.
         """
         self.initial_columns()
         _, lo, hi = self._initial
@@ -259,6 +279,7 @@ class SchedulingInstance:
         inst.sir_threshold = float(sir_threshold)
         inst._start_rows(lo, hi)
         inst._static_rows = None
+        inst._rmp_basis = inst._pricing_basis = None
         return inst
 
     # -- lighting -----------------------------------------------------------
@@ -298,6 +319,9 @@ class SchedulingInstance:
     def _dc_caps_for(self, active: Sequence[int]) -> np.ndarray:
         return self.dc_cap - self.budget[:, list(active)].sum(1)
 
+    def _lighting_rows(self) -> list:
+        return [("lo", k) for k in self._lo_rows] + [("hi", k) for k in self._hi_rows]
+
     def _solve_dc(self, active: tuple[int, ...]) -> np.ndarray:
         ac = self._ac_field(active)
         lo = self.e_lo - ac
@@ -320,27 +344,36 @@ class SchedulingInstance:
                 "lower illuminance bound exceeds what capped chips can deliver")
 
         cost = 1.0 / self.dc_eta
+        chips = list(range(len(cost)))
+        # each round starts from the last one's basis, the first from the
+        # floor's: only right sides, caps and added rows differ, so it stays
+        # dual feasible. Lower rows whose right side is <= 0 stay in the LP
+        # (redundant, as lux and powers are nonnegative) so that rows line up
+        held = self._floor_basis
 
         def solve() -> tuple[np.ndarray, np.ndarray]:
-            lo_rows = np.array(self._lo_rows, dtype=int)
-            need = lo_rows[lo[lo_rows] > 0.0]
-            hi_rows = np.array(self._hi_rows, dtype=int)
+            nonlocal held
+            rows = self._lighting_rows()
             sol = solve_lp(LinearProgram(
                 c=cost,
-                a=self.dc_light[:, np.concatenate([need, hi_rows])].T,
-                rel=(">=",) * len(need) + ("<=",) * len(hi_rows),
-                b=np.concatenate([lo[need], hi[hi_rows]]),
+                a=self.dc_light[:, self._lo_rows + self._hi_rows].T,
+                rel=(">=",) * len(self._lo_rows) + ("<=",) * len(self._hi_rows),
+                b=np.concatenate([lo[self._lo_rows], hi[self._hi_rows]]),
                 ub=caps,
-            ))
+            ), _warm=_carried(held, rows, chips))
             if sol.status == LpStatus.INFEASIBLE:
                 raise IlluminationInfeasible(
                     -1, (), "conflicting lower and upper bounds across grid points")
             if sol.status != LpStatus.OPTIMAL:
                 raise CgError(f"lighting LP failed with status {sol.status}")
+            held = (sol.basis, rows, chips)
             dc = np.maximum(sol.x, 0.0)
             return dc, dc @ self.dc_light
 
-        return self._with_lazy_rows("lighting", solve, lo, hi)
+        dc = self._with_lazy_rows("lighting", solve, lo, hi)
+        if not active and self._floor_basis is None:
+            self._floor_basis = held
+        return dc
 
     def _with_lazy_rows(self, what: str, solve: Callable[[], tuple[_Answer, np.ndarray]],
                         lo: np.ndarray, hi: np.ndarray) -> _Answer:
@@ -392,7 +425,9 @@ class SchedulingInstance:
 
     def initial_columns(self) -> list[IndependentSetColumn]:
         """One column per link that admits lighting on its own, solved once
-        (after the lighting floor) and returned as a new list on every call."""
+        (after the lighting floor) and returned as a new list on every call;
+        empty when no link does, and the master then buys every demand as
+        shortfall until pricing finds a pattern."""
         if self._initial is None:
             self.min_illumination_power()
             cols = []
@@ -401,8 +436,6 @@ class SchedulingInstance:
                     cols.append(self.build_column((i,)))
                 except IlluminationInfeasible:
                     continue  # a beam nobody can light around; unusable as a column
-            if not cols:
-                raise CgError("no candidate link admits a lighting-feasible column")
             self._initial = (tuple(cols), tuple(self._lo_rows), tuple(self._hi_rows))
         return list(self._initial[0])
 
@@ -436,9 +469,15 @@ class SchedulingInstance:
         a[:M, Q:] = np.eye(M)
         a[M, :Q] = 1.0
         b = np.append(self.demands / RATE_SCALE, 1.0)
-        sol = solve_lp(LinearProgram(c=c, a=a, rel=(">=",) * M + ("<=",), b=b))
+        # a pattern new since the last master enters nonbasic at zero, which
+        # keeps that master's basis primal feasible
+        rows = list(range(M + 1))
+        cols = [col.schedule.active for col in columns] + [("shortfall", j) for j in range(M)]
+        sol = solve_lp(LinearProgram(c=c, a=a, rel=(">=",) * M + ("<=",), b=b),
+                       _warm=_carried(self._rmp_basis, rows, cols))
         if sol.status != LpStatus.OPTIMAL:
             raise CgError(f"restricted master LP failed with status {sol.status}")
+        self._rmp_basis = (sol.basis, rows, cols)
         omega = np.maximum(sol.x[:Q], 0.0)
         shortfall = np.maximum(sol.x[Q:], 0.0) * RATE_SCALE
         lam = np.maximum(sol.duals[:M], 0.0) / RATE_SCALE
@@ -501,20 +540,28 @@ class SchedulingInstance:
                             [self.budget, np.eye(T)]])
         fixed_b = np.concatenate([static_b, self.dc_cap])
 
+        # the root starts from the last root's basis: between calls only the
+        # costs differ, so it stays primal feasible; between lazy rounds only
+        # rows are added, so it stays dual feasible
+        cols = list(range(n))
+
         def solve() -> tuple[tuple[float, tuple[int, ...], np.ndarray], np.ndarray]:
-            rows = self._lo_rows + self._hi_rows
+            grid = self._lo_rows + self._hi_rows
+            rows = list(range(len(fixed_b))) + self._lighting_rows()
             lp = LinearProgram(
                 c=c,
-                a=np.vstack([fixed_a, np.hstack([self.ac_light[:, rows].T,
-                                                 self.dc_light[:, rows].T])]),
+                a=np.vstack([fixed_a, np.hstack([self.ac_light[:, grid].T,
+                                                 self.dc_light[:, grid].T])]),
                 rel=(("<=",) * len(fixed_b) + (">=",) * len(self._lo_rows)
                      + ("<=",) * len(self._hi_rows)),
                 b=np.concatenate([fixed_b, self.e_lo[self._lo_rows],
                                   self.e_hi[self._hi_rows]]),
                 lb=lb, ub=ub)
-            res = solve_milp(MixedIntegerProgram(lp, integer))
+            res = solve_milp(MixedIntegerProgram(lp, integer),
+                             _warm=_carried(self._pricing_basis, rows, cols))
             if res.status != LpStatus.OPTIMAL or res.x is None:
                 raise CgError(f"pricing MILP failed with status {res.status}")
+            self._pricing_basis = (res.root_basis, rows, cols)
             active = tuple(int(i) for i in np.nonzero(res.x[:L] > 0.5)[0])
             dc = np.maximum(res.x[L:], 0.0)
             return (float(res.objective), active, dc), self.illuminance(dc, active)
@@ -654,6 +701,11 @@ class SchedulingInstance:
             iteration_log=sol.iteration_log,
             wall_ms=(time.monotonic() - t0) * 1e3,
         )
+
+
+def _carried(held: Optional[_Held], rows: list, cols: list) -> Optional[Basis]:
+    """A held basis carried into the program labelled `rows` and `cols`."""
+    return None if held is None else carry_basis(*held, rows, cols)
 
 
 def _clique_cover(adjacency: np.ndarray) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Self-contained linear programming with exact dual extraction.
 
 A bounded-variable dense tableau solved by the dual simplex method. Each row
-gets one slack and the slack basis is the start (`>=` rows are negated, an
-`==` row's slack is fixed at zero). Finite upper bounds enter the ratio
+gets one slack and the slack basis is the cold start (`>=` rows are negated,
+an `==` row's slack is fixed at zero). Finite upper bounds enter the ratio
 tests instead of becoming rows, and a nonbasic variable at its upper bound
 is complemented (x = u - x'). Complementing the negative-cost columns that
 have a finite bound makes the slack basis dual feasible for every program
@@ -27,14 +27,23 @@ been rebuilt from a fresh solve with the basis. The optimal basis is
 re-solved explicitly for primal values and row duals at full precision, and
 feasibility and strong duality are checked before OPTIMAL is reported.
 
+A solve can start warm from a basis (basic columns and complement flags,
+not the tableau) of a program with the same rows and columns; `carry_basis`
+maps one across added rows, whose slacks become basic, and added columns,
+which start nonbasic at their lower bounds. The tableau is rebuilt from the
+basis with one dense solve against the nonbasic columns and the right side.
+A dual feasible basis, such as the one a program keeps when only its right
+sides, bounds or rows change, continues with dual pivots and then primal
+ones; a primal feasible basis, such as the one it keeps when only its costs
+change or columns are added, continues with primal pivots alone. A basis
+that is singular, does not fit the program, or is neither primal nor dual
+feasible is dropped for the cold slack start.
+
 Branch and bound uses most-fractional branching and best-bound search. Its
 incumbents come from the tree alone: under best-bound order, a seed no
 better than the optimum could spare only nodes whose bound lies within
-ABS_GAP of it. An open node keeps its LP's final basis (basic columns and
-complement flags, not the tableau); a child rebuilds its tableau from it
-with one dense solve against the nonbasic columns and the right side, and
-continues with dual pivots, or starts cold if that basis is singular or not
-dual feasible.
+ABS_GAP of it. The root starts from a caller's basis when given one, and an
+open node keeps its LP's final basis, from which its children start.
 
 Problem sizes here are desk scale (at most a couple of thousand columns), so
 a dense tableau is deliberate: it keeps the pivot arithmetic transparent and
@@ -47,7 +56,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import Hashable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -149,6 +158,7 @@ class MilpSolution:
     x: Optional[np.ndarray] = None
     objective: Optional[float] = None
     nodes: int = 0
+    root_basis: Optional[Basis] = None  # the root relaxation's final basis
 
 
 # ---------------------------------------------------------------------------
@@ -257,20 +267,33 @@ class _Tableau:
             self._dual(cost)
             if not np.array_equal(cost, self.c0):
                 self._price(self.c0)
-        else:
+        elif self._dual_feasible():
             self._dual(self.c0)
         self._primal()
 
     def _load_warm(self, warm: Basis) -> bool:
         """Load a basis of another program with the same rows and columns;
-        False if it is singular or not dual feasible here."""
+        False if it does not fit them, is singular, or is neither dual nor
+        primal feasible here."""
+        basic, flip = np.asarray(warm.basic), np.asarray(warm.complemented)
+        total = self.c0.shape[0]
+        if (basic.shape != (self.m,) or flip.shape != (total,) or flip.dtype != bool
+                or basic.dtype.kind not in "iu" or np.unique(basic).size != self.m
+                or not np.all((basic >= 0) & (basic < total))):
+            return False
         try:
-            self._load(warm.basic, warm.complemented, self.c0)
+            self._load(basic, flip, self.c0)
         except np.linalg.LinAlgError:
             return False
         return bool(np.all(np.isfinite(self.t))
-                    and not np.any((self.t[-1, :-1] < -self.rc_tol)
-                                   & self.movable[self.nonbasic]))
+                    and (self._dual_feasible() or self._primal_feasible()))
+
+    def _dual_feasible(self) -> bool:
+        return not np.any((self.t[-1, :-1] < -self.rc_tol) & self.movable[self.nonbasic])
+
+    def _primal_feasible(self) -> bool:
+        beta = self.t[:-1, -1]
+        return not np.any((beta < -_BOUND_TOL) | (beta > self.u[self.basic] + _BOUND_TOL))
 
     def _dual(self, cost: np.ndarray) -> None:
         """Dual simplex pivots from a dual feasible basis to primal feasibility."""
@@ -373,7 +396,7 @@ def solve_lp(p: LinearProgram, _warm: Optional[Basis] = None) -> LpSolution:
     """Solve a linear program; duals follow the shadow-price convention
     (dual of a >= row is >= 0, of a <= row is <= 0, of an equality free).
     `_warm` is a basis of a program with the same rows and columns, such as
-    a branch-and-bound parent's, to start from."""
+    a branch-and-bound parent's or one from `carry_basis`, to start from."""
     try:
         tab = _Tableau(p)
     except _Infeasible:
@@ -395,6 +418,31 @@ def solve_lp(p: LinearProgram, _warm: Optional[Basis] = None) -> LpSolution:
               else LpStatus.NUMERICAL)
     return LpSolution(status, x=x, objective=objective, duals=duals,
                       iterations=tab.iterations, basis=Basis(tab.basic, tab.flip))
+
+
+def carry_basis(basis: Basis, rows: Sequence[Hashable], cols: Sequence[Hashable],
+                new_rows: Sequence[Hashable], new_cols: Sequence[Hashable],
+                ) -> Optional[Basis]:
+    """`basis` of a program whose rows and columns are labelled `rows` and
+    `cols`, carried into a program labelled `new_rows` and `new_cols`: each
+    row the new program adds gets its slack basic, and each column it adds
+    sits nonbasic at its lower bound. None when an old label is missing from
+    the new program or a new label repeats."""
+    n, total = len(new_cols), len(new_cols) + len(new_rows)
+    col_at = {label: j for j, label in enumerate(new_cols)}
+    row_at = {label: n + i for i, label in enumerate(new_rows)}
+    if len(col_at) != n or len(row_at) != len(new_rows):
+        return None
+    try:
+        ids = np.array([col_at[c] for c in cols] + [row_at[r] for r in rows], dtype=int)
+    except KeyError:
+        return None
+    flip = np.zeros(total, dtype=bool)
+    flip[ids] = basis.complemented
+    added = np.ones(total, dtype=bool)
+    added[:n] = False
+    added[ids[len(cols):]] = False
+    return Basis(np.concatenate([ids[basis.basic], np.flatnonzero(added)]), flip)
 
 
 def _feasible(p: LinearProgram, x: np.ndarray) -> bool:
@@ -430,28 +478,25 @@ def _verify(p: LinearProgram, x: np.ndarray, duals_int: np.ndarray,
 # branch and bound
 
 
-def solve_milp(mip: MixedIntegerProgram) -> MilpSolution:
+def solve_milp(mip: MixedIntegerProgram, _warm: Optional[Basis] = None) -> MilpSolution:
     """Branch-and-bound over LP relaxations.
 
     Branches on the most fractional integer variable (ties to the lowest
     index), explores nodes in best-bound order, and runs until the tree is
     exhausted, pruning nodes whose bound is within ABS_GAP of the incumbent;
     so no integer point beats an OPTIMAL objective by more than ABS_GAP.
-    Children start from their parent's final basis.
+    The root starts from `_warm` (as `solve_lp` does) and its final basis is
+    returned as `root_basis`; children start from their parent's final basis.
     """
     p = mip.lp
     int_idx = np.nonzero(mip.integer)[0]
 
     best_x: Optional[np.ndarray] = None
     best_obj = math.inf
-    root = solve_lp(p)
+    root = solve_lp(p, _warm=_warm)
     nodes = 1
-    if root.status == LpStatus.INFEASIBLE:
-        return MilpSolution(LpStatus.INFEASIBLE, nodes=nodes)
-    if root.status == LpStatus.UNBOUNDED:
-        return MilpSolution(LpStatus.UNBOUNDED, nodes=nodes)
-    if root.status == LpStatus.NUMERICAL:
-        return MilpSolution(LpStatus.NUMERICAL, nodes=nodes)
+    if root.status != LpStatus.OPTIMAL:
+        return MilpSolution(root.status, nodes=nodes)
 
     counter = 0
     heap: list[tuple[float, int, np.ndarray, np.ndarray, LpSolution]] = []
@@ -486,14 +531,14 @@ def solve_milp(mip: MixedIntegerProgram) -> MilpSolution:
                 continue
             if child.status in (LpStatus.UNBOUNDED, LpStatus.NUMERICAL):
                 return MilpSolution(LpStatus.NUMERICAL, best_x,
-                                    None if best_x is None else best_obj, nodes=nodes)
+                                    None if best_x is None else best_obj, nodes, root.basis)
             if child.objective < best_obj - ABS_GAP:
                 counter += 1
                 heapq.heappush(heap, (child.objective, counter, lb2, ub2, child))
 
     if best_x is None:
-        return MilpSolution(LpStatus.INFEASIBLE, nodes=nodes)
-    return MilpSolution(LpStatus.OPTIMAL, best_x, best_obj, nodes)
+        return MilpSolution(LpStatus.INFEASIBLE, nodes=nodes, root_basis=root.basis)
+    return MilpSolution(LpStatus.OPTIMAL, best_x, best_obj, nodes, root.basis)
 
 
 def _most_fractional(x: np.ndarray, int_idx: np.ndarray) -> Optional[int]:

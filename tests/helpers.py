@@ -33,6 +33,28 @@ def tiny_config(n_uts=2, seed=1, demand_bps=5e6, channels=1, k=1, kind="a",
     return doc
 
 
+def unlit_links_config():
+    """A 4 m room under 2x2 luminaires 2 m apart, layout c, 5 W data beams
+    and a 150-lux floor: the lighting floor solves, but every data beam
+    draws so much of its access point's budget that a desk corner goes
+    dark, so no link admits lighting on its own."""
+    doc = tiny_config(n_uts=5, seed=3, demand_bps=4e8, kind="c", room=[4.0, 4.0, 3.0],
+                      aps={"grid": {"nx": 2, "ny": 2, "spacing": 2.0}},
+                      illum={"lower_lux": 150.0, "upper_lux": 500.0, "spacing": 0.5,
+                             "ambient_lux": 0.0})
+    doc["chip"].update(p_ac_pp=5.0)
+    return doc
+
+
+def bright_beam_config():
+    """Six terminals under 2x2 luminaires, layout b, with 5 W data beams:
+    pricing at any SIR threshold adds an upper illuminance row to those the
+    initial columns left."""
+    doc = tiny_config(n_uts=6, seed=8, demand_bps=4e8, channels=2, kind="b")
+    doc["chip"].update(p_ac_pp=5.0)
+    return doc
+
+
 # (field the error must name, change to `tiny_config`): scalars of the wrong
 # type, and non-whole values in the integer fields
 WRONG_SCALARS = [

@@ -8,6 +8,7 @@ import pytest
 
 import helpers
 from vlcopt import cg_scheduler
+from vlcopt import lp as lp_module
 from vlcopt.capacity import physical_capacity
 from vlcopt.cg_scheduler import (
     CgStatus,
@@ -348,8 +349,53 @@ def test_pricing_solves_no_lighting_lp(monkeypatch):
     col, reduced, _ = inst.solve_pricing(rmp.lambda_bps, rmp.mu)
     assert len(col.schedule.active) >= 2
     assert inst.column_is_valid(col)
+    # a few ulps: both sides sum terms near 3.3e8 W, in different orders
     assert reduced == pytest.approx(
-        helpers.ref_reduced_cost(inst, col, rmp.lambda_bps, rmp.mu), abs=1e-9)
+        helpers.ref_reduced_cost(inst, col, rmp.lambda_bps, rmp.mu),
+        rel=4 * np.finfo(float).eps, abs=0.0)
+
+
+def test_every_program_after_the_first_of_its_kind_starts_warm(monkeypatch):
+    inst = SchedulingInstance(scenario_from_dict(helpers.bright_beam_config()),
+                              sir_threshold=3.0)
+    inside = []
+
+    def tagged(kind, method):
+        def run(self, *args):
+            inside.append(kind(args) if callable(kind) else kind)
+            try:
+                return method(self, *args)
+            finally:
+                inside.pop()
+        return run
+
+    for name, kind in (("_solve_dc", lambda args: "single" if args[0] else "floor"),
+                       ("solve_rmp", "master"), ("solve_pricing", "pricing")):
+        monkeypatch.setattr(SchedulingInstance, name,
+                            tagged(kind, getattr(SchedulingInstance, name)))
+    starts = []
+    solve_lp, solve_milp = cg_scheduler.solve_lp, cg_scheduler.solve_milp
+
+    def recording_lp(p, _warm=None):
+        starts.append((inside[-1], p, _warm))
+        return solve_lp(p, _warm=_warm)
+
+    def recording_milp(mip, _warm=None):
+        starts.append((inside[-1], mip.lp, _warm))
+        return solve_milp(mip, _warm=_warm)
+
+    monkeypatch.setattr(cg_scheduler, "solve_lp", recording_lp)
+    monkeypatch.setattr(cg_scheduler, "solve_milp", recording_milp)
+    sol = inst.column_generation(epsilon=0.0)
+    assert sol.iterations >= 2
+    kinds = [kind for kind, _, _ in starts]
+    assert {"floor", "single", "master", "pricing"} <= set(kinds)
+    assert kinds.count("pricing") > sol.iterations  # a lazy row was added in pricing
+    for i, (kind, p, warm) in enumerate(starts):
+        if kind != "single" and kind not in kinds[:i]:
+            assert warm is None  # the first of its kind starts cold
+        else:
+            assert warm is not None and lp_module._Tableau(p)._load_warm(warm), (i, kind)
 
 
 def test_bounds_tighten_monotonically():
@@ -373,6 +419,18 @@ def test_generated_columns_all_valid():
         assert inst.column_is_valid(col)
     assert np.all(sol.omega >= 0.0)
     assert float(np.sum(sol.omega)) <= 1.0 + 1e-9
+
+
+def test_no_lit_single_link_buys_all_demand_as_shortfall():
+    inst = SchedulingInstance(scenario_from_dict(helpers.unlit_links_config()),
+                              sir_threshold=3.0)
+    assert inst.initial_columns() == []
+    sol = inst.column_generation(epsilon=0.0)
+    assert sol.status is CgStatus.INFEASIBLE
+    assert not sol.feasible
+    np.testing.assert_allclose(sol.shortfall_bps, inst.demands, rtol=1e-9)
+    shortfall_w = cg_scheduler.SHORTFALL_COST * np.sum(inst.demands) / cg_scheduler.RATE_SCALE
+    assert sol.z_upper == pytest.approx(sol.p_illumi_min + shortfall_w, rel=1e-9)
 
 
 def test_impossible_demand_reported_infeasible():

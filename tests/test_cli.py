@@ -104,6 +104,18 @@ def test_unattainable_lighting_exits_with_code_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_solve_without_lit_single_links_reports_infeasible(tmp_path, capsys):
+    path = tmp_path / "unlit.json"
+    path.write_text(json.dumps(helpers.unlit_links_config()))
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(path), "--epsilon", "0.0",
+                 "--out", str(out)]) == 0
+    row = _read_csv(out / "results.csv")[0]
+    assert row["protocol_feasible"] == "0"
+    assert row["reality_feasible"] == "0"
+    assert "protocol: feasible=False" in capsys.readouterr().out
+
+
 # -- compare -----------------------------------------------------------------------
 
 def test_compare_grid_of_rows_and_summary(tmp_path):
@@ -255,8 +267,7 @@ def test_sweep_feasibility_never_recovers_as_threshold_grows():
 
 def _loaded_office(n_uts=6):
     """Terminals at 120 Mbit/s on a 0.5 m desk grid: with six, the optimum
-    mixes multi-link patterns; with ten, pricing at threshold 2 adds a lazy
-    lower row to those the initial columns left."""
+    mixes multi-link patterns."""
     cfg = default_config(n_uts=n_uts, seed=2, demand_bps=1.2e8)
     cfg["illum"] = dict(cfg["illum"], spacing=0.5)
     return scenario_from_dict(cfg)
@@ -316,20 +327,35 @@ def test_sweep_solves_single_link_lighting_once(monkeypatch):
 
 
 def test_derived_instances_share_no_pricing_state():
-    s = _loaded_office(n_uts=10)
+    s = scenario_from_dict(helpers.bright_beam_config())
     base = SchedulingInstance(s)
+    base.solve_rmp(base.initial_columns())  # a master basis of the base's own
 
     def rows(inst):
         return (list(inst._lo_rows), list(inst._hi_rows),
                 set(inst._lo_set), set(inst._hi_set))
 
-    two, four = base.at_sir_threshold(2.0), base.at_sir_threshold(4.0)
+    def bases(inst):
+        """The master and pricing bases with their labels, copied out."""
+        return [None if held is None else
+                (held[0].basic.tolist(), held[0].complemented.tolist(),
+                 list(held[1]), list(held[2]))
+                for held in (inst._rmp_basis, inst._pricing_basis)]
+
+    two, four, six = (base.at_sir_threshold(t) for t in (2.0, 4.0, 6.0))
+    assert bases(two) == [None, None]  # derived instances start cold
+    six.column_generation(0.0)
     before_base, before_four = rows(base), rows(four)
+    held_base, held_six = bases(base), bases(six)
+    assert held_base[0] is not None and None not in held_six
     assert rows(two) == before_four
     two.column_generation(0.0)
     assert rows(two) != before_four  # pricing grew this working set ...
     assert rows(base) == before_base  # ... and no other
     assert rows(four) == before_four
+    assert None not in bases(two) and bases(two) != held_six  # its own bases ...
+    assert bases(base) == held_base  # ... and nobody else's changed
+    assert bases(six) == held_six
     # an instance derived from one that has priced starts clean as well
     again = two.at_sir_threshold(4.0).column_generation(0.0)
     fresh = SchedulingInstance(s, sir_threshold=4.0).column_generation(0.0)

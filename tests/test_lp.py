@@ -11,10 +11,12 @@ from scipy.optimize import linprog
 
 from vlcopt import lp as lp_module
 from vlcopt.lp import (
+    Basis,
     LinearProgram,
     LpStatus,
     MixedIntegerProgram,
     solve_lp,
+    carry_basis,
     solve_milp,
 )
 
@@ -201,23 +203,23 @@ def _highs(p: LinearProgram):
                    bounds=list(zip(p.lb, p.ub)), method="highs")
 
 
-def _assert_matches_highs(p: LinearProgram):
-    sol = solve_lp(p)
+def _assert_matches_highs(p: LinearProgram, warm=None):
+    sol = solve_lp(p, _warm=warm)
     ref = _highs(p)
     assert ref.status == 0
     assert sol.status is LpStatus.OPTIMAL
     assert sol.objective == pytest.approx(ref.fun, abs=1e-6 * (1.0 + abs(ref.fun)))
     assert_primal_feasible(p, sol.x)
     assert_duals_consistent(p, sol)
-    assert_tableau_matches_basis(p, sol)
+    assert_tableau_matches_basis(p, sol, warm)
 
 
-def assert_tableau_matches_basis(p: LinearProgram, sol, tol: float = 1e-9):
+def assert_tableau_matches_basis(p: LinearProgram, sol, warm=None, tol: float = 1e-9):
     """Replay the solve and check the compact tableau it ends with: its
     slots, right side and reduced costs equal B^-1 [A | b] and c - c_B B^-1 A,
     recomputed densely from the program and the solution's final basis."""
     tab = lp_module._Tableau(p)
-    tab.solve(None)
+    tab.solve(warm)
     basic, flip = sol.basis.basic, sol.basis.complemented
     assert np.array_equal(tab.basic, basic) and np.array_equal(tab.flip, flip)
     m, n = p.n_rows, p.n_vars
@@ -271,21 +273,24 @@ def test_redundant_equality_rows():
     _assert_matches_highs(q)
 
 
+def _random_mixed_lp(rng: np.random.Generator, n: int, m: int) -> LinearProgram:
+    lb = rng.uniform(-2.0, 1.0, size=n)
+    ub = np.where(rng.random(n) < 0.3, np.inf, lb + rng.uniform(0.5, 3.0, size=n))
+    x0 = lb + rng.uniform(0.1, 0.4, size=n)  # inside every box
+    a = rng.uniform(-1.0, 1.0, size=(m, n))
+    rel = tuple(rng.choice(["<=", ">=", "=="], size=m, p=[0.4, 0.4, 0.2]))
+    slack = rng.uniform(0.1, 1.0, size=m)
+    gap = np.select([np.array(rel) == "<=", np.array(rel) == ">="], [slack, -slack], 0.0)
+    # costs are nonnegative where nothing bounds a column from above
+    c = np.where(np.isinf(ub), rng.uniform(0.0, 1.0, size=n), rng.uniform(-1.0, 1.0, size=n))
+    return LinearProgram(c=c, a=a, rel=rel, b=a @ x0 + gap, lb=lb, ub=ub)
+
+
 def test_matches_scipy_with_lower_bounds_and_mixed_rows():
     rng = np.random.default_rng(19)
     for trial in range(40):
         n, m = int(rng.integers(2, 8)), int(rng.integers(1, 7))
-        lb = rng.uniform(-2.0, 1.0, size=n)
-        ub = np.where(rng.random(n) < 0.3, np.inf, lb + rng.uniform(0.5, 3.0, size=n))
-        x0 = lb + rng.uniform(0.1, 0.4, size=n)  # inside every box
-        a = rng.uniform(-1.0, 1.0, size=(m, n))
-        rel = tuple(rng.choice(["<=", ">=", "=="], size=m, p=[0.4, 0.4, 0.2]))
-        slack = rng.uniform(0.1, 1.0, size=m)
-        gap = np.select([np.array(rel) == "<=", np.array(rel) == ">="], [slack, -slack], 0.0)
-        # costs are nonnegative where nothing bounds a column from above
-        c = np.where(np.isinf(ub), rng.uniform(0.0, 1.0, size=n), rng.uniform(-1.0, 1.0, size=n))
-        p = LinearProgram(c=c, a=a, rel=rel, b=a @ x0 + gap, lb=lb, ub=ub)
-        _assert_matches_highs(p)
+        _assert_matches_highs(_random_mixed_lp(rng, n, m))
 
 
 def test_beale_cycling_example_terminates():
@@ -328,6 +333,156 @@ def test_ties_follow_column_ids_not_slots(monkeypatch, c, a, rel, b, ub, x):
     assert sol.status is LpStatus.OPTIMAL
     assert sol.x == pytest.approx(x, abs=1e-12)
     _assert_matches_highs(p)
+
+
+# -- warm starts --------------------------------------------------------------------
+
+def test_warm_start_from_a_primal_feasible_basis():
+    # the optimum for other costs is still primal feasible, and usually no
+    # longer dual feasible: primal pivots alone must finish from it
+    rng = np.random.default_rng(23)
+    primal_only = 0
+    for trial in range(40):
+        n, m = int(rng.integers(2, 8)), int(rng.integers(1, 7))
+        p = _random_mixed_lp(rng, n, m)
+        start = solve_lp(p).basis
+        c = np.where(np.isinf(p.ub), rng.uniform(0.0, 1.0, size=n), rng.uniform(-1.0, 1.0, size=n))
+        q = LinearProgram(c=c, a=p.a, rel=p.rel, b=p.b, lb=p.lb, ub=p.ub)
+        tab = lp_module._Tableau(q)
+        assert tab._load_warm(start) and tab._primal_feasible(), trial
+        primal_only += not tab._dual_feasible()
+        _assert_matches_highs(q, warm=start)
+    assert primal_only >= 10
+
+
+def test_warm_start_from_a_dual_feasible_basis():
+    # new right sides and upper bounds leave the costs, so the old optimum
+    # stays dual feasible and usually stops being primal feasible
+    rng = np.random.default_rng(29)
+    dual_only = 0
+    for trial in range(40):
+        n, m = int(rng.integers(2, 8)), int(rng.integers(1, 7))
+        p = _random_mixed_lp(rng, n, m)
+        start = solve_lp(p).basis
+        ub = np.where(np.isinf(p.ub), np.inf, p.lb + rng.uniform(0.5, 3.0, size=n))
+        x0 = p.lb + rng.uniform(0.1, 0.4, size=n)
+        slack = rng.uniform(0.1, 1.0, size=m)
+        rel = np.array(p.rel)
+        gap = np.select([rel == "<=", rel == ">="], [slack, -slack], 0.0)
+        q = LinearProgram(c=p.c, a=p.a, rel=p.rel, b=p.a @ x0 + gap, lb=p.lb, ub=ub)
+        tab = lp_module._Tableau(q)
+        assert tab._load_warm(start) and tab._dual_feasible(), trial
+        dual_only += not tab._primal_feasible()
+        _assert_matches_highs(q, warm=start)
+    assert dual_only >= 10
+
+
+def _grown(p: LinearProgram, x: np.ndarray, duals: np.ndarray, rng: np.random.Generator,
+           dual_side: bool) -> LinearProgram:
+    """`p` with a column added in front ("first") and at the end ("last"),
+    and a row added in front ("top") and at the end ("bottom"). On the dual
+    side the new columns cost more than the old duals pay for them and "top"
+    cuts off the old optimum `x`; otherwise the new costs are arbitrary and
+    both new rows hold at `x` with the new columns at zero."""
+    m, n = p.n_rows, p.n_vars
+    first = np.zeros(m) if dual_side else rng.uniform(-1.0, 1.0, size=m)
+    last = rng.uniform(-1.0, 1.0, size=m)
+    if dual_side:
+        c_new = [rng.uniform(0.1, 1.0), duals @ last + rng.uniform(0.1, 1.0)]
+    else:
+        c_new = list(rng.uniform(-1.0, 1.0, size=2))
+    top = np.concatenate([[1.0], rng.uniform(-1.0, 1.0, size=n), [0.0]])
+    bottom = rng.uniform(-1.0, 1.0, size=n + 2)
+    body = np.column_stack([first, p.a, last])
+    x_new = np.concatenate([[0.0], x, [0.0]])
+    top_rhs = top @ x_new + (0.5 if dual_side else -0.5)
+    return LinearProgram(
+        c=np.concatenate([[c_new[0]], p.c, [c_new[1]]]),
+        a=np.vstack([top, body, bottom]),
+        rel=(">=",) + p.rel + ("<=",),
+        b=np.concatenate([[top_rhs], p.b, [bottom @ x_new + 0.3]]),
+        ub=np.full(n + 2, 3.0))
+
+
+def test_basis_carried_into_a_program_with_added_rows_and_columns():
+    rng = np.random.default_rng(31)
+    for trial in range(40):
+        n, m = int(rng.integers(2, 6)), int(rng.integers(1, 5))
+        p = _random_box_lp(rng, n, m)
+        sol = solve_lp(p)
+        dual_side = trial % 2 == 1
+        q = _grown(p, sol.x, sol.duals, rng, dual_side)
+        rows, cols = list(range(m)), list(range(n))
+        new_rows, new_cols = ["top"] + rows + ["bottom"], ["first"] + cols + ["last"]
+        carried = carry_basis(sol.basis, rows, cols, new_rows, new_cols)
+        # added rows' slacks are basic, added columns nonbasic at their lower bounds
+        slacks = {n + 2, n + 2 + m + 1}
+        assert slacks <= set(carried.basic.tolist())
+        assert not {0, n + 1} & set(carried.basic.tolist())
+        assert not carried.complemented[[0, n + 1]].any()
+        tab = lp_module._Tableau(q)
+        assert tab._load_warm(carried), trial
+        assert tab._dual_feasible() if dual_side else tab._primal_feasible()
+        if dual_side:
+            assert not tab._primal_feasible()  # "top" cuts the old optimum off
+        _assert_matches_highs(q, warm=carried)
+        # an old label missing from the new program, or a new label repeated
+        assert carry_basis(sol.basis, rows, cols, new_rows[:-2], new_cols) is None
+        assert carry_basis(sol.basis, rows, cols, new_rows, new_cols + ["last"]) is None
+
+
+def test_unusable_warm_bases_fall_back_to_the_cold_start():
+    rng = np.random.default_rng(37)
+    p = _random_box_lp(rng, n=4, m=3)
+    p.a[:, 0] = [1.0, 0.0, 0.0]  # x0's column equals the first row's slack
+    total = 7
+    cold = solve_lp(p)
+    good = cold.basis
+    none = np.zeros(total, dtype=bool)
+    unusable = [
+        Basis(np.array([0, 4, 6]), none),  # singular: x0 and its twin slack
+        Basis(good.basic[:-1], good.complemented),
+        Basis(good.basic, good.complemented[:-1]),
+        Basis(np.array([4, 4, 5]), none),
+        Basis(np.array([4, 5, total]), none),
+        Basis(good.basic.astype(float), good.complemented),
+        Basis(good.basic, good.complemented.astype(int)),
+    ]
+    # a basis that loads but is neither primal nor dual feasible
+    tab = lp_module._Tableau(p)
+    for ids in itertools.combinations(range(total), 3):
+        try:
+            tab._load(np.array(ids), none, tab.c0)
+        except np.linalg.LinAlgError:
+            continue
+        if not (tab._primal_feasible() or tab._dual_feasible()):
+            unusable.append(Basis(np.array(ids), none.copy()))
+            break
+    assert len(unusable) == 8
+    for warm in unusable:
+        sol = solve_lp(p, _warm=warm)
+        assert sol.status is LpStatus.OPTIMAL
+        assert sol.iterations == cold.iterations
+        assert np.array_equal(sol.x, cold.x)
+        assert np.array_equal(sol.basis.basic, good.basic)
+
+
+def test_milp_root_starts_from_a_given_basis_and_returns_its_own(monkeypatch):
+    mip = _knapsack([10.0, 13.0, 7.0, 8.0], [5.0, 7.0, 4.0, 5.0], 12.0)
+    cold = solve_milp(mip)
+    warm = []
+    inner = lp_module.solve_lp
+
+    def recording(p, _warm=None):
+        warm.append(_warm)
+        return inner(p, _warm=_warm)
+
+    monkeypatch.setattr(lp_module, "solve_lp", recording)
+    again = solve_milp(mip, _warm=cold.root_basis)
+    assert warm[0] is cold.root_basis
+    assert again.objective == cold.objective and np.array_equal(again.x, cold.x)
+    root = inner(mip.lp)
+    assert np.array_equal(again.root_basis.basic, root.basis.basic)
 
 
 # -- branch and bound ---------------------------------------------------------------
