@@ -115,12 +115,7 @@ def _finish(
         wall_ms=(time.monotonic() - t_start) * 1e3,
     )
     real = inst.reality_check(proto)
-    return BaselineSolution(
-        algorithm=algorithm,
-        protocol=proto,
-        **{f.name: getattr(real, f.name) for f in real.__dataclass_fields__.values()
-           if f.name not in ("algorithm", "protocol")},
-    )
+    return BaselineSolution(algorithm=algorithm, protocol=proto, **vars(real))
 
 
 def _run_rounds(

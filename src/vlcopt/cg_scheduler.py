@@ -38,7 +38,7 @@ from __future__ import annotations
 import copy
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence, TypeVar
@@ -172,6 +172,8 @@ class CgSolution:
         """Certified gap relative to net power (above the lighting floor):
         (z_upper - z_lower) / (z_upper - p_illumi_min), 0 when the net power
         is not positive; NaN without a lower bound (heuristic schedules)."""
+        if math.isnan(self.z_lower):
+            return math.nan
         net = self.z_upper - self.p_illumi_min
         return (self.z_upper - self.z_lower) / net if net > 0.0 else 0.0
 
@@ -201,7 +203,6 @@ class SchedulingInstance:
         self.cap_groups = cap_groups(self.links, s)
 
         L = len(self.links)
-        M = len(s.uts)
         self.demands = np.array([ut.demand_bps for ut in s.uts])
         self.pts = s.grid_points()
         K = self.pts.shape[0]
@@ -387,19 +388,19 @@ class SchedulingInstance:
         raise CgError(f"{what} row generation did not settle")
 
     def _collect_violations(self, field: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> int:
+        """Add up to 30 of the worst violated grid points not yet held, per
+        side; the number added."""
         added = 0
         for viol, rows, row_set in (
             (lo - field, self._lo_rows, self._lo_set),
             (field - hi, self._hi_rows, self._hi_set),
         ):
-            bad = np.nonzero(viol > _ROW_CHECK_TOL)[0]
-            if bad.size:
-                worst = bad[np.argsort(viol[bad])[::-1][:30]]
-                for k in worst.tolist():
-                    if k not in row_set:
-                        row_set.add(k)
-                        rows.append(k)
-                        added += 1
+            bad = np.array([k for k in np.nonzero(viol > _ROW_CHECK_TOL)[0].tolist()
+                            if k not in row_set], dtype=int)
+            worst = bad[np.argsort(viol[bad])[::-1][:30]].tolist()
+            rows.extend(worst)
+            row_set.update(worst)
+            added += len(worst)
         return added
 
     # -- columns ------------------------------------------------------------
@@ -681,24 +682,17 @@ class SchedulingInstance:
             chosen = [self.build_column(())]
         real_cols = tuple(self.physical_rates(col) for col in chosen)
         rmp = self.solve_rmp(real_cols)
-        status = CgStatus.OPTIMAL if rmp.feasible else CgStatus.INFEASIBLE
-        return CgSolution(
+        return replace(
+            sol,
             stage="reality",
-            status=status,
+            status=CgStatus.OPTIMAL if rmp.feasible else CgStatus.INFEASIBLE,
             columns=real_cols,
             omega=rmp.omega,
             z_upper=rmp.z_upper,
-            z_lower=sol.z_lower,
-            p_illumi_min=sol.p_illumi_min,
-            dc_min=sol.dc_min,
-            epsilon=sol.epsilon,
             sir_threshold=self.sir_threshold,
-            iterations=sol.iterations,
-            last_reduced_cost=sol.last_reduced_cost,
             lambda_bps=tuple(float(v) for v in rmp.lambda_bps),
             mu=rmp.mu,
             shortfall_bps=tuple(float(v) for v in rmp.shortfall_bps),
-            iteration_log=sol.iteration_log,
             wall_ms=(time.monotonic() - t0) * 1e3,
         )
 

@@ -23,9 +23,11 @@ Pivoting is deterministic: the largest bound violation leaves, Harris's
 ratio test picks the entering column, the lowest column id (never the lowest
 storage slot) wins ties, and a Bland-style rule takes over when the
 objective stalls. INFEASIBLE is declared only after the offending row has
-been rebuilt from a fresh solve with the basis. The optimal basis is
-re-solved explicitly for primal values and row duals at full precision, and
-feasibility and strong duality are checked before OPTIMAL is reported.
+been rebuilt from a fresh solve with the basis. Primal values and row duals
+are read off the final tableau (Chvatal 1983, ch. 5): the basic values are
+its right side, and each row's dual is its slack's reduced cost. Feasibility
+and strong duality are then checked against the program before OPTIMAL is
+reported.
 
 A solve can start warm from a basis (basic columns and complement flags,
 not the tableau) of a program with the same rows and columns; `carry_basis`
@@ -366,17 +368,17 @@ class _Tableau:
             last = min(last, z)
 
     def extract(self) -> tuple[np.ndarray, np.ndarray]:
-        """(shifted values of every column, internal row duals), re-solved
-        through the explicit basis for accuracy."""
-        y = np.where(self.flip, self.u, 0.0)
-        y[self.basic] = 0.0
-        bmat = self.a0[:, self.basic]
-        try:
-            y[self.basic] = np.linalg.solve(bmat, self.b0 - self.a0 @ y)
-            duals = np.linalg.solve(bmat.T, self.c0[self.basic])
-        except np.linalg.LinAlgError as exc:
-            raise _Numerical(f"singular basis: {exc}") from exc
-        return y, duals
+        """(shifted values of every column, internal row duals), read off the
+        final tableau: a basic column's value is its right side, measured
+        down from u when complemented, and a nonbasic one sits at 0 or u;
+        row i's dual is minus its slack's reduced cost (plus when the slack
+        is complemented), and 0 when the slack is basic."""
+        beta, flip = self.t[:-1, -1], self.flip
+        y = np.where(flip, self.u, 0.0)
+        y[self.basic] = np.where(flip[self.basic], self.u[self.basic] - beta, beta)
+        pi = np.zeros_like(y)
+        pi[self.nonbasic] = np.where(flip[self.nonbasic], 1.0, -1.0) * self.t[-1, :-1]
+        return y, pi[y.shape[0] - self.m:]
 
 
 class _Infeasible(Exception):

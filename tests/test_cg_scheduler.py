@@ -113,6 +113,20 @@ def test_bright_beam_overruns_dim_ceiling():
         inst.optimize_dc_for_schedule([0])
 
 
+def test_lazy_rows_add_the_worst_points_not_yet_held():
+    # the 30 worst points are already held: the next worst one must still
+    # join, or row generation stops on a field short at a point outside
+    inst = helpers.tiny_instance(illum={"lower_lux": 300.0, "upper_lux": 500.0,
+                                        "spacing": 0.25, "ambient_lux": 0.0})
+    inst._start_rows(range(30), ())
+    field = 0.5 * (inst.e_lo + inst.e_hi)
+    field[:30] = inst.e_lo[:30] - 1e-3
+    field[30] = inst.e_lo[30] - 1e-4
+    assert inst._collect_violations(field, inst.e_lo, inst.e_hi) == 1
+    assert inst._lo_rows == list(range(31)) and inst._lo_set == set(range(31))
+    assert inst._hi_rows == [] and not inst._hi_set
+
+
 # -- seed columns and the restricted master ----------------------------------------
 
 def test_seed_pool_is_one_singleton_per_link():

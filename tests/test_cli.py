@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 from collections import Counter
 
 import pytest
@@ -78,13 +79,17 @@ def test_solve_is_reproducible(tmp_path):
 
 def test_solve_with_heuristics(tmp_path):
     cfg = _write_config(tmp_path, n_uts=2, seed=2)
-    for algo in ("vico", "mwis"):
-        out = tmp_path / algo
+    for algo, extra in (("vico", []), ("mwis", []), ("vico", ["--no-illum-constraint"])):
+        out = tmp_path / "-".join([algo] + extra)
         assert main(["solve", "--config", cfg, "--algo", algo,
-                     "--seed", "3", "--out", str(out)]) == 0
+                     "--seed", "3", "--out", str(out)] + extra) == 0
         row = _read_csv(out / "results.csv")[0]
         assert row["algorithm"] == algo
         assert row["reality_feasible"] == "1"
+        # no lower bound, so no certified gap: not even when the net power,
+        # without the lighting, is not positive
+        assert math.isnan(float(row["z_lower_w"]))
+        assert math.isnan(float(row["net_gap"]))
 
 
 def _dark_doc():

@@ -96,6 +96,30 @@ def test_equality_row_dual_free():
     assert_duals_consistent(p, sol)
 
 
+def test_cold_solve_reads_its_answer_off_the_tableau(monkeypatch):
+    # the cold slack basis loads without a dense solve, and x and the duals
+    # come off the final tableau, so a cold solve that pivots away from the
+    # slack basis still makes none
+    p = LinearProgram(c=[-1.0, -2.0, 0.5, -3.0],
+                      a=[[1.0, 1.0, 0.0, 1.0], [1.0, 3.0, -1.0, 0.0]],
+                      rel=("<=", ">="), b=[4.0, 2.0], ub=[np.inf, np.inf, 2.0, 1.0])
+    calls = []
+    dense_solve = np.linalg.solve
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return dense_solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    sol = solve_lp(p)
+    monkeypatch.undo()
+    assert calls == []
+    assert sol.status is LpStatus.OPTIMAL
+    assert set(sol.basis.basic.tolist()) != {4, 5}
+    assert sol.basis.complemented.any()
+    _assert_matches_highs(p)
+
+
 def test_bad_inputs_rejected():
     with pytest.raises(ValueError):
         LinearProgram(c=[1.0], a=[[1.0]], rel=("<",), b=[1.0])
@@ -217,6 +241,7 @@ def _assert_matches_highs(p: LinearProgram, warm=None):
 def assert_tableau_matches_basis(p: LinearProgram, sol, warm=None, tol: float = 1e-9):
     """Replay the solve and check the compact tableau it ends with: its
     slots, right side and reduced costs equal B^-1 [A | b] and c - c_B B^-1 A,
+    and the solution's x and duals equal B^-1 (b - N x_N) and c_B B^-1, all
     recomputed densely from the program and the solution's final basis."""
     tab = lp_module._Tableau(p)
     tab.solve(warm)
@@ -239,6 +264,14 @@ def assert_tableau_matches_basis(p: LinearProgram, sol, warm=None, tol: float = 
     np.testing.assert_allclose(tab.t[:-1, -1], body[:, -1], **close)
     np.testing.assert_allclose(tab.t[-1, :-1], reduced[tab.nonbasic], **close)
     np.testing.assert_allclose(-tab.t[-1, -1], sol.objective - p.c @ p.lb, **close)
+    # nonbasic columns at 0 or u, the basic ones solved for; x and the duals
+    # then back in the program's space
+    y = np.where(flip, u, 0.0)
+    y[basic] = 0.0
+    y[basic] = np.linalg.solve(a[:, basic], sign * (p.b - p.a @ p.lb) - a @ y)
+    np.testing.assert_allclose(sol.x, p.lb + y[:n], **close)
+    np.testing.assert_allclose(sol.duals, sign * np.linalg.solve(a[:, basic].T, c[basic]),
+                               **close)
 
 
 def test_negative_costs_bounded_only_by_rows():
