@@ -18,18 +18,19 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .cg_scheduler import (
     CgSolution,
     CgStatus,
-    IlluminationInfeasible,
     IndependentSetColumn,
     IterationRecord,
     SchedulingInstance,
     _SHORTFALL_TOL_BPS,
+    _column_with_lighting,
+    _greedy_insert,
 )
 from .lp import LinearProgram, LpStatus, MixedIntegerProgram, solve_milp
 from .scenario import Scenario
@@ -45,37 +46,6 @@ class BaselineSolution(CgSolution):
 
     algorithm: str = ""
     protocol: Optional[CgSolution] = None
-
-
-def _greedy_insert(inst: SchedulingInstance, order: Sequence[int]) -> list[int]:
-    """Maximal independent set grown in the given link order."""
-    adjacency = inst.graph.adjacency
-    groups, caps = inst.cap_groups
-    used = np.zeros(len(caps))
-    members: list[int] = []
-    for i in order:
-        mine = groups[:, i]
-        if adjacency[i, members].any() or np.any(used[mine] >= caps[mine]):
-            continue
-        members.append(i)
-        used[mine] += 1
-    return members
-
-
-def _column_with_lighting(
-    inst: SchedulingInstance, members: list[int], include_illum: bool
-) -> Optional[IndependentSetColumn]:
-    """Column for the set, shedding last-added members if lighting fails."""
-    if not include_illum:
-        dc = np.zeros(len(inst.dc_txs))
-        return inst.build_column(members, dc=dc)
-    while True:
-        try:
-            return inst.build_column(tuple(members))
-        except IlluminationInfeasible:
-            if not members:
-                return None
-            members.pop()
 
 
 def _finish(

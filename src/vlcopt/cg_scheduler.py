@@ -4,15 +4,26 @@ The master problem time-shares activation patterns (columns) so that every
 terminal's demand is met within a unit scheduling frame while room lighting
 stays inside its illuminance band; leftover frame time falls back to the
 cheapest lighting-only state. The restricted master is a small LP whose
-duals drive a pricing MILP that searches for the activation pattern with the
-most negative reduced cost. It chooses the pattern's lighting powers with
-it, and the column it adds keeps them, so the loop solves a lighting LP
-only for the lighting floor and the single-link starting columns. The loop
-carries both an incumbent objective and a certified lower bound, so it can
-stop either at proven optimality or at a caller-chosen multiplicative gap.
-A final validation pass recomputes link rates with the interference each
-column actually generates and re-optimizes the time shares over the
-scheduled columns alone.
+duals price activation patterns. The loop carries both an incumbent
+objective and a certified lower bound, so it can stop either at proven
+optimality or at a caller-chosen multiplicative gap.
+
+Pricing is two-tier at a gap of zero, where only the last pricing call has
+to be exact: it proves that no pattern has a negative reduced cost, while
+every earlier call only has to return some improving pattern (Lubbecke and
+Desrosiers 2005, section 4). Each iteration first grows a pattern greedily
+from the links whose own share of the reduced cost is negative, cheapest
+first, with the same greedy insertion the random baseline uses, and lights
+it with one lighting LP. Its reduced cost is computed from that lighting,
+and it joins the pool when that is negative and the pattern is new. It
+certifies nothing, so the bound stays where it was. Otherwise, and at every
+iteration when the gap is above zero (each exact bound may then end the
+loop early), a pricing MILP searches for the pattern with the most negative
+reduced cost. It chooses the pattern's lighting powers with it, and the
+column it adds keeps them. Only exact calls raise the lower bound or prove
+optimality. A final validation pass recomputes link rates with the
+interference each column actually generates and re-optimizes the time
+shares over the scheduled columns alone.
 
 Every program is sliced from tables the instance holds: the lux each chip
 and each data beam gives every grid point, the transmitter budget table, and
@@ -125,6 +136,7 @@ class IterationRecord:
     z_lower: float
     reduced_cost: float
     wall_ms: float
+    pricing: str = ""  # "greedy" or "exact"; empty for a heuristic's round
 
 
 @dataclass
@@ -523,13 +535,12 @@ class SchedulingInstance:
         """
         self._require_graph()
         p0_elec, _ = self.min_illumination_power()
-        lam = np.maximum(np.asarray(lambda_bps, dtype=float), 0.0)
-        mu = min(float(mu), 0.0)
+        _, mu, link_cost = self._priced_links(lambda_bps, mu)
         L = len(self.links)
         T = len(self.dc_txs)
         n = L + T
         c = np.empty(n)
-        c[:L] = self.p_ac_elec - lam[self.ut_of_link] * self.cap
+        c[:L] = link_cost
         c[L:] = 1.0 / self.dc_eta
         lb = np.zeros(n)
         ub = np.concatenate([np.ones(L), np.full(T, np.inf)])
@@ -573,6 +584,35 @@ class SchedulingInstance:
         reduced_bound = objective - ABS_GAP - p0_elec - mu
         return column, reduced, reduced_bound
 
+    def _priced_links(self, lambda_bps: np.ndarray, mu: float,
+                      ) -> tuple[np.ndarray, float, np.ndarray]:
+        """The master's duals clipped to their signs (lambda >= 0, mu <= 0)
+        and each link's own share of a pattern's reduced cost: its data-beam
+        power less the demand price of its rate."""
+        lam = np.maximum(np.asarray(lambda_bps, dtype=float), 0.0)
+        return lam, min(float(mu), 0.0), self.p_ac_elec - lam[self.ut_of_link] * self.cap
+
+    def _greedy_pricing(self, lambda_bps: np.ndarray, mu: float,
+                        known: set[tuple[int, ...]], cutoff: float,
+                        ) -> Optional[tuple[IndependentSetColumn, float]]:
+        """A pattern grown by `_greedy_insert` from the links whose own share
+        of the reduced cost is negative, cheapest first, and lit by
+        `_column_with_lighting`; with its reduced cost, computed from its own
+        lighting. None unless that is below `cutoff` and the pattern is not
+        in `known`. It proves nothing about the patterns it passed over."""
+        lam, mu, link_cost = self._priced_links(lambda_bps, mu)
+        order = np.argsort(link_cost, kind="stable")
+        members = _greedy_insert(self, order[link_cost[order] < 0.0].tolist())
+        if not members or tuple(sorted(members)) in known:
+            return None
+        column = _column_with_lighting(self, members, include_illum=True)
+        if column is None or column.schedule.active in known:
+            return None
+        p0_elec, _ = self.min_illumination_power()
+        reduced = (column.electrical_total - p0_elec
+                   - float(np.dot(lam, column.rate_per_ut)) - mu)
+        return (column, reduced) if reduced < cutoff else None
+
     # -- main loop -------------------------------------------------------------
 
     def column_generation(self, epsilon: float) -> CgSolution:
@@ -592,16 +632,25 @@ class SchedulingInstance:
         for it in range(1, MAX_ITERATIONS + 1):
             t0 = time.monotonic()
             rmp = self.solve_rmp(pool)
-            column, reduced, reduced_bound = self.solve_pricing(rmp.lambda_bps, rmp.mu)
-            z_lower = max(z_lower,
-                          min(rmp.z_upper + reduced_bound, rmp.z_upper))
-            log.append(IterationRecord(
-                it, rmp.z_upper, z_lower, reduced,
-                (time.monotonic() - t0) * 1e3,
-            ))
             # scale-aware optimality cutoff: a pool column can re-price a hair
             # negative from LP round-off, which proves nothing but convergence
-            if reduced >= -REDUCED_COST_TOL * max(1.0, abs(rmp.z_upper)):
+            cutoff = -REDUCED_COST_TOL * max(1.0, abs(rmp.z_upper))
+            # at epsilon 0 only the last call must be exact; at epsilon > 0
+            # every exact bound may end the loop early
+            greedy = (self._greedy_pricing(rmp.lambda_bps, rmp.mu, keys, cutoff)
+                      if epsilon == 0.0 else None)
+            if greedy is not None:
+                (column, reduced), pricing = greedy, "greedy"
+            else:
+                column, reduced, reduced_bound = self.solve_pricing(rmp.lambda_bps, rmp.mu)
+                z_lower = max(z_lower,
+                              min(rmp.z_upper + reduced_bound, rmp.z_upper))
+                pricing = "exact"
+            log.append(IterationRecord(
+                it, rmp.z_upper, z_lower, reduced,
+                (time.monotonic() - t0) * 1e3, pricing,
+            ))
+            if reduced >= cutoff:
                 status = CgStatus.OPTIMAL if rmp.feasible else CgStatus.INFEASIBLE
                 break
             if (
@@ -702,6 +751,37 @@ def _carried(held: Optional[_Held], rows: list, cols: list) -> Optional[Basis]:
     return None if held is None else carry_basis(*held, rows, cols)
 
 
+def _greedy_insert(inst: SchedulingInstance, order: Sequence[int]) -> list[int]:
+    """Maximal independent set grown in the given link order."""
+    adjacency = inst.graph.adjacency
+    groups, caps = inst.cap_groups
+    used = np.zeros(len(caps))
+    members: list[int] = []
+    for i in order:
+        mine = groups[:, i]
+        if adjacency[i, members].any() or np.any(used[mine] >= caps[mine]):
+            continue
+        members.append(i)
+        used[mine] += 1
+    return members
+
+
+def _column_with_lighting(
+    inst: SchedulingInstance, members: list[int], include_illum: bool
+) -> Optional[IndependentSetColumn]:
+    """Column for the set, shedding last-added members if lighting fails."""
+    if not include_illum:
+        dc = np.zeros(len(inst.dc_txs))
+        return inst.build_column(members, dc=dc)
+    while True:
+        try:
+            return inst.build_column(tuple(members))
+        except IlluminationInfeasible:
+            if not members:
+                return None
+            members.pop()
+
+
 def _clique_cover(adjacency: np.ndarray) -> np.ndarray:
     """Greedy clique cover of all edges, deterministic by index order, as a
     (cliques, L) boolean membership matrix."""
@@ -728,7 +808,7 @@ def _clique_cover(adjacency: np.ndarray) -> np.ndarray:
 
 def write_iteration_csv(records: Iterable[IterationRecord], path: str | Path) -> None:
     with open(path, "w") as fh:
-        fh.write("iteration,z_upper,z_lower,reduced_cost,wall_ms\n")
+        fh.write("iteration,z_upper,z_lower,reduced_cost,wall_ms,pricing\n")
         for r in records:
             fh.write(f"{r.iteration},{r.z_upper!r},{r.z_lower!r},"
-                     f"{r.reduced_cost!r},{r.wall_ms:.3f}\n")
+                     f"{r.reduced_cost!r},{r.wall_ms:.3f},{r.pricing}\n")

@@ -339,7 +339,7 @@ def _cmd_compare(args) -> int:
                         "algorithm": algo, "axis_value": value, "seed": seed,
                         "iteration": rec.iteration, "z_upper": rec.z_upper,
                         "z_lower": rec.z_lower, "reduced_cost": rec.reduced_cost,
-                        "wall_ms": rec.wall_ms,
+                        "wall_ms": rec.wall_ms, "pricing": rec.pricing,
                     })
     _write_csv(out / "results.csv", rows)
     _write_csv(out / "iterations.csv", iter_rows)

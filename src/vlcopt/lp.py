@@ -39,7 +39,8 @@ sides, bounds or rows change, continues with dual pivots and then primal
 ones; a primal feasible basis, such as the one it keeps when only its costs
 change or columns are added, continues with primal pivots alone. A basis
 that is singular, does not fit the program, or is neither primal nor dual
-feasible is dropped for the cold slack start.
+feasible is dropped for the cold slack start, and a warm solve whose answer
+fails the feasibility and duality check is solved once more from it.
 
 Branch and bound uses most-fractional branching and best-bound search. Its
 incumbents come from the tree alone: under best-bound order, a seed no
@@ -398,13 +399,25 @@ def solve_lp(p: LinearProgram, _warm: Optional[Basis] = None) -> LpSolution:
     """Solve a linear program; duals follow the shadow-price convention
     (dual of a >= row is >= 0, of a <= row is <= 0, of an equality free).
     `_warm` is a basis of a program with the same rows and columns, such as
-    a branch-and-bound parent's or one from `carry_basis`, to start from."""
+    a branch-and-bound parent's or one from `carry_basis`, to start from.
+    A warm start that ends NUMERICAL is solved once more from the cold slack
+    basis: its pivots carry the warm basis's round-off, which on costs near
+    1e9 can leave the duality check a hair outside its tolerance."""
     try:
         tab = _Tableau(p)
     except _Infeasible:
         return LpSolution(LpStatus.INFEASIBLE)
+    sol = _solve_tableau(p, tab, _warm)
+    if _warm is not None and sol.status == LpStatus.NUMERICAL:
+        cold = _solve_tableau(p, _Tableau(p), None)
+        cold.iterations += sol.iterations
+        return cold
+    return sol
+
+
+def _solve_tableau(p: LinearProgram, tab: _Tableau, warm: Optional[Basis]) -> LpSolution:
     try:
-        tab.solve(_warm)
+        tab.solve(warm)
         y, duals_int = tab.extract()
     except _Infeasible:
         return LpSolution(LpStatus.INFEASIBLE, iterations=tab.iterations)

@@ -48,7 +48,7 @@ def unlit_links_config():
 
 def bright_beam_config():
     """Six terminals under 2x2 luminaires, layout b, with 5 W data beams:
-    pricing at any SIR threshold adds an upper illuminance row to those the
+    a solve at any SIR threshold adds an upper illuminance row to those the
     initial columns left."""
     doc = tiny_config(n_uts=6, seed=8, demand_bps=4e8, channels=2, kind="b")
     doc["chip"].update(p_ac_pp=5.0)

@@ -240,6 +240,31 @@ def test_pricing_dominates_exhaustive_search():
             helpers.ref_reduced_cost(inst, col, lam, mu), abs=1e-9)
 
 
+def test_pricing_survives_a_warm_child_that_fails_its_check():
+    # the third call's duals leave a warm-started branch-and-bound child with
+    # a duality residual of 3.7e-4 against a tolerance of 3.6e-4 (costs near
+    # 1.9e9, objective near 360): round-off, which the cold re-solve clears
+    base = SchedulingInstance(scenario_from_dict(helpers.bright_beam_config()))
+    base.solve_rmp(base.initial_columns())
+    six = base.at_sir_threshold(6.0)
+    six._start_rows(list(range(24, -1, -1)), [12])
+    pool = helpers.full_pool(six)
+    for mu, lam in (
+        (-1881851865.4582553, [1.0, 0.9931430049322201, 0.9966061326387422,
+                               0.9985662299822164, 1.0, 0.9923854892094018]),
+        (-1879443724.1132584, [0.998720334272506, 8.008795848153097e-10, 0.9953308099271118,
+                               0.9972883990014335, 1.0, 0.9911155675104129]),
+        (-1879443724.1132586, [0.9987203342725061, 0.9918721137949109, 9.198029292747379e-10,
+                               0.9972883990014336, 1.0, 0.991115567510413]),
+    ):
+        lam = np.array(lam)
+        _, reduced, bound = six.solve_pricing(lam, mu)
+        best = min(helpers.ref_reduced_cost(six, col, lam, mu) for col in pool)
+        tol = 1e-9 * max(1.0, abs(best), float(np.dot(lam, six.demands)))
+        assert reduced == pytest.approx(best, abs=tol)
+        assert bound <= best + tol
+
+
 # -- the generation loop --------------------------------------------------------------
 
 def test_zero_demand_terminates_immediately():
@@ -370,13 +395,18 @@ def test_pricing_solves_no_lighting_lp(monkeypatch):
 
 
 def test_every_program_after_the_first_of_its_kind_starts_warm(monkeypatch):
-    inst = SchedulingInstance(scenario_from_dict(helpers.bright_beam_config()),
-                              sir_threshold=3.0)
-    inside = []
+    # 1 W beams on two channels: a greedy pattern joins the pool, then the
+    # exact pricing MILP's first answer leaves a grid point no earlier LP
+    # held, so a lazy round re-solves it from the round before
+    doc = helpers.tiny_config(n_uts=4, seed=1, demand_bps=4e8, channels=2, kind="b")
+    doc["chip"].update(p_ac_pp=1.0, p_ac_avg=0.5)
+    inst = SchedulingInstance(scenario_from_dict(doc), sir_threshold=3.0)
+    inside, entered = [], []
 
     def tagged(kind, method):
         def run(self, *args):
             inside.append(kind(args) if callable(kind) else kind)
+            entered.append(inside[-1])
             try:
                 return method(self, *args)
             finally:
@@ -402,9 +432,11 @@ def test_every_program_after_the_first_of_its_kind_starts_warm(monkeypatch):
     monkeypatch.setattr(cg_scheduler, "solve_milp", recording_milp)
     sol = inst.column_generation(epsilon=0.0)
     assert sol.iterations >= 2
+    assert {rec.pricing for rec in sol.iteration_log} == {"greedy", "exact"}
     kinds = [kind for kind, _, _ in starts]
     assert {"floor", "single", "master", "pricing"} <= set(kinds)
-    assert kinds.count("pricing") > sol.iterations  # a lazy row was added in pricing
+    # more pricing MILPs than pricing calls: a lazy row was added in pricing
+    assert kinds.count("pricing") > entered.count("pricing")
     for i, (kind, p, warm) in enumerate(starts):
         if kind != "single" and kind not in kinds[:i]:
             assert warm is None  # the first of its kind starts cold
@@ -470,6 +502,23 @@ def test_gap_setting_must_be_a_fraction():
     for eps in (-0.1, 1.0, 1.5):
         with pytest.raises(ValueError):
             inst.column_generation(epsilon=eps)
+
+
+def test_only_exact_pricing_moves_the_bound():
+    exact = [helpers.tiny_instance(n_uts=5, seed=2).column_generation(0.0),
+             SchedulingInstance(scenario_from_dict(_wide_room(3)), 3.0).column_generation(0.0)]
+    assert any(rec.pricing == "greedy" for sol in exact for rec in sol.iteration_log)
+    for sol in exact:
+        assert sol.status is CgStatus.OPTIMAL
+        assert sol.iteration_log[-1].pricing == "exact"  # only an exact call certifies
+        z_lower = -math.inf
+        for rec in sol.iteration_log:
+            assert rec.pricing in ("greedy", "exact")
+            if rec.pricing == "greedy":
+                assert rec.z_lower == z_lower
+            z_lower = rec.z_lower
+    loose = SchedulingInstance(scenario_from_dict(_wide_room(3)), 3.0).column_generation(0.5)
+    assert {rec.pricing for rec in loose.iteration_log} == {"exact"}
 
 
 def test_loose_gap_never_needs_more_iterations():
@@ -560,8 +609,8 @@ def test_validation_reprices_only_scheduled_columns():
 # -- artifacts ------------------------------------------------------------------------
 
 def test_iteration_log_roundtrips_through_csv(tmp_path):
-    records = [IterationRecord(1, 10.5, 2.25, -3.125, 7.0),
-               IterationRecord(2, 9.0, 8.75, -0.0625, 1.5)]
+    records = [IterationRecord(1, 10.5, 2.25, -3.125, 7.0, "greedy"),
+               IterationRecord(2, 9.0, 8.75, -0.0625, 1.5, "exact")]
     path = tmp_path / "iters.csv"
     write_iteration_csv(records, path)
     with open(path) as fh:
@@ -571,6 +620,7 @@ def test_iteration_log_roundtrips_through_csv(tmp_path):
     assert float(rows[0]["z_upper"]) == 10.5
     assert float(rows[1]["z_lower"]) == 8.75
     assert float(rows[1]["reduced_cost"]) == -0.0625
+    assert [row["pricing"] for row in rows] == ["greedy", "exact"]
 
 
 def test_solution_records_its_settings():

@@ -355,7 +355,7 @@ def test_derived_instances_share_no_pricing_state():
     assert held_base[0] is not None and None not in held_six
     assert rows(two) == before_four
     two.column_generation(0.0)
-    assert rows(two) != before_four  # pricing grew this working set ...
+    assert rows(two) != before_four  # the solve grew this working set ...
     assert rows(base) == before_base  # ... and no other
     assert rows(four) == before_four
     assert None not in bases(two) and bases(two) != held_six  # its own bases ...
