@@ -190,7 +190,6 @@ def mwis_schedule(
     a, b = inst._static_pattern_rows()
 
     def pick(candidates: np.ndarray, remaining: np.ndarray) -> list[int]:
-        cand_set = set(candidates.tolist())
         c = np.zeros(L)
         ub = np.zeros(L)
         c[candidates] = -remaining[inst.ut_of_link[candidates]]
@@ -199,7 +198,7 @@ def mwis_schedule(
         res = solve_milp(MixedIntegerProgram(lp, np.ones(L, dtype=bool)))
         if res.status != LpStatus.OPTIMAL or res.x is None:
             return []
-        return sorted(int(i) for i in np.nonzero(res.x > 0.5)[0]
-                      if int(i) in cand_set)
+        # links outside `candidates` have upper bound 0, so none is chosen
+        return np.nonzero(res.x > 0.5)[0].tolist()
 
     return _run_rounds(inst, "mwis", pick, include_illum=True)

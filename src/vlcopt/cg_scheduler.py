@@ -21,9 +21,11 @@ iteration when the gap is above zero (each exact bound may then end the
 loop early), a pricing MILP searches for the pattern with the most negative
 reduced cost. It chooses the pattern's lighting powers with it, and the
 column it adds keeps them. Only exact calls raise the lower bound or prove
-optimality. A final validation pass recomputes link rates with the
-interference each column actually generates and re-optimizes the time
-shares over the scheduled columns alone.
+optimality; an exact call that returns a pattern already in the pool ends
+the loop too, as the master is optimal over the pool and that pattern's
+negative reduced cost is LP round-off. A final validation pass recomputes
+link rates with the interference each column actually generates and
+re-optimizes the time shares over the scheduled columns alone.
 
 Every program is sliced from tables the instance holds: the lux each chip
 and each data beam gives every grid point, the transmitter budget table, and
@@ -174,10 +176,8 @@ class CgSolution:
 
     @property
     def feasible(self) -> bool:
-        return (
-            self.status in (CgStatus.OPTIMAL, CgStatus.EPSILON_BOUNDED)
-            and sum(self.shortfall_bps) <= _SHORTFALL_TOL_BPS
-        )
+        # every builder sets OPTIMAL or EPSILON_BOUNDED only with demands met
+        return self.status in (CgStatus.OPTIMAL, CgStatus.EPSILON_BOUNDED)
 
     @property
     def net_gap(self) -> float:
@@ -214,7 +214,6 @@ class SchedulingInstance:
             self.sir_threshold = None
         self.cap_groups = cap_groups(self.links, s)
 
-        L = len(self.links)
         self.demands = np.array([ut.demand_bps for ut in s.uts])
         self.pts = s.grid_points()
         K = self.pts.shape[0]
@@ -226,22 +225,18 @@ class SchedulingInstance:
         T = len(self.dc_txs)
         self.dc_eta = np.array([s.aps[a].chips[c].eta_dc for a, c in self.dc_txs])
         self.dc_cap = np.array([s.aps[a].chips[c].p_max for a, c in self.dc_txs])
-        self.dc_light = np.empty((T, K))  # lux per optical W
-        for t, (a, c) in enumerate(self.dc_txs):
-            pose = lighting_pose(s.aps[a], s.aps[a].chips[c])
-            self.dc_light[t] = rho * illum_gain_many(pose, self.pts)
+        # lux per optical W of each lighting chip
+        self.dc_light = rho * illum_gain_many(
+            [lighting_pose(s.aps[a], s.aps[a].chips[c]) for a, c in self.dc_txs], self.pts)
 
-        self.ac_light = np.empty((L, K))  # lux contributed by each active link
-        self.cap = np.empty(L)
-        self.ut_of_link = np.empty(L, dtype=int)
-        self.p_ac_pp = np.empty(L)
-        self.p_ac_elec = np.empty(L)
-        for i, ln in enumerate(self.links):
-            self.ac_light[i] = rho * ln.p_ac_avg * illum_gain_many(ln.ac_pose, self.pts)
-            self.cap[i] = ln.capacity_protocol
-            self.ut_of_link[i] = ln.ut_index
-            self.p_ac_pp[i] = ln.p_ac_pp
-            self.p_ac_elec[i] = ln.p_ac_avg / ln.eta_ac
+        p_ac_avg = np.array([ln.p_ac_avg for ln in self.links])
+        # lux contributed by each active link
+        self.ac_light = rho * p_ac_avg[:, None] * illum_gain_many(
+            [ln.ac_pose for ln in self.links], self.pts)
+        self.cap = np.array([ln.capacity_protocol for ln in self.links])
+        self.ut_of_link = np.array([ln.ut_index for ln in self.links], dtype=int)
+        self.p_ac_pp = np.array([ln.p_ac_pp for ln in self.links])
+        self.p_ac_elec = p_ac_avg / np.array([ln.eta_ac for ln in self.links])
 
         # budget[t, i]: link i's data-beam power drawn from lighting chip t's
         # budget, which is the same chip, or the whole access point for config c
@@ -268,8 +263,6 @@ class SchedulingInstance:
     def _start_rows(self, lo: Sequence[int], hi: Sequence[int]) -> None:
         self._lo_rows: list[int] = list(lo)
         self._hi_rows: list[int] = list(hi)
-        self._lo_set = set(lo)
-        self._hi_set = set(hi)
 
     def at_sir_threshold(self, sir_threshold: float) -> SchedulingInstance:
         """This scenario at another SIR threshold, sharing this instance's
@@ -332,8 +325,15 @@ class SchedulingInstance:
     def _dc_caps_for(self, active: Sequence[int]) -> np.ndarray:
         return self.dc_cap - self.budget[:, list(active)].sum(1)
 
-    def _lighting_rows(self) -> list:
-        return [("lo", k) for k in self._lo_rows] + [("hi", k) for k in self._hi_rows]
+    def _illum_rows(self, lux: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                    ) -> tuple[list, np.ndarray, tuple[str, ...], np.ndarray]:
+        """The held illuminance rows, lower then upper: their labels, their
+        coefficients read from the (variables, K) table `lux`, their
+        relations and their right sides, read from `lo` and `hi`."""
+        held = self._lo_rows + self._hi_rows
+        labels = [("lo", k) for k in self._lo_rows] + [("hi", k) for k in self._hi_rows]
+        rel = (">=",) * len(self._lo_rows) + ("<=",) * len(self._hi_rows)
+        return labels, lux[:, held].T, rel, np.concatenate([lo[self._lo_rows], hi[self._hi_rows]])
 
     def _solve_dc(self, active: tuple[int, ...]) -> np.ndarray:
         ac = self._ac_field(active)
@@ -366,14 +366,9 @@ class SchedulingInstance:
 
         def solve() -> tuple[np.ndarray, np.ndarray]:
             nonlocal held
-            rows = self._lighting_rows()
-            sol = solve_lp(LinearProgram(
-                c=cost,
-                a=self.dc_light[:, self._lo_rows + self._hi_rows].T,
-                rel=(">=",) * len(self._lo_rows) + ("<=",) * len(self._hi_rows),
-                b=np.concatenate([lo[self._lo_rows], hi[self._hi_rows]]),
-                ub=caps,
-            ), _warm=_carried(held, rows, chips))
+            rows, a, rel, b = self._illum_rows(self.dc_light, lo, hi)
+            sol = solve_lp(LinearProgram(c=cost, a=a, rel=rel, b=b, ub=caps),
+                           _warm=_carried(held, rows, chips))
             if sol.status == LpStatus.INFEASIBLE:
                 raise IlluminationInfeasible(
                     -1, (), "conflicting lower and upper bounds across grid points")
@@ -403,15 +398,11 @@ class SchedulingInstance:
         """Add up to 30 of the worst violated grid points not yet held, per
         side; the number added."""
         added = 0
-        for viol, rows, row_set in (
-            (lo - field, self._lo_rows, self._lo_set),
-            (field - hi, self._hi_rows, self._hi_set),
-        ):
-            bad = np.array([k for k in np.nonzero(viol > _ROW_CHECK_TOL)[0].tolist()
-                            if k not in row_set], dtype=int)
+        for viol, rows in ((lo - field, self._lo_rows), (field - hi, self._hi_rows)):
+            viol[rows] = 0.0  # a held point is not added again
+            bad = np.nonzero(viol > _ROW_CHECK_TOL)[0]
             worst = bad[np.argsort(viol[bad])[::-1][:30]].tolist()
             rows.extend(worst)
-            row_set.update(worst)
             added += len(worst)
         return added
 
@@ -551,6 +542,7 @@ class SchedulingInstance:
         fixed_a = np.block([[static_a, np.zeros((len(static_b), T))],
                             [self.budget, np.eye(T)]])
         fixed_b = np.concatenate([static_b, self.dc_cap])
+        lux = np.vstack([self.ac_light, self.dc_light])
 
         # the root starts from the last root's basis: between calls only the
         # costs differ, so it stays primal feasible; between lazy rounds only
@@ -558,17 +550,11 @@ class SchedulingInstance:
         cols = list(range(n))
 
         def solve() -> tuple[tuple[float, tuple[int, ...], np.ndarray], np.ndarray]:
-            grid = self._lo_rows + self._hi_rows
-            rows = list(range(len(fixed_b))) + self._lighting_rows()
-            lp = LinearProgram(
-                c=c,
-                a=np.vstack([fixed_a, np.hstack([self.ac_light[:, grid].T,
-                                                 self.dc_light[:, grid].T])]),
-                rel=(("<=",) * len(fixed_b) + (">=",) * len(self._lo_rows)
-                     + ("<=",) * len(self._hi_rows)),
-                b=np.concatenate([fixed_b, self.e_lo[self._lo_rows],
-                                  self.e_hi[self._hi_rows]]),
-                lb=lb, ub=ub)
+            labels, a, rel, b = self._illum_rows(lux, self.e_lo, self.e_hi)
+            rows = list(range(len(fixed_b))) + labels
+            lp = LinearProgram(c=c, a=np.vstack([fixed_a, a]),
+                               rel=("<=",) * len(fixed_b) + rel,
+                               b=np.concatenate([fixed_b, b]), lb=lb, ub=ub)
             res = solve_milp(MixedIntegerProgram(lp, integer),
                              _warm=_carried(self._pricing_basis, rows, cols))
             if res.status != LpStatus.OPTIMAL or res.x is None:
@@ -650,7 +636,9 @@ class SchedulingInstance:
                 it, rmp.z_upper, z_lower, reduced,
                 (time.monotonic() - t0) * 1e3, pricing,
             ))
-            if reduced >= cutoff:
+            # the master is optimal over the pool, so a pooled pattern prices
+            # negative only by LP round-off, and there is nothing new to add
+            if reduced >= cutoff or column.schedule.active in keys:
                 status = CgStatus.OPTIMAL if rmp.feasible else CgStatus.INFEASIBLE
                 break
             if (
@@ -660,11 +648,6 @@ class SchedulingInstance:
             ):
                 status = CgStatus.EPSILON_BOUNDED
                 break
-            if column.schedule.active in keys:
-                raise CgError(
-                    f"pricing returned an already-known pattern {column.schedule.active} "
-                    f"with reduced cost {reduced:.3e}; dual values are inconsistent"
-                )
             pool.append(column)
             keys.add(column.schedule.active)
         else:
@@ -696,10 +679,9 @@ class SchedulingInstance:
 
     def physical_rates(self, col: IndependentSetColumn) -> IndependentSetColumn:
         """Column with rates recomputed under its own concurrent interference."""
-        active = col.schedule.active
+        idx = list(col.schedule.active)
         rate = np.zeros(len(self.s.uts))
         link_rates = []
-        idx = list(active)
         p_interference = self._h_cross[np.ix_(idx, idx)] @ self.p_ac_pp[idx]
         for i, p_i in zip(idx, p_interference.tolist()):
             ln = self.links[i]
@@ -713,14 +695,8 @@ class SchedulingInstance:
             )
             rate[ln.ut_index] += cap
             link_rates.append(LinkRate(i, float(self.cap[i]), float(cap)))
-        return IndependentSetColumn(
-            schedule=col.schedule,
-            dc_power=col.dc_power,
-            p_ac_electrical=col.p_ac_electrical,
-            p_dc_electrical=col.p_dc_electrical,
-            rate_per_ut=tuple(float(v) for v in rate),
-            link_rates=tuple(link_rates),
-        )
+        return replace(col, rate_per_ut=tuple(float(v) for v in rate),
+                       link_rates=tuple(link_rates))
 
     def reality_check(self, sol: CgSolution) -> CgSolution:
         """Re-optimize time shares over the scheduled columns at the rates they

@@ -158,19 +158,12 @@ def export_heatmap(inst: SchedulingInstance, sol: CgSolution, path: Path,
     lo, hi = s.illum.lower_lux, s.illum.upper_lux
     violated = (e_min < lo - 1e-3) | (e_max > hi + 1e-3)
     fraction = float(np.mean(violated))
-    rows = []
-    with open(path, "w") as fh:
-        fh.write("x,y,e_weighted,e_min,e_max,violates_band\n")
-        for k, (x, y, _z) in enumerate(inst.pts):
-            row = {
-                "x": float(x), "y": float(y),
-                "e_weighted": float(e_weighted[k]),
-                "e_min": float(e_min[k]), "e_max": float(e_max[k]),
-                "violates_band": bool(violated[k]),
-            }
-            rows.append(row)
-            fh.write(f"{row['x']!r},{row['y']!r},{row['e_weighted']!r},"
-                     f"{row['e_min']!r},{row['e_max']!r},{int(violated[k])}\n")
+    rows = [{"x": float(x), "y": float(y),
+             "e_weighted": float(e_weighted[k]),
+             "e_min": float(e_min[k]), "e_max": float(e_max[k]),
+             "violates_band": bool(violated[k])}
+            for k, (x, y, _z) in enumerate(inst.pts)]
+    _write_csv(path, rows)
     return rows, fraction
 
 

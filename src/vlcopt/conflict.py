@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .optics import channel_gain_many
+from .optics import channel_gain_many, pose_arrays
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scenario import Link, Scenario
@@ -56,13 +56,13 @@ def cross_gains(links: Sequence["Link"]) -> np.ndarray:
     def num(values) -> np.ndarray:
         return np.array(values, dtype=float)
 
-    poses = [ln.ac_pose for ln in links]
+    origin, direction, ml = pose_arrays([ln.ac_pose for ln in links])
     rx = [ln.receiver for ln in links]
     # interferers j run along axis 1, victims i along axis 0
     h = channel_gain_many(
-        vec([p.origin for p in poses])[None],
-        vec([p.direction for p in poses])[None],
-        num([p.ml for p in poses])[None],
+        origin[None],
+        direction[None],
+        ml[None],
         vec([ln.rx_position for ln in links])[:, None],
         vec([ln.rx_normal for ln in links])[:, None],
         area_m2=num([r.area_m2 for r in rx])[:, None],

@@ -1,9 +1,12 @@
 """Photometric geometry for LED downlinks.
 
-Lambertian emission orders, line-of-sight channel gains seen by a photodiode,
-horizontal illuminance gains on the desk plane, and the per-configuration
-beam poses used by the three light-source layouts (a: wide fixed, b: steered
-narrow data beam, c: multi-chip with fixed narrow beams).
+Lambertian emission orders, one line-of-sight kernel (`channel_gain_many`),
+and the per-configuration beam poses used by the three light-source layouts
+(a: wide fixed, b: steered narrow data beam, c: multi-chip with fixed narrow
+beams). The kernel gives the channel gain seen by a photodiode and, as the
+gain of a unit aperture facing up with no concentrator and no field-of-view
+cutoff, the horizontal illuminance gain on the desk plane (Komine and
+Nakagawa 2004 use the one law for both).
 """
 
 from __future__ import annotations
@@ -61,8 +64,17 @@ def _unit(v: Sequence[float]) -> np.ndarray:
 
 def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # written out so every element rounds the same way whatever the array
-    # shape: a link's own gain and its entry in a batch are bit-identical
+    # shape (a BLAS product or einsum may sum in another order)
     return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+
+def pose_arrays(poses: Sequence[BeamPose]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Origins (n, 3), directions (n, 3) and Lambertian orders (n,) of the
+    given emitters, for the vectorised gains."""
+    n = len(poses)
+    return (np.array([p.origin for p in poses], dtype=float).reshape(n, 3),
+            np.array([p.direction for p in poses], dtype=float).reshape(n, 3),
+            np.array([p.ml for p in poses], dtype=float).reshape(n))
 
 
 def channel_gain(
@@ -80,9 +92,12 @@ def channel_gain(
     Uses an idealised non-imaging concentrator: gain lens_index^2 / sin^2(FOV)
     inside the field of view, nothing outside.
     """
+    # evaluated on 1-element arrays: a numpy scalar's ** calls libm pow, which
+    # differs in the last ulp from the array loop on some inputs, so only
+    # arrays give a link's own gain bit for bit what a batch gives it
     return float(channel_gain_many(
-        tx.origin, tx.direction, tx.ml, rx_position, rx_normal, area_m2=area_m2,
-        fov_half_deg=fov_half_deg, filter_gain=filter_gain, lens_index=lens_index))
+        *pose_arrays([tx]), [rx_position], [rx_normal], area_m2=area_m2,
+        fov_half_deg=fov_half_deg, filter_gain=filter_gain, lens_index=lens_index)[0])
 
 
 def channel_gain_many(
@@ -116,13 +131,14 @@ def channel_gain_many(
     cos_rad = np.maximum(_dot3(u, direction), 0.0)
     cos_inc = -_dot3(u, rx_normal / n_len[..., None])
     fov = np.radians(fov_half_deg)
+    sin_fov = np.sin(fov)  # squared as a product: a scalar's ** 2 calls pow
     gain = (
         (ml + 1.0)
         * area_m2
         / (2.0 * math.pi * dist * dist)
         * cos_rad**ml
         * filter_gain
-        * (lens_index * lens_index / np.sin(fov) ** 2)
+        * (lens_index * lens_index / (sin_fov * sin_fov))
         * cos_inc
     )
     # a ray exactly on the edge of the field of view still counts
@@ -131,26 +147,17 @@ def channel_gain_many(
 
 def illum_gain(tx: BeamPose, point: Sequence[float]) -> float:
     """Horizontal illuminance gain (1/m^2) at a desk-plane point facing +z."""
-    return float(illum_gain_many(tx, np.asarray(point, float)[None, :])[0])
+    return float(illum_gain_many([tx], [point])[0, 0])
 
 
-def illum_gain_many(tx: BeamPose, points: np.ndarray) -> np.ndarray:
-    """Vectorised illum_gain over an (K, 3) array of desk-plane points."""
-    origin = np.asarray(tx.origin, dtype=float)
-    d = points - origin[None, :]
-    dist2 = np.einsum("ij,ij->i", d, d)
-    dist = np.sqrt(dist2)
-    ok = dist > 1e-12
-    cos_rad = np.zeros_like(dist)
-    cos_inc = np.zeros_like(dist)
-    direction = np.asarray(tx.direction, dtype=float)
-    cos_rad[ok] = d[ok] @ direction / dist[ok]
-    # surface faces straight up: incidence cosine is the height drop over range
-    cos_inc[ok] = (origin[2] - points[ok, 2]) / dist[ok]
-    out = np.zeros_like(dist)
-    lit = ok & (cos_rad > 0.0) & (cos_inc > 0.0)
-    out[lit] = (tx.ml + 1.0) / (2.0 * math.pi * dist2[lit]) * cos_rad[lit] ** tx.ml * cos_inc[lit]
-    return out
+def illum_gain_many(txs: Sequence[BeamPose], points: np.ndarray) -> np.ndarray:
+    """Horizontal illuminance gains (1/m^2), (len(txs), K), at K desk-plane
+    points: the channel gain of a unit aperture facing +z with no
+    concentrator (lens index 1) and no field-of-view cutoff (90 degrees)."""
+    origin, direction, ml = pose_arrays(txs)
+    return channel_gain_many(origin[:, None], direction[:, None], ml[:, None],
+                             np.asarray(points, dtype=float)[None], (0.0, 0.0, 1.0),
+                             area_m2=1.0, fov_half_deg=90.0, lens_index=1.0)
 
 
 def _vertical_pose(origin: Vec3, theta_half_deg: float) -> BeamPose:

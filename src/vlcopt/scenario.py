@@ -4,13 +4,17 @@ A scenario is loaded from a JSON document (or built from the equivalent dict),
 validated eagerly, and then treated as immutable. Candidate downlinks are
 derived here because they fix per-link beam poses and interference-free rates
 that every later stage shares.
+
+The `Receiver` and `PhysicalConstants` dataclasses hold the only copy of
+their defaults, and the canonical form that `Scenario.digest` hashes takes
+their fields, and `Chip`'s, from the dataclasses themselves.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Any, Optional
@@ -86,10 +90,6 @@ class Chip:
     @property
     def dc_capable(self) -> bool:
         return self.role in ("sole", "central")
-
-    @property
-    def ac_capable(self) -> bool:
-        return self.role in ("sole", "peripheral")
 
 
 @dataclass(frozen=True)
@@ -236,8 +236,8 @@ def default_config(
         "channels": [{"bandwidth_hz": 1e8}],
         "illum": {"lower_lux": 300.0, "upper_lux": 500.0, "spacing": 0.25, "ambient_lux": 0.0},
         "chip": dict(_DEFAULT_CHIP),
-        "receiver": {"area_m2": 1e-4, "fov_half_deg": 60.0, "filter_gain": 1.0, "lens_index": 1.5},
-        "constants": {"noise_variance": 4.7e-14, "luminosity_efficacy": 300.0, "responsivity": 0.54},
+        "receiver": asdict(Receiver()),
+        "constants": asdict(PhysicalConstants()),
         "config_c_n": 2,
     }
     for key, value in extra.items():
@@ -310,8 +310,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         channels.append(Channel(i, bw))
 
     receiver = Receiver(**_numbers(_object(doc.get("receiver", {}), "receiver"), "receiver.",
-                                   {"area_m2": 1e-4, "fov_half_deg": 60.0,
-                                    "filter_gain": 1.0, "lens_index": 1.5}))
+                                   vars(Receiver())))
     _require(receiver.area_m2 > 0, "receiver.area_m2", "must be positive")
     _require(0.0 < receiver.fov_half_deg <= 90.0, "receiver.fov_half_deg", "must lie in (0, 90]")
     _require(receiver.filter_gain > 0, "receiver.filter_gain", "must be positive")
@@ -320,8 +319,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     illum = _expand_illum(_object(doc.get("illum", {}), "illum"), room)
 
     constants = PhysicalConstants(**_numbers(
-        _object(doc.get("constants", {}), "constants"), "constants.",
-        {"noise_variance": 4.7e-14, "luminosity_efficacy": 300.0, "responsivity": 0.54}))
+        _object(doc.get("constants", {}), "constants"), "constants.", vars(PhysicalConstants())))
     _require(constants.noise_variance > 0, "constants.noise_variance", "must be positive")
     _require(constants.luminosity_efficacy > 0, "constants.luminosity_efficacy", "must be positive")
     _require(constants.responsivity > 0, "constants.responsivity", "must be positive")
@@ -556,20 +554,7 @@ def _canonicalize(s: Scenario) -> dict:
         "aps": [
             {
                 "position": list(ap.position),
-                "chips": [
-                    {
-                        "role": c.role,
-                        "beam_direction": list(c.beam_direction),
-                        "theta_half_ac_deg": c.theta_half_ac_deg,
-                        "theta_half_dc_deg": c.theta_half_dc_deg,
-                        "p_max": c.p_max,
-                        "p_ac_pp": c.p_ac_pp,
-                        "p_ac_avg": c.p_ac_avg,
-                        "eta_ac": c.eta_ac,
-                        "eta_dc": c.eta_dc,
-                    }
-                    for c in ap.chips
-                ],
+                "chips": [asdict(c) for c in ap.chips],
             }
             for ap in s.aps
         ],
@@ -578,21 +563,12 @@ def _canonicalize(s: Scenario) -> dict:
             for u in s.uts
         ],
         "channels": [{"bandwidth_hz": c.bandwidth_hz} for c in s.channels],
-        "receiver": {
-            "area_m2": s.receiver.area_m2,
-            "fov_half_deg": s.receiver.fov_half_deg,
-            "filter_gain": s.receiver.filter_gain,
-            "lens_index": s.receiver.lens_index,
-        },
+        "receiver": asdict(s.receiver),
         "illum": {
             "lower_lux": s.illum.lower_lux,
             "upper_lux": s.illum.upper_lux,
             "ambient_lux": s.illum.ambient_lux,
             "positions": [list(p) for p in s.illum.positions],
         },
-        "constants": {
-            "noise_variance": s.constants.noise_variance,
-            "luminosity_efficacy": s.constants.luminosity_efficacy,
-            "responsivity": s.constants.responsivity,
-        },
+        "constants": asdict(s.constants),
     }

@@ -123,8 +123,7 @@ def test_lazy_rows_add_the_worst_points_not_yet_held():
     field[:30] = inst.e_lo[:30] - 1e-3
     field[30] = inst.e_lo[30] - 1e-4
     assert inst._collect_violations(field, inst.e_lo, inst.e_hi) == 1
-    assert inst._lo_rows == list(range(31)) and inst._lo_set == set(range(31))
-    assert inst._hi_rows == [] and not inst._hi_set
+    assert inst._lo_rows == list(range(31)) and inst._hi_rows == []
 
 
 # -- seed columns and the restricted master ----------------------------------------
@@ -375,6 +374,23 @@ def test_matches_full_enumeration():
             dc = inst.optimize_dc_for_schedule(priced.schedule.active)
             assert priced.p_dc_electrical == pytest.approx(
                 float(np.sum(dc / inst.dc_eta)), rel=1e-9)
+
+
+@pytest.mark.parametrize("n_uts,seed,channels,threshold",
+                         [(4, 7, 1, 6.0), (5, 1, 2, 6.0), (6, 2, 2, 3.0)])
+def test_pricing_a_pooled_pattern_ends_the_loop(n_uts, seed, channels, threshold):
+    # on these inputs exact pricing can return a pattern already in the
+    # pool, priced about -5e-7 by the round-off of big-M duals: the solve
+    # must end there, at the optimum, instead of raising
+    doc = helpers.tiny_config(n_uts=n_uts, seed=seed, demand_bps=4e8,
+                              channels=channels, kind="c")
+    doc["chip"].update(p_ac_pp=1.0, p_ac_avg=0.5)
+    inst = SchedulingInstance(scenario_from_dict(doc), sir_threshold=threshold)
+    sol = inst.column_generation(epsilon=0.0)
+    ref = helpers.full_pool_optimum(inst)
+    assert sol.status is CgStatus.OPTIMAL and ref.feasible
+    assert sol.z_upper == pytest.approx(ref.z_upper, rel=1e-9)
+    assert 0.0 <= sol.net_gap <= 1e-6
 
 
 def test_pricing_solves_no_lighting_lp(monkeypatch):

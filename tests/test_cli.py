@@ -337,8 +337,7 @@ def test_derived_instances_share_no_pricing_state():
     base.solve_rmp(base.initial_columns())  # a master basis of the base's own
 
     def rows(inst):
-        return (list(inst._lo_rows), list(inst._hi_rows),
-                set(inst._lo_set), set(inst._hi_set))
+        return list(inst._lo_rows), list(inst._hi_rows)
 
     def bases(inst):
         """The master and pricing bases with their labels, copied out."""

@@ -137,8 +137,30 @@ def test_illum_gain_decreases_with_horizontal_offset():
     offsets = np.linspace(0.0, 2.7, 12)
     pts = np.column_stack([offsets, np.zeros_like(offsets),
                            np.full_like(offsets, 0.8)])
-    g = illum_gain_many(pose, pts)
+    g = illum_gain_many([pose], pts)[0]
     assert np.all(np.diff(g) < 0.0)
+
+
+def test_one_pair_gains_equal_their_batched_entries():
+    # numpy scalars and arrays raise to a power by different routines that
+    # disagree in the last ulp on some inputs; the one-pair forms must give
+    # exactly what the instance's batched tables hold
+    doc = default_config(n_uts=60)
+    doc["illum"]["spacing"] = 0.5
+    inst = SchedulingInstance(scenario_from_dict(doc))
+    rho = inst.s.constants.luminosity_efficacy
+    for i, victim in enumerate(inst.links):
+        r = victim.receiver
+        for j, ln in enumerate(inst.links):
+            if j != i and ln.channel_index == victim.channel_index:
+                g = channel_gain(ln.ac_pose, victim.rx_position, victim.rx_normal,
+                                 area_m2=r.area_m2, fov_half_deg=r.fov_half_deg,
+                                 filter_gain=r.filter_gain, lens_index=r.lens_index)
+                assert g == inst._h_cross[i, j], (i, j)
+    for t, (a, c) in enumerate(inst.dc_txs):
+        pose = lighting_pose(inst.s.aps[a], inst.s.aps[a].chips[c])
+        for k, point in enumerate(inst.pts):
+            assert rho * illum_gain(pose, point) == inst.dc_light[t, k], (t, k)
 
 
 # -- beam poses per luminaire configuration ------------------------------------

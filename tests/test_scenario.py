@@ -1,5 +1,6 @@
 """Scenario loading, validation, derived geometry, and candidate links."""
 
+import dataclasses
 import functools
 import json
 import math
@@ -48,6 +49,43 @@ def test_different_seed_moves_terminals():
     b = scenario_from_dict(default_config(seed=2))
     assert a.digest() != b.digest()
     assert any(u.position != v.position for u, v in zip(a.uts, b.uts))
+
+
+@pytest.mark.parametrize("kind,digest", [
+    ("a", "5f6650bd3c8e829dc3ecc4c5a9c303cbc3025d6ba23ff690311a062a61ff576a"),
+    ("b", "23e14377e6509201b722bc420976aa71666c6e83ae603dd498e2e0a0337ed3e4"),
+    ("c", "5873359aa258d244b9078c2342bb3f0746fffae06cd8eca0fbd7f3c47b125d5c"),
+])
+def test_default_office_digest_is_pinned(kind, digest):
+    # manifests record this digest: a change to the canonical form, or to a
+    # default, must be deliberate
+    assert scenario_from_dict(default_config(kind)).digest() == digest
+
+
+def _other(value):
+    if isinstance(value, str):
+        return value + "x"
+    if isinstance(value, tuple):
+        return tuple(v + 1.0 for v in value)
+    return value * 2.0 + 1.0
+
+
+def test_digest_sees_every_chip_receiver_and_constant_field():
+    base = scenario_from_dict(default_config("c"))
+    ap = base.aps[0]
+    variants = []
+    for f in dataclasses.fields(ap.chips[1]):
+        chip = dataclasses.replace(ap.chips[1], **{f.name: _other(getattr(ap.chips[1], f.name))})
+        chips = (ap.chips[0], chip) + ap.chips[2:]
+        variants.append((f"chip.{f.name}",
+                         {"aps": (dataclasses.replace(ap, chips=chips),) + base.aps[1:]}))
+    for attr in ("receiver", "constants"):
+        held = getattr(base, attr)
+        for f in dataclasses.fields(held):
+            variants.append((f"{attr}.{f.name}", {attr: dataclasses.replace(
+                held, **{f.name: _other(getattr(held, f.name))})}))
+    for name, change in variants:
+        assert dataclasses.replace(base, **change).digest() != base.digest(), name
 
 
 def test_contradictory_brightness_band_rejected():

@@ -106,3 +106,29 @@ def test_package_has_no_unused_imports():
     unused = {path.name: _unused_imports(ast.parse(path.read_text()))
               for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Private names a module binds at its top level by a definition or an
+    assignment, with their lines."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        found.update({name: node.lineno for name in names
+                      if name.startswith("_") and not name.startswith("__")})
+    return found
+
+
+def test_every_private_module_name_is_read_in_the_package():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    reads = {node.id for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{module}: {name} (line {line})" for module, tree in trees.items()
+              for name, line in _private_definitions(tree).items() if name not in reads]
+    assert unread == []
