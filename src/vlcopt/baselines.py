@@ -76,8 +76,6 @@ def _finish(
         dc_min=tuple(float(v) for v in dc_min),
         epsilon=None,
         sir_threshold=inst.sir_threshold,
-        iterations=len(log),
-        last_reduced_cost=math.nan,
         lambda_bps=(),
         mu=math.nan,
         shortfall_bps=tuple(float(v) for v in remaining),

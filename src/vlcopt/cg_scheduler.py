@@ -166,13 +166,20 @@ class CgSolution:
     dc_min: tuple[float, ...]  # optical W per lighting chip, lighting-only state
     epsilon: Optional[float]
     sir_threshold: Optional[float]
-    iterations: int
-    last_reduced_cost: float
     lambda_bps: tuple[float, ...]
     mu: float
     shortfall_bps: tuple[float, ...]
     iteration_log: tuple[IterationRecord, ...]
     wall_ms: float
+
+    @property
+    def iterations(self) -> int:
+        return len(self.iteration_log)
+
+    @property
+    def last_reduced_cost(self) -> float:
+        """The last iteration's pricing reduced cost; NaN with no iteration."""
+        return self.iteration_log[-1].reduced_cost if self.iteration_log else math.nan
 
     @property
     def feasible(self) -> bool:
@@ -613,7 +620,6 @@ class SchedulingInstance:
         log: list[IterationRecord] = []
         status = CgStatus.ITERATION_LIMIT
         rmp: Optional[RmpResult] = None
-        reduced = math.nan
 
         for it in range(1, MAX_ITERATIONS + 1):
             t0 = time.monotonic()
@@ -666,8 +672,6 @@ class SchedulingInstance:
             dc_min=tuple(float(v) for v in dc_min),
             epsilon=epsilon,
             sir_threshold=self.sir_threshold,
-            iterations=len(log),
-            last_reduced_cost=reduced,
             lambda_bps=tuple(float(v) for v in rmp.lambda_bps),
             mu=rmp.mu,
             shortfall_bps=tuple(float(v) for v in rmp.shortfall_bps),

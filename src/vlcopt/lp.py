@@ -4,12 +4,14 @@ A bounded-variable dense tableau solved by the dual simplex method. Each row
 gets one slack and the slack basis is the cold start (`>=` rows are negated,
 an `==` row's slack is fixed at zero). Finite upper bounds enter the ratio
 tests instead of becoming rows, and a nonbasic variable at its upper bound
-is complemented (x = u - x'). Complementing the negative-cost columns that
-have a finite bound makes the slack basis dual feasible for every program
-this package builds, so there is no phase 1 and no artificial column. When
-a negative cost has no finite bound, it is zeroed for the dual pass (cost
-modification) and a bounded primal simplex finishes with the true costs,
-reporting UNBOUNDED when nothing limits a step.
+is complemented (x = u - x'); the cold start complements the negative-cost
+columns that have a finite bound. One start rule serves every loaded basis
+(cost modification; Koberstein 2005, The dual simplex method): each
+nonbasic column with a negative reduced cost has its cost shifted until
+that reduced cost is zero, dual pivots on the shifted costs reach primal
+feasibility, and a bounded primal simplex finishes with the true costs,
+reporting UNBOUNDED when nothing limits a step. There is no phase 1 and no
+artificial column.
 
 The tableau is kept in dictionary (compact) form (Chvatal 1983, Linear
 Programming, ch. 2): with n structural columns and m rows it stores only the
@@ -33,14 +35,11 @@ A solve can start warm from a basis (basic columns and complement flags,
 not the tableau) of a program with the same rows and columns; `carry_basis`
 maps one across added rows, whose slacks become basic, and added columns,
 which start nonbasic at their lower bounds. The tableau is rebuilt from the
-basis with one dense solve against the nonbasic columns and the right side.
-A dual feasible basis, such as the one a program keeps when only its right
-sides, bounds or rows change, continues with dual pivots and then primal
-ones; a primal feasible basis, such as the one it keeps when only its costs
-change or columns are added, continues with primal pivots alone. A basis
-that is singular, does not fit the program, or is neither primal nor dual
-feasible is dropped for the cold slack start, and a warm solve whose answer
-fails the feasibility and duality check is solved once more from it.
+basis with one dense solve against the nonbasic columns and the right side,
+and the start rule above takes it from there, whether it is primal
+feasible, dual feasible or neither. A basis that is singular or does not
+fit the program is dropped for the cold slack start, and a warm solve whose
+answer fails the feasibility and duality check is solved once more from it.
 
 Branch and bound uses most-fractional branching and best-bound search. Its
 incumbents come from the tree alone: under best-bound order, a seed no
@@ -259,25 +258,27 @@ class _Tableau:
         self.flip[j] = not self.flip[j]
 
     def solve(self, warm: Optional[Basis]) -> None:
+        """From `warm`, or from the slack basis when it does not load: shift the
+        cost of each movable nonbasic column priced below -rc_tol until its
+        reduced cost is zero, pivot dual on the shifted costs, then primal."""
         m, total = self.m, self.c0.shape[0]
         if warm is None or not self._load_warm(warm):
-            # cold start: the slack basis, made dual feasible by complementing
-            # bounded negative-cost columns and zeroing the unbounded ones
-            neg = self.c0 < 0.0
-            flip = neg & np.isfinite(self.u)
-            cost = np.where(neg & ~flip, 0.0, self.c0)
-            self._load(np.arange(total - m, total), flip, cost)
-            self._dual(cost)
-            if not np.array_equal(cost, self.c0):
-                self._price(self.c0)
-        elif self._dual_feasible():
-            self._dual(self.c0)
+            flip = (self.c0 < 0.0) & np.isfinite(self.u)
+            self._load(np.arange(total - m, total), flip, self.c0)
+        d = self.t[-1, :-1]
+        shift = (d < -self.rc_tol) & self.movable[self.nonbasic]
+        j, cost = self.nonbasic[shift], self.c0.copy()
+        cost[j] -= np.where(self.flip[j], -d[shift], d[shift])
+        if j.size:
+            self._price(cost)
+        self._dual(cost)
+        if j.size:  # an unshifted row stays as the pivots left it
+            self._price(self.c0)
         self._primal()
 
     def _load_warm(self, warm: Basis) -> bool:
         """Load a basis of another program with the same rows and columns;
-        False if it does not fit them, is singular, or is neither dual nor
-        primal feasible here."""
+        False if it does not fit them or is singular."""
         basic, flip = np.asarray(warm.basic), np.asarray(warm.complemented)
         total = self.c0.shape[0]
         if (basic.shape != (self.m,) or flip.shape != (total,) or flip.dtype != bool
@@ -288,15 +289,7 @@ class _Tableau:
             self._load(basic, flip, self.c0)
         except np.linalg.LinAlgError:
             return False
-        return bool(np.all(np.isfinite(self.t))
-                    and (self._dual_feasible() or self._primal_feasible()))
-
-    def _dual_feasible(self) -> bool:
-        return not np.any((self.t[-1, :-1] < -self.rc_tol) & self.movable[self.nonbasic])
-
-    def _primal_feasible(self) -> bool:
-        beta = self.t[:-1, -1]
-        return not np.any((beta < -_BOUND_TOL) | (beta > self.u[self.basic] + _BOUND_TOL))
+        return bool(np.all(np.isfinite(self.t)))
 
     def _dual(self, cost: np.ndarray) -> None:
         """Dual simplex pivots from a dual feasible basis to primal feasibility."""
@@ -463,16 +456,11 @@ def carry_basis(basis: Basis, rows: Sequence[Hashable], cols: Sequence[Hashable]
 def _feasible(p: LinearProgram, x: np.ndarray) -> bool:
     """Rows hold to FEAS_TOL scaled by the largest right side, bounds to FEAS_TOL."""
     scale = 1.0 + (float(np.max(np.abs(p.b))) if p.n_rows else 0.0)
-    ax = p.a @ x
-    for i, r in enumerate(p.rel):
-        resid = ax[i] - p.b[i]
-        if r == "<=" and resid > FEAS_TOL * scale:
-            return False
-        if r == ">=" and resid < -FEAS_TOL * scale:
-            return False
-        if r == "==" and abs(resid) > FEAS_TOL * scale:
-            return False
-    return not (np.any(x < p.lb - FEAS_TOL) or np.any(x > p.ub + FEAS_TOL))
+    rel = np.array(p.rel, dtype=str)
+    resid = p.a @ x - p.b
+    excess = np.select([rel == "<=", rel == ">="], [resid, -resid], np.abs(resid))
+    return not (np.any(excess > FEAS_TOL * scale)
+                or np.any(x < p.lb - FEAS_TOL) or np.any(x > p.ub + FEAS_TOL))
 
 
 def _verify(p: LinearProgram, x: np.ndarray, duals_int: np.ndarray,

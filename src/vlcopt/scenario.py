@@ -474,7 +474,7 @@ def _expand_illum(raw: dict, room: Vec3) -> IlluminanceGrid:
 def build_candidate_links(s: Scenario) -> list[Link]:
     """Candidate downlinks: each terminal's receivers paired with its k nearest
     access points on every channel, with per-link pose, gain and rate."""
-    links: list[Link] = []
+    specs = []
     ap_xy = np.array([ap.position[:2] for ap in s.aps])
     for ut in s.uts:
         d = np.linalg.norm(ap_xy - np.asarray(ut.position[:2]), axis=1)
@@ -485,45 +485,30 @@ def build_candidate_links(s: Scenario) -> list[Link]:
                 for ap_index in nearest:
                     ap = s.aps[ap_index]
                     chip_index = _serving_chip(s, ap, ut)
-                    chip = ap.chips[chip_index]
-                    ac_pose = optics.beam_for_link(s.config_kind, ap, chip, ut.position)
-                    rx_normal = _receiver_normal(s, ap, ut)
-                    gain = optics.channel_gain(
-                        ac_pose,
-                        ut.position,
-                        rx_normal,
-                        area_m2=s.receiver.area_m2,
-                        fov_half_deg=s.receiver.fov_half_deg,
-                        filter_gain=s.receiver.filter_gain,
-                        lens_index=s.receiver.lens_index,
-                    )
-                    rate = capacity.protocol_capacity(
-                        ch.bandwidth_hz,
-                        s.constants.responsivity,
-                        gain,
-                        chip.p_ac_pp,
-                        s.constants.noise_variance,
-                    )
-                    links.append(
-                        Link(
-                            index=len(links),
-                            ap_index=ap_index,
-                            chip_index=chip_index,
-                            ut_index=ut.index,
-                            rx_index=rx_index,
-                            channel_index=ch.index,
-                            ac_pose=ac_pose,
-                            rx_position=ut.position,
-                            rx_normal=rx_normal,
-                            receiver=s.receiver,
-                            bandwidth_hz=ch.bandwidth_hz,
-                            gain=gain,
-                            capacity_protocol=rate,
-                            p_ac_pp=chip.p_ac_pp,
-                            p_ac_avg=chip.p_ac_avg,
-                            eta_ac=chip.eta_ac,
-                        )
-                    )
+                    ac_pose = optics.beam_for_link(s.config_kind, ap, ap.chips[chip_index],
+                                                   ut.position)
+                    specs.append((ap_index, chip_index, ut, rx_index, ch, ac_pose,
+                                  _receiver_normal(s, ap, ut)))
+    # one batch: each entry equals that link's own `channel_gain` bit for bit
+    rx = s.receiver
+    gains = optics.channel_gain_many(
+        *optics.pose_arrays([pose for *_, pose, _ in specs]),
+        np.array([ut.position for _, _, ut, *_ in specs], dtype=float).reshape(-1, 3),
+        np.array([normal for *_, normal in specs], dtype=float).reshape(-1, 3),
+        area_m2=rx.area_m2, fov_half_deg=rx.fov_half_deg, filter_gain=rx.filter_gain,
+        lens_index=rx.lens_index)
+    links: list[Link] = []
+    for (ap_index, chip_index, ut, rx_index, ch, ac_pose, rx_normal), gain in zip(
+            specs, gains.tolist()):
+        chip = s.aps[ap_index].chips[chip_index]
+        rate = capacity.protocol_capacity(ch.bandwidth_hz, s.constants.responsivity, gain,
+                                          chip.p_ac_pp, s.constants.noise_variance)
+        links.append(Link(
+            index=len(links), ap_index=ap_index, chip_index=chip_index, ut_index=ut.index,
+            rx_index=rx_index, channel_index=ch.index, ac_pose=ac_pose,
+            rx_position=ut.position, rx_normal=rx_normal, receiver=rx,
+            bandwidth_hz=ch.bandwidth_hz, gain=gain, capacity_protocol=rate,
+            p_ac_pp=chip.p_ac_pp, p_ac_avg=chip.p_ac_avg, eta_ac=chip.eta_ac))
     return links
 
 

@@ -4,6 +4,7 @@ The reference functions re-derive expected values straight from the model
 formulas with plain math so the package code is never its own oracle.
 """
 
+import functools
 import itertools
 import math
 
@@ -156,16 +157,23 @@ def ref_illum_gain(origin, direction, order, pt):
             * max(cos_t, 0.0) ** order * max(cos_p, 0.0))
 
 
+@functools.cache
+def ref_illum_gains(s, origin, direction, order):
+    """ref_illum_gain of one emitter at every grid point of `s`, computed once
+    per scenario and emitter, so fields over many states only sum them."""
+    gains = np.array([ref_illum_gain(origin, direction, order, pt)
+                      for pt in s.grid_points()])
+    gains.flags.writeable = False
+    return gains
+
+
 def ref_idle_field(s, dc):
     """Illuminance at every grid point from lighting chips alone."""
     rho = s.constants.luminosity_efficacy
     field = np.full(s.grid_points().shape[0], float(s.illum.ambient_lux))
     for (a, c), p_opt in zip(s.dc_transmitters(), dc):
-        chip = s.aps[a].chips[c]
-        order = ref_lambertian(chip.theta_half_dc_deg)
-        for k, pt in enumerate(s.grid_points()):
-            field[k] += rho * p_opt * ref_illum_gain(
-                s.aps[a].position, (0.0, 0.0, -1.0), order, pt)
+        order = ref_lambertian(s.aps[a].chips[c].theta_half_dc_deg)
+        field += rho * p_opt * ref_illum_gains(s, s.aps[a].position, (0.0, 0.0, -1.0), order)
     return field
 
 

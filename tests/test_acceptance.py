@@ -64,10 +64,8 @@ def _ref_column_field(inst, col):
     field = helpers.ref_idle_field(inst.s, col.dc_power)
     for i in col.schedule.active:
         ln = inst.links[i]
-        for k, pt in enumerate(inst.s.grid_points()):
-            field[k] += inst.s.constants.luminosity_efficacy * ln.p_ac_avg * \
-                helpers.ref_illum_gain(ln.ac_pose.origin, ln.ac_pose.direction,
-                                       ln.ac_pose.ml, pt)
+        field += inst.s.constants.luminosity_efficacy * ln.p_ac_avg * helpers.ref_illum_gains(
+            inst.s, ln.ac_pose.origin, ln.ac_pose.direction, ln.ac_pose.ml)
     return field
 
 

@@ -274,6 +274,16 @@ def assert_tableau_matches_basis(p: LinearProgram, sol, warm=None, tol: float = 
                                **close)
 
 
+def tableau_feasibility(tab) -> tuple[bool, bool]:
+    """(primal, dual) feasibility of the basis loaded in `tab`, read off its
+    tableau with the solver's tolerances: every basic value within its
+    bounds, and no movable nonbasic column priced below -rc_tol."""
+    beta, tol = tab.t[:-1, -1], lp_module._BOUND_TOL
+    primal = not np.any((beta < -tol) | (beta > tab.u[tab.basic] + tol))
+    dual = not np.any((tab.t[-1, :-1] < -tab.rc_tol) & tab.movable[tab.nonbasic])
+    return primal, dual
+
+
 def test_negative_costs_bounded_only_by_rows():
     # the slack basis is not dual feasible: x0 and x1 want to grow without
     # a bound of their own, and only the rows stop them
@@ -382,8 +392,10 @@ def test_warm_start_from_a_primal_feasible_basis():
         c = np.where(np.isinf(p.ub), rng.uniform(0.0, 1.0, size=n), rng.uniform(-1.0, 1.0, size=n))
         q = LinearProgram(c=c, a=p.a, rel=p.rel, b=p.b, lb=p.lb, ub=p.ub)
         tab = lp_module._Tableau(q)
-        assert tab._load_warm(start) and tab._primal_feasible(), trial
-        primal_only += not tab._dual_feasible()
+        assert tab._load_warm(start), trial
+        primal, dual = tableau_feasibility(tab)
+        assert primal, trial
+        primal_only += not dual
         _assert_matches_highs(q, warm=start)
     assert primal_only >= 10
 
@@ -404,8 +416,10 @@ def test_warm_start_from_a_dual_feasible_basis():
         gap = np.select([rel == "<=", rel == ">="], [slack, -slack], 0.0)
         q = LinearProgram(c=p.c, a=p.a, rel=p.rel, b=p.a @ x0 + gap, lb=p.lb, ub=ub)
         tab = lp_module._Tableau(q)
-        assert tab._load_warm(start) and tab._dual_feasible(), trial
-        dual_only += not tab._primal_feasible()
+        assert tab._load_warm(start), trial
+        primal, dual = tableau_feasibility(tab)
+        assert dual, trial
+        dual_only += not primal
         _assert_matches_highs(q, warm=start)
     assert dual_only >= 10
 
@@ -455,16 +469,46 @@ def test_basis_carried_into_a_program_with_added_rows_and_columns():
         assert not carried.complemented[[0, n + 1]].any()
         tab = lp_module._Tableau(q)
         assert tab._load_warm(carried), trial
-        assert tab._dual_feasible() if dual_side else tab._primal_feasible()
+        primal, dual = tableau_feasibility(tab)
+        assert dual if dual_side else primal
         if dual_side:
-            assert not tab._primal_feasible()  # "top" cuts the old optimum off
+            assert not primal  # "top" cuts the old optimum off
         _assert_matches_highs(q, warm=carried)
         # an old label missing from the new program, or a new label repeated
         assert carry_basis(sol.basis, rows, cols, new_rows[:-2], new_cols) is None
         assert carry_basis(sol.basis, rows, cols, new_rows, new_cols + ["last"]) is None
 
 
-def test_unusable_warm_bases_fall_back_to_the_cold_start():
+def _recording_loads(monkeypatch) -> list[np.ndarray]:
+    """The basic columns of every basis `_Tableau._load` loads from now on."""
+    loads = []
+    load = lp_module._Tableau._load
+
+    def recording(tab, basic, flip, cost):
+        loads.append(np.array(basic))
+        return load(tab, basic, flip, cost)
+
+    monkeypatch.setattr(lp_module._Tableau, "_load", recording)
+    return loads
+
+
+def _slack_loads(loads: list[np.ndarray], p: LinearProgram) -> int:
+    slacks = np.arange(p.n_vars, p.n_vars + p.n_rows)
+    return sum(np.array_equal(basic, slacks) for basic in loads)
+
+
+def _loads_neither_feasible(p: LinearProgram, warm: Basis) -> bool:
+    # loaded directly, not through `_load_warm`, so the verdict does not
+    # depend on which bases the solver accepts
+    tab = lp_module._Tableau(p)
+    try:
+        tab._load(warm.basic, warm.complemented, tab.c0)
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.all(np.isfinite(tab.t))) and not any(tableau_feasibility(tab))
+
+
+def test_unusable_warm_bases_fall_back_to_the_cold_start(monkeypatch):
     rng = np.random.default_rng(37)
     p = _random_box_lp(rng, n=4, m=3)
     p.a[:, 0] = [1.0, 0.0, 0.0]  # x0's column equals the first row's slack
@@ -481,23 +525,45 @@ def test_unusable_warm_bases_fall_back_to_the_cold_start():
         Basis(good.basic.astype(float), good.complemented),
         Basis(good.basic, good.complemented.astype(int)),
     ]
-    # a basis that loads but is neither primal nor dual feasible
-    tab = lp_module._Tableau(p)
-    for ids in itertools.combinations(range(total), 3):
-        try:
-            tab._load(np.array(ids), none, tab.c0)
-        except np.linalg.LinAlgError:
-            continue
-        if not (tab._primal_feasible() or tab._dual_feasible()):
-            unusable.append(Basis(np.array(ids), none.copy()))
-            break
-    assert len(unusable) == 8
     for warm in unusable:
         sol = solve_lp(p, _warm=warm)
         assert sol.status is LpStatus.OPTIMAL
         assert sol.iterations == cold.iterations
         assert np.array_equal(sol.x, cold.x)
         assert np.array_equal(sol.basis.basic, good.basic)
+    # a basis that loads but is neither primal nor dual feasible is usable:
+    # the solve starts from it and never loads the slack basis
+    neither = next(Basis(np.array(ids), none) for ids in itertools.combinations(range(total), 3)
+                   if _loads_neither_feasible(p, Basis(np.array(ids), none)))
+    loads = _recording_loads(monkeypatch)
+    _assert_matches_highs(p, warm=neither)
+    assert np.array_equal(loads[0], neither.basic)
+    assert _slack_loads(loads, p) == 0
+
+
+def test_warm_start_from_a_basis_neither_primal_nor_dual_feasible(monkeypatch):
+    # bases that load but are neither primal nor dual feasible, drawn at
+    # random with random complemented bounded columns: each reaches the
+    # optimum from itself, never from the slack basis
+    rng = np.random.default_rng(41)
+    corpus = []
+    for _ in range(40):
+        n, m = int(rng.integers(2, 8)), int(rng.integers(2, 7))
+        p = _random_mixed_lp(rng, n, m)
+        basic = np.sort(rng.choice(n + m, size=m, replace=False))
+        flip = np.zeros(n + m, dtype=bool)
+        flip[:n] = np.isfinite(p.ub) & (rng.random(n) < 0.5)
+        flip[basic] = False
+        warm = Basis(basic, flip)
+        if not np.array_equal(basic, np.arange(n, n + m)) and _loads_neither_feasible(p, warm):
+            corpus.append((p, warm))
+    assert len(corpus) >= 20
+    loads = _recording_loads(monkeypatch)
+    for k, (p, warm) in enumerate(corpus):
+        loads.clear()
+        _assert_matches_highs(p, warm=warm)
+        assert np.array_equal(loads[0], warm.basic), k
+        assert _slack_loads(loads, p) == 0, k
 
 
 def test_milp_root_starts_from_a_given_basis_and_returns_its_own(monkeypatch):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import helpers
-from vlcopt.optics import coverage_center
+from vlcopt.optics import channel_gain, coverage_center
 from vlcopt.scenario import (
     ScenarioError,
     build_candidate_links,
@@ -191,10 +191,18 @@ def test_links_always_use_k_nearest_luminaires():
 
 
 def test_links_carry_consistent_precomputed_gain():
-    s = scenario_from_dict(helpers.tiny_config(n_uts=5, seed=2, kind="b"))
-    for ln in build_candidate_links(s):
-        assert ln.gain == pytest.approx(helpers.ref_link_gain(ln), rel=1e-9)
-        assert ln.capacity_protocol >= 0.0
+    # the links' gains come from one batch, and each equals the link's own
+    # one-pair gain bit for bit
+    for kind in ("a", "b", "c"):
+        s = scenario_from_dict(helpers.tiny_config(n_uts=5, seed=2, kind=kind))
+        for ln in build_candidate_links(s):
+            assert ln.gain == pytest.approx(helpers.ref_link_gain(ln), rel=1e-9)
+            rx = ln.receiver
+            assert ln.gain == channel_gain(
+                ln.ac_pose, ln.rx_position, ln.rx_normal, area_m2=rx.area_m2,
+                fov_half_deg=rx.fov_half_deg, filter_gain=rx.filter_gain,
+                lens_index=rx.lens_index), (kind, ln.index)
+            assert ln.capacity_protocol >= 0.0
 
 
 def test_zero_gain_link_still_emitted():
