@@ -36,14 +36,14 @@ solution is checked against the full grid, and the worst violated rows join
 the working set until the check is clean, so the sets hold only rows some
 solve violated. Solutions are exact for the full row set.
 
-Each program starts from the last optimal basis of its kind, carried by
-label across the rows and columns added since (`lp.carry_basis`): every
-lighting LP from the lighting floor's basis (rows labelled by grid point),
-each restricted master from the previous master's (columns labelled by
-pattern; a new one starts at zero), and each pricing MILP's root from the
-previous root's (rows labelled by static row index and grid point); a
-lazy-row round after the first starts from the round before. Only the first
-program of each kind starts cold.
+Each program starts from the last optimal basis of its kind, which lines
+up with it by position because programs of a kind only grow at the end:
+every lighting LP from the lighting floor's basis (lazy rows are appended),
+each restricted master from the previous master's (the shortfall columns
+come first, so a new pattern is the last column and starts at zero), and
+each pricing MILP's root from the previous root's (static rows first, then
+the lazy rows); a lazy-row round after the first starts from the round
+before. Only the first program of each kind starts cold.
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ from .lp import (
     LinearProgram,
     LpStatus,
     MixedIntegerProgram,
-    carry_basis,
     solve_lp,
     solve_milp,
 )
@@ -90,8 +89,6 @@ _OMEGA_TOL = 1e-9
 _SHORTFALL_TOL_BPS = 1.0
 
 _Answer = TypeVar("_Answer")
-# a final basis with the row labels and column labels of its program
-_Held = tuple[Basis, list, list]
 
 
 class CgStatus(str, Enum):
@@ -263,9 +260,9 @@ class SchedulingInstance:
         self._static_rows: Optional[tuple] = None
         # the last optimal basis of each kind of program: the lighting floor,
         # the restricted master and the pricing MILP's root
-        self._floor_basis: Optional[_Held] = None
-        self._rmp_basis: Optional[_Held] = None
-        self._pricing_basis: Optional[_Held] = None
+        self._floor_basis: Optional[Basis] = None
+        self._rmp_basis: Optional[Basis] = None
+        self._pricing_basis: Optional[Basis] = None
 
     def _start_rows(self, lo: Sequence[int], hi: Sequence[int]) -> None:
         self._lo_rows: list[int] = list(lo)
@@ -333,14 +330,15 @@ class SchedulingInstance:
         return self.dc_cap - self.budget[:, list(active)].sum(1)
 
     def _illum_rows(self, lux: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                    ) -> tuple[list, np.ndarray, tuple[str, ...], np.ndarray]:
-        """The held illuminance rows, lower then upper: their labels, their
-        coefficients read from the (variables, K) table `lux`, their
-        relations and their right sides, read from `lo` and `hi`."""
+                    ) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
+        """The held illuminance rows, lower then upper: their coefficients
+        read from the (variables, K) table `lux`, their relations and their
+        right sides, read from `lo` and `hi`. A lower row added after an upper
+        one shifts the upper rows, which costs a held basis only a worse, still
+        verified, start; neither benchmark workload ever adds an upper row."""
         held = self._lo_rows + self._hi_rows
-        labels = [("lo", k) for k in self._lo_rows] + [("hi", k) for k in self._hi_rows]
         rel = (">=",) * len(self._lo_rows) + ("<=",) * len(self._hi_rows)
-        return labels, lux[:, held].T, rel, np.concatenate([lo[self._lo_rows], hi[self._hi_rows]])
+        return lux[:, held].T, rel, np.concatenate([lo[self._lo_rows], hi[self._hi_rows]])
 
     def _solve_dc(self, active: tuple[int, ...]) -> np.ndarray:
         ac = self._ac_field(active)
@@ -364,7 +362,6 @@ class SchedulingInstance:
                 "lower illuminance bound exceeds what capped chips can deliver")
 
         cost = 1.0 / self.dc_eta
-        chips = list(range(len(cost)))
         # each round starts from the last one's basis, the first from the
         # floor's: only right sides, caps and added rows differ, so it stays
         # dual feasible. Lower rows whose right side is <= 0 stay in the LP
@@ -373,15 +370,14 @@ class SchedulingInstance:
 
         def solve() -> tuple[np.ndarray, np.ndarray]:
             nonlocal held
-            rows, a, rel, b = self._illum_rows(self.dc_light, lo, hi)
-            sol = solve_lp(LinearProgram(c=cost, a=a, rel=rel, b=b, ub=caps),
-                           _warm=_carried(held, rows, chips))
+            a, rel, b = self._illum_rows(self.dc_light, lo, hi)
+            sol = solve_lp(LinearProgram(c=cost, a=a, rel=rel, b=b, ub=caps), _warm=held)
             if sol.status == LpStatus.INFEASIBLE:
                 raise IlluminationInfeasible(
                     -1, (), "conflicting lower and upper bounds across grid points")
             if sol.status != LpStatus.OPTIMAL:
                 raise CgError(f"lighting LP failed with status {sol.status}")
-            held = (sol.basis, rows, chips)
+            held = sol.basis
             dc = np.maximum(sol.x, 0.0)
             return dc, dc @ self.dc_light
 
@@ -472,25 +468,23 @@ class SchedulingInstance:
         p0_elec, _ = self.min_illumination_power()
         M = len(self.s.uts)
         Q = len(columns)
-        # omega then one shortfall column per terminal
-        c = np.concatenate([[col.electrical_total - p0_elec for col in columns],
-                            np.full(M, SHORTFALL_COST)])
-        a = np.zeros((M + 1, Q + M))
-        a[:M, :Q] = np.reshape([col.rate_per_ut for col in columns], (Q, M)).T / RATE_SCALE
-        a[:M, Q:] = np.eye(M)
-        a[M, :Q] = 1.0
+        # one shortfall column per terminal, then omega: a pattern appended
+        # since the last master enters that master's basis nonbasic at zero,
+        # which keeps it primal feasible
+        c = np.concatenate([np.full(M, SHORTFALL_COST),
+                            [col.electrical_total - p0_elec for col in columns]])
+        a = np.zeros((M + 1, M + Q))
+        a[:M, :M] = np.eye(M)
+        a[:M, M:] = np.reshape([col.rate_per_ut for col in columns], (Q, M)).T / RATE_SCALE
+        a[M, M:] = 1.0
         b = np.append(self.demands / RATE_SCALE, 1.0)
-        # a pattern new since the last master enters nonbasic at zero, which
-        # keeps that master's basis primal feasible
-        rows = list(range(M + 1))
-        cols = [col.schedule.active for col in columns] + [("shortfall", j) for j in range(M)]
         sol = solve_lp(LinearProgram(c=c, a=a, rel=(">=",) * M + ("<=",), b=b),
-                       _warm=_carried(self._rmp_basis, rows, cols))
+                       _warm=self._rmp_basis)
         if sol.status != LpStatus.OPTIMAL:
             raise CgError(f"restricted master LP failed with status {sol.status}")
-        self._rmp_basis = (sol.basis, rows, cols)
-        omega = np.maximum(sol.x[:Q], 0.0)
-        shortfall = np.maximum(sol.x[Q:], 0.0) * RATE_SCALE
+        self._rmp_basis = sol.basis
+        omega = np.maximum(sol.x[M:], 0.0)
+        shortfall = np.maximum(sol.x[:M], 0.0) * RATE_SCALE
         lam = np.maximum(sol.duals[:M], 0.0) / RATE_SCALE
         mu = min(float(sol.duals[M]), 0.0)
         z_upper = float(sol.objective) + p0_elec
@@ -553,20 +547,16 @@ class SchedulingInstance:
 
         # the root starts from the last root's basis: between calls only the
         # costs differ, so it stays primal feasible; between lazy rounds only
-        # rows are added, so it stays dual feasible
-        cols = list(range(n))
-
+        # rows are appended, so it stays dual feasible
         def solve() -> tuple[tuple[float, tuple[int, ...], np.ndarray], np.ndarray]:
-            labels, a, rel, b = self._illum_rows(lux, self.e_lo, self.e_hi)
-            rows = list(range(len(fixed_b))) + labels
+            a, rel, b = self._illum_rows(lux, self.e_lo, self.e_hi)
             lp = LinearProgram(c=c, a=np.vstack([fixed_a, a]),
                                rel=("<=",) * len(fixed_b) + rel,
                                b=np.concatenate([fixed_b, b]), lb=lb, ub=ub)
-            res = solve_milp(MixedIntegerProgram(lp, integer),
-                             _warm=_carried(self._pricing_basis, rows, cols))
+            res = solve_milp(MixedIntegerProgram(lp, integer), _warm=self._pricing_basis)
             if res.status != LpStatus.OPTIMAL or res.x is None:
                 raise CgError(f"pricing MILP failed with status {res.status}")
-            self._pricing_basis = (res.root_basis, rows, cols)
+            self._pricing_basis = res.root_basis
             active = tuple(int(i) for i in np.nonzero(res.x[:L] > 0.5)[0])
             dc = np.maximum(res.x[L:], 0.0)
             return (float(res.objective), active, dc), self.illuminance(dc, active)
@@ -724,11 +714,6 @@ class SchedulingInstance:
             shortfall_bps=tuple(float(v) for v in rmp.shortfall_bps),
             wall_ms=(time.monotonic() - t0) * 1e3,
         )
-
-
-def _carried(held: Optional[_Held], rows: list, cols: list) -> Optional[Basis]:
-    """A held basis carried into the program labelled `rows` and `cols`."""
-    return None if held is None else carry_basis(*held, rows, cols)
 
 
 def _greedy_insert(inst: SchedulingInstance, order: Sequence[int]) -> list[int]:

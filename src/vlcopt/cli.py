@@ -19,6 +19,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -327,13 +328,9 @@ def _cmd_compare(args) -> int:
                 rows.append(result_row(
                     inst, algo, proto, real, seed,
                     axis=args.axis, axis_value=value))
-                for rec in proto.iteration_log:
-                    iter_rows.append({
-                        "algorithm": algo, "axis_value": value, "seed": seed,
-                        "iteration": rec.iteration, "z_upper": rec.z_upper,
-                        "z_lower": rec.z_lower, "reduced_cost": rec.reduced_cost,
-                        "wall_ms": rec.wall_ms, "pricing": rec.pricing,
-                    })
+                iter_rows.extend(
+                    {"algorithm": algo, "axis_value": value, "seed": seed, **asdict(rec)}
+                    for rec in proto.iteration_log)
     _write_csv(out / "results.csv", rows)
     _write_csv(out / "iterations.csv", iter_rows)
     _write_csv(out / "summary.csv", _summarize(rows, algos, values))

@@ -18,7 +18,6 @@ heuristic and the pricing problem's rows all read it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -159,12 +158,3 @@ def is_independent(x: ScheduleVector, g: ConflictGraph, s: "Scenario") -> bool:
         return False
     members, caps = cap_groups(g.links, s)
     return bool(np.all(members[:, idx].sum(axis=1) <= caps))
-
-
-def write_adjacency(g: ConflictGraph, path: str | Path) -> None:
-    """Debug dump: one line per link listing its conflicting neighbours."""
-    with open(path, "w") as fh:
-        fh.write(f"# links={g.n_links} sir_threshold={g.sir_threshold}\n")
-        for i in range(g.n_links):
-            neigh = np.nonzero(g.adjacency[i])[0]
-            fh.write(f"{i}: {' '.join(str(j) for j in neigh.tolist())}\n")

@@ -31,15 +31,16 @@ its right side, and each row's dual is its slack's reduced cost. Feasibility
 and strong duality are then checked against the program before OPTIMAL is
 reported.
 
-A solve can start warm from a basis (basic columns and complement flags,
-not the tableau) of a program with the same rows and columns; `carry_basis`
-maps one across added rows, whose slacks become basic, and added columns,
-which start nonbasic at their lower bounds. The tableau is rebuilt from the
-basis with one dense solve against the nonbasic columns and the right side,
-and the start rule above takes it from there, whether it is primal
-feasible, dual feasible or neither. A basis that is singular or does not
-fit the program is dropped for the cold slack start, and a warm solve whose
-answer fails the feasibility and duality check is solved once more from it.
+A solve can start warm from the final basis (basic columns and complement
+flags, not the tableau) of any program whose rows and columns the new one
+extends at the end: old ids keep their positions, the slacks shifting past
+the added columns, added columns start nonbasic at their lower bounds and
+added rows with their slacks basic. The tableau is rebuilt from the basis
+with one dense solve against the nonbasic columns and the right side, and
+the start rule above takes it from there, whether it is primal feasible,
+dual feasible or neither. A basis that is singular or does not fit the
+program is dropped for the cold slack start, and a warm solve whose answer
+fails the feasibility and duality check is solved once more from it.
 
 Branch and bound uses most-fractional branching and best-bound search. Its
 incumbents come from the tree alone: under best-bound order, a seed no
@@ -58,13 +59,13 @@ import heapq
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Hashable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 FEAS_TOL = 1e-7          # absolute primal feasibility slack
 DUALITY_REL_TOL = 1e-6   # relative primal/dual objective agreement at optimal
-RC_TOL = 1e-9            # reduced-cost threshold for entering columns
+RC_TOL = 1e-9            # reduced-cost threshold: entering, cost shifts, Harris window
 PIVOT_TOL = 1e-9         # minimum magnitude of an acceptable pivot element
 INT_TOL = 1e-7           # integrality recognition threshold
 ABS_GAP = 1e-9           # branch and bound prunes nodes this close to the incumbent
@@ -192,9 +193,6 @@ class _Tableau:
         self.u = np.concatenate([np.maximum(p.ub - p.lb, 0.0),
                                  [0.0 if r == "==" else np.inf for r in p.rel]])
         self.movable = self.u > 0.0  # fixed columns never enter
-        # dual slack for the ratio test and warm starts, scaled as pricing costs
-        # reach ~1e9, where round-off alone leaves reduced costs ~1e-7 below 0
-        self.rc_tol = RC_TOL * max(1.0, float(np.max(np.abs(p.c), initial=0.0)))
         self.m = m
         self.t = np.empty((m + 1, n + 1))
         self.iterations = 0
@@ -259,14 +257,14 @@ class _Tableau:
 
     def solve(self, warm: Optional[Basis]) -> None:
         """From `warm`, or from the slack basis when it does not load: shift the
-        cost of each movable nonbasic column priced below -rc_tol until its
+        cost of each movable nonbasic column priced below -RC_TOL until its
         reduced cost is zero, pivot dual on the shifted costs, then primal."""
         m, total = self.m, self.c0.shape[0]
         if warm is None or not self._load_warm(warm):
             flip = (self.c0 < 0.0) & np.isfinite(self.u)
             self._load(np.arange(total - m, total), flip, self.c0)
         d = self.t[-1, :-1]
-        shift = (d < -self.rc_tol) & self.movable[self.nonbasic]
+        shift = (d < -RC_TOL) & self.movable[self.nonbasic]
         j, cost = self.nonbasic[shift], self.c0.copy()
         cost[j] -= np.where(self.flip[j], -d[shift], d[shift])
         if j.size:
@@ -277,16 +275,23 @@ class _Tableau:
         self._primal()
 
     def _load_warm(self, warm: Basis) -> bool:
-        """Load a basis of another program with the same rows and columns;
-        False if it does not fit them or is singular."""
+        """Load the final basis of a program this one extends at the end (see
+        the module docstring); False if it has more rows or columns than this
+        program, bad ids or dtypes, or is singular."""
         basic, flip = np.asarray(warm.basic), np.asarray(warm.complemented)
-        total = self.c0.shape[0]
-        if (basic.shape != (self.m,) or flip.shape != (total,) or flip.dtype != bool
-                or basic.dtype.kind not in "iu" or np.unique(basic).size != self.m
-                or not np.all((basic >= 0) & (basic < total))):
+        m0, total = basic.size, self.c0.shape[0]
+        n0, n = flip.size - m0, total - self.m  # old and new column counts
+        if (basic.ndim != 1 or flip.ndim != 1 or flip.dtype != bool
+                or basic.dtype.kind not in "iu" or m0 > self.m or not 0 <= n0 <= n
+                or np.unique(basic).size != m0
+                or not np.all((basic >= 0) & (basic < flip.size))):
             return False
+        ids = basic.astype(int)
+        ids[ids >= n0] += n - n0
+        full = np.zeros(total, dtype=bool)
+        full[:n0], full[n:n + m0] = flip[:n0], flip[n0:]
         try:
-            self._load(basic, flip, self.c0)
+            self._load(np.concatenate([ids, np.arange(n + m0, total)]), full, self.c0)
         except np.linalg.LinAlgError:
             return False
         return bool(np.all(np.isfinite(self.t)))
@@ -312,11 +317,11 @@ class _Tableau:
                 self._load(self.basic, self.flip, cost)  # rule out drift first
                 fresh = True
                 continue
-            # Harris: the largest pivot among ratios within rc_tol of the least
+            # Harris: the largest pivot among ratios within RC_TOL of the least
             # (the least alone took 1e-9 pivots and left a singular basis)
             alpha = -row[cand]
             ratio = t[-1, cand] / alpha
-            near = ratio <= np.min((t[-1, cand] + self.rc_tol) / alpha)
+            near = ratio <= np.min((t[-1, cand] + RC_TOL) / alpha)
             alpha = np.where(near, alpha, 0.0)
             self._pivot(r, self._lowest_id(cand[alpha == alpha.max()]))
             fresh = False
@@ -391,8 +396,9 @@ class _Numerical(Exception):
 def solve_lp(p: LinearProgram, _warm: Optional[Basis] = None) -> LpSolution:
     """Solve a linear program; duals follow the shadow-price convention
     (dual of a >= row is >= 0, of a <= row is <= 0, of an equality free).
-    `_warm` is a basis of a program with the same rows and columns, such as
-    a branch-and-bound parent's or one from `carry_basis`, to start from.
+    `_warm` is the final basis of a program whose rows and columns this one
+    extends at the end, such as a branch-and-bound parent's or the last
+    restricted master's before a column was appended, to start from.
     A warm start that ends NUMERICAL is solved once more from the cold slack
     basis: its pivots carry the warm basis's round-off, which on costs near
     1e9 can leave the duality check a hair outside its tolerance."""
@@ -426,31 +432,6 @@ def _solve_tableau(p: LinearProgram, tab: _Tableau, warm: Optional[Basis]) -> Lp
               else LpStatus.NUMERICAL)
     return LpSolution(status, x=x, objective=objective, duals=duals,
                       iterations=tab.iterations, basis=Basis(tab.basic, tab.flip))
-
-
-def carry_basis(basis: Basis, rows: Sequence[Hashable], cols: Sequence[Hashable],
-                new_rows: Sequence[Hashable], new_cols: Sequence[Hashable],
-                ) -> Optional[Basis]:
-    """`basis` of a program whose rows and columns are labelled `rows` and
-    `cols`, carried into a program labelled `new_rows` and `new_cols`: each
-    row the new program adds gets its slack basic, and each column it adds
-    sits nonbasic at its lower bound. None when an old label is missing from
-    the new program or a new label repeats."""
-    n, total = len(new_cols), len(new_cols) + len(new_rows)
-    col_at = {label: j for j, label in enumerate(new_cols)}
-    row_at = {label: n + i for i, label in enumerate(new_rows)}
-    if len(col_at) != n or len(row_at) != len(new_rows):
-        return None
-    try:
-        ids = np.array([col_at[c] for c in cols] + [row_at[r] for r in rows], dtype=int)
-    except KeyError:
-        return None
-    flip = np.zeros(total, dtype=bool)
-    flip[ids] = basis.complemented
-    added = np.ones(total, dtype=bool)
-    added[:n] = False
-    added[ids[len(cols):]] = False
-    return Basis(np.concatenate([ids[basis.basic], np.flatnonzero(added)]), flip)
 
 
 def _feasible(p: LinearProgram, x: np.ndarray) -> bool:

@@ -12,6 +12,7 @@ their fields, and `Chip`'s, from the dataclasses themselves.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
@@ -215,34 +216,40 @@ _DEFAULT_CHIP = {
     "theta_half_narrow_deg": 30.0,
 }
 
+# what the parser fills in for each missing field, in the document's own
+# shape; `default_config` writes out a copy
+_DEFAULTS: dict[str, Any] = {
+    "desk_height": 0.8,
+    "config_kind": "a",
+    "association_k": 1,
+    "aps": {"grid": {"nx": 6, "ny": 6, "spacing": 1.0}},
+    "uts": {"demand_bps": 2e7},
+    "channels": [{"bandwidth_hz": 1e8}],
+    "illum": {"lower_lux": 300.0, "upper_lux": 500.0, "spacing": 0.25, "ambient_lux": 0.0},
+    "config_c_n": 2,
+}
+
 _VERTICAL: Vec3 = (0.0, 0.0, -1.0)
 
 
 def default_config(
-    config_kind: str = "a",
+    config_kind: str = _DEFAULTS["config_kind"],
     n_uts: int = 30,
     seed: int = 7,
-    demand_bps: float = 2e7,
+    demand_bps: float = _DEFAULTS["uts"]["demand_bps"],
     **extra: Any,
 ) -> dict:
     """Paper-scale 6 m x 6 m office with a 6 x 6 luminaire grid."""
-    cfg: dict[str, Any] = {
+    return {
         "room": [6.0, 6.0, 3.0],
-        "desk_height": 0.8,
+        **copy.deepcopy(_DEFAULTS),
         "config_kind": config_kind,
-        "association_k": 1,
-        "aps": {"grid": {"nx": 6, "ny": 6, "spacing": 1.0}},
         "uts": {"count": n_uts, "seed": seed, "demand_bps": demand_bps},
-        "channels": [{"bandwidth_hz": 1e8}],
-        "illum": {"lower_lux": 300.0, "upper_lux": 500.0, "spacing": 0.25, "ambient_lux": 0.0},
         "chip": dict(_DEFAULT_CHIP),
         "receiver": asdict(Receiver()),
         "constants": asdict(PhysicalConstants()),
-        "config_c_n": 2,
+        **extra,
     }
-    for key, value in extra.items():
-        cfg[key] = value
-    return cfg
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -261,10 +268,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
     except _NOT_NUMBERS:
         raise ScenarioError("room: dimensions must be numbers") from None
     _require(all(v > 0 for v in room), "room", "dimensions must be positive")
-    top = _numbers(doc, "", {"desk_height": 0.8, "association_k": 1, "config_c_n": 2})
+    top = _numbers(doc, "", {k: _DEFAULTS[k] for k in ("desk_height", "association_k", "config_c_n")})
     desk = top["desk_height"]
     _require(0.0 < desk < room[2], "desk_height", "must lie strictly between floor and ceiling")
-    kind = doc.get("config_kind", "a")
+    kind = doc.get("config_kind", _DEFAULTS["config_kind"])
     _require(kind in CONFIG_KINDS, "config_kind", f"must be one of {CONFIG_KINDS}")
 
     chip_cfg = _numbers(_object(doc.get("chip", {}), "chip"), "chip.", _DEFAULT_CHIP)
@@ -300,12 +307,12 @@ def scenario_from_dict(doc: dict) -> Scenario:
     uts = _expand_uts(doc.get("uts"), room, desk)
     _require(len(uts) > 0, "uts", "at least one terminal required")
 
-    ch_raw = doc.get("channels", [{"bandwidth_hz": 1e8}])
+    ch_raw = doc.get("channels", _DEFAULTS["channels"])
     _require(isinstance(ch_raw, list) and len(ch_raw) > 0, "channels", "must be a non-empty list")
     channels = []
     for i, ch in enumerate(ch_raw):
         bw = _numbers(_object(ch, f"channels[{i}]"), f"channels[{i}].",
-                      {"bandwidth_hz": 1e8})["bandwidth_hz"]
+                      _DEFAULTS["channels"][0])["bandwidth_hz"]
         _require(bw > 0, f"channels[{i}].bandwidth_hz", "must be positive")
         channels.append(Channel(i, bw))
 
@@ -350,7 +357,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
 def _expand_aps(raw: Any, room: Vec3) -> tuple[Optional[float], list[Vec3]]:
     if raw is None:
-        raw = {"grid": {"nx": 6, "ny": 6, "spacing": 1.0}}
+        raw = _DEFAULTS["aps"]
     if isinstance(raw, dict) and "grid" in raw:
         g = _object(raw["grid"], "aps.grid")
         for key in ("nx", "ny", "spacing"):
@@ -404,7 +411,7 @@ def _expand_uts(raw: Any, room: Vec3, desk: float) -> tuple[UserTerminal, ...]:
     _require(raw is not None, "uts", "missing")
     if isinstance(raw, dict):
         _require("count" in raw, "uts.count", "missing")
-        spec = _numbers(raw, "uts.", {"count": 0, "seed": 0, "demand_bps": 2e7})
+        spec = _numbers(raw, "uts.", {"count": 0, "seed": 0, **_DEFAULTS["uts"]})
         count, seed, demand = spec["count"], spec["seed"], spec["demand_bps"]
         _require(count > 0, "uts.count", "must be positive")
         _require(demand >= 0, "uts.demand_bps", "must be >= 0")
@@ -444,8 +451,7 @@ def _expand_uts(raw: Any, room: Vec3, desk: float) -> tuple[UserTerminal, ...]:
 
 
 def _expand_illum(raw: dict, room: Vec3) -> IlluminanceGrid:
-    num = _numbers(raw, "illum.", {"lower_lux": 300.0, "upper_lux": 500.0,
-                                    "ambient_lux": 0.0, "spacing": 0.25})
+    num = _numbers(raw, "illum.", _DEFAULTS["illum"])
     lower, upper, ambient = num["lower_lux"], num["upper_lux"], num["ambient_lux"]
     _require(lower >= 0, "illum.lower_lux", "must be >= 0")
     _require(upper >= lower, "illum.upper_lux", "must be >= illum.lower_lux")

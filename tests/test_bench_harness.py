@@ -16,3 +16,14 @@ def test_traced_selfcheck_passes():
 
 def test_manifest_matches_emitted_metrics():
     assert run.manifest_problems(workloads) == []
+
+
+def test_environment_reads_the_solver_constants():
+    # the record names constants of `lp` and `cg_scheduler`: deleting one
+    # would crash every benchmark run
+    from vlcopt import cg_scheduler, lp
+
+    tolerances = run.environment()["tolerances"]
+    for key, module in (("lp", lp), ("cg_scheduler", cg_scheduler)):
+        for name, value in tolerances[key].items():
+            assert value == getattr(module, name)

@@ -144,6 +144,17 @@ def test_compare_grid_of_rows_and_summary(tmp_path):
             assert cell["cg"] <= cell["mwis"] + 1e-9
 
 
+def test_compare_iterations_are_the_axis_columns_then_the_record(tmp_path):
+    cfg = _write_config(tmp_path, n_uts=2, seed=1)
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", cfg, "--axis", "uts", "--values", "2",
+                 "--seeds", "1", "--algos", "cg", "--out", str(out)]) == 0
+    cg_scheduler.write_iteration_csv([], tmp_path / "log.csv")
+    record = (tmp_path / "log.csv").read_text().splitlines()[0]
+    header = (out / "iterations.csv").read_text().splitlines()[0]
+    assert header == "algorithm,axis_value,seed," + record
+
+
 def test_compare_on_unattainable_lighting_exits_with_code_2(tmp_path, capsys):
     # sampled terminals: compare re-seeds them, which an explicit list forbids
     path = tmp_path / "dark.json"
@@ -340,10 +351,9 @@ def test_derived_instances_share_no_pricing_state():
         return list(inst._lo_rows), list(inst._hi_rows)
 
     def bases(inst):
-        """The master and pricing bases with their labels, copied out."""
+        """The master and pricing bases, copied out."""
         return [None if held is None else
-                (held[0].basic.tolist(), held[0].complemented.tolist(),
-                 list(held[1]), list(held[2]))
+                (held.basic.tolist(), held.complemented.tolist())
                 for held in (inst._rmp_basis, inst._pricing_basis)]
 
     two, four, six = (base.at_sir_threshold(t) for t in (2.0, 4.0, 6.0))

@@ -13,7 +13,6 @@ from vlcopt.conflict import (
     cross_gains,
     is_independent,
     sir_matrix,
-    write_adjacency,
 )
 from vlcopt.scenario import build_candidate_links, scenario_from_dict
 
@@ -223,12 +222,3 @@ def test_schedule_vector_requires_sorted_unique_indices():
         ScheduleVector((2, 1))
     with pytest.raises(ValueError):
         ScheduleVector((1, 1))
-
-
-def test_adjacency_dump(tmp_path):
-    inst = helpers.tiny_instance(n_uts=3, seed=5)
-    path = tmp_path / "graph.txt"
-    write_adjacency(inst.graph, path)
-    lines = [l for l in path.read_text().strip().splitlines()
-             if not l.startswith("#")]
-    assert len(lines) == inst.graph.n_links

@@ -16,7 +16,6 @@ from vlcopt.lp import (
     LpStatus,
     MixedIntegerProgram,
     solve_lp,
-    carry_basis,
     solve_milp,
 )
 
@@ -277,10 +276,10 @@ def assert_tableau_matches_basis(p: LinearProgram, sol, warm=None, tol: float = 
 def tableau_feasibility(tab) -> tuple[bool, bool]:
     """(primal, dual) feasibility of the basis loaded in `tab`, read off its
     tableau with the solver's tolerances: every basic value within its
-    bounds, and no movable nonbasic column priced below -rc_tol."""
+    bounds, and no movable nonbasic column priced below -RC_TOL."""
     beta, tol = tab.t[:-1, -1], lp_module._BOUND_TOL
     primal = not np.any((beta < -tol) | (beta > tab.u[tab.basic] + tol))
-    dual = not np.any((tab.t[-1, :-1] < -tab.rc_tol) & tab.movable[tab.nonbasic])
+    dual = not np.any((tab.t[-1, :-1] < -lp_module.RC_TOL) & tab.movable[tab.nonbasic])
     return primal, dual
 
 
@@ -426,32 +425,31 @@ def test_warm_start_from_a_dual_feasible_basis():
 
 def _grown(p: LinearProgram, x: np.ndarray, duals: np.ndarray, rng: np.random.Generator,
            dual_side: bool) -> LinearProgram:
-    """`p` with a column added in front ("first") and at the end ("last"),
-    and a row added in front ("top") and at the end ("bottom"). On the dual
-    side the new columns cost more than the old duals pay for them and "top"
-    cuts off the old optimum `x`; otherwise the new costs are arbitrary and
-    both new rows hold at `x` with the new columns at zero."""
+    """`p` with two columns ("one", "two") and two rows ("cut", "bottom")
+    appended at the end. On the dual side the new columns cost more than the
+    old duals pay for them and "cut" cuts off the old optimum `x`; otherwise
+    the new costs are arbitrary and both new rows hold at `x` with the new
+    columns at zero."""
     m, n = p.n_rows, p.n_vars
-    first = np.zeros(m) if dual_side else rng.uniform(-1.0, 1.0, size=m)
-    last = rng.uniform(-1.0, 1.0, size=m)
+    one = np.zeros(m) if dual_side else rng.uniform(-1.0, 1.0, size=m)
+    two = rng.uniform(-1.0, 1.0, size=m)
     if dual_side:
-        c_new = [rng.uniform(0.1, 1.0), duals @ last + rng.uniform(0.1, 1.0)]
+        c_new = [rng.uniform(0.1, 1.0), duals @ two + rng.uniform(0.1, 1.0)]
     else:
         c_new = list(rng.uniform(-1.0, 1.0, size=2))
-    top = np.concatenate([[1.0], rng.uniform(-1.0, 1.0, size=n), [0.0]])
+    cut = np.concatenate([rng.uniform(-1.0, 1.0, size=n), [1.0, 0.0]])
     bottom = rng.uniform(-1.0, 1.0, size=n + 2)
-    body = np.column_stack([first, p.a, last])
-    x_new = np.concatenate([[0.0], x, [0.0]])
-    top_rhs = top @ x_new + (0.5 if dual_side else -0.5)
+    x_new = np.concatenate([x, [0.0, 0.0]])
+    cut_rhs = cut @ x_new + (0.5 if dual_side else -0.5)
     return LinearProgram(
-        c=np.concatenate([[c_new[0]], p.c, [c_new[1]]]),
-        a=np.vstack([top, body, bottom]),
-        rel=(">=",) + p.rel + ("<=",),
-        b=np.concatenate([[top_rhs], p.b, [bottom @ x_new + 0.3]]),
+        c=np.concatenate([p.c, c_new]),
+        a=np.vstack([np.column_stack([p.a, one, two]), cut, bottom]),
+        rel=p.rel + (">=", "<="),
+        b=np.concatenate([p.b, [cut_rhs, bottom @ x_new + 0.3]]),
         ub=np.full(n + 2, 3.0))
 
 
-def test_basis_carried_into_a_program_with_added_rows_and_columns():
+def test_basis_starts_a_program_that_appends_rows_and_columns():
     rng = np.random.default_rng(31)
     for trial in range(40):
         n, m = int(rng.integers(2, 6)), int(rng.integers(1, 5))
@@ -459,24 +457,20 @@ def test_basis_carried_into_a_program_with_added_rows_and_columns():
         sol = solve_lp(p)
         dual_side = trial % 2 == 1
         q = _grown(p, sol.x, sol.duals, rng, dual_side)
-        rows, cols = list(range(m)), list(range(n))
-        new_rows, new_cols = ["top"] + rows + ["bottom"], ["first"] + cols + ["last"]
-        carried = carry_basis(sol.basis, rows, cols, new_rows, new_cols)
-        # added rows' slacks are basic, added columns nonbasic at their lower bounds
-        slacks = {n + 2, n + 2 + m + 1}
-        assert slacks <= set(carried.basic.tolist())
-        assert not {0, n + 1} & set(carried.basic.tolist())
-        assert not carried.complemented[[0, n + 1]].any()
         tab = lp_module._Tableau(q)
-        assert tab._load_warm(carried), trial
+        assert tab._load_warm(sol.basis), trial
+        # the old slacks shift past the two added columns, the added rows'
+        # slacks are basic and the added columns nonbasic at their lower bounds
+        old = sol.basis.basic
+        assert np.array_equal(tab.basic[:m], np.where(old < n, old, old + 2)), trial
+        assert {n + 2 + m, n + 2 + m + 1} <= set(tab.basic.tolist())
+        assert not {n, n + 1} & set(tab.basic.tolist())
+        assert not tab.flip[[n, n + 1]].any()
         primal, dual = tableau_feasibility(tab)
         assert dual if dual_side else primal
         if dual_side:
-            assert not primal  # "top" cuts the old optimum off
-        _assert_matches_highs(q, warm=carried)
-        # an old label missing from the new program, or a new label repeated
-        assert carry_basis(sol.basis, rows, cols, new_rows[:-2], new_cols) is None
-        assert carry_basis(sol.basis, rows, cols, new_rows, new_cols + ["last"]) is None
+            assert not primal  # "cut" cuts the old optimum off
+        _assert_matches_highs(q, warm=sol.basis)
 
 
 def _recording_loads(monkeypatch) -> list[np.ndarray]:
@@ -519,7 +513,8 @@ def test_unusable_warm_bases_fall_back_to_the_cold_start(monkeypatch):
     unusable = [
         Basis(np.array([0, 4, 6]), none),  # singular: x0 and its twin slack
         Basis(good.basic[:-1], good.complemented),
-        Basis(good.basic, good.complemented[:-1]),
+        Basis(np.append(good.basic, total), np.append(good.complemented, False)),  # a row too many
+        Basis(good.basic + 1, np.append(False, good.complemented)),  # a column too many
         Basis(np.array([4, 4, 5]), none),
         Basis(np.array([4, 5, total]), none),
         Basis(good.basic.astype(float), good.complemented),

@@ -62,6 +62,14 @@ def test_default_office_digest_is_pinned(kind, digest):
     assert scenario_from_dict(default_config(kind)).digest() == digest
 
 
+@pytest.mark.parametrize("kind", ["a", "b", "c"])
+def test_parser_defaults_are_the_default_office(kind):
+    # every field the document leaves out takes the default office's value
+    doc = {"room": [6, 6, 3], "config_kind": kind, "uts": {"count": 30, "seed": 7}}
+    assert (scenario_from_dict(doc).digest()
+            == scenario_from_dict(default_config(config_kind=kind)).digest())
+
+
 def _other(value):
     if isinstance(value, str):
         return value + "x"
