@@ -129,8 +129,8 @@ def _run_rounds(
         columns.append(column)
         taus.append(tau)
         committed = sum(t * c.electrical_total for t, c in zip(taus, columns))
-        log.append(IterationRecord(round_no, committed, math.nan, math.nan,
-                                   (time.monotonic() - t0) * 1e3))
+        log.append(IterationRecord(round_no, float(committed), math.nan, math.nan,
+                                   (time.monotonic() - t0) * 1e3, columns_added=1))
 
     if not columns:
         columns = [_column_with_lighting(inst, [], include_illum)]

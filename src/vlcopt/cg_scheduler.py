@@ -11,21 +11,26 @@ optimality or at a caller-chosen multiplicative gap.
 Pricing is two-tier at a gap of zero, where only the last pricing call has
 to be exact: it proves that no pattern has a negative reduced cost, while
 every earlier call only has to return some improving pattern (Lubbecke and
-Desrosiers 2005, section 4). Each iteration first grows a pattern greedily
-from the links whose own share of the reduced cost is negative, cheapest
-first, with the same greedy insertion the random baseline uses, and lights
-it with one lighting LP. Its reduced cost is computed from that lighting,
-and it joins the pool when that is negative and the pattern is new. It
-certifies nothing, so the bound stays where it was. Otherwise, and at every
-iteration when the gap is above zero (each exact bound may then end the
-loop early), a pricing MILP searches for the pattern with the most negative
-reduced cost. It chooses the pattern's lighting powers with it, and the
-column it adds keeps them. Only exact calls raise the lower bound or prove
-optimality; an exact call that returns a pattern already in the pool ends
-the loop too, as the master is optimal over the pool and that pattern's
-negative reduced cost is LP round-off. A final validation pass recomputes
-link rates with the interference each column actually generates and
-re-optimizes the time shares over the scheduled columns alone.
+Desrosiers 2005, section 4). Each iteration first grows a batch of
+link-disjoint patterns greedily: the links whose own share of the reduced
+cost is negative are the candidates, cheapest first, and each pattern is
+grown from them with the same greedy insertion the random baseline uses;
+its links then leave the candidates and the next pattern grows from the
+rest, until none is left. Each pattern is lit with one lighting LP, and its
+reduced cost is computed from that lighting; every pattern whose reduced
+cost is negative and which is new joins the pool in the same iteration
+(several columns per iteration, Desaulniers, Desrosiers and Solomon 2002).
+The batch certifies nothing, so the bound stays where it was. When the
+batch is empty, and at every iteration when the gap is above zero (each
+exact bound may then end the loop early), a pricing MILP searches for the
+pattern with the most negative reduced cost. It chooses the pattern's
+lighting powers with it, and the column it adds keeps them. Only exact
+calls raise the lower bound or prove optimality; an exact call that returns
+a pattern already in the pool ends the loop too, as the master is optimal
+over the pool and that pattern's negative reduced cost is LP round-off. A
+final validation pass recomputes link rates with the interference each
+column actually generates and re-optimizes the time shares over the
+scheduled columns alone.
 
 Every program is sliced from tables the instance holds: the lux each chip
 and each data beam gives every grid point, the transmitter budget table, and
@@ -40,7 +45,7 @@ Each program starts from the last optimal basis of its kind, which lines
 up with it by position because programs of a kind only grow at the end:
 every lighting LP from the lighting floor's basis (lazy rows are appended),
 each restricted master from the previous master's (the shortfall columns
-come first, so a new pattern is the last column and starts at zero), and
+come first, so new patterns are the last columns and start at zero), and
 each pricing MILP's root from the previous root's (static rows first, then
 the lazy rows); a lazy-row round after the first starts from the round
 before. Only the first program of each kind starts cold.
@@ -136,6 +141,7 @@ class IterationRecord:
     reduced_cost: float
     wall_ms: float
     pricing: str = ""  # "greedy" or "exact"; empty for a heuristic's round
+    columns_added: int = 0  # columns the iteration put in the pool
 
 
 @dataclass
@@ -468,8 +474,8 @@ class SchedulingInstance:
         p0_elec, _ = self.min_illumination_power()
         M = len(self.s.uts)
         Q = len(columns)
-        # one shortfall column per terminal, then omega: a pattern appended
-        # since the last master enters that master's basis nonbasic at zero,
+        # one shortfall column per terminal, then omega: patterns appended
+        # since the last master enter that master's basis nonbasic at zero,
         # which keeps it primal feasible
         c = np.concatenate([np.full(M, SHORTFALL_COST),
                             [col.electrical_total - p0_elec for col in columns]])
@@ -577,24 +583,34 @@ class SchedulingInstance:
 
     def _greedy_pricing(self, lambda_bps: np.ndarray, mu: float,
                         known: set[tuple[int, ...]], cutoff: float,
-                        ) -> Optional[tuple[IndependentSetColumn, float]]:
-        """A pattern grown by `_greedy_insert` from the links whose own share
-        of the reduced cost is negative, cheapest first, and lit by
-        `_column_with_lighting`; with its reduced cost, computed from its own
-        lighting. None unless that is below `cutoff` and the pattern is not
-        in `known`. It proves nothing about the patterns it passed over."""
+                        ) -> list[tuple[IndependentSetColumn, float]]:
+        """A batch of link-disjoint patterns, each with its reduced cost,
+        computed from its own lighting. The links whose own share of the
+        reduced cost is negative are the candidates, cheapest first: each
+        pattern is grown from them by `_greedy_insert`, its links leave the
+        candidates, and it is lit by `_column_with_lighting`. It joins the
+        batch when its reduced cost is below `cutoff` and it is not in
+        `known` (disjoint patterns never repeat one another); growth stops
+        when no candidate is left. The batch proves nothing about the
+        patterns it passed over."""
         lam, mu, link_cost = self._priced_links(lambda_bps, mu)
-        order = np.argsort(link_cost, kind="stable")
-        members = _greedy_insert(self, order[link_cost[order] < 0.0].tolist())
-        if not members or tuple(sorted(members)) in known:
-            return None
-        column = _column_with_lighting(self, members, include_illum=True)
-        if column is None or column.schedule.active in known:
-            return None
         p0_elec, _ = self.min_illumination_power()
-        reduced = (column.electrical_total - p0_elec
-                   - float(np.dot(lam, column.rate_per_ut)) - mu)
-        return (column, reduced) if reduced < cutoff else None
+        order = np.argsort(link_cost, kind="stable")
+        candidates = order[link_cost[order] < 0.0].tolist()
+        batch = []
+        while members := _greedy_insert(self, candidates):
+            grown = set(members)
+            candidates = [i for i in candidates if i not in grown]
+            if tuple(sorted(members)) in known:
+                continue
+            column = _column_with_lighting(self, members, include_illum=True)
+            if column is None or column.schedule.active in known:
+                continue
+            reduced = (column.electrical_total - p0_elec
+                       - float(np.dot(lam, column.rate_per_ut)) - mu)
+            if reduced < cutoff:
+                batch.append((column, reduced))
+        return batch
 
     # -- main loop -------------------------------------------------------------
 
@@ -608,7 +624,7 @@ class SchedulingInstance:
         keys = {col.schedule.active for col in pool}
         z_lower = -math.inf
         log: list[IterationRecord] = []
-        status = CgStatus.ITERATION_LIMIT
+        status: Optional[CgStatus] = None
         rmp: Optional[RmpResult] = None
 
         for it in range(1, MAX_ITERATIONS + 1):
@@ -619,35 +635,39 @@ class SchedulingInstance:
             cutoff = -REDUCED_COST_TOL * max(1.0, abs(rmp.z_upper))
             # at epsilon 0 only the last call must be exact; at epsilon > 0
             # every exact bound may end the loop early
-            greedy = (self._greedy_pricing(rmp.lambda_bps, rmp.mu, keys, cutoff)
-                      if epsilon == 0.0 else None)
-            if greedy is not None:
-                (column, reduced), pricing = greedy, "greedy"
+            batch = (self._greedy_pricing(rmp.lambda_bps, rmp.mu, keys, cutoff)
+                     if epsilon == 0.0 else [])
+            if batch:
+                columns = [col for col, _ in batch]
+                reduced, pricing = min(r for _, r in batch), "greedy"
             else:
                 column, reduced, reduced_bound = self.solve_pricing(rmp.lambda_bps, rmp.mu)
                 z_lower = max(z_lower,
                               min(rmp.z_upper + reduced_bound, rmp.z_upper))
-                pricing = "exact"
-            log.append(IterationRecord(
-                it, rmp.z_upper, z_lower, reduced,
-                (time.monotonic() - t0) * 1e3, pricing,
-            ))
+                columns, pricing = [column], "exact"
             # the master is optimal over the pool, so a pooled pattern prices
             # negative only by LP round-off, and there is nothing new to add
-            if reduced >= cutoff or column.schedule.active in keys:
+            if reduced >= cutoff or any(col.schedule.active in keys for col in columns):
                 status = CgStatus.OPTIMAL if rmp.feasible else CgStatus.INFEASIBLE
-                break
-            if (
+            elif (
                 rmp.feasible
                 and z_lower > 0.0
                 and rmp.z_upper / z_lower <= 1.0 + epsilon + 1e-12
             ):
                 status = CgStatus.EPSILON_BOUNDED
+            log.append(IterationRecord(
+                it, rmp.z_upper, z_lower, reduced,
+                (time.monotonic() - t0) * 1e3, pricing,
+                0 if status is not None else len(columns),
+            ))
+            if status is not None:
                 break
-            pool.append(column)
-            keys.add(column.schedule.active)
+            # appended at the end, so the next master starts from this one's basis
+            pool.extend(columns)
+            keys.update(col.schedule.active for col in columns)
         else:
             # ran out of iterations after extending the pool: refresh omega
+            status = CgStatus.ITERATION_LIMIT
             rmp = self.solve_rmp(pool)
 
         assert rmp is not None
@@ -773,7 +793,9 @@ def _clique_cover(adjacency: np.ndarray) -> np.ndarray:
 
 def write_iteration_csv(records: Iterable[IterationRecord], path: str | Path) -> None:
     with open(path, "w") as fh:
-        fh.write("iteration,z_upper,z_lower,reduced_cost,wall_ms,pricing\n")
+        fh.write("iteration,z_upper,z_lower,reduced_cost,wall_ms,pricing,"
+                 "columns_added\n")
         for r in records:
             fh.write(f"{r.iteration},{r.z_upper!r},{r.z_lower!r},"
-                     f"{r.reduced_cost!r},{r.wall_ms:.3f},{r.pricing}\n")
+                     f"{r.reduced_cost!r},{r.wall_ms:.3f},{r.pricing},"
+                     f"{r.columns_added}\n")

@@ -275,6 +275,7 @@ def _cmd_solve(args) -> int:
     _write_manifest(out, "solve", _args_dict(args), [s.digest()])
     print(f"protocol: feasible={proto.feasible} "
           f"power={row['protocol_power_w']:.6f} W "
+          f"status={proto.status.value} net_gap={proto.net_gap:.6g} "
           f"iterations={proto.iterations}")
     print(f"reality:  feasible={real.feasible} power={row['reality_power_w']:.6f} W")
     print(f"wrote {out / 'results.csv'}")

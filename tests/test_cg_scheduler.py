@@ -537,6 +537,54 @@ def test_only_exact_pricing_moves_the_bound():
     assert {rec.pricing for rec in loose.iteration_log} == {"exact"}
 
 
+def test_greedy_pricing_adds_a_batch_of_disjoint_patterns():
+    # 1 W beams on two channels: the first greedy call grows four two-link
+    # patterns from the single-link pool's duals
+    doc = helpers.tiny_config(n_uts=4, seed=1, demand_bps=4e8, channels=2, kind="b")
+    doc["chip"].update(p_ac_pp=1.0, p_ac_avg=0.5)
+    inst = SchedulingInstance(scenario_from_dict(doc), sir_threshold=3.0)
+    greedy_calls, master_sizes = [], []
+    greedy, master = inst._greedy_pricing, inst.solve_rmp
+
+    def recording_greedy(lam, mu, known, cutoff):
+        batch = greedy(lam, mu, known, cutoff)
+        greedy_calls.append((lam, mu, set(known), cutoff, batch))
+        return batch
+
+    def recording_master(columns):
+        master_sizes.append(len(columns))
+        return master(columns)
+
+    inst._greedy_pricing, inst.solve_rmp = recording_greedy, recording_master
+    sol = inst.column_generation(epsilon=0.0)
+    lam, mu, known, cutoff, batch = greedy_calls[0]
+    assert len(batch) >= 2
+    used = set()
+    for col, reduced in batch:
+        assert inst.column_is_valid(col)
+        assert used.isdisjoint(col.schedule.active)
+        used.update(col.schedule.active)
+        assert col.schedule.active not in known
+        assert reduced < cutoff
+        # a few ulps: both sides sum terms near 1e9 W, in different orders
+        assert reduced == pytest.approx(helpers.ref_reduced_cost(inst, col, lam, mu),
+                                        rel=4 * np.finfo(float).eps, abs=0.0)
+    first = sol.iteration_log[0]
+    assert first.pricing == "greedy"
+    assert first.reduced_cost == min(reduced for _, reduced in batch)
+    assert first.columns_added == len(batch)
+    assert master_sizes[1] == master_sizes[0] + len(batch)
+    assert sol.columns[master_sizes[0]:master_sizes[1]] == tuple(col for col, _ in batch)
+    assert sol.iteration_log[-1].columns_added == 0
+    assert len(sol.columns) == master_sizes[0] + sum(
+        rec.columns_added for rec in sol.iteration_log)
+
+    # a pooled pattern is passed over, and growth goes on from the other links
+    rest = inst._greedy_pricing(lam, mu, known | {batch[0][0].schedule.active}, cutoff)
+    assert [col.schedule.active for col, _ in rest] == [
+        col.schedule.active for col, _ in batch[1:]]
+
+
 def test_loose_gap_never_needs_more_iterations():
     cfg = helpers.tiny_config(n_uts=5, seed=2)
     tight = SchedulingInstance(scenario_from_dict(cfg), 3.0).column_generation(0.0)
@@ -625,7 +673,7 @@ def test_validation_reprices_only_scheduled_columns():
 # -- artifacts ------------------------------------------------------------------------
 
 def test_iteration_log_roundtrips_through_csv(tmp_path):
-    records = [IterationRecord(1, 10.5, 2.25, -3.125, 7.0, "greedy"),
+    records = [IterationRecord(1, 10.5, 2.25, -3.125, 7.0, "greedy", 4),
                IterationRecord(2, 9.0, 8.75, -0.0625, 1.5, "exact")]
     path = tmp_path / "iters.csv"
     write_iteration_csv(records, path)
@@ -637,6 +685,7 @@ def test_iteration_log_roundtrips_through_csv(tmp_path):
     assert float(rows[1]["z_lower"]) == 8.75
     assert float(rows[1]["reduced_cost"]) == -0.0625
     assert [row["pricing"] for row in rows] == ["greedy", "exact"]
+    assert [int(row["columns_added"]) for row in rows] == [4, 0]
 
 
 def test_solution_records_its_settings():

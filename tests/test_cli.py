@@ -77,6 +77,25 @@ def test_solve_is_reproducible(tmp_path):
     assert stripped("a") == stripped("b")
 
 
+def test_solve_prints_the_status_and_net_gap_beside_the_power(tmp_path, capsys):
+    # criterion 2's input: at epsilon 0.01 the gross ratio stops the loop with
+    # a lower bound below the lighting floor, which certifies no net power
+    path = tmp_path / "office.json"
+    path.write_text(json.dumps(default_config(seed=2)))
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(path), "--sir", "3", "--epsilon", "0.01",
+                 "--out", str(out)]) == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line.startswith("protocol: ")
+    printed = dict(token.split("=", 1) for token in line.split() if "=" in token)
+    row = _read_csv(out / "results.csv")[0]
+    assert printed["status"] == "epsilon_bounded"
+    assert float(printed["power"]) == pytest.approx(float(row["protocol_power_w"]),
+                                                    abs=1e-6)
+    assert float(printed["net_gap"]) == pytest.approx(float(row["net_gap"]), rel=1e-5)
+    assert float(printed["net_gap"]) > 1.0
+
+
 def test_solve_with_heuristics(tmp_path):
     cfg = _write_config(tmp_path, n_uts=2, seed=2)
     for algo, extra in (("vico", []), ("mwis", []), ("vico", ["--no-illum-constraint"])):
@@ -153,6 +172,19 @@ def test_compare_iterations_are_the_axis_columns_then_the_record(tmp_path):
     record = (tmp_path / "log.csv").read_text().splitlines()[0]
     header = (out / "iterations.csv").read_text().splitlines()[0]
     assert header == "algorithm,axis_value,seed," + record
+
+
+def test_compare_iterations_of_heuristics_are_plain_numbers(tmp_path):
+    cfg = _write_config(tmp_path, n_uts=2, seed=1)
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", cfg, "--axis", "uts", "--values", "2",
+                 "--seeds", "1", "--algos", "vico,mwis", "--out", str(out)]) == 0
+    rows = _read_csv(out / "iterations.csv")
+    assert {row["algorithm"] for row in rows} == {"vico", "mwis"}
+    for row in rows:
+        for name in ("z_upper", "z_lower", "reduced_cost", "wall_ms"):
+            float(row[name])  # a numpy repr such as "np.float64(1.5)" fails here
+        assert row["columns_added"] == "1"  # one column per heuristic round
 
 
 def test_compare_on_unattainable_lighting_exits_with_code_2(tmp_path, capsys):
