@@ -41,14 +41,18 @@ solution is checked against the full grid, and the worst violated rows join
 the working set until the check is clean, so the sets hold only rows some
 solve violated. Solutions are exact for the full row set.
 
-Each program starts from the last optimal basis of its kind, which lines
-up with it by position because programs of a kind only grow at the end:
-every lighting LP from the lighting floor's basis (lazy rows are appended),
-each restricted master from the previous master's (the shortfall columns
-come first, so new patterns are the last columns and start at zero), and
-each pricing MILP's root from the previous root's (static rows first, then
-the lazy rows); a lazy-row round after the first starts from the round
-before. Only the first program of each kind starts cold.
+Each program starts from the last optimal solution or basis of its kind.
+A pattern's lighting LP is the lighting floor's LP with other right sides
+and chip caps, so while no row has been added since the floor was solved,
+its first lazy-row round starts from a copy of the floor's final tableau.
+Every other start loads a basis, which lines up by position because
+programs of a kind only grow at the end: a lighting LP's first round from
+the floor's basis once rows have been added (lazy rows are appended), each
+restricted master from the previous master's (the shortfall columns come
+first, so new patterns are the last columns and start at zero), each
+pricing MILP's root from the previous root's (static rows first, then the
+lazy rows), and a lazy-row round after the first from the round before.
+Only the first program of each kind starts cold.
 """
 
 from __future__ import annotations
@@ -76,6 +80,7 @@ from .lp import (
     ABS_GAP,
     Basis,
     LinearProgram,
+    LpSolution,
     LpStatus,
     MixedIntegerProgram,
     solve_lp,
@@ -264,9 +269,9 @@ class SchedulingInstance:
         self._initial: Optional[tuple[tuple[IndependentSetColumn, ...],
                                       tuple[int, ...], tuple[int, ...]]] = None
         self._static_rows: Optional[tuple] = None
-        # the last optimal basis of each kind of program: the lighting floor,
-        # the restricted master and the pricing MILP's root
-        self._floor_basis: Optional[Basis] = None
+        # the lighting floor's final solution, tableau included, and the last
+        # optimal basis of the restricted master and the pricing MILP's root
+        self._floor: Optional[LpSolution] = None
         self._rmp_basis: Optional[Basis] = None
         self._pricing_basis: Optional[Basis] = None
 
@@ -281,7 +286,7 @@ class SchedulingInstance:
 
         The lazy rows start from a copy of those held right after the initial
         columns were built, the master and the pricing MILP start cold (the
-        conflict graph differs), and the lighting floor's basis, which no
+        conflict graph differs), and the lighting floor's solution, which no
         later solve changes, is shared. So when this instance built the
         initial columns before solving anything else, the result solves
         exactly as `SchedulingInstance(s, sir_threshold)` does. The lazy rows
@@ -368,11 +373,13 @@ class SchedulingInstance:
                 "lower illuminance bound exceeds what capped chips can deliver")
 
         cost = 1.0 / self.dc_eta
-        # each round starts from the last one's basis, the first from the
+        # each round starts from the last one's solution, the first from the
         # floor's: only right sides, caps and added rows differ, so it stays
-        # dual feasible. Lower rows whose right side is <= 0 stay in the LP
-        # (redundant, as lux and powers are nonnegative) so that rows line up
-        held = self._floor_basis
+        # dual feasible. With no row added since, the floor's tableau is
+        # copied; otherwise its basis is loaded. Lower rows whose right side
+        # is <= 0 stay in the LP (redundant, as lux and powers are
+        # nonnegative) so that rows line up
+        held = self._floor
 
         def solve() -> tuple[np.ndarray, np.ndarray]:
             nonlocal held
@@ -383,13 +390,13 @@ class SchedulingInstance:
                     -1, (), "conflicting lower and upper bounds across grid points")
             if sol.status != LpStatus.OPTIMAL:
                 raise CgError(f"lighting LP failed with status {sol.status}")
-            held = sol.basis
+            held = sol
             dc = np.maximum(sol.x, 0.0)
             return dc, dc @ self.dc_light
 
         dc = self._with_lazy_rows("lighting", solve, lo, hi)
-        if not active and self._floor_basis is None:
-            self._floor_basis = held
+        if not active and self._floor is None:
+            self._floor = held
         return dc
 
     def _with_lazy_rows(self, what: str, solve: Callable[[], tuple[_Answer, np.ndarray]],

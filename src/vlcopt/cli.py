@@ -89,6 +89,7 @@ def sweep_sir(s: Scenario, thresholds: Sequence[float], epsilon: float = 0.01,
             "reality_feasible": real.feasible,
             "protocol_power_w": proto.z_upper - p0 if proto.feasible else math.nan,
             "reality_power_w": real.z_upper - p0 if real.feasible else math.nan,
+            "status": proto.status.value,
             "net_gap": proto.net_gap,
             "iterations": proto.iterations,
             "wall_ms": proto.wall_ms + real.wall_ms,
@@ -127,6 +128,7 @@ def result_row(inst: SchedulingInstance, algorithm: str, proto: CgSolution,
         "protocol_power_w": proto.z_upper - p0 if proto.feasible else math.nan,
         "reality_power_w": real.z_upper - p0 if real.feasible else math.nan,
         "p_illumi_min_w": p0,
+        "status": proto.status.value,
         "net_gap": proto.net_gap,
         "iterations": proto.iterations,
         "wall_ms": proto.wall_ms + real.wall_ms,

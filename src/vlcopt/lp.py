@@ -31,22 +31,32 @@ its right side, and each row's dual is its slack's reduced cost. Feasibility
 and strong duality are then checked against the program before OPTIMAL is
 reported.
 
-A solve can start warm from the final basis (basic columns and complement
-flags, not the tableau) of any program whose rows and columns the new one
-extends at the end: old ids keep their positions, the slacks shifting past
-the added columns, added columns start nonbasic at their lower bounds and
-added rows with their slacks basic. The tableau is rebuilt from the basis
-with one dense solve against the nonbasic columns and the right side, and
-the start rule above takes it from there, whether it is primal feasible,
-dual feasible or neither. A basis that is singular or does not fit the
-program is dropped for the cold slack start, and a warm solve whose answer
-fails the feasibility and duality check is solved once more from it.
+A solve can start warm from an earlier solution. When that solution's
+program had the same matrix and row relations (only costs, right sides and
+bounds differ, and every complemented column keeps a finite upper bound),
+its final tableau is copied: the body B^-1 N stays, the right side is
+recomputed as B^-1 (b - A_F u_F), with F the complemented columns, and the
+cost row is re-priced (right-hand-side ranging; Chvatal 1983, ch. 10). B^-1
+(never formed) is read off the slack columns, a nonbasic slack's stored column or a basic
+slack's unit row, each signed by its complement flag. Otherwise the start
+is the final basis (basic columns and complement flags) of any program
+whose rows and columns the new one extends at the end: old ids keep their
+positions, the slacks shifting past the added columns, added columns start
+nonbasic at their lower bounds and added rows with their slacks basic. The
+tableau is then rebuilt from the basis with one dense solve against the
+nonbasic columns and the right side.
+Either way the start rule above takes it from there, whether it is primal
+feasible, dual feasible or neither. A basis that is singular, does not fit
+the program or complements a column without a finite upper bound is dropped
+for the cold slack start, and a warm solve whose answer fails the
+feasibility and duality check is solved once more from it.
 
 Branch and bound uses most-fractional branching and best-bound search. Its
 incumbents come from the tree alone: under best-bound order, a seed no
 better than the optimum could spare only nodes whose bound lies within
 ABS_GAP of it. The root starts from a caller's basis when given one, and an
-open node keeps its LP's final basis, from which its children start.
+open node keeps its LP's values, objective and final basis, not its
+tableau, and its children start from that basis.
 
 Problem sizes here are desk scale (at most a couple of thousand columns), so
 a dense tableau is deliberate: it keeps the pivot arithmetic transparent and
@@ -57,7 +67,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Optional
 
@@ -142,6 +152,9 @@ class LpSolution:
     duals: Optional[np.ndarray] = None
     iterations: int = 0
     basis: Optional[Basis] = None  # final basis, once the pivoting has finished
+    # the final tableau with the basis, which a program with the same matrix
+    # and relations starts from (see solve_lp)
+    tableau: Optional[_Tableau] = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -193,6 +206,7 @@ class _Tableau:
         self.u = np.concatenate([np.maximum(p.ub - p.lb, 0.0),
                                  [0.0 if r == "==" else np.inf for r in p.rel]])
         self.movable = self.u > 0.0  # fixed columns never enter
+        self.rel = p.rel
         self.m = m
         self.t = np.empty((m + 1, n + 1))
         self.iterations = 0
@@ -255,12 +269,12 @@ class _Tableau:
         t[r, -1] += self.u[j]
         self.flip[j] = not self.flip[j]
 
-    def solve(self, warm: Optional[Basis]) -> None:
-        """From `warm`, or from the slack basis when it does not load: shift the
-        cost of each movable nonbasic column priced below -RC_TOL until its
+    def solve(self, warm: Optional[Basis | LpSolution]) -> None:
+        """From `warm`, or from the slack basis when it does not start: shift
+        the cost of each movable nonbasic column priced below -RC_TOL until its
         reduced cost is zero, pivot dual on the shifted costs, then primal."""
         m, total = self.m, self.c0.shape[0]
-        if warm is None or not self._load_warm(warm):
+        if not self._start(warm):
             flip = (self.c0 < 0.0) & np.isfinite(self.u)
             self._load(np.arange(total - m, total), flip, self.c0)
         d = self.t[-1, :-1]
@@ -274,10 +288,52 @@ class _Tableau:
             self._price(self.c0)
         self._primal()
 
+    def _start(self, warm: Optional[Basis | LpSolution]) -> bool:
+        """Start from `warm` (see the module docstring): a copy of a held
+        solution's tableau when its program had this one's matrix and
+        relations, else the held or given basis loaded; False if none starts."""
+        if isinstance(warm, LpSolution):
+            if warm.tableau is not None and self._copy(warm.tableau):
+                return True
+            warm = warm.basis
+        return warm is not None and self._load_warm(warm)
+
+    def _copy(self, held: _Tableau) -> bool:
+        """Start from `held`'s final tableau: its body and basis, with the right
+        side recomputed as B^-1 (b0 - a0_F u_F) and the cost row re-priced;
+        False unless `held` had this program's matrix and relations and every
+        complemented column still has a finite bound."""
+        flip = held.flip
+        if (held.rel != self.rel or not np.array_equal(held.a0, self.a0)
+                or not np.all(np.isfinite(self.u[flip]))):
+            return False
+        self.t = held.t.copy()
+        self.basic, self.nonbasic = held.basic.copy(), held.nonbasic.copy()
+        self.flip = flip.copy()
+        self.t[:-1, -1] = self._inverse_times(self.b0 - self.a0[:, flip] @ self.u[flip])
+        self._price(self.c0)
+        return True
+
+    def _inverse_times(self, v: np.ndarray) -> np.ndarray:
+        """B^-1 v for the current basis, read off the slack columns: slack i's
+        full-tableau column is s_i B^-1 e_i, with s_i = -1 when it is
+        complemented, so B^-1 e_i is s_i times that stored column when the
+        slack is nonbasic, and s_i e_r when it is basic in row r."""
+        n = self.c0.shape[0] - self.m
+        sv = np.where(self.flip[n:], -v, v)
+        slack = self.nonbasic >= n
+        w = np.zeros(self.nonbasic.size)
+        w[slack] = sv[self.nonbasic[slack] - n]
+        out = self.t[:-1, :-1] @ w
+        r = np.flatnonzero(self.basic >= n)
+        out[r] += sv[self.basic[r] - n]
+        return out
+
     def _load_warm(self, warm: Basis) -> bool:
         """Load the final basis of a program this one extends at the end (see
         the module docstring); False if it has more rows or columns than this
-        program, bad ids or dtypes, or is singular."""
+        program, bad ids or dtypes, complements a column without a finite
+        upper bound, or is singular."""
         basic, flip = np.asarray(warm.basic), np.asarray(warm.complemented)
         m0, total = basic.size, self.c0.shape[0]
         n0, n = flip.size - m0, total - self.m  # old and new column counts
@@ -290,6 +346,8 @@ class _Tableau:
         ids[ids >= n0] += n - n0
         full = np.zeros(total, dtype=bool)
         full[:n0], full[n:n + m0] = flip[:n0], flip[n0:]
+        if not np.all(np.isfinite(self.u[full])):
+            return False
         try:
             self._load(np.concatenate([ids, np.arange(n + m0, total)]), full, self.c0)
         except np.linalg.LinAlgError:
@@ -393,14 +451,19 @@ class _Numerical(Exception):
         self.msg = msg
 
 
-def solve_lp(p: LinearProgram, _warm: Optional[Basis] = None) -> LpSolution:
+def solve_lp(p: LinearProgram, _warm: Optional[Basis | LpSolution] = None) -> LpSolution:
     """Solve a linear program; duals follow the shadow-price convention
     (dual of a >= row is >= 0, of a <= row is <= 0, of an equality free).
-    `_warm` is the final basis of a program whose rows and columns this one
-    extends at the end, such as a branch-and-bound parent's or the last
-    restricted master's before a column was appended, to start from.
+    `_warm` is where to start. A held solution whose program had the same
+    shape and an identical matrix and relations (costs, right sides and
+    bounds may differ), such as the lighting floor's for a pattern's lighting
+    LP, starts from a copy of its final tableau, with no dense solve. Any
+    other held solution starts from its final basis, as a bare `Basis` does:
+    the basis of a program whose rows and columns this one extends at the
+    end, such as a branch-and-bound parent's or the last restricted master's
+    before a column was appended, loaded with one dense solve.
     A warm start that ends NUMERICAL is solved once more from the cold slack
-    basis: its pivots carry the warm basis's round-off, which on costs near
+    basis: its pivots carry the warm start's round-off, which on costs near
     1e9 can leave the duality check a hair outside its tolerance."""
     try:
         tab = _Tableau(p)
@@ -414,7 +477,8 @@ def solve_lp(p: LinearProgram, _warm: Optional[Basis] = None) -> LpSolution:
     return sol
 
 
-def _solve_tableau(p: LinearProgram, tab: _Tableau, warm: Optional[Basis]) -> LpSolution:
+def _solve_tableau(p: LinearProgram, tab: _Tableau,
+                   warm: Optional[Basis | LpSolution]) -> LpSolution:
     try:
         tab.solve(warm)
         y, duals_int = tab.extract()
@@ -431,7 +495,8 @@ def _solve_tableau(p: LinearProgram, tab: _Tableau, warm: Optional[Basis]) -> Lp
     status = (LpStatus.OPTIMAL if _verify(p, x, duals_int, tab, objective)
               else LpStatus.NUMERICAL)
     return LpSolution(status, x=x, objective=objective, duals=duals,
-                      iterations=tab.iterations, basis=Basis(tab.basic, tab.flip))
+                      iterations=tab.iterations, basis=Basis(tab.basic, tab.flip),
+                      tableau=tab)
 
 
 def _feasible(p: LinearProgram, x: np.ndarray) -> bool:
@@ -482,15 +547,17 @@ def solve_milp(mip: MixedIntegerProgram, _warm: Optional[Basis] = None) -> MilpS
     if root.status != LpStatus.OPTIMAL:
         return MilpSolution(root.status, nodes=nodes)
 
+    # an open node keeps its bounds, values and basis, not its solution: a
+    # tableau held per open node would grow peak memory with the tree
     counter = 0
-    heap: list[tuple[float, int, np.ndarray, np.ndarray, LpSolution]] = []
-    heapq.heappush(heap, (root.objective, counter, p.lb.copy(), p.ub.copy(), root))
+    heap: list[tuple[float, int, np.ndarray, np.ndarray, np.ndarray, Basis]] = []
+    heapq.heappush(heap, (root.objective, counter, p.lb.copy(), p.ub.copy(),
+                          root.x, root.basis))
 
     while heap:
-        bound, _, lb, ub, rel = heapq.heappop(heap)
+        bound, _, lb, ub, x, basis = heapq.heappop(heap)
         if bound >= best_obj - ABS_GAP:
             continue  # cannot improve
-        x = rel.x
         frac_var = _most_fractional(x, int_idx)
         if frac_var is None:
             snapped = x.copy()
@@ -509,7 +576,7 @@ def solve_milp(mip: MixedIntegerProgram, _warm: Optional[Basis] = None) -> MilpS
             if lb2[frac_var] > ub2[frac_var] + 1e-12:
                 continue
             child = solve_lp(LinearProgram(p.c, p.a, p.rel, p.b, lb2, ub2),
-                             _warm=rel.basis)
+                             _warm=basis)
             nodes += 1
             if child.status == LpStatus.INFEASIBLE:
                 continue
@@ -518,7 +585,8 @@ def solve_milp(mip: MixedIntegerProgram, _warm: Optional[Basis] = None) -> MilpS
                                     None if best_x is None else best_obj, nodes, root.basis)
             if child.objective < best_obj - ABS_GAP:
                 counter += 1
-                heapq.heappush(heap, (child.objective, counter, lb2, ub2, child))
+                heapq.heappush(heap, (child.objective, counter, lb2, ub2,
+                                      child.x, child.basis))
 
     if best_x is None:
         return MilpSolution(LpStatus.INFEASIBLE, nodes=nodes, root_basis=root.basis)

@@ -457,7 +457,54 @@ def test_every_program_after_the_first_of_its_kind_starts_warm(monkeypatch):
         if kind != "single" and kind not in kinds[:i]:
             assert warm is None  # the first of its kind starts cold
         else:
-            assert warm is not None and lp_module._Tableau(p)._load_warm(warm), (i, kind)
+            assert warm is not None and lp_module._Tableau(p)._start(warm), (i, kind)
+
+
+def test_patterns_lit_after_the_floor_make_no_dense_solve(monkeypatch):
+    # with no row added since the floor was held, each pattern's lighting LP
+    # starts from a copy of the floor's tableau: no dense solve in vlcopt.lp
+    inst = helpers.tiny_instance(n_uts=4, seed=1, channels=2)
+    inst.min_illumination_power()  # holds the floor
+    rows = (list(inst._lo_rows), list(inst._hi_rows))
+    dense, lit = [], []
+    dense_solve, solve_lp = np.linalg.solve, cg_scheduler.solve_lp
+
+    def counting(*args, **kwargs):
+        dense.append(args)
+        return dense_solve(*args, **kwargs)
+
+    def recording_lp(p, _warm=None):
+        lit.append(p)
+        return solve_lp(p, _warm=_warm)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    monkeypatch.setattr(cg_scheduler, "solve_lp", recording_lp)
+    patterns = [(i,) for i in range(len(inst.links))]
+    assert len(patterns) >= 5
+    for active in patterns:
+        inst.optimize_dc_for_schedule(active)
+    monkeypatch.undo()
+    assert (list(inst._lo_rows), list(inst._hi_rows)) == rows
+    assert len(lit) == len(patterns)
+    assert dense == []
+
+
+def test_a_pattern_lit_after_pricing_grew_the_rows_matches_a_fresh_instance():
+    # the pricing MILP adds an upper row the floor was not solved at, so a
+    # pattern's first round loads the floor's basis instead of its tableau
+    doc = helpers.tiny_config(n_uts=4, seed=1, demand_bps=4e8, channels=2, kind="b")
+    doc["chip"].update(p_ac_pp=1.0, p_ac_avg=0.5)
+    s = scenario_from_dict(doc)
+    inst = SchedulingInstance(s, sir_threshold=3.0)
+    rmp = inst.solve_rmp(inst.initial_columns())
+    before = (len(inst._lo_rows), len(inst._hi_rows))
+    priced, _, _ = inst.solve_pricing(rmp.lambda_bps, rmp.mu)
+    assert (len(inst._lo_rows), len(inst._hi_rows)) != before
+    for active in (priced.schedule.active, (0, 3), (5,)):
+        dc = inst.optimize_dc_for_schedule(active)
+        fresh = SchedulingInstance(s, sir_threshold=3.0).optimize_dc_for_schedule(active)
+        np.testing.assert_allclose(dc, fresh, rtol=0.0, atol=1e-9)
+        assert inst.column_is_valid(inst.build_column(active, dc))
 
 
 def test_bounds_tighten_monotonically():

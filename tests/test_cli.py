@@ -10,7 +10,7 @@ import pytest
 import helpers
 from vlcopt import cg_scheduler, cli, lp
 from vlcopt.cg_scheduler import SchedulingInstance
-from vlcopt.cli import _parse_values, main, sweep_sir
+from vlcopt.cli import _parse_values, main, result_row, run_algorithm, sweep_sir
 from vlcopt.scenario import default_config, scenario_from_dict
 
 
@@ -94,6 +94,20 @@ def test_solve_prints_the_status_and_net_gap_beside_the_power(tmp_path, capsys):
                                                     abs=1e-6)
     assert float(printed["net_gap"]) == pytest.approx(float(row["net_gap"]), rel=1e-5)
     assert float(printed["net_gap"]) > 1.0
+
+
+def test_sweep_and_compare_rows_carry_the_status_beside_the_net_gap():
+    # criterion 2's input again: a row's net power is certified only to its
+    # net_gap, so the status that says so sits right before it
+    s = scenario_from_dict(default_config(seed=2))
+    _, _, table = sweep_sir(s, [3.0], epsilon=0.01)
+    inst = SchedulingInstance(s, sir_threshold=3.0)
+    proto, real = run_algorithm(inst, "cg", 0.01, seed=2)
+    for row in (table[0], result_row(inst, "cg", proto, real, seed=2)):
+        assert row["status"] == "epsilon_bounded"
+        keys = list(row)
+        assert keys.index("net_gap") == keys.index("status") + 1
+        assert row["net_gap"] > 1.0
 
 
 def test_solve_with_heuristics(tmp_path):

@@ -561,6 +561,147 @@ def test_warm_start_from_a_basis_neither_primal_nor_dual_feasible(monkeypatch):
         assert _slack_loads(loads, p) == 0, k
 
 
+def _recording_copies(monkeypatch) -> list[bool]:
+    """Whether each `_Tableau._copy` from now on started from a held tableau."""
+    copies = []
+    copy = lp_module._Tableau._copy
+
+    def recording(tab, held):
+        copies.append(copy(tab, held))
+        return copies[-1]
+
+    monkeypatch.setattr(lp_module._Tableau, "_copy", recording)
+    return copies
+
+
+def _highs_duals(p: LinearProgram, ref) -> np.ndarray:
+    """HiGHS's row marginals in `solve_lp`'s shadow-price convention."""
+    eq = np.array([r == "==" for r in p.rel], dtype=bool)
+    sign = np.array([_REL_SIGN.get(r, 0.0) for r in p.rel])
+    duals = np.empty(p.n_rows)
+    duals[~eq] = -sign[~eq] * ref.ineqlin.marginals if np.any(~eq) else 0.0
+    duals[eq] = ref.eqlin.marginals if np.any(eq) else 0.0
+    return duals
+
+
+def _beyond_reach(p: LinearProgram, i: int) -> float:
+    """A right side that row i of a boxed program cannot reach."""
+    lo = p.a[i] * np.where(p.a[i] > 0.0, p.lb, p.ub)
+    hi = p.a[i] * np.where(p.a[i] > 0.0, p.ub, p.lb)
+    return float(lo.sum()) - 1.0 if p.rel[i] == "<=" else float(hi.sum()) + 1.0
+
+
+def _varied(p: LinearProgram, rng: np.random.Generator, kind: str) -> LinearProgram:
+    """`p` with new costs, right sides or bounds (finite where they were),
+    or a row pushed out of reach of the box; its matrix and relations kept."""
+    n, m = p.n_vars, p.n_rows
+    c, b, lb, ub = p.c, p.b, p.lb, p.ub
+    if kind == "c":
+        c = np.where(np.isinf(ub), rng.uniform(0.0, 1.0, size=n), rng.uniform(-1.0, 1.0, size=n))
+    elif kind in ("b", "bounds"):
+        if kind == "bounds":
+            lb = p.lb + rng.uniform(-0.3, 0.3, size=n)
+            ub = np.where(np.isinf(p.ub), np.inf, lb + rng.uniform(0.5, 3.0, size=n))
+        x0 = lb + rng.uniform(0.1, 0.4, size=n)
+        slack = rng.uniform(0.1, 1.0, size=m)
+        rel = np.array(p.rel)
+        b = p.a @ x0 + np.select([rel == "<=", rel == ">="], [slack, -slack], 0.0)
+    else:
+        b = p.b.copy()
+        b[0] = _beyond_reach(p, 0)
+    return LinearProgram(c=c, a=p.a, rel=p.rel, b=b, lb=lb, ub=ub)
+
+
+def test_held_solution_starts_a_program_from_its_tableau(monkeypatch):
+    # programs that differ from a solved one only in costs, right sides or
+    # bounds start from a copy of its final tableau, with no dense solve, and
+    # end as a start from its loaded basis and as HiGHS do
+    rng = np.random.default_rng(43)
+    starts = {"primal only": 0, "dual only": 0, "infeasible": 0}
+    for trial in range(80):
+        n, m = int(rng.integers(2, 8)), int(rng.integers(1, 7))
+        kind = ("c", "b", "bounds", "out of reach")[trial % 4]
+        if kind == "out of reach":
+            p = _random_box_lp(rng, n, m)
+        else:
+            p = _random_mixed_lp(rng, n, m)
+        held = solve_lp(p)
+        assert held.status is LpStatus.OPTIMAL, trial
+        q = _varied(p, rng, kind)
+        tab = lp_module._Tableau(q)
+        assert tab._copy(held.tableau), trial
+        primal, dual = tableau_feasibility(tab)
+        starts["primal only"] += primal and not dual
+        starts["dual only"] += dual and not primal
+
+        copies = _recording_copies(monkeypatch)
+        loads = _recording_loads(monkeypatch)
+        sol = solve_lp(q, _warm=held)
+        monkeypatch.undo()
+        assert copies == [True], trial
+        from_basis = solve_lp(q, _warm=held.basis)
+        ref = _highs(q)
+        if kind == "out of reach":
+            assert ref.status == 2, trial
+            assert sol.status is from_basis.status is LpStatus.INFEASIBLE, trial
+            starts["infeasible"] += 1
+            continue
+        assert loads == [], trial
+        assert ref.status == 0, trial
+        assert sol.status is from_basis.status is LpStatus.OPTIMAL, trial
+        close = dict(rtol=0.0, atol=1e-9)
+        for other, duals in ((from_basis, from_basis.duals), (ref, _highs_duals(q, ref))):
+            np.testing.assert_allclose(sol.objective, other.fun if other is ref
+                                       else other.objective, **close)
+            np.testing.assert_allclose(sol.x, other.x, **close)
+            np.testing.assert_allclose(sol.duals, duals, **close)
+        assert_tableau_matches_basis(q, sol, warm=held)
+    assert min(starts.values()) >= 10, starts
+
+
+@pytest.mark.parametrize("change", ["coefficient", "relation", "equality", "row", "unbounded"])
+def test_held_tableau_needs_the_same_matrix_and_relations(monkeypatch, change):
+    # one changed coefficient, a flipped or tightened relation or an appended
+    # row: the held tableau is not copied, and the held basis starts the
+    # solve. Nor is it copied when a complemented column loses its upper bound
+    rng = np.random.default_rng(47)
+    tried = 0
+    for trial in range(20):
+        n, m = int(rng.integers(2, 6)), int(rng.integers(1, 5))
+        p = _random_box_lp(rng, n, m)
+        held = solve_lp(p)
+        a, rel, b, c, ub = p.a.copy(), list(p.rel), p.b, p.c, p.ub
+        i, j = int(rng.integers(m)), int(rng.integers(n))
+        if change == "coefficient":
+            a[i, j] += 0.25
+        elif change == "relation":
+            rel[i] = {"<=": ">=", ">=": "<="}[rel[i]]
+        elif change == "equality":
+            rel[i] = "=="
+        elif change == "row":
+            a, rel = np.vstack([a, rng.uniform(-1.0, 1.0, size=n)]), rel + ["<="]
+            b = np.append(b, a[-1] @ held.x + 0.5)
+        elif held.basis.complemented.any():
+            c, ub = np.abs(c), np.full(n, np.inf)
+        else:
+            continue  # no complemented column to lose its bound
+        tried += 1
+        q = LinearProgram(c=c, a=a, rel=tuple(rel), b=b, ub=ub)
+        copies = _recording_copies(monkeypatch)
+        sol = solve_lp(q, _warm=held)
+        monkeypatch.undo()
+        assert copies == [False], trial
+        from_basis = solve_lp(q, _warm=held.basis)
+        assert sol.status is from_basis.status, trial
+        assert sol.iterations == from_basis.iterations, trial
+        if sol.status is LpStatus.OPTIMAL:
+            assert np.array_equal(sol.x, from_basis.x), trial
+            _assert_matches_highs(q, warm=held)
+        else:
+            assert _highs(q).status == 2, trial
+    assert tried >= 15
+
+
 def test_milp_root_starts_from_a_given_basis_and_returns_its_own(monkeypatch):
     mip = _knapsack([10.0, 13.0, 7.0, 8.0], [5.0, 7.0, 4.0, 5.0], 12.0)
     cold = solve_milp(mip)
