@@ -41,18 +41,17 @@ solution is checked against the full grid, and the worst violated rows join
 the working set until the check is clean, so the sets hold only rows some
 solve violated. Solutions are exact for the full row set.
 
-Each program starts from the last optimal solution or basis of its kind.
-A pattern's lighting LP is the lighting floor's LP with other right sides
-and chip caps, so while no row has been added since the floor was solved,
-its first lazy-row round starts from a copy of the floor's final tableau.
-Every other start loads a basis, which lines up by position because
-programs of a kind only grow at the end: a lighting LP's first round from
-the floor's basis once rows have been added (lazy rows are appended), each
-restricted master from the previous master's (the shortfall columns come
-first, so new patterns are the last columns and start at zero), each
-pricing MILP's root from the previous root's (static rows first, then the
-lazy rows), and a lazy-row round after the first from the round before.
-Only the first program of each kind starts cold.
+Each program starts from the final tableau of the last optimal solution of
+its kind, extended to it (`lp.solve_lp`), because programs of a kind only
+grow at the end. A pattern's lighting LP is the lighting floor's LP with
+other right sides and chip caps and the lazy rows appended since, so its
+first lazy-row round extends the floor's tableau and each later round the
+round before. Each restricted master of one `column_generation` call
+extends the previous one (the shortfall columns come first, so new patterns
+are the last columns and start at zero), and each pricing MILP's root
+extends the previous root (static rows first, then the lazy rows). Only the
+first program of each kind starts cold, and so does the validation pass's
+master, whose columns are not the pool's.
 """
 
 from __future__ import annotations
@@ -78,7 +77,6 @@ from .conflict import (
 )
 from .lp import (
     ABS_GAP,
-    Basis,
     LinearProgram,
     LpSolution,
     LpStatus,
@@ -156,6 +154,7 @@ class RmpResult:
     lambda_bps: np.ndarray
     mu: float
     shortfall_bps: np.ndarray
+    solution: LpSolution  # the master's, tableau included
 
     @property
     def feasible(self) -> bool:
@@ -269,11 +268,10 @@ class SchedulingInstance:
         self._initial: Optional[tuple[tuple[IndependentSetColumn, ...],
                                       tuple[int, ...], tuple[int, ...]]] = None
         self._static_rows: Optional[tuple] = None
-        # the lighting floor's final solution, tableau included, and the last
-        # optimal basis of the restricted master and the pricing MILP's root
+        # the final solutions, tableaux included, of the lighting floor and
+        # of the last pricing MILP's root
         self._floor: Optional[LpSolution] = None
-        self._rmp_basis: Optional[Basis] = None
-        self._pricing_basis: Optional[Basis] = None
+        self._pricing_root: Optional[LpSolution] = None
 
     def _start_rows(self, lo: Sequence[int], hi: Sequence[int]) -> None:
         self._lo_rows: list[int] = list(lo)
@@ -285,13 +283,13 @@ class SchedulingInstance:
         if they are not yet); only the conflict graph is built anew.
 
         The lazy rows start from a copy of those held right after the initial
-        columns were built, the master and the pricing MILP start cold (the
-        conflict graph differs), and the lighting floor's solution, which no
-        later solve changes, is shared. So when this instance built the
-        initial columns before solving anything else, the result solves
-        exactly as `SchedulingInstance(s, sir_threshold)` does. The lazy rows
-        and the master and pricing bases are the only state a solve changes,
-        and solving the result changes them on no other instance.
+        columns were built, the pricing MILP starts cold (the conflict graph
+        differs), and the lighting floor's solution, which no later solve
+        changes, is shared. So when this instance built the initial columns
+        before solving anything else, the result solves exactly as
+        `SchedulingInstance(s, sir_threshold)` does. The lazy rows and the
+        pricing root are the only state a solve changes, and solving the
+        result changes them on no other instance.
         """
         self.initial_columns()
         _, lo, hi = self._initial
@@ -300,7 +298,7 @@ class SchedulingInstance:
         inst.sir_threshold = float(sir_threshold)
         inst._start_rows(lo, hi)
         inst._static_rows = None
-        inst._rmp_basis = inst._pricing_basis = None
+        inst._pricing_root = None
         return inst
 
     # -- lighting -----------------------------------------------------------
@@ -345,8 +343,9 @@ class SchedulingInstance:
         """The held illuminance rows, lower then upper: their coefficients
         read from the (variables, K) table `lux`, their relations and their
         right sides, read from `lo` and `hi`. A lower row added after an upper
-        one shifts the upper rows, which costs a held basis only a worse, still
-        verified, start; neither benchmark workload ever adds an upper row."""
+        one shifts the upper rows, so a program held before no longer extends
+        to the new one, which starts cold; neither benchmark workload ever
+        adds an upper row."""
         held = self._lo_rows + self._hi_rows
         rel = (">=",) * len(self._lo_rows) + ("<=",) * len(self._hi_rows)
         return lux[:, held].T, rel, np.concatenate([lo[self._lo_rows], hi[self._hi_rows]])
@@ -373,12 +372,10 @@ class SchedulingInstance:
                 "lower illuminance bound exceeds what capped chips can deliver")
 
         cost = 1.0 / self.dc_eta
-        # each round starts from the last one's solution, the first from the
-        # floor's: only right sides, caps and added rows differ, so it stays
-        # dual feasible. With no row added since, the floor's tableau is
-        # copied; otherwise its basis is loaded. Lower rows whose right side
-        # is <= 0 stay in the LP (redundant, as lux and powers are
-        # nonnegative) so that rows line up
+        # each round extends the last one's tableau, the first the floor's:
+        # only right sides, caps and appended rows differ, so it stays dual
+        # feasible. Lower rows whose right side is <= 0 stay in the LP
+        # (redundant, as lux and powers are nonnegative) so that rows line up
         held = self._floor
 
         def solve() -> tuple[np.ndarray, np.ndarray]:
@@ -477,13 +474,16 @@ class SchedulingInstance:
 
     # -- restricted master ----------------------------------------------------
 
-    def solve_rmp(self, columns: Sequence[IndependentSetColumn]) -> RmpResult:
+    def solve_rmp(self, columns: Sequence[IndependentSetColumn],
+                  held: Optional[RmpResult] = None) -> RmpResult:
+        """The restricted master over `columns`, extending `held`'s tableau
+        when given: the master over a prefix of `columns`."""
         p0_elec, _ = self.min_illumination_power()
         M = len(self.s.uts)
         Q = len(columns)
         # one shortfall column per terminal, then omega: patterns appended
-        # since the last master enter that master's basis nonbasic at zero,
-        # which keeps it primal feasible
+        # since the held master enter its basis nonbasic at zero, which keeps
+        # it primal feasible
         c = np.concatenate([np.full(M, SHORTFALL_COST),
                             [col.electrical_total - p0_elec for col in columns]])
         a = np.zeros((M + 1, M + Q))
@@ -492,16 +492,15 @@ class SchedulingInstance:
         a[M, M:] = 1.0
         b = np.append(self.demands / RATE_SCALE, 1.0)
         sol = solve_lp(LinearProgram(c=c, a=a, rel=(">=",) * M + ("<=",), b=b),
-                       _warm=self._rmp_basis)
+                       _warm=None if held is None else held.solution)
         if sol.status != LpStatus.OPTIMAL:
             raise CgError(f"restricted master LP failed with status {sol.status}")
-        self._rmp_basis = sol.basis
         omega = np.maximum(sol.x[M:], 0.0)
         shortfall = np.maximum(sol.x[:M], 0.0) * RATE_SCALE
         lam = np.maximum(sol.duals[:M], 0.0) / RATE_SCALE
         mu = min(float(sol.duals[M]), 0.0)
         z_upper = float(sol.objective) + p0_elec
-        return RmpResult(omega, z_upper, lam, mu, shortfall)
+        return RmpResult(omega, z_upper, lam, mu, shortfall, sol)
 
     # -- pricing --------------------------------------------------------------
 
@@ -558,7 +557,7 @@ class SchedulingInstance:
         fixed_b = np.concatenate([static_b, self.dc_cap])
         lux = np.vstack([self.ac_light, self.dc_light])
 
-        # the root starts from the last root's basis: between calls only the
+        # the root extends the last root's tableau: between calls only the
         # costs differ, so it stays primal feasible; between lazy rounds only
         # rows are appended, so it stays dual feasible
         def solve() -> tuple[tuple[float, tuple[int, ...], np.ndarray], np.ndarray]:
@@ -566,10 +565,10 @@ class SchedulingInstance:
             lp = LinearProgram(c=c, a=np.vstack([fixed_a, a]),
                                rel=("<=",) * len(fixed_b) + rel,
                                b=np.concatenate([fixed_b, b]), lb=lb, ub=ub)
-            res = solve_milp(MixedIntegerProgram(lp, integer), _warm=self._pricing_basis)
+            res = solve_milp(MixedIntegerProgram(lp, integer), _warm=self._pricing_root)
             if res.status != LpStatus.OPTIMAL or res.x is None:
                 raise CgError(f"pricing MILP failed with status {res.status}")
-            self._pricing_basis = res.root_basis
+            self._pricing_root = res.root
             active = tuple(int(i) for i in np.nonzero(res.x[:L] > 0.5)[0])
             dc = np.maximum(res.x[L:], 0.0)
             return (float(res.objective), active, dc), self.illuminance(dc, active)
@@ -636,7 +635,7 @@ class SchedulingInstance:
 
         for it in range(1, MAX_ITERATIONS + 1):
             t0 = time.monotonic()
-            rmp = self.solve_rmp(pool)
+            rmp = self.solve_rmp(pool, rmp)
             # scale-aware optimality cutoff: a pool column can re-price a hair
             # negative from LP round-off, which proves nothing but convergence
             cutoff = -REDUCED_COST_TOL * max(1.0, abs(rmp.z_upper))
@@ -669,13 +668,13 @@ class SchedulingInstance:
             ))
             if status is not None:
                 break
-            # appended at the end, so the next master starts from this one's basis
+            # appended at the end, so the next master extends this one
             pool.extend(columns)
             keys.update(col.schedule.active for col in columns)
         else:
             # ran out of iterations after extending the pool: refresh omega
             status = CgStatus.ITERATION_LIMIT
-            rmp = self.solve_rmp(pool)
+            rmp = self.solve_rmp(pool, rmp)
 
         assert rmp is not None
         return CgSolution(
@@ -727,7 +726,7 @@ class SchedulingInstance:
         if not chosen:
             chosen = [self.build_column(())]
         real_cols = tuple(self.physical_rates(col) for col in chosen)
-        rmp = self.solve_rmp(real_cols)
+        rmp = self.solve_rmp(real_cols)  # cold: these columns are not the pool's
         return replace(
             sol,
             stage="reality",

@@ -31,32 +31,31 @@ its right side, and each row's dual is its slack's reduced cost. Feasibility
 and strong duality are then checked against the program before OPTIMAL is
 reported.
 
-A solve can start warm from an earlier solution. When that solution's
-program had the same matrix and row relations (only costs, right sides and
-bounds differ, and every complemented column keeps a finite upper bound),
-its final tableau is copied: the body B^-1 N stays, the right side is
-recomputed as B^-1 (b - A_F u_F), with F the complemented columns, and the
-cost row is re-priced (right-hand-side ranging; Chvatal 1983, ch. 10). B^-1
-(never formed) is read off the slack columns, a nonbasic slack's stored column or a basic
-slack's unit row, each signed by its complement flag. Otherwise the start
-is the final basis (basic columns and complement flags) of any program
-whose rows and columns the new one extends at the end: old ids keep their
-positions, the slacks shifting past the added columns, added columns start
-nonbasic at their lower bounds and added rows with their slacks basic. The
-tableau is then rebuilt from the basis with one dense solve against the
-nonbasic columns and the right side.
+A solve can start warm from an earlier solution whose program is the new
+one's top-left block: the same first rows, with the same relations and the
+same entries in the old columns, and columns and rows appended at the end
+(costs, right sides and bounds may all differ). Its final tableau is
+extended to the new program (Chvatal 1983, ch. 10): the old body B^-1 N
+stays, an appended column enters nonbasic at its lower bound with body
+B^-1 a, an appended row enters with its slack basic, written over the basis
+as a_r[N] - a_r[B] B^-1 N, the right side is recomputed as
+B^-1 (b - A_F u_F), with F the complemented columns, and the cost row is
+re-priced. B^-1 (never formed) is read off the slack columns, a nonbasic
+slack's stored column or a basic slack's unit row, each signed by its
+complement flag. A solution that does not extend (a changed entry or
+relation, more rows or columns than the new program, or a complemented
+column that lost its finite upper bound) leaves the cold slack start.
 Either way the start rule above takes it from there, whether it is primal
-feasible, dual feasible or neither. A basis that is singular, does not fit
-the program or complements a column without a finite upper bound is dropped
-for the cold slack start, and a warm solve whose answer fails the
-feasibility and duality check is solved once more from it.
+feasible, dual feasible or neither, and a warm solve whose answer fails the
+feasibility and duality check is solved once more from the cold start.
 
 Branch and bound uses most-fractional branching and best-bound search. Its
 incumbents come from the tree alone: under best-bound order, a seed no
 better than the optimum could spare only nodes whose bound lies within
-ABS_GAP of it. The root starts from a caller's basis when given one, and an
-open node keeps its LP's values, objective and final basis, not its
-tableau, and its children start from that basis.
+ABS_GAP of it. The root extends a caller's held solution when given one.
+An open node keeps its LP's values, objective and final basis, not its
+tableau, and its children load that basis with one dense solve; a
+singular basis leaves the cold start.
 
 Problem sizes here are desk scale (at most a couple of thousand columns), so
 a dense tableau is deliberate: it keeps the pivot arithmetic transparent and
@@ -152,8 +151,8 @@ class LpSolution:
     duals: Optional[np.ndarray] = None
     iterations: int = 0
     basis: Optional[Basis] = None  # final basis, once the pivoting has finished
-    # the final tableau with the basis, which a program with the same matrix
-    # and relations starts from (see solve_lp)
+    # the final tableau with the basis, which a program extending this one's
+    # starts from (see solve_lp)
     tableau: Optional[_Tableau] = field(default=None, repr=False, compare=False)
 
 
@@ -174,7 +173,7 @@ class MilpSolution:
     x: Optional[np.ndarray] = None
     objective: Optional[float] = None
     nodes: int = 0
-    root_basis: Optional[Basis] = None  # the root relaxation's final basis
+    root: Optional[LpSolution] = None  # the root relaxation's solution
 
 
 # ---------------------------------------------------------------------------
@@ -289,70 +288,66 @@ class _Tableau:
         self._primal()
 
     def _start(self, warm: Optional[Basis | LpSolution]) -> bool:
-        """Start from `warm` (see the module docstring): a copy of a held
-        solution's tableau when its program had this one's matrix and
-        relations, else the held or given basis loaded; False if none starts."""
+        """Start from `warm` (see the module docstring): a held solution's
+        tableau extended to this program, or a basis of this same program
+        loaded, as a branch-and-bound child's parent basis is; False if
+        none starts."""
         if isinstance(warm, LpSolution):
-            if warm.tableau is not None and self._copy(warm.tableau):
-                return True
-            warm = warm.basis
-        return warm is not None and self._load_warm(warm)
-
-    def _copy(self, held: _Tableau) -> bool:
-        """Start from `held`'s final tableau: its body and basis, with the right
-        side recomputed as B^-1 (b0 - a0_F u_F) and the cost row re-priced;
-        False unless `held` had this program's matrix and relations and every
-        complemented column still has a finite bound."""
-        flip = held.flip
-        if (held.rel != self.rel or not np.array_equal(held.a0, self.a0)
-                or not np.all(np.isfinite(self.u[flip]))):
+            return warm.tableau is not None and self._extend(warm.tableau)
+        if warm is None:
             return False
-        self.t = held.t.copy()
-        self.basic, self.nonbasic = held.basic.copy(), held.nonbasic.copy()
-        self.flip = flip.copy()
+        try:
+            self._load(warm.basic, warm.complemented, self.c0)
+        except np.linalg.LinAlgError:
+            return False
+        return bool(np.all(np.isfinite(self.t)))
+
+    def _extend(self, held: _Tableau) -> bool:
+        """Start from `held`'s final tableau, its ids moved to this program's
+        (the slacks shift past the appended columns). Appended columns enter
+        nonbasic at their lower bounds with body B^-1 a, appended rows with
+        their slacks basic as a_r[N] - a_r[B] B^-1 N; the right side is
+        recomputed as B^-1 (b0 - a0_F u_F) and the cost row re-priced. False
+        unless `held`'s program is this one's top-left block (its relations a
+        prefix of these, its structural matrix these first rows and columns)
+        and every complemented column still has a finite bound."""
+        m0, m = held.m, self.m
+        n0, n = held.c0.shape[0] - m0, self.c0.shape[0] - m
+        if (m0 > m or n0 > n or held.rel != self.rel[:m0]
+                or not np.array_equal(held.a0[:, :n0], self.a0[:m0, :n0])):
+            return False
+        ids = np.concatenate([np.arange(n0), np.arange(n, n + m0)])
+        flip = np.zeros(n + m, dtype=bool)
+        flip[ids] = held.flip
+        if not np.all(np.isfinite(self.u[flip])):
+            return False
+        self.basic = np.concatenate([ids[held.basic], np.arange(n + m0, n + m)])
+        self.nonbasic = np.concatenate([ids[held.nonbasic], np.arange(n0, n)])
+        self.flip = flip
+        top = self.t[:m0, :-1]
+        top[:, :n0] = held.t[:-1, :-1]
+        top[:, n0:] = held._inverse_times(self.a0[:m0, n0:n])
+        rows = self.a0[m0:] * np.where(flip, -1.0, 1.0)
+        self.t[m0:-1, :-1] = rows[:, self.nonbasic] - rows[:, self.basic[:m0]] @ top
         self.t[:-1, -1] = self._inverse_times(self.b0 - self.a0[:, flip] @ self.u[flip])
         self._price(self.c0)
         return True
 
     def _inverse_times(self, v: np.ndarray) -> np.ndarray:
-        """B^-1 v for the current basis, read off the slack columns: slack i's
-        full-tableau column is s_i B^-1 e_i, with s_i = -1 when it is
-        complemented, so B^-1 e_i is s_i times that stored column when the
-        slack is nonbasic, and s_i e_r when it is basic in row r."""
+        """B^-1 v for the current basis, v a vector or a matrix of columns,
+        read off the slack columns: slack i's full-tableau column is
+        s_i B^-1 e_i, with s_i = -1 when it is complemented, so B^-1 e_i is
+        s_i times that stored column when the slack is nonbasic, and s_i e_r
+        when it is basic in row r."""
         n = self.c0.shape[0] - self.m
-        sv = np.where(self.flip[n:], -v, v)
+        sv = (np.where(self.flip[n:], -1.0, 1.0) * v.T).T
         slack = self.nonbasic >= n
-        w = np.zeros(self.nonbasic.size)
+        w = np.zeros((self.nonbasic.size,) + v.shape[1:])
         w[slack] = sv[self.nonbasic[slack] - n]
         out = self.t[:-1, :-1] @ w
         r = np.flatnonzero(self.basic >= n)
         out[r] += sv[self.basic[r] - n]
         return out
-
-    def _load_warm(self, warm: Basis) -> bool:
-        """Load the final basis of a program this one extends at the end (see
-        the module docstring); False if it has more rows or columns than this
-        program, bad ids or dtypes, complements a column without a finite
-        upper bound, or is singular."""
-        basic, flip = np.asarray(warm.basic), np.asarray(warm.complemented)
-        m0, total = basic.size, self.c0.shape[0]
-        n0, n = flip.size - m0, total - self.m  # old and new column counts
-        if (basic.ndim != 1 or flip.ndim != 1 or flip.dtype != bool
-                or basic.dtype.kind not in "iu" or m0 > self.m or not 0 <= n0 <= n
-                or np.unique(basic).size != m0
-                or not np.all((basic >= 0) & (basic < flip.size))):
-            return False
-        ids = basic.astype(int)
-        ids[ids >= n0] += n - n0
-        full = np.zeros(total, dtype=bool)
-        full[:n0], full[n:n + m0] = flip[:n0], flip[n0:]
-        if not np.all(np.isfinite(self.u[full])):
-            return False
-        try:
-            self._load(np.concatenate([ids, np.arange(n + m0, total)]), full, self.c0)
-        except np.linalg.LinAlgError:
-            return False
-        return bool(np.all(np.isfinite(self.t)))
 
     def _dual(self, cost: np.ndarray) -> None:
         """Dual simplex pivots from a dual feasible basis to primal feasibility."""
@@ -454,14 +449,14 @@ class _Numerical(Exception):
 def solve_lp(p: LinearProgram, _warm: Optional[Basis | LpSolution] = None) -> LpSolution:
     """Solve a linear program; duals follow the shadow-price convention
     (dual of a >= row is >= 0, of a <= row is <= 0, of an equality free).
-    `_warm` is where to start. A held solution whose program had the same
-    shape and an identical matrix and relations (costs, right sides and
-    bounds may differ), such as the lighting floor's for a pattern's lighting
-    LP, starts from a copy of its final tableau, with no dense solve. Any
-    other held solution starts from its final basis, as a bare `Basis` does:
-    the basis of a program whose rows and columns this one extends at the
-    end, such as a branch-and-bound parent's or the last restricted master's
-    before a column was appended, loaded with one dense solve.
+    `_warm` is where to start. A held solution whose program is this one's
+    top-left block (this one appends columns and rows; costs, right sides
+    and bounds may differ), such as the lighting floor's for a pattern's
+    lighting LP or the last restricted master's before patterns were
+    appended, starts from its final tableau extended to this program, with
+    no dense solve; one that does not extend leaves the cold start. A bare
+    `Basis` of this same program, a branch-and-bound parent's, is loaded
+    with one dense solve.
     A warm start that ends NUMERICAL is solved once more from the cold slack
     basis: its pivots carry the warm start's round-off, which on costs near
     1e9 can leave the duality check a hair outside its tolerance."""
@@ -499,19 +494,20 @@ def _solve_tableau(p: LinearProgram, tab: _Tableau,
                       tableau=tab)
 
 
-def _feasible(p: LinearProgram, x: np.ndarray) -> bool:
-    """Rows hold to FEAS_TOL scaled by the largest right side, bounds to FEAS_TOL."""
+def _feasible(p: LinearProgram, x: np.ndarray, tab: _Tableau) -> bool:
+    """Rows hold to FEAS_TOL scaled by the largest right side, bounds to
+    FEAS_TOL. A row's kind is read off `tab`: `==` where its slack is fixed
+    at zero, otherwise its sign (-1 for `>=`) orients the residual."""
     scale = 1.0 + (float(np.max(np.abs(p.b))) if p.n_rows else 0.0)
-    rel = np.array(p.rel, dtype=str)
     resid = p.a @ x - p.b
-    excess = np.select([rel == "<=", rel == ">="], [resid, -resid], np.abs(resid))
+    excess = np.where(tab.u[p.n_vars:] == 0.0, np.abs(resid), tab.sign * resid)
     return not (np.any(excess > FEAS_TOL * scale)
                 or np.any(x < p.lb - FEAS_TOL) or np.any(x > p.ub + FEAS_TOL))
 
 
 def _verify(p: LinearProgram, x: np.ndarray, duals_int: np.ndarray,
             tab: _Tableau, objective: float) -> bool:
-    if not _feasible(p, x):
+    if not _feasible(p, x, tab):
         return False
     # strong duality in the internal (shifted, sign-adjusted) space: the row
     # term plus the reduced costs of the columns held at their upper bounds
@@ -527,15 +523,16 @@ def _verify(p: LinearProgram, x: np.ndarray, duals_int: np.ndarray,
 # branch and bound
 
 
-def solve_milp(mip: MixedIntegerProgram, _warm: Optional[Basis] = None) -> MilpSolution:
+def solve_milp(mip: MixedIntegerProgram, _warm: Optional[LpSolution] = None) -> MilpSolution:
     """Branch-and-bound over LP relaxations.
 
     Branches on the most fractional integer variable (ties to the lowest
     index), explores nodes in best-bound order, and runs until the tree is
     exhausted, pruning nodes whose bound is within ABS_GAP of the incumbent;
     so no integer point beats an OPTIMAL objective by more than ABS_GAP.
-    The root starts from `_warm` (as `solve_lp` does) and its final basis is
-    returned as `root_basis`; children start from their parent's final basis.
+    The root starts from `_warm`, a held solution, as `solve_lp` does, and
+    its own solution is returned as `root`; children start from their
+    parent's final basis.
     """
     p = mip.lp
     int_idx = np.nonzero(mip.integer)[0]
@@ -582,15 +579,15 @@ def solve_milp(mip: MixedIntegerProgram, _warm: Optional[Basis] = None) -> MilpS
                 continue
             if child.status in (LpStatus.UNBOUNDED, LpStatus.NUMERICAL):
                 return MilpSolution(LpStatus.NUMERICAL, best_x,
-                                    None if best_x is None else best_obj, nodes, root.basis)
+                                    None if best_x is None else best_obj, nodes, root)
             if child.objective < best_obj - ABS_GAP:
                 counter += 1
                 heapq.heappush(heap, (child.objective, counter, lb2, ub2,
                                       child.x, child.basis))
 
     if best_x is None:
-        return MilpSolution(LpStatus.INFEASIBLE, nodes=nodes, root_basis=root.basis)
-    return MilpSolution(LpStatus.OPTIMAL, best_x, best_obj, nodes, root.basis)
+        return MilpSolution(LpStatus.INFEASIBLE, nodes=nodes, root=root)
+    return MilpSolution(LpStatus.OPTIMAL, best_x, best_obj, nodes, root)
 
 
 def _most_fractional(x: np.ndarray, int_idx: np.ndarray) -> Optional[int]:

@@ -461,31 +461,50 @@ def test_every_program_after_the_first_of_its_kind_starts_warm(monkeypatch):
 
 
 def test_patterns_lit_after_the_floor_make_no_dense_solve(monkeypatch):
-    # with no row added since the floor was held, each pattern's lighting LP
-    # starts from a copy of the floor's tableau: no dense solve in vlcopt.lp
-    inst = helpers.tiny_instance(n_uts=4, seed=1, channels=2)
-    inst.min_illumination_power()  # holds the floor
-    rows = (list(inst._lo_rows), list(inst._hi_rows))
-    dense, lit = [], []
-    dense_solve, solve_lp = np.linalg.solve, cg_scheduler.solve_lp
+    # each pattern's lighting LP extends the floor's tableau, and so does
+    # every program that extends a held one: a master after patterns were
+    # appended, a lazy round after rows were. No dense solve is made in
+    # vlcopt.lp outside branch-and-bound children, which load a basis
+    dense, extended, in_child = [], [], [False]
+    dense_solve, solve_lp = np.linalg.solve, lp_module.solve_lp
 
     def counting(*args, **kwargs):
-        dense.append(args)
+        if not in_child[0]:
+            dense.append(args)
         return dense_solve(*args, **kwargs)
 
     def recording_lp(p, _warm=None):
-        lit.append(p)
-        return solve_lp(p, _warm=_warm)
+        if isinstance(_warm, lp_module.LpSolution):  # (appended columns, rows)
+            extended.append((p.n_vars - _warm.x.size, p.n_rows - _warm.duals.size))
+        in_child[0] = isinstance(_warm, lp_module.Basis)
+        try:
+            return solve_lp(p, _warm=_warm)
+        finally:
+            in_child[0] = False
 
+    inst = helpers.tiny_instance(n_uts=4, seed=1, channels=2)
+    inst.min_illumination_power()  # holds the floor
+    rows = (list(inst._lo_rows), list(inst._hi_rows))
     monkeypatch.setattr(np.linalg, "solve", counting)
     monkeypatch.setattr(cg_scheduler, "solve_lp", recording_lp)
+    monkeypatch.setattr(lp_module, "solve_lp", recording_lp)
     patterns = [(i,) for i in range(len(inst.links))]
     assert len(patterns) >= 5
     for active in patterns:
         inst.optimize_dc_for_schedule(active)
-    monkeypatch.undo()
     assert (list(inst._lo_rows), list(inst._hi_rows)) == rows
-    assert len(lit) == len(patterns)
+    assert extended == [(0, 0)] * len(patterns)
+    assert dense == []
+
+    # 1 W beams on two channels: a greedy batch grows the master, and the
+    # pricing MILP's answer leaves a grid point no earlier LP held
+    doc = helpers.tiny_config(n_uts=4, seed=1, demand_bps=4e8, channels=2, kind="b")
+    doc["chip"].update(p_ac_pp=1.0, p_ac_avg=0.5)
+    extended.clear()
+    SchedulingInstance(scenario_from_dict(doc), sir_threshold=3.0).column_generation(0.0)
+    monkeypatch.undo()
+    assert any(cols > 0 for cols, _ in extended)  # a master
+    assert any(rows > 0 for _, rows in extended)  # a lazy round
     assert dense == []
 
 
@@ -598,9 +617,9 @@ def test_greedy_pricing_adds_a_batch_of_disjoint_patterns():
         greedy_calls.append((lam, mu, set(known), cutoff, batch))
         return batch
 
-    def recording_master(columns):
+    def recording_master(columns, *held):
         master_sizes.append(len(columns))
-        return master(columns)
+        return master(columns, *held)
 
     inst._greedy_pricing, inst.solve_rmp = recording_greedy, recording_master
     sol = inst.column_generation(epsilon=0.0)
@@ -716,6 +735,34 @@ def test_validation_reprices_only_scheduled_columns():
     assert {col.schedule.active for col in real.columns} == scheduled
     assert real.z_upper >= sol.z_upper - 1e-9  # degraded rates cannot cost less
 
+
+
+def test_validation_starts_its_master_cold(monkeypatch):
+    # the validation master's columns are not the pool's, and a later call's
+    # first master has only the initial pool: neither extends a held master
+    inst = helpers.tiny_instance(n_uts=4, seed=7)
+    sol = inst.column_generation(epsilon=0.0)
+    warm, inside = [], [False]
+    solve_lp, solve_rmp = cg_scheduler.solve_lp, SchedulingInstance.solve_rmp
+
+    def recording_lp(p, _warm=None):
+        if inside[0]:
+            warm.append(_warm)
+        return solve_lp(p, _warm=_warm)
+
+    def master(self, *args):
+        inside[0] = True
+        try:
+            return solve_rmp(self, *args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(cg_scheduler, "solve_lp", recording_lp)
+    monkeypatch.setattr(SchedulingInstance, "solve_rmp", master)
+    real = inst.reality_check(sol)
+    assert real.columns and warm == [None]
+    again = inst.column_generation(epsilon=0.0)
+    assert len(warm) == 1 + again.iterations and warm[1] is None
 
 # -- artifacts ------------------------------------------------------------------------
 

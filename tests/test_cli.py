@@ -93,7 +93,12 @@ def test_solve_prints_the_status_and_net_gap_beside_the_power(tmp_path, capsys):
     assert float(printed["power"]) == pytest.approx(float(row["protocol_power_w"]),
                                                     abs=1e-6)
     assert float(printed["net_gap"]) == pytest.approx(float(row["net_gap"]), rel=1e-5)
-    assert float(printed["net_gap"]) > 1.0
+    # the gap recomputed from the row's own columns exceeds the run's epsilon
+    net = float(row["protocol_power_w"])
+    z_upper = net + float(row["p_illumi_min_w"])
+    net_gap = (z_upper - float(row["z_lower_w"])) / net
+    assert float(printed["net_gap"]) == pytest.approx(net_gap, rel=1e-5)
+    assert net_gap > float(row["epsilon"])
 
 
 def test_sweep_and_compare_rows_carry_the_status_beside_the_net_gap():
@@ -103,11 +108,13 @@ def test_sweep_and_compare_rows_carry_the_status_beside_the_net_gap():
     _, _, table = sweep_sir(s, [3.0], epsilon=0.01)
     inst = SchedulingInstance(s, sir_threshold=3.0)
     proto, real = run_algorithm(inst, "cg", 0.01, seed=2)
+    net_gap = (proto.z_upper - proto.z_lower) / (proto.z_upper - proto.p_illumi_min)
+    assert net_gap > 0.01
     for row in (table[0], result_row(inst, "cg", proto, real, seed=2)):
         assert row["status"] == "epsilon_bounded"
         keys = list(row)
         assert keys.index("net_gap") == keys.index("status") + 1
-        assert row["net_gap"] > 1.0
+        assert row["net_gap"] == net_gap
 
 
 def test_solve_with_heuristics(tmp_path):
@@ -391,31 +398,31 @@ def test_sweep_solves_single_link_lighting_once(monkeypatch):
 def test_derived_instances_share_no_pricing_state():
     s = scenario_from_dict(helpers.bright_beam_config())
     base = SchedulingInstance(s)
-    base.solve_rmp(base.initial_columns())  # a master basis of the base's own
+    base.solve_rmp(base.initial_columns())  # lazy rows of the base's own
 
     def rows(inst):
         return list(inst._lo_rows), list(inst._hi_rows)
 
-    def bases(inst):
-        """The master and pricing bases, copied out."""
-        return [None if held is None else
-                (held.basic.tolist(), held.complemented.tolist())
-                for held in (inst._rmp_basis, inst._pricing_basis)]
+    def root(inst):
+        """The held pricing root's basis, copied out."""
+        held = inst._pricing_root
+        return None if held is None else (held.basis.basic.tolist(),
+                                           held.basis.complemented.tolist())
 
     two, four, six = (base.at_sir_threshold(t) for t in (2.0, 4.0, 6.0))
-    assert bases(two) == [None, None]  # derived instances start cold
+    assert root(two) is None  # derived instances start cold
     six.column_generation(0.0)
     before_base, before_four = rows(base), rows(four)
-    held_base, held_six = bases(base), bases(six)
-    assert held_base[0] is not None and None not in held_six
+    held_base, held_six = root(base), root(six)
+    assert held_six is not None
     assert rows(two) == before_four
     two.column_generation(0.0)
     assert rows(two) != before_four  # the solve grew this working set ...
     assert rows(base) == before_base  # ... and no other
     assert rows(four) == before_four
-    assert None not in bases(two) and bases(two) != held_six  # its own bases ...
-    assert bases(base) == held_base  # ... and nobody else's changed
-    assert bases(six) == held_six
+    assert root(two) is not None and root(two) != held_six  # its own root ...
+    assert root(base) == held_base  # ... and nobody else's changed
+    assert root(six) == held_six
     # an instance derived from one that has priced starts clean as well
     again = two.at_sir_threshold(4.0).column_generation(0.0)
     fresh = SchedulingInstance(s, sir_threshold=4.0).column_generation(0.0)

@@ -102,14 +102,7 @@ def test_cold_solve_reads_its_answer_off_the_tableau(monkeypatch):
     p = LinearProgram(c=[-1.0, -2.0, 0.5, -3.0],
                       a=[[1.0, 1.0, 0.0, 1.0], [1.0, 3.0, -1.0, 0.0]],
                       rel=("<=", ">="), b=[4.0, 2.0], ub=[np.inf, np.inf, 2.0, 1.0])
-    calls = []
-    dense_solve = np.linalg.solve
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return dense_solve(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "solve", counting)
+    calls = _counting_dense_solves(monkeypatch)
     sol = solve_lp(p)
     monkeypatch.undo()
     assert calls == []
@@ -387,11 +380,11 @@ def test_warm_start_from_a_primal_feasible_basis():
     for trial in range(40):
         n, m = int(rng.integers(2, 8)), int(rng.integers(1, 7))
         p = _random_mixed_lp(rng, n, m)
-        start = solve_lp(p).basis
+        start = solve_lp(p)
         c = np.where(np.isinf(p.ub), rng.uniform(0.0, 1.0, size=n), rng.uniform(-1.0, 1.0, size=n))
         q = LinearProgram(c=c, a=p.a, rel=p.rel, b=p.b, lb=p.lb, ub=p.ub)
         tab = lp_module._Tableau(q)
-        assert tab._load_warm(start), trial
+        assert tab._extend(start.tableau), trial
         primal, dual = tableau_feasibility(tab)
         assert primal, trial
         primal_only += not dual
@@ -407,7 +400,7 @@ def test_warm_start_from_a_dual_feasible_basis():
     for trial in range(40):
         n, m = int(rng.integers(2, 8)), int(rng.integers(1, 7))
         p = _random_mixed_lp(rng, n, m)
-        start = solve_lp(p).basis
+        start = solve_lp(p)
         ub = np.where(np.isinf(p.ub), np.inf, p.lb + rng.uniform(0.5, 3.0, size=n))
         x0 = p.lb + rng.uniform(0.1, 0.4, size=n)
         slack = rng.uniform(0.1, 1.0, size=m)
@@ -415,7 +408,7 @@ def test_warm_start_from_a_dual_feasible_basis():
         gap = np.select([rel == "<=", rel == ">="], [slack, -slack], 0.0)
         q = LinearProgram(c=p.c, a=p.a, rel=p.rel, b=p.a @ x0 + gap, lb=p.lb, ub=ub)
         tab = lp_module._Tableau(q)
-        assert tab._load_warm(start), trial
+        assert tab._extend(start.tableau), trial
         primal, dual = tableau_feasibility(tab)
         assert dual, trial
         dual_only += not primal
@@ -458,7 +451,7 @@ def test_basis_starts_a_program_that_appends_rows_and_columns():
         dual_side = trial % 2 == 1
         q = _grown(p, sol.x, sol.duals, rng, dual_side)
         tab = lp_module._Tableau(q)
-        assert tab._load_warm(sol.basis), trial
+        assert tab._extend(sol.tableau), trial
         # the old slacks shift past the two added columns, the added rows'
         # slacks are basic and the added columns nonbasic at their lower bounds
         old = sol.basis.basic
@@ -470,7 +463,7 @@ def test_basis_starts_a_program_that_appends_rows_and_columns():
         assert dual if dual_side else primal
         if dual_side:
             assert not primal  # "cut" cuts the old optimum off
-        _assert_matches_highs(q, warm=sol.basis)
+        _assert_matches_highs(q, warm=sol)
 
 
 def _recording_loads(monkeypatch) -> list[np.ndarray]:
@@ -492,8 +485,8 @@ def _slack_loads(loads: list[np.ndarray], p: LinearProgram) -> int:
 
 
 def _loads_neither_feasible(p: LinearProgram, warm: Basis) -> bool:
-    # loaded directly, not through `_load_warm`, so the verdict does not
-    # depend on which bases the solver accepts
+    # loaded directly, not through `_start`, so the verdict does not depend
+    # on which bases the solver accepts
     tab = lp_module._Tableau(p)
     try:
         tab._load(warm.basic, warm.complemented, tab.c0)
@@ -503,29 +496,20 @@ def _loads_neither_feasible(p: LinearProgram, warm: Basis) -> bool:
 
 
 def test_unusable_warm_bases_fall_back_to_the_cold_start(monkeypatch):
+    # a branch-and-bound child loads its parent's basis: a singular one
+    # leaves the cold start
     rng = np.random.default_rng(37)
     p = _random_box_lp(rng, n=4, m=3)
     p.a[:, 0] = [1.0, 0.0, 0.0]  # x0's column equals the first row's slack
     total = 7
     cold = solve_lp(p)
-    good = cold.basis
     none = np.zeros(total, dtype=bool)
-    unusable = [
-        Basis(np.array([0, 4, 6]), none),  # singular: x0 and its twin slack
-        Basis(good.basic[:-1], good.complemented),
-        Basis(np.append(good.basic, total), np.append(good.complemented, False)),  # a row too many
-        Basis(good.basic + 1, np.append(False, good.complemented)),  # a column too many
-        Basis(np.array([4, 4, 5]), none),
-        Basis(np.array([4, 5, total]), none),
-        Basis(good.basic.astype(float), good.complemented),
-        Basis(good.basic, good.complemented.astype(int)),
-    ]
-    for warm in unusable:
-        sol = solve_lp(p, _warm=warm)
-        assert sol.status is LpStatus.OPTIMAL
-        assert sol.iterations == cold.iterations
-        assert np.array_equal(sol.x, cold.x)
-        assert np.array_equal(sol.basis.basic, good.basic)
+    singular = Basis(np.array([0, 4, 6]), none)  # x0 and its twin slack
+    sol = solve_lp(p, _warm=singular)
+    assert sol.status is LpStatus.OPTIMAL
+    assert sol.iterations == cold.iterations
+    assert np.array_equal(sol.x, cold.x)
+    assert np.array_equal(sol.basis.basic, cold.basis.basic)
     # a basis that loads but is neither primal nor dual feasible is usable:
     # the solve starts from it and never loads the slack basis
     neither = next(Basis(np.array(ids), none) for ids in itertools.combinations(range(total), 3)
@@ -561,17 +545,30 @@ def test_warm_start_from_a_basis_neither_primal_nor_dual_feasible(monkeypatch):
         assert _slack_loads(loads, p) == 0, k
 
 
-def _recording_copies(monkeypatch) -> list[bool]:
-    """Whether each `_Tableau._copy` from now on started from a held tableau."""
-    copies = []
-    copy = lp_module._Tableau._copy
+def _recording_extends(monkeypatch) -> list[bool]:
+    """Whether each `_Tableau._extend` from now on started from a held tableau."""
+    extends = []
+    extend = lp_module._Tableau._extend
 
     def recording(tab, held):
-        copies.append(copy(tab, held))
-        return copies[-1]
+        extends.append(extend(tab, held))
+        return extends[-1]
 
-    monkeypatch.setattr(lp_module._Tableau, "_copy", recording)
-    return copies
+    monkeypatch.setattr(lp_module._Tableau, "_extend", recording)
+    return extends
+
+
+def _counting_dense_solves(monkeypatch) -> list[tuple]:
+    """The arguments of every `np.linalg.solve` call from now on."""
+    calls = []
+    dense_solve = np.linalg.solve
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return dense_solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    return calls
 
 
 def _highs_duals(p: LinearProgram, ref) -> np.ndarray:
@@ -614,8 +611,8 @@ def _varied(p: LinearProgram, rng: np.random.Generator, kind: str) -> LinearProg
 
 def test_held_solution_starts_a_program_from_its_tableau(monkeypatch):
     # programs that differ from a solved one only in costs, right sides or
-    # bounds start from a copy of its final tableau, with no dense solve, and
-    # end as a start from its loaded basis and as HiGHS do
+    # bounds start from its final tableau, with no dense solve, and end as a
+    # start from its loaded basis and as HiGHS do
     rng = np.random.default_rng(43)
     starts = {"primal only": 0, "dual only": 0, "infeasible": 0}
     for trial in range(80):
@@ -629,16 +626,16 @@ def test_held_solution_starts_a_program_from_its_tableau(monkeypatch):
         assert held.status is LpStatus.OPTIMAL, trial
         q = _varied(p, rng, kind)
         tab = lp_module._Tableau(q)
-        assert tab._copy(held.tableau), trial
+        assert tab._extend(held.tableau), trial
         primal, dual = tableau_feasibility(tab)
         starts["primal only"] += primal and not dual
         starts["dual only"] += dual and not primal
 
-        copies = _recording_copies(monkeypatch)
+        extends = _recording_extends(monkeypatch)
         loads = _recording_loads(monkeypatch)
         sol = solve_lp(q, _warm=held)
         monkeypatch.undo()
-        assert copies == [True], trial
+        assert extends == [True], trial
         from_basis = solve_lp(q, _warm=held.basis)
         ref = _highs(q)
         if kind == "out of reach":
@@ -659,11 +656,61 @@ def test_held_solution_starts_a_program_from_its_tableau(monkeypatch):
     assert min(starts.values()) >= 10, starts
 
 
-@pytest.mark.parametrize("change", ["coefficient", "relation", "equality", "row", "unbounded"])
+def _extended(p: LinearProgram, rng: np.random.Generator, rows: int,
+              cols: int) -> LinearProgram:
+    """A program whose top-left block is `p`'s matrix and relations, with
+    `cols` columns and `rows` rows appended, and new costs, right sides and
+    bounds (finite where `p`'s were): anchored at an interior point, with
+    nonnegative costs where nothing bounds a column from above."""
+    n, m = p.n_vars + cols, p.n_rows + rows
+    lb = np.concatenate([p.lb, np.zeros(cols)]) + rng.uniform(-0.3, 0.3, size=n)
+    finite = np.concatenate([np.isfinite(p.ub), rng.random(cols) < 0.7])
+    ub = np.where(finite, lb + rng.uniform(0.5, 3.0, size=n), np.inf)
+    a = rng.uniform(-1.0, 1.0, size=(m, n))
+    a[:p.n_rows, :p.n_vars] = p.a
+    rel = p.rel + tuple(rng.choice(["<=", ">=", "=="], size=rows, p=[0.4, 0.4, 0.2]))
+    x0 = lb + rng.uniform(0.1, 0.4, size=n)
+    slack = rng.uniform(0.1, 1.0, size=m)
+    kind = np.array(rel)
+    b = a @ x0 + np.select([kind == "<=", kind == ">="], [slack, -slack], 0.0)
+    c = np.where(finite, rng.uniform(-1.0, 1.0, size=n), rng.uniform(0.0, 1.0, size=n))
+    return LinearProgram(c=c, a=a, rel=rel, b=b, lb=lb, ub=ub)
+
+
+def test_held_solution_extends_to_appended_rows_and_columns(monkeypatch):
+    # a program that appends rows, columns, both or neither to a solved one,
+    # with new costs, right sides and bounds, starts from its final tableau
+    # extended, with no dense solve, and ends as HiGHS does
+    rng = np.random.default_rng(53)
+    for trial in range(160):
+        n, m = int(rng.integers(2, 8)), int(rng.integers(1, 7))
+        p = _random_mixed_lp(rng, n, m)
+        held = solve_lp(p)
+        assert held.status is LpStatus.OPTIMAL, trial
+        rows, cols = ((0, 0), (2, 0), (0, 2), (1, 1))[trial % 4]
+        q = _extended(p, rng, int(rng.integers(rows, 2 * rows + 1)),
+                      int(rng.integers(cols, 2 * cols + 1)))
+        extends = _recording_extends(monkeypatch)
+        dense = _counting_dense_solves(monkeypatch)
+        sol = solve_lp(q, _warm=held)
+        monkeypatch.undo()
+        assert extends == [True] and dense == [], trial
+        ref = _highs(q)
+        assert ref.status == 0 and sol.status is LpStatus.OPTIMAL, trial
+        close = dict(rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(sol.objective, ref.fun, **close)
+        np.testing.assert_allclose(sol.x, ref.x, **close)
+        # a degenerate optimum's duals need not be HiGHS's: check them as a bound
+        assert_duals_consistent(q, sol)
+        assert_tableau_matches_basis(q, sol, warm=held)
+
+
+@pytest.mark.parametrize("change", ["coefficient", "relation", "equality", "row", "column",
+                                    "unbounded"])
 def test_held_tableau_needs_the_same_matrix_and_relations(monkeypatch, change):
-    # one changed coefficient, a flipped or tightened relation or an appended
-    # row: the held tableau is not copied, and the held basis starts the
-    # solve. Nor is it copied when a complemented column loses its upper bound
+    # one changed coefficient, a flipped or tightened relation, a held row or
+    # column the program does not have, or a complemented column that lost its
+    # upper bound: the held tableau does not extend, and the solve is the cold one
     rng = np.random.default_rng(47)
     tried = 0
     for trial in range(20):
@@ -679,30 +726,31 @@ def test_held_tableau_needs_the_same_matrix_and_relations(monkeypatch, change):
         elif change == "equality":
             rel[i] = "=="
         elif change == "row":
-            a, rel = np.vstack([a, rng.uniform(-1.0, 1.0, size=n)]), rel + ["<="]
-            b = np.append(b, a[-1] @ held.x + 0.5)
+            a, rel, b = np.delete(a, i, axis=0), rel[:i] + rel[i + 1:], np.delete(b, i)
+        elif change == "column":
+            a, c, ub = np.delete(a, j, axis=1), np.delete(c, j), np.delete(ub, j)
         elif held.basis.complemented.any():
             c, ub = np.abs(c), np.full(n, np.inf)
         else:
             continue  # no complemented column to lose its bound
         tried += 1
         q = LinearProgram(c=c, a=a, rel=tuple(rel), b=b, ub=ub)
-        copies = _recording_copies(monkeypatch)
+        extends = _recording_extends(monkeypatch)
         sol = solve_lp(q, _warm=held)
         monkeypatch.undo()
-        assert copies == [False], trial
-        from_basis = solve_lp(q, _warm=held.basis)
-        assert sol.status is from_basis.status, trial
-        assert sol.iterations == from_basis.iterations, trial
+        assert extends == [False], trial
+        cold = solve_lp(q)
+        assert sol.status is cold.status, trial
+        assert sol.iterations == cold.iterations, trial
         if sol.status is LpStatus.OPTIMAL:
-            assert np.array_equal(sol.x, from_basis.x), trial
+            assert np.array_equal(sol.x, cold.x), trial
             _assert_matches_highs(q, warm=held)
         else:
             assert _highs(q).status == 2, trial
     assert tried >= 15
 
 
-def test_milp_root_starts_from_a_given_basis_and_returns_its_own(monkeypatch):
+def test_milp_root_starts_from_a_held_root_and_returns_its_own(monkeypatch):
     mip = _knapsack([10.0, 13.0, 7.0, 8.0], [5.0, 7.0, 4.0, 5.0], 12.0)
     cold = solve_milp(mip)
     warm = []
@@ -713,11 +761,12 @@ def test_milp_root_starts_from_a_given_basis_and_returns_its_own(monkeypatch):
         return inner(p, _warm=_warm)
 
     monkeypatch.setattr(lp_module, "solve_lp", recording)
-    again = solve_milp(mip, _warm=cold.root_basis)
-    assert warm[0] is cold.root_basis
+    again = solve_milp(mip, _warm=cold.root)
+    assert warm[0] is cold.root
     assert again.objective == cold.objective and np.array_equal(again.x, cold.x)
+    assert again.root is not cold.root
     root = inner(mip.lp)
-    assert np.array_equal(again.root_basis.basic, root.basis.basic)
+    assert np.array_equal(again.root.basis.basic, root.basis.basic)
 
 
 # -- branch and bound ---------------------------------------------------------------
