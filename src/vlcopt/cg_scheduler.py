@@ -41,17 +41,18 @@ solution is checked against the full grid, and the worst violated rows join
 the working set until the check is clean, so the sets hold only rows some
 solve violated. Solutions are exact for the full row set.
 
-Each program starts from the final tableau of the last optimal solution of
-its kind, extended to it (`lp.solve_lp`), because programs of a kind only
-grow at the end. A pattern's lighting LP is the lighting floor's LP with
-other right sides and chip caps and the lazy rows appended since, so its
-first lazy-row round extends the floor's tableau and each later round the
-round before. Each restricted master of one `column_generation` call
-extends the previous one (the shortfall columns come first, so new patterns
-are the last columns and start at zero), and each pricing MILP's root
-extends the previous root (static rows first, then the lazy rows). Only the
-first program of each kind starts cold, and so does the validation pass's
-master, whose columns are not the pool's.
+Each program starts from the final basis of the last optimal solution of
+its kind, moved to it by position (`lp.solve_lp`), because programs of a
+kind only grow at the end. A pattern's lighting LP is the lighting floor's
+LP with other right sides and chip caps and the lazy rows appended since,
+so its first lazy-row round starts from the floor's basis and each later
+round from the round before. Each restricted master of one
+`column_generation` call starts from the previous one (the shortfall
+columns come first, so new patterns are the last columns and start at
+zero), and each pricing MILP's root from the previous root (static rows
+first, then the lazy rows). Only the first program of each kind starts
+cold, and so does the validation pass's master, whose columns are not the
+pool's.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ import math
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
-from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 import numpy as np
@@ -77,8 +77,8 @@ from .conflict import (
 )
 from .lp import (
     ABS_GAP,
+    Basis,
     LinearProgram,
-    LpSolution,
     LpStatus,
     MixedIntegerProgram,
     solve_lp,
@@ -154,7 +154,7 @@ class RmpResult:
     lambda_bps: np.ndarray
     mu: float
     shortfall_bps: np.ndarray
-    solution: LpSolution  # the master's, tableau included
+    basis: Basis  # the master's final basis
 
     @property
     def feasible(self) -> bool:
@@ -268,10 +268,9 @@ class SchedulingInstance:
         self._initial: Optional[tuple[tuple[IndependentSetColumn, ...],
                                       tuple[int, ...], tuple[int, ...]]] = None
         self._static_rows: Optional[tuple] = None
-        # the final solutions, tableaux included, of the lighting floor and
-        # of the last pricing MILP's root
-        self._floor: Optional[LpSolution] = None
-        self._pricing_root: Optional[LpSolution] = None
+        # the final bases of the lighting floor and of the last pricing MILP's root
+        self._floor: Optional[Basis] = None
+        self._pricing_root: Optional[Basis] = None
 
     def _start_rows(self, lo: Sequence[int], hi: Sequence[int]) -> None:
         self._lo_rows: list[int] = list(lo)
@@ -343,9 +342,9 @@ class SchedulingInstance:
         """The held illuminance rows, lower then upper: their coefficients
         read from the (variables, K) table `lux`, their relations and their
         right sides, read from `lo` and `hi`. A lower row added after an upper
-        one shifts the upper rows, so a program held before no longer extends
-        to the new one, which starts cold; neither benchmark workload ever
-        adds an upper row."""
+        one shifts the upper rows, so a basis held before loads onto the new
+        program by position or, if singular there, leaves the cold start;
+        neither benchmark workload ever adds an upper row."""
         held = self._lo_rows + self._hi_rows
         rel = (">=",) * len(self._lo_rows) + ("<=",) * len(self._hi_rows)
         return lux[:, held].T, rel, np.concatenate([lo[self._lo_rows], hi[self._hi_rows]])
@@ -372,9 +371,9 @@ class SchedulingInstance:
                 "lower illuminance bound exceeds what capped chips can deliver")
 
         cost = 1.0 / self.dc_eta
-        # each round extends the last one's tableau, the first the floor's:
-        # only right sides, caps and appended rows differ, so it stays dual
-        # feasible. Lower rows whose right side is <= 0 stay in the LP
+        # each round starts from the last one's basis, the first from the
+        # floor's: only right sides, caps and appended rows differ, so it stays
+        # dual feasible. Lower rows whose right side is <= 0 stay in the LP
         # (redundant, as lux and powers are nonnegative) so that rows line up
         held = self._floor
 
@@ -387,7 +386,7 @@ class SchedulingInstance:
                     -1, (), "conflicting lower and upper bounds across grid points")
             if sol.status != LpStatus.OPTIMAL:
                 raise CgError(f"lighting LP failed with status {sol.status}")
-            held = sol
+            held = sol.basis
             dc = np.maximum(sol.x, 0.0)
             return dc, dc @ self.dc_light
 
@@ -476,7 +475,7 @@ class SchedulingInstance:
 
     def solve_rmp(self, columns: Sequence[IndependentSetColumn],
                   held: Optional[RmpResult] = None) -> RmpResult:
-        """The restricted master over `columns`, extending `held`'s tableau
+        """The restricted master over `columns`, starting from `held`'s basis
         when given: the master over a prefix of `columns`."""
         p0_elec, _ = self.min_illumination_power()
         M = len(self.s.uts)
@@ -492,7 +491,7 @@ class SchedulingInstance:
         a[M, M:] = 1.0
         b = np.append(self.demands / RATE_SCALE, 1.0)
         sol = solve_lp(LinearProgram(c=c, a=a, rel=(">=",) * M + ("<=",), b=b),
-                       _warm=None if held is None else held.solution)
+                       _warm=None if held is None else held.basis)
         if sol.status != LpStatus.OPTIMAL:
             raise CgError(f"restricted master LP failed with status {sol.status}")
         omega = np.maximum(sol.x[M:], 0.0)
@@ -500,7 +499,7 @@ class SchedulingInstance:
         lam = np.maximum(sol.duals[:M], 0.0) / RATE_SCALE
         mu = min(float(sol.duals[M]), 0.0)
         z_upper = float(sol.objective) + p0_elec
-        return RmpResult(omega, z_upper, lam, mu, shortfall, sol)
+        return RmpResult(omega, z_upper, lam, mu, shortfall, sol.basis)
 
     # -- pricing --------------------------------------------------------------
 
@@ -557,7 +556,7 @@ class SchedulingInstance:
         fixed_b = np.concatenate([static_b, self.dc_cap])
         lux = np.vstack([self.ac_light, self.dc_light])
 
-        # the root extends the last root's tableau: between calls only the
+        # the root starts from the last root's basis: between calls only the
         # costs differ, so it stays primal feasible; between lazy rounds only
         # rows are appended, so it stays dual feasible
         def solve() -> tuple[tuple[float, tuple[int, ...], np.ndarray], np.ndarray]:
@@ -568,7 +567,7 @@ class SchedulingInstance:
             res = solve_milp(MixedIntegerProgram(lp, integer), _warm=self._pricing_root)
             if res.status != LpStatus.OPTIMAL or res.x is None:
                 raise CgError(f"pricing MILP failed with status {res.status}")
-            self._pricing_root = res.root
+            self._pricing_root = res.root.basis
             active = tuple(int(i) for i in np.nonzero(res.x[:L] > 0.5)[0])
             dc = np.maximum(res.x[L:], 0.0)
             return (float(res.objective), active, dc), self.illuminance(dc, active)
@@ -668,7 +667,7 @@ class SchedulingInstance:
             ))
             if status is not None:
                 break
-            # appended at the end, so the next master extends this one
+            # appended at the end, so the next master starts from this one
             pool.extend(columns)
             keys.update(col.schedule.active for col in columns)
         else:
@@ -796,12 +795,3 @@ def _clique_cover(adjacency: np.ndarray) -> np.ndarray:
             cliques.append(clique)
     return np.array(cliques, dtype=bool).reshape(-1, L)
 
-
-def write_iteration_csv(records: Iterable[IterationRecord], path: str | Path) -> None:
-    with open(path, "w") as fh:
-        fh.write("iteration,z_upper,z_lower,reduced_cost,wall_ms,pricing,"
-                 "columns_added\n")
-        for r in records:
-            fh.write(f"{r.iteration},{r.z_upper!r},{r.z_lower!r},"
-                     f"{r.reduced_cost!r},{r.wall_ms:.3f},{r.pricing},"
-                     f"{r.columns_added}\n")

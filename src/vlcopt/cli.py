@@ -19,7 +19,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -30,8 +30,8 @@ from .baselines import mwis_schedule, vico_random_schedule
 from .cg_scheduler import (
     CgSolution,
     IlluminationInfeasible,
+    IterationRecord,
     SchedulingInstance,
-    write_iteration_csv,
 )
 from .scenario import (
     Scenario,
@@ -173,11 +173,17 @@ def export_heatmap(inst: SchedulingInstance, sol: CgSolution, path: Path,
 # -- plumbing -----------------------------------------------------------------
 
 
-def _write_csv(path: Path, rows: list[dict]) -> None:
-    if not rows:
+_ITERATION_COLUMNS = [f.name for f in fields(IterationRecord)]
+
+
+def _write_csv(path: Path, rows: list[dict], cols: Optional[list[str]] = None) -> None:
+    """`rows` under the header `cols`, by default the first row's keys; an
+    empty file when there are neither."""
+    if cols is None:
+        cols = list(rows[0]) if rows else []
+    if not cols:
         path.write_text("")
         return
-    cols = list(rows[0].keys())
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
         for row in rows:
@@ -273,7 +279,8 @@ def _cmd_solve(args) -> int:
     row = result_row(inst, args.algo, proto, real, args.seed,
                      epsilon=args.epsilon, z_lower_w=proto.z_lower)
     _write_csv(out / "results.csv", [row])
-    write_iteration_csv(proto.iteration_log, out / "iterations.csv")
+    _write_csv(out / "iterations.csv", [asdict(rec) for rec in proto.iteration_log],
+               _ITERATION_COLUMNS)
     _write_manifest(out, "solve", _args_dict(args), [s.digest()])
     print(f"protocol: feasible={proto.feasible} "
           f"power={row['protocol_power_w']:.6f} W "
@@ -335,7 +342,8 @@ def _cmd_compare(args) -> int:
                     {"algorithm": algo, "axis_value": value, "seed": seed, **asdict(rec)}
                     for rec in proto.iteration_log)
     _write_csv(out / "results.csv", rows)
-    _write_csv(out / "iterations.csv", iter_rows)
+    _write_csv(out / "iterations.csv", iter_rows,
+               ["algorithm", "axis_value", "seed"] + _ITERATION_COLUMNS)
     _write_csv(out / "summary.csv", _summarize(rows, algos, values))
     _write_manifest(out, "compare", _args_dict(args), digests)
     print(f"wrote {out / 'results.csv'} ({len(rows)} rows)")

@@ -25,37 +25,33 @@ Pivoting is deterministic: the largest bound violation leaves, Harris's
 ratio test picks the entering column, the lowest column id (never the lowest
 storage slot) wins ties, and a Bland-style rule takes over when the
 objective stalls. INFEASIBLE is declared only after the offending row has
-been rebuilt from a fresh solve with the basis. Primal values and row duals
+been rebuilt by loading the basis afresh. Primal values and row duals
 are read off the final tableau (Chvatal 1983, ch. 5): the basic values are
 its right side, and each row's dual is its slack's reduced cost. Feasibility
 and strong duality are then checked against the program before OPTIMAL is
 reported.
 
-A solve can start warm from an earlier solution whose program is the new
-one's top-left block: the same first rows, with the same relations and the
-same entries in the old columns, and columns and rows appended at the end
-(costs, right sides and bounds may all differ). Its final tableau is
-extended to the new program (Chvatal 1983, ch. 10): the old body B^-1 N
-stays, an appended column enters nonbasic at its lower bound with body
-B^-1 a, an appended row enters with its slack basic, written over the basis
-as a_r[N] - a_r[B] B^-1 N, the right side is recomputed as
-B^-1 (b - A_F u_F), with F the complemented columns, and the cost row is
-re-priced. B^-1 (never formed) is read off the slack columns, a nonbasic
-slack's stored column or a basic slack's unit row, each signed by its
-complement flag. A solution that does not extend (a changed entry or
-relation, more rows or columns than the new program, or a complemented
-column that lost its finite upper bound) leaves the cold slack start.
-Either way the start rule above takes it from there, whether it is primal
-feasible, dual feasible or neither, and a warm solve whose answer fails the
-feasibility and duality check is solved once more from the cold start.
+A solve can start warm from a held basis: an earlier solution's of the same
+kind of program, or a branch-and-bound parent's. Its ids move to the new
+program by position: structural ids stay, slack ids shift past any appended
+columns, appended columns enter nonbasic at their lower bounds and appended
+rows with their slacks basic. The basis is loaded as a block (Koberstein
+2005): with k of its columns structural, those are solved on the k rows
+whose slacks are nonbasic, with one k x k dense solve, and each basic
+slack's row follows by substitution, so the slack basis (k = 0) needs no
+solve at all. A held basis of a larger program, one with a complemented
+column that has lost its finite upper bound, or one that is singular or
+loads non-finite leaves the cold slack start. Any basis that loads is a
+valid start for the start rule above, primal feasible, dual feasible or
+neither, and a warm solve whose answer fails the feasibility and duality
+check is solved once more from the cold start.
 
 Branch and bound uses most-fractional branching and best-bound search. Its
 incumbents come from the tree alone: under best-bound order, a seed no
 better than the optimum could spare only nodes whose bound lies within
-ABS_GAP of it. The root extends a caller's held solution when given one.
-An open node keeps its LP's values, objective and final basis, not its
-tableau, and its children load that basis with one dense solve; a
-singular basis leaves the cold start.
+ABS_GAP of it. The root starts from a caller's held basis when given one.
+An open node keeps its LP's values, objective and final basis, and its
+children load that basis.
 
 Problem sizes here are desk scale (at most a couple of thousand columns), so
 a dense tableau is deliberate: it keeps the pivot arithmetic transparent and
@@ -66,7 +62,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
 
@@ -151,9 +147,6 @@ class LpSolution:
     duals: Optional[np.ndarray] = None
     iterations: int = 0
     basis: Optional[Basis] = None  # final basis, once the pivoting has finished
-    # the final tableau with the basis, which a program extending this one's
-    # starts from (see solve_lp)
-    tableau: Optional[_Tableau] = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -205,26 +198,34 @@ class _Tableau:
         self.u = np.concatenate([np.maximum(p.ub - p.lb, 0.0),
                                  [0.0 if r == "==" else np.inf for r in p.rel]])
         self.movable = self.u > 0.0  # fixed columns never enter
-        self.rel = p.rel
         self.m = m
         self.t = np.empty((m + 1, n + 1))
         self.iterations = 0
         self.max_iter = 2000 + 60 * (2 * m + n)
 
     def _load(self, basic: np.ndarray, flip: np.ndarray, cost: np.ndarray) -> None:
-        """Tableau of a basis: one dense solve with it against the nonbasic
-        columns and the right side, skipped when the basis is the identity
-        (the slacks in row order, none complemented)."""
-        total = self.c0.shape[0]
+        """Tableau of a basis, loaded as a block: its k structural columns are
+        solved on the k rows whose slacks are nonbasic, with one k x k dense
+        solve (none for k = 0), and each basic slack's row follows from them
+        by substitution."""
+        m, total = self.m, self.c0.shape[0]
         nonbasic = np.ones(total, dtype=bool)
         nonbasic[basic] = False
         nonbasic = np.flatnonzero(nonbasic)
         sign, body = np.where(flip, -1.0, 1.0), self.t[:-1]
         np.multiply(self.a0[:, nonbasic], sign[nonbasic], out=body[:, :-1])
         body[:, -1] = self.b0 - self.a0[:, flip] @ self.u[flip]
-        if (not np.array_equal(basic, np.arange(total - self.m, total))
-                or np.any(flip[basic])):
-            body[:] = np.linalg.solve(self.a0[:, basic] * sign[basic], body)
+        struct = basic < total - m
+        rows = basic[~struct] - (total - m)  # the rows whose slacks are basic
+        a = self.a0[:, basic[struct]]
+        top = body[:0]
+        if a.shape[1]:
+            free = np.ones(m, dtype=bool)
+            free[rows] = False
+            top = np.linalg.solve(a[free], body[free])
+        body[~struct] = body[rows] - a[rows] @ top
+        body[struct] = top
+        body *= sign[basic, None]
         self.basic, self.nonbasic, self.flip = basic.copy(), nonbasic, flip.copy()
         self._price(cost)
 
@@ -268,7 +269,7 @@ class _Tableau:
         t[r, -1] += self.u[j]
         self.flip[j] = not self.flip[j]
 
-    def solve(self, warm: Optional[Basis | LpSolution]) -> None:
+    def solve(self, warm: Optional[Basis]) -> None:
         """From `warm`, or from the slack basis when it does not start: shift
         the cost of each movable nonbasic column priced below -RC_TOL until its
         reduced cost is zero, pivot dual on the shifted costs, then primal."""
@@ -287,67 +288,26 @@ class _Tableau:
             self._price(self.c0)
         self._primal()
 
-    def _start(self, warm: Optional[Basis | LpSolution]) -> bool:
-        """Start from `warm` (see the module docstring): a held solution's
-        tableau extended to this program, or a basis of this same program
-        loaded, as a branch-and-bound child's parent basis is; False if
-        none starts."""
-        if isinstance(warm, LpSolution):
-            return warm.tableau is not None and self._extend(warm.tableau)
+    def _start(self, warm: Optional[Basis]) -> bool:
+        """Load `warm` with its ids moved to this program by position (see
+        the module docstring); False if it does not start."""
         if warm is None:
             return False
-        try:
-            self._load(warm.basic, warm.complemented, self.c0)
-        except np.linalg.LinAlgError:
-            return False
-        return bool(np.all(np.isfinite(self.t)))
-
-    def _extend(self, held: _Tableau) -> bool:
-        """Start from `held`'s final tableau, its ids moved to this program's
-        (the slacks shift past the appended columns). Appended columns enter
-        nonbasic at their lower bounds with body B^-1 a, appended rows with
-        their slacks basic as a_r[N] - a_r[B] B^-1 N; the right side is
-        recomputed as B^-1 (b0 - a0_F u_F) and the cost row re-priced. False
-        unless `held`'s program is this one's top-left block (its relations a
-        prefix of these, its structural matrix these first rows and columns)
-        and every complemented column still has a finite bound."""
-        m0, m = held.m, self.m
-        n0, n = held.c0.shape[0] - m0, self.c0.shape[0] - m
-        if (m0 > m or n0 > n or held.rel != self.rel[:m0]
-                or not np.array_equal(held.a0[:, :n0], self.a0[:m0, :n0])):
+        m0, m = warm.basic.size, self.m
+        n0, n = warm.complemented.size - m0, self.c0.shape[0] - m
+        if m0 > m or n0 > n:
             return False
         ids = np.concatenate([np.arange(n0), np.arange(n, n + m0)])
         flip = np.zeros(n + m, dtype=bool)
-        flip[ids] = held.flip
+        flip[ids] = warm.complemented
         if not np.all(np.isfinite(self.u[flip])):
             return False
-        self.basic = np.concatenate([ids[held.basic], np.arange(n + m0, n + m)])
-        self.nonbasic = np.concatenate([ids[held.nonbasic], np.arange(n0, n)])
-        self.flip = flip
-        top = self.t[:m0, :-1]
-        top[:, :n0] = held.t[:-1, :-1]
-        top[:, n0:] = held._inverse_times(self.a0[:m0, n0:n])
-        rows = self.a0[m0:] * np.where(flip, -1.0, 1.0)
-        self.t[m0:-1, :-1] = rows[:, self.nonbasic] - rows[:, self.basic[:m0]] @ top
-        self.t[:-1, -1] = self._inverse_times(self.b0 - self.a0[:, flip] @ self.u[flip])
-        self._price(self.c0)
-        return True
-
-    def _inverse_times(self, v: np.ndarray) -> np.ndarray:
-        """B^-1 v for the current basis, v a vector or a matrix of columns,
-        read off the slack columns: slack i's full-tableau column is
-        s_i B^-1 e_i, with s_i = -1 when it is complemented, so B^-1 e_i is
-        s_i times that stored column when the slack is nonbasic, and s_i e_r
-        when it is basic in row r."""
-        n = self.c0.shape[0] - self.m
-        sv = (np.where(self.flip[n:], -1.0, 1.0) * v.T).T
-        slack = self.nonbasic >= n
-        w = np.zeros((self.nonbasic.size,) + v.shape[1:])
-        w[slack] = sv[self.nonbasic[slack] - n]
-        out = self.t[:-1, :-1] @ w
-        r = np.flatnonzero(self.basic >= n)
-        out[r] += sv[self.basic[r] - n]
-        return out
+        try:
+            self._load(np.concatenate([ids[warm.basic], np.arange(n + m0, n + m)]),
+                       flip, self.c0)
+        except np.linalg.LinAlgError:
+            return False
+        return bool(np.all(np.isfinite(self.t)))
 
     def _dual(self, cost: np.ndarray) -> None:
         """Dual simplex pivots from a dual feasible basis to primal feasibility."""
@@ -446,17 +406,14 @@ class _Numerical(Exception):
         self.msg = msg
 
 
-def solve_lp(p: LinearProgram, _warm: Optional[Basis | LpSolution] = None) -> LpSolution:
+def solve_lp(p: LinearProgram, _warm: Optional[Basis] = None) -> LpSolution:
     """Solve a linear program; duals follow the shadow-price convention
     (dual of a >= row is >= 0, of a <= row is <= 0, of an equality free).
-    `_warm` is where to start. A held solution whose program is this one's
-    top-left block (this one appends columns and rows; costs, right sides
-    and bounds may differ), such as the lighting floor's for a pattern's
-    lighting LP or the last restricted master's before patterns were
-    appended, starts from its final tableau extended to this program, with
-    no dense solve; one that does not extend leaves the cold start. A bare
-    `Basis` of this same program, a branch-and-bound parent's, is loaded
-    with one dense solve.
+    `_warm` is a held basis to start from, moved to this program by position
+    (see the module docstring): the last solution's of the same kind of
+    program, such as the lighting floor's for a pattern's lighting LP or the
+    last restricted master's before patterns were appended, or a
+    branch-and-bound parent's. One that does not load leaves the cold start.
     A warm start that ends NUMERICAL is solved once more from the cold slack
     basis: its pivots carry the warm start's round-off, which on costs near
     1e9 can leave the duality check a hair outside its tolerance."""
@@ -472,8 +429,7 @@ def solve_lp(p: LinearProgram, _warm: Optional[Basis | LpSolution] = None) -> Lp
     return sol
 
 
-def _solve_tableau(p: LinearProgram, tab: _Tableau,
-                   warm: Optional[Basis | LpSolution]) -> LpSolution:
+def _solve_tableau(p: LinearProgram, tab: _Tableau, warm: Optional[Basis]) -> LpSolution:
     try:
         tab.solve(warm)
         y, duals_int = tab.extract()
@@ -490,8 +446,7 @@ def _solve_tableau(p: LinearProgram, tab: _Tableau,
     status = (LpStatus.OPTIMAL if _verify(p, x, duals_int, tab, objective)
               else LpStatus.NUMERICAL)
     return LpSolution(status, x=x, objective=objective, duals=duals,
-                      iterations=tab.iterations, basis=Basis(tab.basic, tab.flip),
-                      tableau=tab)
+                      iterations=tab.iterations, basis=Basis(tab.basic, tab.flip))
 
 
 def _feasible(p: LinearProgram, x: np.ndarray, tab: _Tableau) -> bool:
@@ -523,16 +478,16 @@ def _verify(p: LinearProgram, x: np.ndarray, duals_int: np.ndarray,
 # branch and bound
 
 
-def solve_milp(mip: MixedIntegerProgram, _warm: Optional[LpSolution] = None) -> MilpSolution:
+def solve_milp(mip: MixedIntegerProgram, _warm: Optional[Basis] = None) -> MilpSolution:
     """Branch-and-bound over LP relaxations.
 
     Branches on the most fractional integer variable (ties to the lowest
     index), explores nodes in best-bound order, and runs until the tree is
     exhausted, pruning nodes whose bound is within ABS_GAP of the incumbent;
     so no integer point beats an OPTIMAL objective by more than ABS_GAP.
-    The root starts from `_warm`, a held solution, as `solve_lp` does, and
-    its own solution is returned as `root`; children start from their
-    parent's final basis.
+    The root starts from `_warm`, a held basis, as `solve_lp` does, and its
+    own solution is returned as `root`; children start from their parent's
+    final basis.
     """
     p = mip.lp
     int_idx = np.nonzero(mip.integer)[0]
@@ -544,8 +499,7 @@ def solve_milp(mip: MixedIntegerProgram, _warm: Optional[LpSolution] = None) -> 
     if root.status != LpStatus.OPTIMAL:
         return MilpSolution(root.status, nodes=nodes)
 
-    # an open node keeps its bounds, values and basis, not its solution: a
-    # tableau held per open node would grow peak memory with the tree
+    # an open node keeps its bounds, values and basis, not its solution
     counter = 0
     heap: list[tuple[float, int, np.ndarray, np.ndarray, np.ndarray, Basis]] = []
     heapq.heappush(heap, (root.objective, counter, p.lb.copy(), p.ub.copy(),

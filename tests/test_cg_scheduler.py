@@ -1,13 +1,15 @@
 """Lighting optimization, master/pricing problems, and the generation loop."""
 
+import copy
 import csv
 import math
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
 
 import helpers
-from vlcopt import cg_scheduler
+from vlcopt import cg_scheduler, cli
 from vlcopt import lp as lp_module
 from vlcopt.capacity import physical_capacity
 from vlcopt.cg_scheduler import (
@@ -15,7 +17,6 @@ from vlcopt.cg_scheduler import (
     IlluminationInfeasible,
     IterationRecord,
     SchedulingInstance,
-    write_iteration_csv,
 )
 from vlcopt.conflict import ScheduleVector
 from vlcopt.scenario import default_config, scenario_from_dict
@@ -239,29 +240,29 @@ def test_pricing_dominates_exhaustive_search():
             helpers.ref_reduced_cost(inst, col, lam, mu), abs=1e-9)
 
 
-def test_pricing_survives_a_warm_child_that_fails_its_check():
-    # the third call's duals leave a warm-started branch-and-bound child with
-    # a duality residual of 3.7e-4 against a tolerance of 3.6e-4 (costs near
-    # 1.9e9, objective near 360): round-off, which the cold re-solve clears
-    base = SchedulingInstance(scenario_from_dict(helpers.bright_beam_config()))
-    base.solve_rmp(base.initial_columns())
-    six = base.at_sir_threshold(6.0)
-    six._start_rows(list(range(24, -1, -1)), [12])
-    pool = helpers.full_pool(six)
-    for mu, lam in (
-        (-1881851865.4582553, [1.0, 0.9931430049322201, 0.9966061326387422,
-                               0.9985662299822164, 1.0, 0.9923854892094018]),
-        (-1879443724.1132584, [0.998720334272506, 8.008795848153097e-10, 0.9953308099271118,
-                               0.9972883990014335, 1.0, 0.9911155675104129]),
-        (-1879443724.1132586, [0.9987203342725061, 0.9918721137949109, 9.198029292747379e-10,
-                               0.9972883990014336, 1.0, 0.991115567510413]),
-    ):
-        lam = np.array(lam)
-        _, reduced, bound = six.solve_pricing(lam, mu)
-        best = min(helpers.ref_reduced_cost(six, col, lam, mu) for col in pool)
-        tol = 1e-9 * max(1.0, abs(best), float(np.dot(lam, six.demands)))
-        assert reduced == pytest.approx(best, abs=tol)
-        assert bound <= best + tol
+def test_pricing_survives_a_warm_child_that_fails_its_check(monkeypatch):
+    # 5 W beams put the master's duals near 1e9 in the shortfall phase, and a
+    # warm-started branch-and-bound child of the pricing MILP then fails its
+    # feasibility and duality check: round-off, which the cold re-solve clears
+    doc = helpers.tiny_config(n_uts=5, seed=5, demand_bps=4e8, channels=2, kind="c")
+    doc["chip"].update(p_ac_pp=5.0)
+    inst = SchedulingInstance(scenario_from_dict(doc), sir_threshold=3.0)
+    solves = []
+    inner = lp_module._solve_tableau
+
+    def recording(p, tab, warm):
+        out = inner(p, tab, warm)
+        solves.append((warm is not None, out.status))
+        return out
+
+    monkeypatch.setattr(lp_module, "_solve_tableau", recording)
+    sol = inst.column_generation(epsilon=0.0)
+    monkeypatch.undo()
+    failed = solves.index((True, lp_module.LpStatus.NUMERICAL))
+    assert solves[failed + 1] == (False, lp_module.LpStatus.OPTIMAL)  # the re-solve
+    ref = helpers.full_pool_optimum(inst)
+    assert sol.status is CgStatus.OPTIMAL and ref.feasible
+    assert sol.z_upper == pytest.approx(ref.z_upper, rel=1e-9)
 
 
 # -- the generation loop --------------------------------------------------------------
@@ -460,57 +461,57 @@ def test_every_program_after_the_first_of_its_kind_starts_warm(monkeypatch):
             assert warm is not None and lp_module._Tableau(p)._start(warm), (i, kind)
 
 
-def test_patterns_lit_after_the_floor_make_no_dense_solve(monkeypatch):
-    # each pattern's lighting LP extends the floor's tableau, and so does
-    # every program that extends a held one: a master after patterns were
-    # appended, a lazy round after rows were. No dense solve is made in
-    # vlcopt.lp outside branch-and-bound children, which load a basis
-    dense, extended, in_child = [], [], [False]
+def test_patterns_lit_after_the_floor_solve_at_most_a_chip_block(monkeypatch):
+    # each pattern's lighting LP loads the floor's basis, whose only
+    # structural columns are chip powers: its one dense solve is k x k, with
+    # k <= the number of chips, however many rows the floor holds. Masters
+    # after patterns were appended and lazy rounds after rows were load
+    # their held bases by position as well
+    dense, loaded = [], []
     dense_solve, solve_lp = np.linalg.solve, lp_module.solve_lp
 
     def counting(*args, **kwargs):
-        if not in_child[0]:
-            dense.append(args)
+        dense.append(args[0].shape)
         return dense_solve(*args, **kwargs)
 
     def recording_lp(p, _warm=None):
-        if isinstance(_warm, lp_module.LpSolution):  # (appended columns, rows)
-            extended.append((p.n_vars - _warm.x.size, p.n_rows - _warm.duals.size))
-        in_child[0] = isinstance(_warm, lp_module.Basis)
-        try:
-            return solve_lp(p, _warm=_warm)
-        finally:
-            in_child[0] = False
+        if _warm is not None:  # (appended columns, appended rows)
+            m0 = _warm.basic.size
+            loaded.append((p.n_vars - (_warm.complemented.size - m0), p.n_rows - m0))
+        return solve_lp(p, _warm=_warm)
 
     inst = helpers.tiny_instance(n_uts=4, seed=1, channels=2)
     inst.min_illumination_power()  # holds the floor
     rows = (list(inst._lo_rows), list(inst._hi_rows))
+    chips = len(inst.dc_txs)
     monkeypatch.setattr(np.linalg, "solve", counting)
     monkeypatch.setattr(cg_scheduler, "solve_lp", recording_lp)
-    monkeypatch.setattr(lp_module, "solve_lp", recording_lp)
     patterns = [(i,) for i in range(len(inst.links))]
     assert len(patterns) >= 5
     for active in patterns:
         inst.optimize_dc_for_schedule(active)
+    monkeypatch.undo()
     assert (list(inst._lo_rows), list(inst._hi_rows)) == rows
-    assert extended == [(0, 0)] * len(patterns)
-    assert dense == []
+    assert loaded == [(0, 0)] * len(patterns)
+    held = len(rows[0]) + len(rows[1])
+    assert dense and all(k == j <= min(chips, held) for k, j in dense), (dense, chips)
+    assert max(k for k, _ in dense) < held  # a block, not the whole basis
 
     # 1 W beams on two channels: a greedy batch grows the master, and the
     # pricing MILP's answer leaves a grid point no earlier LP held
     doc = helpers.tiny_config(n_uts=4, seed=1, demand_bps=4e8, channels=2, kind="b")
     doc["chip"].update(p_ac_pp=1.0, p_ac_avg=0.5)
-    extended.clear()
+    loaded.clear()
+    monkeypatch.setattr(cg_scheduler, "solve_lp", recording_lp)
     SchedulingInstance(scenario_from_dict(doc), sir_threshold=3.0).column_generation(0.0)
     monkeypatch.undo()
-    assert any(cols > 0 for cols, _ in extended)  # a master
-    assert any(rows > 0 for _, rows in extended)  # a lazy round
-    assert dense == []
+    assert any(cols > 0 for cols, _ in loaded)  # a master
+    assert any(rows > 0 for _, rows in loaded)  # a lazy round
 
 
 def test_a_pattern_lit_after_pricing_grew_the_rows_matches_a_fresh_instance():
     # the pricing MILP adds an upper row the floor was not solved at, so a
-    # pattern's first round loads the floor's basis instead of its tableau
+    # pattern's first round loads the floor's basis with that row's slack basic
     doc = helpers.tiny_config(n_uts=4, seed=1, demand_bps=4e8, channels=2, kind="b")
     doc["chip"].update(p_ac_pp=1.0, p_ac_avg=0.5)
     s = scenario_from_dict(doc)
@@ -547,6 +548,65 @@ def test_generated_columns_all_valid():
         assert inst.column_is_valid(col)
     assert np.all(sol.omega >= 0.0)
     assert float(np.sum(sol.omega)) <= 1.0 + 1e-9
+
+
+def test_column_is_valid_rejects_each_broken_property():
+    # each column breaks one property and keeps the others, which its
+    # accepted twin shows
+    s = scenario_from_dict(helpers.tiny_config(n_uts=4, seed=1, channels=1))
+    inst = SchedulingInstance(s, sir_threshold=6.0)
+    edges = np.argwhere(np.triu(inst.graph.adjacency, k=1))
+    assert edges.size
+    # a dependent pair, lit for its own beams: valid only without a conflict graph
+    pair = edges[0].tolist()
+    dependent = inst.build_column(pair)
+    assert SchedulingInstance(s).column_is_valid(dependent)
+    assert not inst.column_is_valid(dependent)
+
+    col = inst.initial_columns()[0]
+    assert inst.column_is_valid(col)
+    dc = np.array(col.dc_power)
+    # a chip power below zero, under a band with no floor so the field may drop
+    lit = int(np.argmax(dc))
+    floorless = copy.copy(inst)
+    floorless.e_lo = np.full_like(inst.e_lo, -np.inf)
+    for power, valid in ((0.0, True), (-1e-9, False)):
+        changed = dc.copy()
+        changed[lit] = power
+        assert floorless.column_is_valid(replace(col, dc_power=tuple(changed))) is valid
+    # a chip power above its cap, with the field unchanged: the cap is lowered
+    capped = copy.copy(inst)
+    capped.dc_cap = inst.dc_cap.copy()
+    capped.dc_cap[lit] = dc[lit] / 2 + inst.budget[lit, list(col.schedule.active)].sum()
+    assert not capped.column_is_valid(col)
+    # a field below the illuminance band: the idle pattern with every chip dark
+    assert inst.column_is_valid(inst.build_column(()))
+    assert not inst.column_is_valid(inst.build_column((), dc=np.zeros_like(dc)))
+
+
+def test_iteration_limit_re_solves_the_master_over_the_extended_pool(monkeypatch):
+    # out of iterations after pricing extended the pool: the master is solved
+    # once more over the whole pool, so omega covers every column
+    monkeypatch.setattr(cg_scheduler, "MAX_ITERATIONS", 1)
+    inst = SchedulingInstance(scenario_from_dict(_wide_room(3)), sir_threshold=3.0)
+    initial = len(inst.initial_columns())
+    masters = []
+    solve_rmp = SchedulingInstance.solve_rmp
+
+    def recording(self, columns, held=None):
+        masters.append(solve_rmp(self, columns, held))
+        return masters[-1]
+
+    monkeypatch.setattr(SchedulingInstance, "solve_rmp", recording)
+    sol = inst.column_generation(epsilon=0.0)
+    assert sol.status is CgStatus.ITERATION_LIMIT
+    assert sol.iterations == 1
+    assert len(sol.columns) == initial + sol.iteration_log[0].columns_added > initial
+    assert sol.omega.shape == (len(sol.columns),)
+    assert len(masters) == 2
+    assert masters[0].omega.shape == (initial,)
+    assert sol.omega is masters[1].omega and sol.z_upper == masters[1].z_upper
+    assert sol.z_upper <= sol.iteration_log[0].z_upper + 1e-9
 
 
 def test_no_lit_single_link_buys_all_demand_as_shortfall():
@@ -769,8 +829,9 @@ def test_validation_starts_its_master_cold(monkeypatch):
 def test_iteration_log_roundtrips_through_csv(tmp_path):
     records = [IterationRecord(1, 10.5, 2.25, -3.125, 7.0, "greedy", 4),
                IterationRecord(2, 9.0, 8.75, -0.0625, 1.5, "exact")]
+    columns = [f.name for f in fields(IterationRecord)]
     path = tmp_path / "iters.csv"
-    write_iteration_csv(records, path)
+    cli._write_csv(path, [asdict(r) for r in records], columns)
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 2
@@ -778,8 +839,12 @@ def test_iteration_log_roundtrips_through_csv(tmp_path):
     assert float(rows[0]["z_upper"]) == 10.5
     assert float(rows[1]["z_lower"]) == 8.75
     assert float(rows[1]["reduced_cost"]) == -0.0625
+    assert [float(row["wall_ms"]) for row in rows] == [7.0, 1.5]
     assert [row["pricing"] for row in rows] == ["greedy", "exact"]
     assert [int(row["columns_added"]) for row in rows] == [4, 0]
+    # an empty log still writes the header
+    cli._write_csv(path, [], columns)
+    assert path.read_text() == ",".join(columns) + "\n"
 
 
 def test_solution_records_its_settings():

@@ -63,6 +63,18 @@ def test_manifest_tolerances_are_the_solver_constants(tmp_path):
     }
 
 
+def test_solve_without_a_config_builds_the_office_from_the_generator_args(tmp_path):
+    out = tmp_path / "gen"
+    assert main(["solve", "--uts", "4", "--seed", "3", "--demand-mbps", "10",
+                 "--light-config", "b", "--out", str(out)]) == 0
+    digest = scenario_from_dict(default_config(
+        config_kind="b", n_uts=4, seed=3, demand_bps=1e7)).digest()
+    row = _read_csv(out / "results.csv")[0]
+    assert row["scenario_digest"] == digest and row["config_kind"] == "b"
+    assert json.loads((out / "manifest.json").read_text())["scenario_digests"] == [digest]
+    assert row["protocol_feasible"] == "1"
+
+
 def test_solve_is_reproducible(tmp_path):
     cfg = _write_config(tmp_path, n_uts=3, seed=4)
     args = ["solve", "--config", cfg, "--epsilon", "0.0"]
@@ -184,13 +196,28 @@ def test_compare_grid_of_rows_and_summary(tmp_path):
             assert cell["cg"] <= cell["mwis"] + 1e-9
 
 
+def test_compare_on_the_demand_axis_sets_each_terminal_demand(tmp_path):
+    # no --config either: each value is a per-terminal demand in Mbit/s
+    out = tmp_path / "cmp"
+    assert main(["compare", "--uts", "4", "--axis", "demand", "--values", "10,40",
+                 "--seeds", "1", "--algos", "cg", "--out", str(out)]) == 0
+    rows = _read_csv(out / "results.csv")
+    assert [(r["axis"], r["axis_value"]) for r in rows] == [("demand", "10.0"),
+                                                             ("demand", "40.0")]
+    assert [r["scenario_digest"] for r in rows] == [
+        scenario_from_dict(default_config(n_uts=4, seed=1, demand_bps=v * 1e6)).digest()
+        for v in (10.0, 40.0)]
+    power = [float(r["protocol_power_w"]) for r in rows]
+    assert 0.0 < power[0] < power[1]
+
+
 def test_compare_iterations_are_the_axis_columns_then_the_record(tmp_path):
     cfg = _write_config(tmp_path, n_uts=2, seed=1)
     out = tmp_path / "cmp"
     assert main(["compare", "--config", cfg, "--axis", "uts", "--values", "2",
                  "--seeds", "1", "--algos", "cg", "--out", str(out)]) == 0
-    cg_scheduler.write_iteration_csv([], tmp_path / "log.csv")
-    record = (tmp_path / "log.csv").read_text().splitlines()[0]
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "one")]) == 0
+    record = (tmp_path / "one" / "iterations.csv").read_text().splitlines()[0]
     header = (out / "iterations.csv").read_text().splitlines()[0]
     assert header == "algorithm,axis_value,seed," + record
 
@@ -406,8 +433,7 @@ def test_derived_instances_share_no_pricing_state():
     def root(inst):
         """The held pricing root's basis, copied out."""
         held = inst._pricing_root
-        return None if held is None else (held.basis.basic.tolist(),
-                                           held.basis.complemented.tolist())
+        return None if held is None else (held.basic.tolist(), held.complemented.tolist())
 
     two, four, six = (base.at_sir_threshold(t) for t in (2.0, 4.0, 6.0))
     assert root(two) is None  # derived instances start cold

@@ -231,22 +231,52 @@ def _assert_matches_highs(p: LinearProgram, warm=None):
 
 
 def assert_tableau_matches_basis(p: LinearProgram, sol, warm=None, tol: float = 1e-9):
-    """Replay the solve and check the compact tableau it ends with: its
-    slots, right side and reduced costs equal B^-1 [A | b] and c - c_B B^-1 A,
-    and the solution's x and duals equal B^-1 (b - N x_N) and c_B B^-1, all
-    recomputed densely from the program and the solution's final basis."""
+    """Replay the solve and check the compact tableau it starts from, when
+    `warm` loads, and the one it ends with, against dense recomputations
+    from their bases; then check that the solution's x and duals equal
+    B^-1 (b - N x_N) and c_B B^-1 for its final basis."""
+    if warm is not None:
+        tab = lp_module._Tableau(p)
+        if tab._start(warm):
+            assert_tableau_is_dense(p, tab, tol)
     tab = lp_module._Tableau(p)
     tab.solve(warm)
     basic, flip = sol.basis.basic, sol.basis.complemented
     assert np.array_equal(tab.basic, basic) and np.array_equal(tab.flip, flip)
-    m, n = p.n_rows, p.n_vars
-    assert sorted(tab.nonbasic.tolist()) == sorted(set(range(n + m)) - set(basic.tolist()))
-    # the internal form: >= rows negated, one slack per row, x shifted by lb,
-    # complemented columns measured down from their upper bound
+    assert_tableau_is_dense(p, tab, tol)
+    close = dict(rtol=tol, atol=tol)
+    np.testing.assert_allclose(-tab.t[-1, -1], sol.objective - p.c @ p.lb, **close)
+    # nonbasic columns at 0 or u, the basic ones solved for; x and the duals
+    # then back in the program's space
+    sign, a, u, c = _internal_form(p)
+    y = np.where(flip, u, 0.0)
+    y[basic] = 0.0
+    y[basic] = np.linalg.solve(a[:, basic], sign * (p.b - p.a @ p.lb) - a @ y)
+    np.testing.assert_allclose(sol.x, p.lb + y[:p.n_vars], **close)
+    np.testing.assert_allclose(sol.duals, sign * np.linalg.solve(a[:, basic].T, c[basic]),
+                               **close)
+
+
+def _internal_form(p: LinearProgram) -> tuple[np.ndarray, ...]:
+    """(row signs, [a | I], column bounds u, costs) of the internal form:
+    >= rows negated, one slack per row, x shifted by lb, an == row's slack
+    fixed at zero."""
     sign = np.array([-1.0 if r == ">=" else 1.0 for r in p.rel])
-    a = np.hstack([p.a * sign[:, None], np.eye(m)])
-    u = np.concatenate([p.ub - p.lb, [0.0 if r == "==" else np.inf for r in p.rel]])
-    c = np.concatenate([p.c, np.zeros(m)])
+    return (sign, np.hstack([p.a * sign[:, None], np.eye(p.n_rows)]),
+            np.concatenate([p.ub - p.lb, [0.0 if r == "==" else np.inf for r in p.rel]]),
+            np.concatenate([p.c, np.zeros(p.n_rows)]))
+
+
+def assert_tableau_is_dense(p: LinearProgram, tab, tol: float = 1e-9):
+    """The compact tableau in `tab`, whether a load or pivots left it, holds
+    B^-1 [A | b] in its slots and right side and c - c_B B^-1 A and the
+    objective in its cost row, recomputed for its own basis with one dense
+    m x m solve from the program."""
+    basic, flip = tab.basic, tab.flip
+    total = p.n_vars + p.n_rows
+    assert sorted(tab.nonbasic.tolist()) == sorted(set(range(total)) - set(basic.tolist()))
+    # complemented columns are measured down from their upper bound
+    sign, a, u, c = _internal_form(p)
     d = np.where(flip, -1.0, 1.0)
     rhs = sign * (p.b - p.a @ p.lb) - a[:, flip] @ u[flip]
     body = np.linalg.solve(a[:, basic] * d[basic], np.column_stack([a * d, rhs]))
@@ -255,15 +285,8 @@ def assert_tableau_matches_basis(p: LinearProgram, sol, warm=None, tol: float = 
     np.testing.assert_allclose(tab.t[:-1, :-1], body[:, tab.nonbasic], **close)
     np.testing.assert_allclose(tab.t[:-1, -1], body[:, -1], **close)
     np.testing.assert_allclose(tab.t[-1, :-1], reduced[tab.nonbasic], **close)
-    np.testing.assert_allclose(-tab.t[-1, -1], sol.objective - p.c @ p.lb, **close)
-    # nonbasic columns at 0 or u, the basic ones solved for; x and the duals
-    # then back in the program's space
-    y = np.where(flip, u, 0.0)
-    y[basic] = 0.0
-    y[basic] = np.linalg.solve(a[:, basic], sign * (p.b - p.a @ p.lb) - a @ y)
-    np.testing.assert_allclose(sol.x, p.lb + y[:n], **close)
-    np.testing.assert_allclose(sol.duals, sign * np.linalg.solve(a[:, basic].T, c[basic]),
-                               **close)
+    np.testing.assert_allclose(-tab.t[-1, -1],
+                               (c * d)[basic] @ body[:, -1] + c[flip] @ u[flip], **close)
 
 
 def tableau_feasibility(tab) -> tuple[bool, bool]:
@@ -384,11 +407,11 @@ def test_warm_start_from_a_primal_feasible_basis():
         c = np.where(np.isinf(p.ub), rng.uniform(0.0, 1.0, size=n), rng.uniform(-1.0, 1.0, size=n))
         q = LinearProgram(c=c, a=p.a, rel=p.rel, b=p.b, lb=p.lb, ub=p.ub)
         tab = lp_module._Tableau(q)
-        assert tab._extend(start.tableau), trial
+        assert tab._start(start.basis), trial
         primal, dual = tableau_feasibility(tab)
         assert primal, trial
         primal_only += not dual
-        _assert_matches_highs(q, warm=start)
+        _assert_matches_highs(q, warm=start.basis)
     assert primal_only >= 10
 
 
@@ -408,11 +431,11 @@ def test_warm_start_from_a_dual_feasible_basis():
         gap = np.select([rel == "<=", rel == ">="], [slack, -slack], 0.0)
         q = LinearProgram(c=p.c, a=p.a, rel=p.rel, b=p.a @ x0 + gap, lb=p.lb, ub=ub)
         tab = lp_module._Tableau(q)
-        assert tab._extend(start.tableau), trial
+        assert tab._start(start.basis), trial
         primal, dual = tableau_feasibility(tab)
         assert dual, trial
         dual_only += not primal
-        _assert_matches_highs(q, warm=start)
+        _assert_matches_highs(q, warm=start.basis)
     assert dual_only >= 10
 
 
@@ -451,7 +474,7 @@ def test_basis_starts_a_program_that_appends_rows_and_columns():
         dual_side = trial % 2 == 1
         q = _grown(p, sol.x, sol.duals, rng, dual_side)
         tab = lp_module._Tableau(q)
-        assert tab._extend(sol.tableau), trial
+        assert tab._start(sol.basis), trial
         # the old slacks shift past the two added columns, the added rows'
         # slacks are basic and the added columns nonbasic at their lower bounds
         old = sol.basis.basic
@@ -463,7 +486,7 @@ def test_basis_starts_a_program_that_appends_rows_and_columns():
         assert dual if dual_side else primal
         if dual_side:
             assert not primal  # "cut" cuts the old optimum off
-        _assert_matches_highs(q, warm=sol)
+        _assert_matches_highs(q, warm=sol.basis)
 
 
 def _recording_loads(monkeypatch) -> list[np.ndarray]:
@@ -545,17 +568,17 @@ def test_warm_start_from_a_basis_neither_primal_nor_dual_feasible(monkeypatch):
         assert _slack_loads(loads, p) == 0, k
 
 
-def _recording_extends(monkeypatch) -> list[bool]:
-    """Whether each `_Tableau._extend` from now on started from a held tableau."""
-    extends = []
-    extend = lp_module._Tableau._extend
+def _recording_starts(monkeypatch) -> list[bool]:
+    """Whether each `_Tableau._start` from now on loaded its held basis."""
+    starts = []
+    start = lp_module._Tableau._start
 
-    def recording(tab, held):
-        extends.append(extend(tab, held))
-        return extends[-1]
+    def recording(tab, warm):
+        starts.append(start(tab, warm))
+        return starts[-1]
 
-    monkeypatch.setattr(lp_module._Tableau, "_extend", recording)
-    return extends
+    monkeypatch.setattr(lp_module._Tableau, "_start", recording)
+    return starts
 
 
 def _counting_dense_solves(monkeypatch) -> list[tuple]:
@@ -569,6 +592,13 @@ def _counting_dense_solves(monkeypatch) -> list[tuple]:
 
     monkeypatch.setattr(np.linalg, "solve", counting)
     return calls
+
+
+def _block_shape(held: Basis) -> list[tuple[int, int]]:
+    """The matrix shape of the one dense solve that loads `held`: k x k with
+    k its basic structural columns, and no solve at all for k = 0."""
+    k = int(np.sum(held.basic < held.complemented.size - held.basic.size))
+    return [(k, k)] if k else []
 
 
 def _highs_duals(p: LinearProgram, ref) -> np.ndarray:
@@ -609,10 +639,10 @@ def _varied(p: LinearProgram, rng: np.random.Generator, kind: str) -> LinearProg
     return LinearProgram(c=c, a=p.a, rel=p.rel, b=b, lb=lb, ub=ub)
 
 
-def test_held_solution_starts_a_program_from_its_tableau(monkeypatch):
+def test_held_basis_starts_a_program_with_new_costs_right_sides_or_bounds(monkeypatch):
     # programs that differ from a solved one only in costs, right sides or
-    # bounds start from its final tableau, with no dense solve, and end as a
-    # start from its loaded basis and as HiGHS do
+    # bounds load its final basis with one k x k block solve, and end as HiGHS
+    # does; a row pushed out of reach ends infeasible
     rng = np.random.default_rng(43)
     starts = {"primal only": 0, "dual only": 0, "infeasible": 0}
     for trial in range(80):
@@ -626,33 +656,34 @@ def test_held_solution_starts_a_program_from_its_tableau(monkeypatch):
         assert held.status is LpStatus.OPTIMAL, trial
         q = _varied(p, rng, kind)
         tab = lp_module._Tableau(q)
-        assert tab._extend(held.tableau), trial
+        assert tab._start(held.basis), trial
         primal, dual = tableau_feasibility(tab)
         starts["primal only"] += primal and not dual
         starts["dual only"] += dual and not primal
 
-        extends = _recording_extends(monkeypatch)
-        loads = _recording_loads(monkeypatch)
-        sol = solve_lp(q, _warm=held)
+        started = _recording_starts(monkeypatch)
+        dense = _counting_dense_solves(monkeypatch)
+        sol = solve_lp(q, _warm=held.basis)
         monkeypatch.undo()
-        assert extends == [True], trial
-        from_basis = solve_lp(q, _warm=held.basis)
+        assert started == [True], trial
+        shapes, block = [args[0].shape for args in dense], _block_shape(held.basis)
         ref = _highs(q)
         if kind == "out of reach":
+            # the load's solve first: the row left without a pivot is
+            # rebuilt by loading the basis again before infeasibility is declared
+            assert shapes[:len(block)] == block, trial
             assert ref.status == 2, trial
-            assert sol.status is from_basis.status is LpStatus.INFEASIBLE, trial
+            assert sol.status is LpStatus.INFEASIBLE, trial
             starts["infeasible"] += 1
             continue
-        assert loads == [], trial
+        assert shapes == block, trial
         assert ref.status == 0, trial
-        assert sol.status is from_basis.status is LpStatus.OPTIMAL, trial
+        assert sol.status is LpStatus.OPTIMAL, trial
         close = dict(rtol=0.0, atol=1e-9)
-        for other, duals in ((from_basis, from_basis.duals), (ref, _highs_duals(q, ref))):
-            np.testing.assert_allclose(sol.objective, other.fun if other is ref
-                                       else other.objective, **close)
-            np.testing.assert_allclose(sol.x, other.x, **close)
-            np.testing.assert_allclose(sol.duals, duals, **close)
-        assert_tableau_matches_basis(q, sol, warm=held)
+        np.testing.assert_allclose(sol.objective, ref.fun, **close)
+        np.testing.assert_allclose(sol.x, ref.x, **close)
+        np.testing.assert_allclose(sol.duals, _highs_duals(q, ref), **close)
+        assert_tableau_matches_basis(q, sol, warm=held.basis)
     assert min(starts.values()) >= 10, starts
 
 
@@ -679,8 +710,8 @@ def _extended(p: LinearProgram, rng: np.random.Generator, rows: int,
 
 def test_held_solution_extends_to_appended_rows_and_columns(monkeypatch):
     # a program that appends rows, columns, both or neither to a solved one,
-    # with new costs, right sides and bounds, starts from its final tableau
-    # extended, with no dense solve, and ends as HiGHS does
+    # with new costs, right sides and bounds, loads its final basis by
+    # position with one k x k block solve, and ends as HiGHS does
     rng = np.random.default_rng(53)
     for trial in range(160):
         n, m = int(rng.integers(2, 8)), int(rng.integers(1, 7))
@@ -690,11 +721,12 @@ def test_held_solution_extends_to_appended_rows_and_columns(monkeypatch):
         rows, cols = ((0, 0), (2, 0), (0, 2), (1, 1))[trial % 4]
         q = _extended(p, rng, int(rng.integers(rows, 2 * rows + 1)),
                       int(rng.integers(cols, 2 * cols + 1)))
-        extends = _recording_extends(monkeypatch)
+        started = _recording_starts(monkeypatch)
         dense = _counting_dense_solves(monkeypatch)
-        sol = solve_lp(q, _warm=held)
+        sol = solve_lp(q, _warm=held.basis)
         monkeypatch.undo()
-        assert extends == [True] and dense == [], trial
+        assert started == [True], trial
+        assert [args[0].shape for args in dense] == _block_shape(held.basis), trial
         ref = _highs(q)
         assert ref.status == 0 and sol.status is LpStatus.OPTIMAL, trial
         close = dict(rtol=0.0, atol=1e-9)
@@ -702,15 +734,17 @@ def test_held_solution_extends_to_appended_rows_and_columns(monkeypatch):
         np.testing.assert_allclose(sol.x, ref.x, **close)
         # a degenerate optimum's duals need not be HiGHS's: check them as a bound
         assert_duals_consistent(q, sol)
-        assert_tableau_matches_basis(q, sol, warm=held)
+        assert_tableau_matches_basis(q, sol, warm=held.basis)
 
 
 @pytest.mark.parametrize("change", ["coefficient", "relation", "equality", "row", "column",
                                     "unbounded"])
 def test_held_tableau_needs_the_same_matrix_and_relations(monkeypatch, change):
-    # one changed coefficient, a flipped or tightened relation, a held row or
-    # column the program does not have, or a complemented column that lost its
-    # upper bound: the held tableau does not extend, and the solve is the cold one
+    # a held basis moves to the new program by position alone: after one
+    # changed coefficient, or a flipped or tightened relation, it loads and
+    # the solve ends as HiGHS does. A held row or column the program does not
+    # have, or a complemented column that lost its upper bound, leaves the
+    # cold start, and the solve is the cold one
     rng = np.random.default_rng(47)
     tried = 0
     for trial in range(20):
@@ -735,16 +769,18 @@ def test_held_tableau_needs_the_same_matrix_and_relations(monkeypatch, change):
             continue  # no complemented column to lose its bound
         tried += 1
         q = LinearProgram(c=c, a=a, rel=tuple(rel), b=b, ub=ub)
-        extends = _recording_extends(monkeypatch)
-        sol = solve_lp(q, _warm=held)
+        started = _recording_starts(monkeypatch)
+        sol = solve_lp(q, _warm=held.basis)
         monkeypatch.undo()
-        assert extends == [False], trial
-        cold = solve_lp(q)
-        assert sol.status is cold.status, trial
-        assert sol.iterations == cold.iterations, trial
+        loads = change in ("coefficient", "relation", "equality")
+        assert started == [loads], trial
+        if not loads:
+            cold = solve_lp(q)
+            assert sol.status is cold.status, trial
+            assert sol.iterations == cold.iterations, trial
+            assert sol.x is cold.x is None or np.array_equal(sol.x, cold.x), trial
         if sol.status is LpStatus.OPTIMAL:
-            assert np.array_equal(sol.x, cold.x), trial
-            _assert_matches_highs(q, warm=held)
+            _assert_matches_highs(q, warm=held.basis)
         else:
             assert _highs(q).status == 2, trial
     assert tried >= 15
@@ -761,8 +797,8 @@ def test_milp_root_starts_from_a_held_root_and_returns_its_own(monkeypatch):
         return inner(p, _warm=_warm)
 
     monkeypatch.setattr(lp_module, "solve_lp", recording)
-    again = solve_milp(mip, _warm=cold.root)
-    assert warm[0] is cold.root
+    again = solve_milp(mip, _warm=cold.root.basis)
+    assert warm[0] is cold.root.basis
     assert again.objective == cold.objective and np.array_equal(again.x, cold.x)
     assert again.root is not cold.root
     root = inner(mip.lp)
