@@ -52,7 +52,12 @@ columns come first, so new patterns are the last columns and start at
 zero), and each pricing MILP's root from the previous root (static rows
 first, then the lazy rows). Only the first program of each kind starts
 cold, and so does the validation pass's master, whose columns are not the
-pool's.
+pool's. A call given an earlier solution to start from, such as a SIR
+sweep's solution at the next higher threshold, also pools that solution's
+columns that are independent in this conflict graph, after the initial
+columns; when it keeps them all, the pool is that solution's last master's
+program, and the first master starts from its final basis. The pricing
+root still starts cold, as the clique rows differ between graphs.
 """
 
 from __future__ import annotations
@@ -178,6 +183,7 @@ class CgSolution:
     shortfall_bps: tuple[float, ...]
     iteration_log: tuple[IterationRecord, ...]
     wall_ms: float
+    basis: Optional[Basis] = None  # the last master's final basis (protocol stage only)
 
     @property
     def iterations(self) -> int:
@@ -471,12 +477,20 @@ class SchedulingInstance:
             and np.all(field <= self.e_hi + ILLUM_SLACK)
         )
 
+    def _independent(self, active: Sequence[int]) -> bool:
+        """`conflict.is_independent` for a pattern of this instance's links,
+        read from its conflict graph and its cap groups, built once."""
+        idx = list(active)
+        groups, caps = self.cap_groups
+        return not (self.graph.adjacency[np.ix_(idx, idx)].any()
+                    or np.any(groups[:, idx].sum(axis=1) > caps))
+
     # -- restricted master ----------------------------------------------------
 
     def solve_rmp(self, columns: Sequence[IndependentSetColumn],
-                  held: Optional[RmpResult] = None) -> RmpResult:
-        """The restricted master over `columns`, starting from `held`'s basis
-        when given: the master over a prefix of `columns`."""
+                  held: Optional[Basis] = None) -> RmpResult:
+        """The restricted master over `columns`, starting from `held` when
+        given: the final basis of the master over a prefix of `columns`."""
         p0_elec, _ = self.min_illumination_power()
         M = len(self.s.uts)
         Q = len(columns)
@@ -491,7 +505,7 @@ class SchedulingInstance:
         a[M, M:] = 1.0
         b = np.append(self.demands / RATE_SCALE, 1.0)
         sol = solve_lp(LinearProgram(c=c, a=a, rel=(">=",) * M + ("<=",), b=b),
-                       _warm=None if held is None else held.basis)
+                       _warm=held)
         if sol.status != LpStatus.OPTIMAL:
             raise CgError(f"restricted master LP failed with status {sol.status}")
         omega = np.maximum(sol.x[M:], 0.0)
@@ -619,13 +633,31 @@ class SchedulingInstance:
 
     # -- main loop -------------------------------------------------------------
 
-    def column_generation(self, epsilon: float) -> CgSolution:
+    def column_generation(self, epsilon: float,
+                          start: Optional[CgSolution] = None) -> CgSolution:
+        """Column generation from the initial columns, to proven optimality
+        or to within a factor 1 + `epsilon` of the certified lower bound.
+
+        `start` is an earlier solution to start from, such as the same
+        scenario's at a higher SIR threshold: its columns that are not pooled
+        yet and are independent in this instance's conflict graph follow the
+        initial columns. When that pool is exactly `start`'s, in order, the
+        first master starts from `start`'s last master's final basis.
+        """
         if not 0.0 <= epsilon < 1.0:
             raise ValueError(f"epsilon={epsilon}: must lie in [0, 1)")
         self._require_graph()
         t_start = time.monotonic()
         p0_elec, dc_min = self.min_illumination_power()
         pool = self.initial_columns()
+        held: Optional[Basis] = None
+        if start is not None:
+            initial = {col.schedule.active for col in pool}
+            pool += [col for col in start.columns if col.schedule.active not in initial
+                     and self._independent(col.schedule.active)]
+            if ([col.schedule.active for col in pool]
+                    == [col.schedule.active for col in start.columns]):
+                held = start.basis
         keys = {col.schedule.active for col in pool}
         z_lower = -math.inf
         log: list[IterationRecord] = []
@@ -634,7 +666,8 @@ class SchedulingInstance:
 
         for it in range(1, MAX_ITERATIONS + 1):
             t0 = time.monotonic()
-            rmp = self.solve_rmp(pool, rmp)
+            rmp = self.solve_rmp(pool, held)
+            held = rmp.basis
             # scale-aware optimality cutoff: a pool column can re-price a hair
             # negative from LP round-off, which proves nothing but convergence
             cutoff = -REDUCED_COST_TOL * max(1.0, abs(rmp.z_upper))
@@ -673,7 +706,7 @@ class SchedulingInstance:
         else:
             # ran out of iterations after extending the pool: refresh omega
             status = CgStatus.ITERATION_LIMIT
-            rmp = self.solve_rmp(pool, rmp)
+            rmp = self.solve_rmp(pool, held)
 
         assert rmp is not None
         return CgSolution(
@@ -692,6 +725,7 @@ class SchedulingInstance:
             shortfall_bps=tuple(float(v) for v in rmp.shortfall_bps),
             iteration_log=tuple(log),
             wall_ms=(time.monotonic() - t_start) * 1e3,
+            basis=rmp.basis,
         )
 
     # -- validation pass ---------------------------------------------------------
@@ -738,6 +772,7 @@ class SchedulingInstance:
             mu=rmp.mu,
             shortfall_bps=tuple(float(v) for v in rmp.shortfall_bps),
             wall_ms=(time.monotonic() - t0) * 1e3,
+            basis=None,
         )
 
 

@@ -59,11 +59,15 @@ def sweep_sir(s: Scenario, thresholds: Sequence[float], epsilon: float = 0.01,
 
     Returns (sir_lower, sir_upper, table): the smallest threshold whose
     validation pass stays feasible, the largest whose protocol solution is
-    feasible, and one table row per threshold.
+    feasible, and one table row per threshold, in ascending order.
 
     The lighting floor and the single-link columns do not depend on the
     threshold, so the sweep solves them once, before the first threshold;
-    each row's `wall_ms` excludes that shared time.
+    each row's `wall_ms` excludes that shared time. A higher threshold only
+    adds conflict edges, so every pattern independent at one threshold is
+    independent at every lower one: the thresholds are solved from the top
+    down, each starting from the one above (`column_generation`'s `start`),
+    with its columns and its last master's final basis.
     """
     thresholds = list(thresholds)
     if any(t > u for t, u in zip(thresholds, thresholds[1:])):
@@ -75,13 +79,14 @@ def sweep_sir(s: Scenario, thresholds: Sequence[float], epsilon: float = 0.01,
     table = []
     sir_upper = None
     sir_lower = None
-    for t in thresholds:
+    proto = None
+    for t in reversed(thresholds):
         inst = base.at_sir_threshold(float(t))
-        proto = inst.column_generation(epsilon=epsilon)
+        proto = inst.column_generation(epsilon=epsilon, start=proto)
         real = inst.reality_check(proto)
-        if proto.feasible:
+        if proto.feasible and sir_upper is None:
             sir_upper = float(t)
-        if real.feasible and sir_lower is None:
+        if real.feasible:
             sir_lower = float(t)
         table.append({
             "sir_threshold": float(t),
@@ -94,6 +99,7 @@ def sweep_sir(s: Scenario, thresholds: Sequence[float], epsilon: float = 0.01,
             "iterations": proto.iterations,
             "wall_ms": proto.wall_ms + real.wall_ms,
         })
+    table.reverse()
     return sir_lower, sir_upper, table
 
 

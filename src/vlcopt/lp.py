@@ -76,6 +76,7 @@ INT_TOL = 1e-7           # integrality recognition threshold
 ABS_GAP = 1e-9           # branch and bound prunes nodes this close to the incumbent
 _BOUND_TOL = 1e-9        # bound violation that makes a basic variable leave
 _STALL_LIMIT = 200       # degenerate pivots tolerated before Bland's rule
+_RELATIONS = frozenset(("<=", ">=", "=="))
 
 
 class LpStatus(str, Enum):
@@ -106,7 +107,7 @@ class LinearProgram:
             raise ValueError(f"b must have shape ({m},), got {self.b.shape}")
         if len(self.rel) != m:
             raise ValueError(f"rel must have {m} entries")
-        if any(r not in ("<=", ">=", "==") for r in self.rel):
+        if not _RELATIONS.issuperset(self.rel):
             raise ValueError("row relations must be one of <=, >=, ==")
         self.rel = tuple(self.rel)
         self.lb = np.zeros(n) if self.lb is None else np.asarray(self.lb, dtype=float)
@@ -181,10 +182,11 @@ class _Tableau:
     The basic columns are unit vectors and are not stored: row i belongs to
     column `basic[i]`, slot k holds column `nonbasic[k]`, the last slot is
     the right side, and the last row holds the reduced costs and minus the
-    objective. Column j is complemented where `flip[j]` is set. A load
-    stores the nonbasic columns in id order and pivots swap ids between
-    slots, so ties between columns go to the lowest id, never to the lowest
-    slot.
+    objective. Column j is complemented where `flip[j]` is set, and
+    `u_basic` and `movable_nonbasic` hold `u` and `movable` gathered over
+    `basic` and `nonbasic`. A load stores the nonbasic columns in id order
+    and pivots swap ids between slots, so ties between columns go to the
+    lowest id, never to the lowest slot.
     """
 
     def __init__(self, p: LinearProgram):
@@ -200,6 +202,7 @@ class _Tableau:
         self.movable = self.u > 0.0  # fixed columns never enter
         self.m = m
         self.t = np.empty((m + 1, n + 1))
+        self._outer = np.empty_like(self.t)  # the rank-one update's product
         self.iterations = 0
         self.max_iter = 2000 + 60 * (2 * m + n)
 
@@ -227,6 +230,7 @@ class _Tableau:
         body[struct] = top
         body *= sign[basic, None]
         self.basic, self.nonbasic, self.flip = basic.copy(), nonbasic, flip.copy()
+        self.u_basic, self.movable_nonbasic = self.u[basic], self.movable[nonbasic]
         self._price(cost)
 
     def _price(self, cost: np.ndarray) -> None:
@@ -247,8 +251,11 @@ class _Tableau:
         t[:, s] = 0.0
         t[r, s] = 1.0
         t[r] /= p
-        t -= np.outer(col, t[r])
-        self.basic[r], self.nonbasic[s] = self.nonbasic[s], self.basic[r]
+        np.multiply(col[:, None], t[r], out=self._outer)
+        t -= self._outer
+        entering, leaving = self.nonbasic[s], self.basic[r]
+        self.basic[r], self.nonbasic[s] = entering, leaving
+        self.u_basic[r], self.movable_nonbasic[s] = self.u[entering], self.movable[leaving]
         self.iterations += 1
         if self.iterations > self.max_iter:
             raise _Numerical("simplex iteration cap exceeded")
@@ -278,7 +285,7 @@ class _Tableau:
             flip = (self.c0 < 0.0) & np.isfinite(self.u)
             self._load(np.arange(total - m, total), flip, self.c0)
         d = self.t[-1, :-1]
-        shift = (d < -RC_TOL) & self.movable[self.nonbasic]
+        shift = (d < -RC_TOL) & self.movable_nonbasic
         j, cost = self.nonbasic[shift], self.c0.copy()
         cost[j] -= np.where(self.flip[j], -d[shift], d[shift])
         if j.size:
@@ -312,18 +319,25 @@ class _Tableau:
     def _dual(self, cost: np.ndarray) -> None:
         """Dual simplex pivots from a dual feasible basis to primal feasibility."""
         t, m = self.t, self.m
+        if m == 0:
+            return
         bland, stall, last, fresh = False, 0, -math.inf, False
         while True:
-            beta, ub = t[:m, -1], self.u[self.basic]
+            beta, ub = t[:m, -1], self.u_basic
             viol = np.maximum(-beta, beta - ub)
-            bad = np.nonzero(viol > _BOUND_TOL)[0]
-            if bad.size == 0:
-                return
-            r = int(bad[np.argmin(self.basic[bad])] if bland else bad[np.argmax(viol[bad])])
+            if bland:
+                bad = np.nonzero(viol > _BOUND_TOL)[0]
+                if bad.size == 0:
+                    return
+                r = int(bad[np.argmin(self.basic[bad])])
+            else:  # the first of the largest violations
+                r = int(np.argmax(viol))
+                if not viol[r] > _BOUND_TOL:
+                    return
             if beta[r] > ub[r]:
                 self._flip_basic(r)
             row = t[r, :-1]
-            cand = np.nonzero((row < -PIVOT_TOL) & self.movable[self.nonbasic])[0]
+            cand = np.nonzero((row < -PIVOT_TOL) & self.movable_nonbasic)[0]
             if cand.size == 0:
                 if fresh:
                     raise _Infeasible
@@ -348,13 +362,13 @@ class _Tableau:
         t, m = self.t, self.m
         bland, stall, last = False, 0, math.inf
         while True:
-            cand = np.nonzero((t[-1, :-1] < -RC_TOL) & self.movable[self.nonbasic])[0]
+            cand = np.nonzero((t[-1, :-1] < -RC_TOL) & self.movable_nonbasic)[0]
             if cand.size == 0:
                 return
             if not bland:  # Dantzig: the most negative reduced costs
                 cand = cand[t[-1, cand] == t[-1, cand].min()]
             s = self._lowest_id(cand)
-            col, beta, ub = t[:m, s], t[:m, -1], self.u[self.basic]
+            col, beta, ub = t[:m, s], t[:m, -1], self.u_basic
             ratio = np.full(m, np.inf)
             down = col > PIVOT_TOL
             up = (col < -PIVOT_TOL) & np.isfinite(ub)

@@ -10,6 +10,7 @@ import pytest
 import helpers
 from vlcopt import cg_scheduler, cli, lp
 from vlcopt.cg_scheduler import SchedulingInstance
+from vlcopt.conflict import is_independent
 from vlcopt.cli import _parse_values, main, result_row, run_algorithm, sweep_sir
 from vlcopt.scenario import default_config, scenario_from_dict
 
@@ -374,7 +375,15 @@ def _solution_key(sol):
             sol.omega.tolist(), sol.z_upper, sol.z_lower, sol.iterations)
 
 
+def _net(sol):
+    return sol.z_upper - sol.p_illumi_min
+
+
 def test_sweep_solves_each_threshold_as_a_fresh_instance(monkeypatch):
+    # the sweep solves from the top threshold down, each threshold starting
+    # from the columns of the one above, so its pool is not a fresh
+    # instance's; its status and net power are, and every column is valid at
+    # its own threshold
     s = _loaded_office()
     thresholds = [1.0, 2.0, 4.0]
     solved = []
@@ -382,18 +391,85 @@ def test_sweep_solves_each_threshold_as_a_fresh_instance(monkeypatch):
 
     def recording(self, *args, **kwargs):
         sol = column_generation(self, *args, **kwargs)
-        solved.append(sol)
+        solved.append((self, sol))
         return sol
 
     monkeypatch.setattr(SchedulingInstance, "column_generation", recording)
     _, _, table = sweep_sir(s, thresholds, epsilon=0.0)
     monkeypatch.undo()
-    assert [sol.sir_threshold for sol in solved] == thresholds
-    assert max(sol.iterations for sol in solved) > 1
-    for t, sol, row in zip(thresholds, solved, table):
-        fresh = SchedulingInstance(s, sir_threshold=t).column_generation(0.0)
-        assert _solution_key(sol) == _solution_key(fresh)
+    assert [sol.sir_threshold for _, sol in solved] == [4.0, 2.0, 1.0]
+    assert [row["sir_threshold"] for row in table] == thresholds
+    assert max(sol.iterations for _, sol in solved) > 1
+    for (inst, sol), row in zip(reversed(solved), table):
+        fresh = SchedulingInstance(s, sir_threshold=sol.sir_threshold).column_generation(0.0)
+        assert sol.status is fresh.status
+        assert _net(sol) == pytest.approx(_net(fresh), rel=0.0, abs=1e-9)
+        assert all(inst.column_is_valid(col) for col in sol.columns)
+        assert row["status"] == sol.status.value
         assert row["net_gap"] == sol.net_gap
+
+
+def _recording_first_masters(monkeypatch):
+    """The basis each column-generation call's first master is offered, in
+    call order, with the calls' (start, solution) pairs."""
+    firsts, calls = [], []
+    column_generation, solve_rmp = (SchedulingInstance.column_generation,
+                                    SchedulingInstance.solve_rmp)
+
+    def recording_cg(self, epsilon, start=None):
+        firsts.append([])
+        calls.append((start, column_generation(self, epsilon, start=start)))
+        return calls[-1][1]
+
+    def recording_rmp(self, columns, held=None):
+        if firsts and not firsts[-1]:
+            firsts[-1].append(held)
+        return solve_rmp(self, columns, held)
+
+    monkeypatch.setattr(SchedulingInstance, "column_generation", recording_cg)
+    monkeypatch.setattr(SchedulingInstance, "solve_rmp", recording_rmp)
+    return firsts, calls
+
+
+def test_sweep_starts_each_lower_threshold_from_the_master_above(monkeypatch):
+    # below the top, a threshold's pool is the one above's program, so its
+    # first master is offered that program's final basis
+    s = _loaded_office()
+    firsts, calls = _recording_first_masters(monkeypatch)
+    sweep_sir(s, [1.0, 2.0, 4.0], epsilon=0.0)
+    monkeypatch.undo()
+    assert [start is None for start, _ in calls] == [True, False, False]
+    assert firsts[0] == [None]
+    for k in (1, 2):
+        above = calls[k - 1][1]
+        assert calls[k][0] is above
+        assert len(firsts[k]) == 1 and firsts[k][0] is above.basis is not None
+        assert ([col.schedule.active for col in calls[k][1].columns[:len(above.columns)]]
+                == [col.schedule.active for col in above.columns])
+
+
+def test_start_drops_columns_the_new_graph_makes_dependent(monkeypatch):
+    # patterns of a solve at threshold 2 that conflict at threshold 6 are not
+    # carried; the pool is then not the start's program, and the first master
+    # starts cold
+    s = _loaded_office()
+    base = SchedulingInstance(s)
+    start = base.at_sir_threshold(2.0).column_generation(0.0)
+    inst = base.at_sir_threshold(6.0)
+    dependent = {col.schedule.active for col in start.columns
+                 if not is_independent(col.schedule, inst.graph, s)}
+    assert dependent and start.basis is not None
+    firsts, _ = _recording_first_masters(monkeypatch)
+    sol = inst.column_generation(0.0, start=start)
+    monkeypatch.undo()
+    assert firsts == [[None]]
+    pooled = {col.schedule.active for col in sol.columns}
+    assert pooled.isdisjoint(dependent)
+    assert {col.schedule.active for col in start.columns} - dependent <= pooled
+    assert all(inst.column_is_valid(col) for col in sol.columns)
+    fresh = SchedulingInstance(s, sir_threshold=6.0).column_generation(0.0)
+    assert sol.status is fresh.status
+    assert _net(sol) == pytest.approx(_net(fresh), rel=0.0, abs=1e-9)
 
 
 def test_sweep_solves_single_link_lighting_once(monkeypatch):

@@ -739,7 +739,7 @@ def test_held_solution_extends_to_appended_rows_and_columns(monkeypatch):
 
 @pytest.mark.parametrize("change", ["coefficient", "relation", "equality", "row", "column",
                                     "unbounded"])
-def test_held_tableau_needs_the_same_matrix_and_relations(monkeypatch, change):
+def test_held_basis_loads_by_position_or_starts_cold(monkeypatch, change):
     # a held basis moves to the new program by position alone: after one
     # changed coefficient, or a flipped or tightened relation, it loads and
     # the solve ends as HiGHS does. A held row or column the program does not
