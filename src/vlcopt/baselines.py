@@ -32,7 +32,7 @@ from .cg_scheduler import (
     _column_with_lighting,
     _greedy_insert,
 )
-from .lp import LinearProgram, LpStatus, MixedIntegerProgram, solve_milp
+from .lp import Basis, LinearProgram, LpStatus, MixedIntegerProgram, solve_milp
 from .scenario import Scenario
 
 
@@ -186,14 +186,20 @@ def mwis_schedule(
         s, sir_threshold=sir_threshold)
     L = len(inst.links)
     a, b = inst._static_pattern_rows()
+    # each round's MILP differs from the last only in costs and upper bounds,
+    # so its root starts from the last root's basis
+    held: Optional[Basis] = None
 
     def pick(candidates: np.ndarray, remaining: np.ndarray) -> list[int]:
+        nonlocal held
         c = np.zeros(L)
         ub = np.zeros(L)
         c[candidates] = -remaining[inst.ut_of_link[candidates]]
         ub[candidates] = 1.0
         lp = LinearProgram(c=c, a=a, rel=("<=",) * len(b), b=b, ub=ub)
-        res = solve_milp(MixedIntegerProgram(lp, np.ones(L, dtype=bool)))
+        res = solve_milp(MixedIntegerProgram(lp, np.ones(L, dtype=bool)), _warm=held)
+        if res.root is not None:
+            held = res.root.basis
         if res.status != LpStatus.OPTIMAL or res.x is None:
             return []
         # links outside `candidates` have upper bound 0, so none is chosen

@@ -50,14 +50,18 @@ round from the round before. Each restricted master of one
 `column_generation` call starts from the previous one (the shortfall
 columns come first, so new patterns are the last columns and start at
 zero), and each pricing MILP's root from the previous root (static rows
-first, then the lazy rows). Only the first program of each kind starts
-cold, and so does the validation pass's master, whose columns are not the
-pool's. A call given an earlier solution to start from, such as a SIR
-sweep's solution at the next higher threshold, also pools that solution's
-columns that are independent in this conflict graph, after the initial
-columns; when it keeps them all, the pool is that solution's last master's
-program, and the first master starts from its final basis. The pricing
-root still starts cold, as the clique rows differ between graphs.
+first, then the lazy rows). An instance's first pricing root starts from
+the lighting floor's basis instead: with every link at zero the pricing LP
+is the floor's LP plus rows whose slacks are basic, so that basis, moved
+onto the pricing program, is a primal feasible advanced start (Bixby 1992,
+Implementing the simplex method: the initial basis), and every instance
+derived at another SIR threshold shares it. Only the floor and the first
+master start cold, and so does the validation pass's master, whose columns
+are not the pool's. A call given an earlier solution to start from, such
+as a SIR sweep's solution at the next higher threshold, also pools that
+solution's columns that are independent in this conflict graph, after the
+initial columns; when it keeps them all, the pool is that solution's last
+master's program, and the first master starts from its final basis.
 """
 
 from __future__ import annotations
@@ -78,7 +82,6 @@ from .conflict import (
     build_conflict_graph,
     cap_groups,
     cross_gains,
-    is_independent,
 )
 from .lp import (
     ABS_GAP,
@@ -274,8 +277,9 @@ class SchedulingInstance:
         self._initial: Optional[tuple[tuple[IndependentSetColumn, ...],
                                       tuple[int, ...], tuple[int, ...]]] = None
         self._static_rows: Optional[tuple] = None
-        # the final bases of the lighting floor and of the last pricing MILP's root
-        self._floor: Optional[Basis] = None
+        # the lighting floor's final basis with its number of lower rows, and
+        # the final basis of the last pricing MILP's root
+        self._floor: Optional[tuple[Basis, int]] = None
         self._pricing_root: Optional[Basis] = None
 
     def _start_rows(self, lo: Sequence[int], hi: Sequence[int]) -> None:
@@ -288,10 +292,11 @@ class SchedulingInstance:
         if they are not yet); only the conflict graph is built anew.
 
         The lazy rows start from a copy of those held right after the initial
-        columns were built, the pricing MILP starts cold (the conflict graph
-        differs), and the lighting floor's solution, which no later solve
-        changes, is shared. So when this instance built the initial columns
-        before solving anything else, the result solves exactly as
+        columns were built, and the lighting floor's basis, which no later
+        solve changes, is shared. The held pricing root is not (the conflict
+        graph differs), so the first pricing MILP starts from the floor's
+        basis, as on a new instance. So when this instance built the initial
+        columns before solving anything else, the result solves exactly as
         `SchedulingInstance(s, sir_threshold)` does. The lazy rows and the
         pricing root are the only state a solve changes, and solving the
         result changes them on no other instance.
@@ -381,7 +386,7 @@ class SchedulingInstance:
         # floor's: only right sides, caps and appended rows differ, so it stays
         # dual feasible. Lower rows whose right side is <= 0 stay in the LP
         # (redundant, as lux and powers are nonnegative) so that rows line up
-        held = self._floor
+        held = None if self._floor is None else self._floor[0]
 
         def solve() -> tuple[np.ndarray, np.ndarray]:
             nonlocal held
@@ -398,7 +403,7 @@ class SchedulingInstance:
 
         dc = self._with_lazy_rows("lighting", solve, lo, hi)
         if not active and self._floor is None:
-            self._floor = held
+            self._floor = (held, len(self._lo_rows))
         return dc
 
     def _with_lazy_rows(self, what: str, solve: Callable[[], tuple[_Answer, np.ndarray]],
@@ -463,7 +468,7 @@ class SchedulingInstance:
 
     def column_is_valid(self, col: IndependentSetColumn) -> bool:
         """Recheck independence, power budgets and the illuminance band."""
-        if self.graph is not None and not is_independent(col.schedule, self.graph, self.s):
+        if self.graph is not None and not self._independent(self._pattern(col.schedule.active)):
             return False
         dc = np.asarray(col.dc_power)
         if np.any(dc < -1e-12):
@@ -572,13 +577,17 @@ class SchedulingInstance:
 
         # the root starts from the last root's basis: between calls only the
         # costs differ, so it stays primal feasible; between lazy rounds only
-        # rows are appended, so it stays dual feasible
+        # rows are appended, so it stays dual feasible. With no root held yet,
+        # it starts from the lighting floor's basis, also primal feasible
         def solve() -> tuple[tuple[float, tuple[int, ...], np.ndarray], np.ndarray]:
             a, rel, b = self._illum_rows(lux, self.e_lo, self.e_hi)
             lp = LinearProgram(c=c, a=np.vstack([fixed_a, a]),
                                rel=("<=",) * len(fixed_b) + rel,
                                b=np.concatenate([fixed_b, b]), lb=lb, ub=ub)
-            res = solve_milp(MixedIntegerProgram(lp, integer), _warm=self._pricing_root)
+            held = self._pricing_root
+            if held is None:
+                held = self._floor_start(len(fixed_b))
+            res = solve_milp(MixedIntegerProgram(lp, integer), _warm=held)
             if res.status != LpStatus.OPTIMAL or res.x is None:
                 raise CgError(f"pricing MILP failed with status {res.status}")
             self._pricing_root = res.root.basis
@@ -591,6 +600,28 @@ class SchedulingInstance:
         reduced = objective - p0_elec - mu
         reduced_bound = objective - ABS_GAP - p0_elec - mu
         return column, reduced, reduced_bound
+
+    def _floor_start(self, n_fixed: int) -> Basis:
+        """The lighting floor's final basis moved onto the pricing program,
+        whose first `n_fixed` rows are the static and budget rows. With every
+        link at zero the pricing LP is the floor's LP plus rows whose slacks
+        are basic, so this start is primal feasible (an advanced start,
+        Bixby 1992). Chip j becomes id L + j, each floor row's slack becomes
+        the slack of the same illuminance row (the floor's rows are prefixes
+        of the lower and the upper rows), every other row enters with its
+        slack basic, links are nonbasic at zero and nothing is complemented.
+        A chip the floor holds nonbasic at its cap enters basic on its own
+        budget row instead, as pricing bounds chips by that row."""
+        floor, n_lo = self._floor
+        L, T = len(self.links), len(self.dc_txs)
+        n, n_rows = L + T, n_fixed + len(self._lo_rows) + len(self._hi_rows)
+        rows = n_fixed + np.concatenate([np.arange(n_lo), len(self._lo_rows)
+                                         + np.arange(floor.basic.size - n_lo)])
+        basic = np.arange(n, n + n_rows)
+        basic[rows] = np.concatenate([L + np.arange(T), n + rows])[floor.basic]
+        at_cap = np.setdiff1d(np.flatnonzero(floor.complemented[:T]), floor.basic)
+        basic[n_fixed - T + at_cap] = L + at_cap
+        return Basis(basic, np.zeros(n + n_rows, dtype=bool))
 
     def _priced_links(self, lambda_bps: np.ndarray, mu: float,
                       ) -> tuple[np.ndarray, float, np.ndarray]:

@@ -243,8 +243,9 @@ def test_pricing_dominates_exhaustive_search():
 def test_pricing_survives_a_warm_child_that_fails_its_check(monkeypatch):
     # 5 W beams put the master's duals near 1e9 in the shortfall phase, and a
     # warm-started branch-and-bound child of the pricing MILP then fails its
-    # feasibility and duality check: round-off, which the cold re-solve clears
-    doc = helpers.tiny_config(n_uts=5, seed=5, demand_bps=4e8, channels=2, kind="c")
+    # feasibility and duality check: round-off, which the cold re-solve clears.
+    # Demand stays unmet here even over every pattern
+    doc = helpers.tiny_config(n_uts=5, seed=4, demand_bps=4e8, channels=2, kind="b")
     doc["chip"].update(p_ac_pp=5.0)
     inst = SchedulingInstance(scenario_from_dict(doc), sir_threshold=3.0)
     solves = []
@@ -261,7 +262,7 @@ def test_pricing_survives_a_warm_child_that_fails_its_check(monkeypatch):
     failed = solves.index((True, lp_module.LpStatus.NUMERICAL))
     assert solves[failed + 1] == (False, lp_module.LpStatus.OPTIMAL)  # the re-solve
     ref = helpers.full_pool_optimum(inst)
-    assert sol.status is CgStatus.OPTIMAL and ref.feasible
+    assert sol.status is CgStatus.INFEASIBLE and not ref.feasible
     assert sol.z_upper == pytest.approx(ref.z_upper, rel=1e-9)
 
 
@@ -455,10 +456,83 @@ def test_every_program_after_the_first_of_its_kind_starts_warm(monkeypatch):
     # more pricing MILPs than pricing calls: a lazy row was added in pricing
     assert kinds.count("pricing") > entered.count("pricing")
     for i, (kind, p, warm) in enumerate(starts):
-        if kind != "single" and kind not in kinds[:i]:
-            assert warm is None  # the first of its kind starts cold
-        else:
+        if kind in ("floor", "master") and kind not in kinds[:i]:
+            assert warm is None  # the first floor and master start cold
+        else:  # the first pricing root starts from the floor's basis
             assert warm is not None and lp_module._Tableau(p)._start(warm), (i, kind)
+
+
+def _saturated_floor_config():
+    """One desk point under the first luminaire, lit to 400 lux: the
+    lighting floor holds two chips at their caps."""
+    doc = helpers.tiny_config(n_uts=3, demand_bps=4e8, channels=2, kind="b")
+    doc["illum"] = {"points": [[0.5, 0.5]], "lower_lux": 400.0, "upper_lux": 2000.0,
+                    "ambient_lux": 0.0}
+    return doc
+
+
+@pytest.mark.parametrize("case", ["bright_beam", "saturated_floor", "office"])
+def test_first_pricing_root_from_the_floor_matches_the_cold_start(monkeypatch, case):
+    # the first pricing MILP starts from the lighting floor's basis moved
+    # onto its program: the bright beams add an upper row after the floor,
+    # the saturated floor's capped chips start basic on their budget rows,
+    # and the office is derived from its base instance as `sweep_sir` does
+    if case == "office":
+        base = SchedulingInstance(scenario_from_dict(default_config(seed=7)))
+        inst = base.at_sir_threshold(6.0)
+    else:
+        doc = (helpers.bright_beam_config() if case == "bright_beam"
+               else _saturated_floor_config())
+        inst = SchedulingInstance(scenario_from_dict(doc), sir_threshold=3.0)
+    calls = []
+    solve_milp = cg_scheduler.solve_milp
+
+    def recording(mip, _warm=None):
+        calls.append((mip, _warm, solve_milp(mip, _warm=_warm)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(cg_scheduler, "solve_milp", recording)
+    inst.column_generation(epsilon=0.0)
+    # a held root wins: every later root starts from the root before
+    assert all(warm is before.root.basis
+               for (_, warm, _), (_, _, before) in zip(calls[1:], calls))
+    mip, warm, res = calls[0]
+    start = lp_module._Tableau(mip.lp)
+    assert warm is not None and start._start(warm)
+    beta = start.t[:-1, -1]  # and is primal feasible
+    assert np.all(beta >= -lp_module.FEAS_TOL)
+    assert np.all(beta <= start.u_basic + lp_module.FEAS_TOL)
+    cold = lp_module.solve_milp(mip)
+    assert res.status is cold.status is lp_module.LpStatus.OPTIMAL
+    assert abs(res.objective - cold.objective) <= lp_module.ABS_GAP
+    L = len(inst.links)
+    # the bright beams are priced at big-M duals, which cost several links
+    # alike, so there the pattern may be another of the tied optima
+    if case != "bright_beam":
+        assert np.array_equal(res.x[:L] > 0.5, cold.x[:L] > 0.5)
+    assert res.root.iterations < cold.root.iterations
+
+
+def test_floor_start_maps_each_floor_row_onto_its_illuminance_row():
+    # a hand-made floor basis over 2 lower rows and 1 upper row, with lower
+    # row 0 and upper row 0 tight (chips 0 and 2 basic in their places),
+    # chip 1 nonbasic at its cap and chip 3 at zero; since the floor, one
+    # lower and one upper row were added, so the upper rows shift by one
+    inst = helpers.tiny_instance(n_uts=2)
+    L, T = len(inst.links), len(inst.dc_txs)
+    complemented = np.zeros(T + 3, dtype=bool)
+    complemented[1] = True
+    inst._floor = (lp_module.Basis(np.array([0, T + 1, 2]), complemented), 2)
+    inst._lo_rows, inst._hi_rows = [3, 7, 11], [5, 9]
+    n_static = 3
+    top = n_static + T  # the first illuminance row of the pricing program
+    start = inst._floor_start(top)
+    want = np.arange(L + T, L + T + top + 5)  # every slack basic, ...
+    want[top] = L  # ... but chip 0 on lower row 0,
+    want[top + 3] = L + 2  # chip 2 on upper row 0, past the new lower row,
+    want[n_static + 1] = L + 1  # and chip 1, at its cap, on its budget row
+    assert start.basic.tolist() == want.tolist()
+    assert not start.complemented.any() and start.complemented.size == L + T + top + 5
 
 
 def test_patterns_lit_after_the_floor_solve_at_most_a_chip_block(monkeypatch):
