@@ -16,10 +16,11 @@ link-disjoint patterns greedily: the links whose own share of the reduced
 cost is negative are the candidates, cheapest first, and each pattern is
 grown from them with the same greedy insertion the random baseline uses;
 its links then leave the candidates and the next pattern grows from the
-rest, until none is left. Each pattern is lit with one lighting LP, and its
-reduced cost is computed from that lighting; every pattern whose reduced
-cost is negative and which is new joins the pool in the same iteration
-(several columns per iteration, Desaulniers, Desrosiers and Solomon 2002).
+rest, until none is left. Each pattern is given its optimal lighting (see
+below), and its reduced cost is computed from that lighting; every pattern
+whose reduced cost is negative and which is new joins the pool in the same
+iteration (several columns per iteration, Desaulniers, Desrosiers and
+Solomon 2002).
 The batch certifies nothing, so the bound stays where it was. When the
 batch is empty, and at every iteration when the gap is above zero (each
 exact bound may then end the loop early), a pricing MILP searches for the
@@ -41,15 +42,24 @@ solution is checked against the full grid, and the worst violated rows join
 the working set until the check is clean, so the sets hold only rows some
 solve violated. Solutions are exact for the full row set.
 
+A pattern's lighting LP is the lighting floor's LP with other right sides
+(the lux its data beams add) and chip caps (the power they draw), so the
+floor's final basis stays dual feasible for every pattern (right-hand-side
+ranging, Chvatal 1983, Linear Programming, ch. 10). So each pattern is
+first read off that basis: its nonbasic chips at zero or at their caps and
+its basic chips from one k x k solve on the floor's tight rows, one solve
+for all single links at once. Where that reading is primal feasible, on
+the held rows and on the full grid, it is the pattern's optimum and no LP
+is solved; only the other patterns solve their lighting LP.
+
 Each program starts from the final basis of the last optimal solution of
 its kind, moved to it by position (`lp.solve_lp`), because programs of a
-kind only grow at the end. A pattern's lighting LP is the lighting floor's
-LP with other right sides and chip caps and the lazy rows appended since,
-so its first lazy-row round starts from the floor's basis and each later
-round from the round before. Each restricted master of one
-`column_generation` call starts from the previous one (the shortfall
-columns come first, so new patterns are the last columns and start at
-zero), and each pricing MILP's root from the previous root (static rows
+kind only grow at the end. A pattern's lighting LP has the lazy rows
+appended since the floor, so its first lazy-row round starts from the
+floor's basis and each later round from the round before. Each restricted
+master of one `column_generation` call starts from the previous one (the
+shortfall columns come first, so new patterns are the last columns and
+start at zero), and each pricing MILP's root from the previous root (static rows
 first, then the lazy rows). An instance's first pricing root starts from
 the lighting floor's basis instead: with every link at zero the pricing LP
 is the floor's LP plus rows whose slacks are basic, so that basis, moved
@@ -84,6 +94,7 @@ from .conflict import (
     cross_gains,
 )
 from .lp import (
+    _BOUND_TOL,
     ABS_GAP,
     Basis,
     LinearProgram,
@@ -360,7 +371,21 @@ class SchedulingInstance:
         rel = (">=",) * len(self._lo_rows) + ("<=",) * len(self._hi_rows)
         return lux[:, held].T, rel, np.concatenate([lo[self._lo_rows], hi[self._hi_rows]])
 
-    def _solve_dc(self, active: tuple[int, ...]) -> np.ndarray:
+    def _solve_dc(self, active: tuple[int, ...],
+                  lit: Optional[np.ndarray] = None) -> np.ndarray:
+        """Optimal lighting powers (optical W per chip) alongside the pattern
+        `active`, exact over the full grid. `lit` holds the pattern's powers
+        read off the lighting floor's basis when a batch has read them.
+
+        A pattern that no chip setting can light raises IlluminationInfeasible
+        before anything is solved. A pattern changes only the right sides and
+        chip caps of the floor's LP, never its costs or matrix, so the floor's
+        final basis stays dual feasible for it (right-hand-side ranging,
+        Chvatal 1983, ch. 10): where that basis is primal feasible too, as
+        `_lit_cleanly` checks, its powers are the pattern's optimum and no LP
+        is solved. The floor itself and every other pattern are solved by the
+        lighting LP over the lazy rows, its first round from the floor's basis.
+        """
         ac = self._ac_field(active)
         lo = self.e_lo - ac
         hi = self.e_hi - ac
@@ -380,6 +405,11 @@ class SchedulingInstance:
             raise IlluminationInfeasible(
                 int(short), tuple(self.pts[int(short)]),
                 "lower illuminance bound exceeds what capped chips can deliver")
+        if self._floor is not None:
+            if lit is None:
+                lit = self._floor_lighting(ac[None], caps[None])[0]
+            if self._lit_cleanly(lit, lo, hi, caps):
+                return np.maximum(lit, 0.0)
 
         cost = 1.0 / self.dc_eta
         # each round starts from the last one's basis, the first from the
@@ -405,6 +435,45 @@ class SchedulingInstance:
         if not active and self._floor is None:
             self._floor = (held, len(self._lo_rows))
         return dc
+
+    def _floor_lighting(self, ac: np.ndarray, caps: np.ndarray) -> np.ndarray:
+        """Chip powers of P patterns read off the lighting floor's basis, a
+        (P, T) array, from their data-beam lux (P, K) and chip caps (P, T).
+        Each nonbasic chip sits at zero, or at its cap when complemented, and
+        the k basic chips solve the k floor rows whose slacks are nonbasic,
+        with one k x k solve for all P patterns; NaN if that matrix is
+        singular."""
+        floor, rows, at_cap = self._floor_basis()
+        T = len(self.dc_txs)
+        chips = floor.basic[floor.basic < T]
+        tight = np.ones(floor.basic.size, dtype=bool)  # slack nonbasic
+        tight[floor.basic[floor.basic >= T] - T] = False
+        pos = rows[tight]  # the tight rows' positions among the held rows
+        points = np.array(self._lo_rows + self._hi_rows, dtype=int)[pos]
+        bound = np.where(pos < len(self._lo_rows), self.e_lo[points], self.e_hi[points])
+        x = np.zeros_like(caps)
+        x[:, at_cap] = caps[:, at_cap]
+        rhs = bound - ac[:, points] - x[:, at_cap] @ self.dc_light[np.ix_(at_cap, points)]
+        try:
+            x[:, chips] = np.linalg.solve(self.dc_light[np.ix_(chips, points)].T, rhs.T).T
+        except np.linalg.LinAlgError:
+            x[:] = np.nan
+        return x
+
+    def _lit_cleanly(self, dc: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                     caps: np.ndarray) -> bool:
+        """Whether powers `dc` read off the floor's basis are what the
+        pattern's lighting LP would answer: loaded there it would pivot no
+        more (every chip within [0, cap] and every held row met, to
+        `lp._BOUND_TOL`), and no grid point would join the lazy rows
+        (`_ROW_CHECK_TOL`, as in `_collect_violations`)."""
+        if not (np.all(dc >= -_BOUND_TOL) and np.all(dc <= caps + _BOUND_TOL)):
+            return False
+        field = dc @ self.dc_light
+        short, over = lo - field, field - hi
+        return bool(np.all(short <= _ROW_CHECK_TOL) and np.all(over <= _ROW_CHECK_TOL)
+                    and np.all(short[self._lo_rows] <= _BOUND_TOL)
+                    and np.all(over[self._hi_rows] <= _BOUND_TOL))
 
     def _with_lazy_rows(self, what: str, solve: Callable[[], tuple[_Answer, np.ndarray]],
                         lo: np.ndarray, hi: np.ndarray) -> _Answer:
@@ -457,10 +526,13 @@ class SchedulingInstance:
         shortfall until pricing finds a pattern."""
         if self._initial is None:
             self.min_illumination_power()
+            # every single link read off the floor's basis in one batch
+            lit = self._floor_lighting(self.ac_light,
+                                       np.maximum(self.dc_cap - self.budget.T, 0.0))
             cols = []
             for i in range(len(self.links)):
                 try:
-                    cols.append(self.build_column((i,)))
+                    cols.append(self.build_column((i,), self._solve_dc((i,), lit[i])))
                 except IlluminationInfeasible:
                     continue  # a beam nobody can light around; unusable as a column
             self._initial = (tuple(cols), tuple(self._lo_rows), tuple(self._hi_rows))
@@ -601,25 +673,34 @@ class SchedulingInstance:
         reduced_bound = objective - ABS_GAP - p0_elec - mu
         return column, reduced, reduced_bound
 
+    def _floor_basis(self) -> tuple[Basis, np.ndarray, np.ndarray]:
+        """The lighting floor's final basis, the position of each of its rows
+        among the held illuminance rows, lower then upper (the floor's rows
+        are prefixes of both, so its upper rows sit past any lower rows
+        added since), and the chips it holds nonbasic at their caps."""
+        floor, n_lo = self._floor
+        rows = np.concatenate([np.arange(n_lo), len(self._lo_rows)
+                               + np.arange(floor.basic.size - n_lo)])
+        at_cap = floor.complemented[:len(self.dc_txs)].copy()
+        at_cap[floor.basic[floor.basic < at_cap.size]] = False
+        return floor, rows, np.flatnonzero(at_cap)
+
     def _floor_start(self, n_fixed: int) -> Basis:
         """The lighting floor's final basis moved onto the pricing program,
         whose first `n_fixed` rows are the static and budget rows. With every
         link at zero the pricing LP is the floor's LP plus rows whose slacks
         are basic, so this start is primal feasible (an advanced start,
         Bixby 1992). Chip j becomes id L + j, each floor row's slack becomes
-        the slack of the same illuminance row (the floor's rows are prefixes
-        of the lower and the upper rows), every other row enters with its
-        slack basic, links are nonbasic at zero and nothing is complemented.
-        A chip the floor holds nonbasic at its cap enters basic on its own
-        budget row instead, as pricing bounds chips by that row."""
-        floor, n_lo = self._floor
+        the slack of the same illuminance row, every other row enters with
+        its slack basic, links are nonbasic at zero and nothing is
+        complemented. A chip the floor holds nonbasic at its cap enters basic
+        on its own budget row instead, as pricing bounds chips by that row."""
+        floor, rows, at_cap = self._floor_basis()
         L, T = len(self.links), len(self.dc_txs)
         n, n_rows = L + T, n_fixed + len(self._lo_rows) + len(self._hi_rows)
-        rows = n_fixed + np.concatenate([np.arange(n_lo), len(self._lo_rows)
-                                         + np.arange(floor.basic.size - n_lo)])
+        rows = n_fixed + rows
         basic = np.arange(n, n + n_rows)
         basic[rows] = np.concatenate([L + np.arange(T), n + rows])[floor.basic]
-        at_cap = np.setdiff1d(np.flatnonzero(floor.complemented[:T]), floor.basic)
         basic[n_fixed - T + at_cap] = L + at_cap
         return Basis(basic, np.zeros(n + n_rows, dtype=bool))
 
@@ -638,11 +719,13 @@ class SchedulingInstance:
         computed from its own lighting. The links whose own share of the
         reduced cost is negative are the candidates, cheapest first: each
         pattern is grown from them by `_greedy_insert`, its links leave the
-        candidates, and it is lit by `_column_with_lighting`. It joins the
-        batch when its reduced cost is below `cutoff` and it is not in
-        `known` (disjoint patterns never repeat one another); growth stops
-        when no candidate is left. The batch proves nothing about the
-        patterns it passed over."""
+        candidates, and it is lit by `_column_with_lighting`: off the
+        lighting floor's basis where that basis stays primal feasible, by
+        its lighting LP elsewhere (`_solve_dc`). It joins the batch when its
+        reduced cost is below `cutoff` and it is not in `known` (disjoint
+        patterns never repeat one another); growth stops when no candidate
+        is left. The batch proves nothing about the patterns it passed
+        over."""
         lam, mu, link_cost = self._priced_links(lambda_bps, mu)
         p0_elec, _ = self.min_illumination_power()
         order = np.argsort(link_cost, kind="stable")

@@ -7,6 +7,7 @@ from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 import helpers
 from vlcopt import cg_scheduler, cli
@@ -97,8 +98,9 @@ def test_schedule_field_stays_in_band():
         assert np.all(field <= 500.0 + 1e-4)
 
 
-def test_bright_beam_overruns_dim_ceiling():
-    """A band set below the data beam's own glare admits no lighting fix."""
+def _dim_ceiling_doc():
+    """One terminal under one luminaire, the band set below the data beam's
+    own glare."""
     peak_ac = 300.0 * 0.05 * helpers.ref_illum_gain(
         (0.5, 0.5, 2.0), (0.0, 0.0, -1.0), helpers.ref_lambertian(70.0),
         (0.5, 0.5, 0.8))
@@ -108,7 +110,12 @@ def test_bright_beam_overruns_dim_ceiling():
     doc["uts"] = [{"position": [0.5, 0.5], "demand_bps": 1e6}]
     doc["illum"] = {"lower_lux": 0.25 * peak_ac, "upper_lux": 0.75 * peak_ac,
                     "spacing": 0.5, "ambient_lux": 0.0}
-    inst = SchedulingInstance(scenario_from_dict(doc), sir_threshold=3.0)
+    return doc
+
+
+def test_bright_beam_overruns_dim_ceiling():
+    """A band set below the data beam's own glare admits no lighting fix."""
+    inst = SchedulingInstance(scenario_from_dict(_dim_ceiling_doc()), sir_threshold=3.0)
     inst.min_illumination_power()  # idle state must remain reachable
     with pytest.raises(IlluminationInfeasible):
         inst.optimize_dc_for_schedule([0])
@@ -415,10 +422,13 @@ def test_pricing_solves_no_lighting_lp(monkeypatch):
 def test_every_program_after_the_first_of_its_kind_starts_warm(monkeypatch):
     # 1 W beams on two channels: a greedy pattern joins the pool, then the
     # exact pricing MILP's first answer leaves a grid point no earlier LP
-    # held, so a lazy round re-solves it from the round before
+    # held, so a lazy round re-solves it from the round before. The floor's
+    # basis lights every pattern there, so a second instance, whose bright
+    # beams it lights none of, solves a single-link lighting LP
     doc = helpers.tiny_config(n_uts=4, seed=1, demand_bps=4e8, channels=2, kind="b")
     doc["chip"].update(p_ac_pp=1.0, p_ac_avg=0.5)
     inst = SchedulingInstance(scenario_from_dict(doc), sir_threshold=3.0)
+    bright = SchedulingInstance(scenario_from_dict(helpers.bright_beam_config()))
     inside, entered = [], []
 
     def tagged(kind, method):
@@ -451,12 +461,20 @@ def test_every_program_after_the_first_of_its_kind_starts_warm(monkeypatch):
     sol = inst.column_generation(epsilon=0.0)
     assert sol.iterations >= 2
     assert {rec.pricing for rec in sol.iteration_log} == {"greedy", "exact"}
-    kinds = [kind for kind, _, _ in starts]
-    assert {"floor", "single", "master", "pricing"} <= set(kinds)
     # more pricing MILPs than pricing calls: a lazy row was added in pricing
+    kinds = [kind for kind, _, _ in starts]
     assert kinds.count("pricing") > entered.count("pricing")
+    main = len(starts)
+    bright.min_illumination_power()
+    bright.optimize_dc_for_schedule((0,))
+    kinds = [kind for kind, _, _ in starts]
+    assert {"floor", "master", "pricing"} <= set(kinds[:main])
+    floor = kinds[main:].count("floor")  # the floor's lazy rounds, then the link's
+    assert 0 < floor < len(kinds) - main
+    assert kinds[main:] == ["floor"] * floor + ["single"] * (len(kinds) - main - floor)
     for i, (kind, p, warm) in enumerate(starts):
-        if kind in ("floor", "master") and kind not in kinds[:i]:
+        first = kind not in (kinds[main:i] if i >= main else kinds[:i])
+        if kind in ("floor", "master") and first:
             assert warm is None  # the first floor and master start cold
         else:  # the first pricing root starts from the floor's basis
             assert warm is not None and lp_module._Tableau(p)._start(warm), (i, kind)
@@ -566,16 +584,30 @@ def test_patterns_lit_after_the_floor_solve_at_most_a_chip_block(monkeypatch):
         inst.optimize_dc_for_schedule(active)
     monkeypatch.undo()
     assert (list(inst._lo_rows), list(inst._hi_rows)) == rows
-    assert loaded == [(0, 0)] * len(patterns)
+    # here the floor's basis lights every pattern: one block solve each, no LP
+    assert loaded == [] and len(dense) == len(patterns)
     held = len(rows[0]) + len(rows[1])
     assert dense and all(k == j <= min(chips, held) for k, j in dense), (dense, chips)
     assert max(k for k, _ in dense) < held  # a block, not the whole basis
+
+    # bright beams: the floor's basis lights no single link, and each
+    # link's first lighting LP loads it by position, as the same block
+    inst = SchedulingInstance(scenario_from_dict(helpers.bright_beam_config()))
+    inst.min_illumination_power()
+    rows = len(inst._lo_rows) + len(inst._hi_rows)
+    dense.clear()
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    monkeypatch.setattr(cg_scheduler, "solve_lp", recording_lp)
+    inst.optimize_dc_for_schedule((0,))
+    monkeypatch.undo()
+    assert loaded[0] == (0, 0)
+    assert dense and all(k == j <= min(len(inst.dc_txs), rows) for k, j in dense)
+    loaded.clear()
 
     # 1 W beams on two channels: a greedy batch grows the master, and the
     # pricing MILP's answer leaves a grid point no earlier LP held
     doc = helpers.tiny_config(n_uts=4, seed=1, demand_bps=4e8, channels=2, kind="b")
     doc["chip"].update(p_ac_pp=1.0, p_ac_avg=0.5)
-    loaded.clear()
     monkeypatch.setattr(cg_scheduler, "solve_lp", recording_lp)
     SchedulingInstance(scenario_from_dict(doc), sir_threshold=3.0).column_generation(0.0)
     monkeypatch.undo()
@@ -599,6 +631,184 @@ def test_a_pattern_lit_after_pricing_grew_the_rows_matches_a_fresh_instance():
         fresh = SchedulingInstance(s, sir_threshold=3.0).optimize_dc_for_schedule(active)
         np.testing.assert_allclose(dc, fresh, rtol=0.0, atol=1e-9)
         assert inst.column_is_valid(inst.build_column(active, dc))
+
+
+# -- lighting a pattern off the floor's basis ------------------------------------
+
+def _recording_lighting(monkeypatch):
+    """Record every `_solve_dc` call: its pattern, the lighting LPs it
+    solved, whether the floor's basis lit it (None if never asked: the
+    floor, or a pattern rejected before any lighting) and its powers (None
+    if it raised)."""
+    calls, inside = [], []
+    solve_dc, lit_cleanly = SchedulingInstance._solve_dc, SchedulingInstance._lit_cleanly
+    solve_lp = cg_scheduler.solve_lp
+
+    def recording_dc(self, active, *lit):
+        calls.append({"active": active, "lps": 0, "clean": None, "dc": None})
+        inside.append(calls[-1])
+        try:
+            inside[-1]["dc"] = solve_dc(self, active, *lit)
+            return inside[-1]["dc"]
+        finally:
+            inside.pop()
+
+    def recording_clean(self, *args):
+        inside[-1]["clean"] = lit_cleanly(self, *args)
+        return inside[-1]["clean"]
+
+    def counting_lp(p, _warm=None):
+        if inside:
+            inside[-1]["lps"] += 1
+        return solve_lp(p, _warm=_warm)
+
+    monkeypatch.setattr(SchedulingInstance, "_solve_dc", recording_dc)
+    monkeypatch.setattr(SchedulingInstance, "_lit_cleanly", recording_clean)
+    monkeypatch.setattr(cg_scheduler, "solve_lp", counting_lp)
+    return calls
+
+
+def _full_grid_lighting(inst, active):
+    """The pattern's lighting LP over every grid point, as `linprog` takes it:
+    (cost, A_ub, b_ub, chip bounds)."""
+    ac = inst._ac_field(active)
+    caps = np.maximum(inst.dc_cap - inst.budget[:, list(active)].sum(1), 0.0)
+    a_ub = np.vstack([-inst.dc_light.T, inst.dc_light.T])
+    b_ub = np.concatenate([ac - inst.e_lo, inst.e_hi - ac])
+    return 1.0 / inst.dc_eta, a_ub, b_ub, list(zip(np.zeros_like(caps), caps))
+
+
+def test_patterns_lit_off_the_floor_basis_match_the_warm_lighting_lp(monkeypatch):
+    # every single link and every greedy-batch pattern the floor's basis
+    # lights is the answer of the pattern's lighting LP started there, which
+    # takes no pivot
+    inst = SchedulingInstance(scenario_from_dict(default_config(seed=7)), sir_threshold=3.0)
+    calls = _recording_lighting(monkeypatch)
+    singles = inst.initial_columns()
+    rmp = inst.solve_rmp(singles)
+    known = {col.schedule.active for col in singles}
+    assert inst._greedy_pricing(rmp.lambda_bps, rmp.mu, known, 0.0)
+    monkeypatch.undo()
+    lit = [call for call in calls if call["clean"]]
+    assert len([call for call in lit if len(call["active"]) == 1]) > len(inst.links) // 2
+    assert any(len(call["active"]) >= 2 for call in lit)
+    held = inst._lo_rows + inst._hi_rows
+    rel = (">=",) * len(inst._lo_rows) + ("<=",) * len(inst._hi_rows)
+    for call in lit:
+        active = call["active"]
+        assert call["lps"] == 0
+        ac = inst._ac_field(active)
+        b = np.concatenate([(inst.e_lo - ac)[inst._lo_rows], (inst.e_hi - ac)[inst._hi_rows]])
+        caps = np.maximum(inst.dc_cap - inst.budget[:, list(active)].sum(1), 0.0)
+        sol = lp_module.solve_lp(
+            lp_module.LinearProgram(c=1.0 / inst.dc_eta, a=inst.dc_light[:, held].T,
+                                    rel=rel, b=b, ub=caps),
+            _warm=inst._floor[0])
+        assert sol.status is lp_module.LpStatus.OPTIMAL and sol.iterations == 0, active
+        np.testing.assert_allclose(call["dc"], np.maximum(sol.x, 0.0), rtol=0.0, atol=1e-9)
+        assert inst.column_is_valid(inst.build_column(active, call["dc"]))
+
+
+@pytest.mark.parametrize("case", ["bright_beam", "saturated_floor"])
+def test_single_links_on_either_lighting_path_match_a_full_grid_re_solve(monkeypatch, case):
+    # the bright beams leave the floor's basis primal infeasible for every
+    # single link, so each falls back to its lighting LP; the saturated
+    # floor's basis lights every link, its chips held at their caps set to
+    # the caps the link's beam leaves them
+    doc = (helpers.bright_beam_config() if case == "bright_beam"
+           else _saturated_floor_config())
+    inst = SchedulingInstance(scenario_from_dict(doc), sir_threshold=3.0)
+    calls = _recording_lighting(monkeypatch)
+    inst.initial_columns()
+    monkeypatch.undo()
+    floor, *lit = calls
+    assert floor["active"] == () and len(lit) == len(inst.links)
+    if case == "bright_beam":
+        assert all(call["clean"] is False and call["lps"] >= 1 for call in lit)
+    else:
+        assert all(call["clean"] and call["lps"] == 0 for call in lit)
+        _, _, at_cap = inst._floor_basis()
+        assert at_cap.size and any(
+            np.any(call["dc"][at_cap] < inst.dc_cap[at_cap]) for call in lit)
+    for call in lit:
+        cost, a_ub, b_ub, bounds = _full_grid_lighting(inst, call["active"])
+        ref = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+        assert ref.status == 0
+        assert float(cost @ call["dc"]) == pytest.approx(ref.fun, rel=1e-9, abs=1e-12)
+        assert inst.column_is_valid(inst.build_column(call["active"], call["dc"]))
+
+
+@pytest.mark.parametrize("case, lit", [("unheld_point_short", False),
+                                       ("unheld_point_within_check", True),
+                                       ("held_row_short", False),
+                                       ("held_row_within_bound", True)])
+def test_floor_basis_lights_only_where_the_lighting_lp_would_not_move(monkeypatch, case, lit):
+    # the basis is accepted only where its LP would pivot no more (a held
+    # row met to lp._BOUND_TOL) and the lazy-row check would add no point
+    # (a grid point outside the held rows met to _ROW_CHECK_TOL)
+    inst = helpers.tiny_instance(n_uts=4, seed=1, channels=2,
+                                 illum={"lower_lux": 300.0, "upper_lux": 500.0,
+                                        "spacing": 0.25, "ambient_lux": 0.0})
+    inst.min_illumination_power()
+    active = (0,)
+    field = inst.illuminance(inst.optimize_dc_for_schedule(active), active)
+    inst.e_lo = inst.e_lo.copy()
+    if case.startswith("unheld"):  # the darkest point no lower row holds
+        free = np.setdiff1d(np.arange(len(field)), inst._lo_rows)
+        point = int(free[np.argmin(field[free])])
+        inst.e_lo[point] = field[point] + (1e-6 if case == "unheld_point_short" else 1e-7)
+    else:  # the held lower row with the most room, its slack basic
+        point = max(inst._lo_rows, key=lambda k: field[k] - inst.e_lo[k])
+        assert field[point] - inst.e_lo[point] > 1e-3
+        inst.e_lo[point] = field[point] + (1e-8 if case == "held_row_short" else 1e-10)
+    rows = (list(inst._lo_rows), list(inst._hi_rows))
+    calls = _recording_lighting(monkeypatch)
+    dc = inst.optimize_dc_for_schedule(active)
+    monkeypatch.undo()
+    assert calls[0]["clean"] is lit and (calls[0]["lps"] == 0) is lit
+    if lit:
+        assert (list(inst._lo_rows), list(inst._hi_rows)) == rows
+        np.testing.assert_allclose(inst.illuminance(dc, active), field, rtol=0.0, atol=1e-9)
+    else:  # the point is met, an unheld one once it joins the rows
+        if case == "unheld_point_short":
+            assert inst._lo_rows == rows[0] + [point]
+        assert inst.illuminance(dc, active)[point] >= inst.e_lo[point] - 1e-9
+
+
+@pytest.mark.parametrize("case, witnesses", [("unlit", [0, 80, 0, 0, 8]),
+                                             ("dim_ceiling", [4])])
+def test_infeasible_patterns_raise_before_any_lighting(monkeypatch, case, witnesses):
+    # a pattern that no chip setting lights raises with the grid point that
+    # proves it, before the floor's basis or an LP is consulted
+    doc = helpers.unlit_links_config() if case == "unlit" else _dim_ceiling_doc()
+    inst = SchedulingInstance(scenario_from_dict(doc), sir_threshold=3.0)
+    inst.min_illumination_power()
+    calls = _recording_lighting(monkeypatch)
+    raised = []
+    for i in range(len(inst.links)):
+        with pytest.raises(IlluminationInfeasible) as exc:
+            inst.optimize_dc_for_schedule((i,))
+        raised.append(exc.value)
+    monkeypatch.undo()
+    assert [err.point_index for err in raised] == witnesses
+    assert [err.point for err in raised] == [tuple(inst.pts[k]) for k in witnesses]
+    assert all(call["lps"] == 0 and call["clean"] is None for call in calls)
+
+
+def test_after_the_floor_only_patterns_its_basis_cannot_light_solve_an_lp(monkeypatch):
+    # the default office: every pattern lit from the floor's basis solves no
+    # lighting LP, and those are most of the patterns a solve lights
+    inst = SchedulingInstance(scenario_from_dict(default_config(seed=7)), sir_threshold=3.0)
+    calls = _recording_lighting(monkeypatch)
+    sol = inst.column_generation(epsilon=0.0)
+    monkeypatch.undo()
+    assert sol.status is CgStatus.OPTIMAL
+    floor, *patterns = calls
+    assert floor["active"] == () and floor["lps"] >= 1
+    assert all(call["clean"] is not None for call in patterns)
+    assert all((call["lps"] == 0) is call["clean"] for call in patterns)
+    fallbacks = [call["active"] for call in patterns if not call["clean"]]
+    assert len(patterns) > len(inst.links) and 4 * len(fallbacks) < len(patterns), fallbacks
 
 
 def test_bounds_tighten_monotonically():

@@ -479,10 +479,12 @@ def test_sweep_solves_single_link_lighting_once(monkeypatch):
     solve_dc = SchedulingInstance._solve_dc
     initial_columns = SchedulingInstance.initial_columns
 
-    def counting_solve_dc(self, active):
+    def counting_solve_dc(self, active, *lit):
+        # every single link passes here once, whether the lighting floor's
+        # basis lights it or its lighting LP does
         if depth[0] and len(active) == 1:
             singles.append(active)
-        return solve_dc(self, active)
+        return solve_dc(self, active, *lit)
 
     def counting_initial_columns(self):
         depth[0] += 1
