@@ -45,21 +45,22 @@ solve violated. Solutions are exact for the full row set.
 A pattern's lighting LP is the lighting floor's LP with other right sides
 (the lux its data beams add) and chip caps (the power they draw), so the
 floor's final basis stays dual feasible for every pattern (right-hand-side
-ranging, Chvatal 1983, Linear Programming, ch. 10). So each pattern is
-first read off that basis: its nonbasic chips at zero or at their caps and
-its basic chips from one k x k solve on the floor's tight rows, one solve
-for all single links at once. Where that reading is primal feasible, on
-the held rows and on the full grid, it is the pattern's optimum and no LP
-is solved; only the other patterns solve their lighting LP.
+ranging, Chvatal 1983, Linear Programming, ch. 10). The floor is decoded once
+when it is solved, and a pattern's first lazy-row round reads the pattern off
+that basis: its nonbasic chips at zero or at their caps and its basic chips
+from one k x k solve on the floor's tight rows. Where that reading is primal
+feasible on the held rows it is the round's answer and no LP is solved; the
+loop's full-grid check then decides, as for any round, whether rows join.
+Every other round solves the pattern's lighting LP.
 
 Each program starts from the final basis of the last optimal solution of
 its kind, moved to it by position (`lp.solve_lp`), because programs of a
 kind only grow at the end. A pattern's lighting LP has the lazy rows
-appended since the floor, so its first lazy-row round starts from the
-floor's basis and each later round from the round before. Each restricted
-master of one `column_generation` call starts from the previous one (the
-shortfall columns come first, so new patterns are the last columns and
-start at zero), and each pricing MILP's root from the previous root (static rows
+appended since the floor, so its first LP starts from the floor's basis and
+each later round from the round before. Each restricted master of one
+`column_generation` call starts from the previous one (the shortfall
+columns come first, so new patterns are the last columns and start at
+zero), and each pricing MILP's root from the previous root (static rows
 first, then the lazy rows). An instance's first pricing root starts from
 the lighting floor's basis instead: with every link at zero the pricing LP
 is the floor's LP plus rows whose slacks are basic, so that basis, moved
@@ -92,6 +93,7 @@ from .conflict import (
     build_conflict_graph,
     cap_groups,
     cross_gains,
+    is_independent,
 )
 from .lp import (
     _BOUND_TOL,
@@ -231,6 +233,21 @@ class CgSolution:
         ]
 
 
+@dataclass(frozen=True)
+class _LightingFloor:
+    """The lighting-only optimum, decoded once when it is solved."""
+
+    dc: np.ndarray        # optical W per chip
+    basis: Basis          # final basis over the floor's held rows, lower then upper
+    n_lo: int             # how many of those rows are lower rows
+    chips: np.ndarray     # the basic chips, in basis order
+    at_cap: np.ndarray    # the chips held nonbasic at their caps
+    points: np.ndarray    # the tight rows' grid points (slack nonbasic) ...
+    bound: np.ndarray     # ... and their bounds (lux above ambient)
+    chip_lux: np.ndarray  # (points, chips): the basic chips' lux there
+    cap_lux: np.ndarray   # (at_cap, points): the capped chips' lux there
+
+
 class SchedulingInstance:
     """Precomputed tables shared by every optimization pass on one scenario."""
 
@@ -283,14 +300,12 @@ class SchedulingInstance:
         # lazy working sets of illuminance grid rows: only rows some solve violated
         self._start_rows((), ())
 
-        self._p0: Optional[tuple[float, np.ndarray]] = None
         # single-link columns, with the lazy rows held right after they were built
         self._initial: Optional[tuple[tuple[IndependentSetColumn, ...],
                                       tuple[int, ...], tuple[int, ...]]] = None
         self._static_rows: Optional[tuple] = None
-        # the lighting floor's final basis with its number of lower rows, and
-        # the final basis of the last pricing MILP's root
-        self._floor: Optional[tuple[Basis, int]] = None
+        # the lighting floor, and the final basis of the last pricing MILP's root
+        self._floor: Optional[_LightingFloor] = None
         self._pricing_root: Optional[Basis] = None
 
     def _start_rows(self, lo: Sequence[int], hi: Sequence[int]) -> None:
@@ -303,14 +318,14 @@ class SchedulingInstance:
         if they are not yet); only the conflict graph is built anew.
 
         The lazy rows start from a copy of those held right after the initial
-        columns were built, and the lighting floor's basis, which no later
-        solve changes, is shared. The held pricing root is not (the conflict
-        graph differs), so the first pricing MILP starts from the floor's
-        basis, as on a new instance. So when this instance built the initial
-        columns before solving anything else, the result solves exactly as
-        `SchedulingInstance(s, sir_threshold)` does. The lazy rows and the
-        pricing root are the only state a solve changes, and solving the
-        result changes them on no other instance.
+        columns were built, and the lighting floor's record, decoded once and
+        changed by no later solve, is shared. The held pricing root is not
+        (the conflict graph differs), so the first pricing MILP starts from
+        the floor's basis, as on a new instance. So when this instance built
+        the initial columns before solving anything else, the result solves
+        exactly as `SchedulingInstance(s, sir_threshold)` does. The lazy rows
+        and the pricing root are the only state a solve changes, and solving
+        the result changes them on no other instance.
         """
         self.initial_columns()
         _, lo, hi = self._initial
@@ -326,10 +341,9 @@ class SchedulingInstance:
 
     def min_illumination_power(self) -> tuple[float, np.ndarray]:
         """Cheapest lighting-only state: (electrical W, optical W per chip)."""
-        if self._p0 is None:
-            dc = self._solve_dc(())
-            self._p0 = (float(np.sum(dc / self.dc_eta)), dc)
-        return self._p0
+        if self._floor is None:
+            self._solve_dc(())
+        return float(np.sum(self._floor.dc / self.dc_eta)), self._floor.dc
 
     def optimize_dc_for_schedule(self, active: Sequence[int]) -> np.ndarray:
         """Optimal lighting currents (optical W per chip) alongside a pattern."""
@@ -352,9 +366,7 @@ class SchedulingInstance:
         return np.asarray(dc) @ self.dc_light + self._ac_field(active)
 
     def _ac_field(self, active: Sequence[int]) -> np.ndarray:
-        if len(active) == 0:
-            return np.zeros(self.pts.shape[0])
-        return self.ac_light[list(active)].sum(axis=0)
+        return self.ac_light[list(active)].sum(axis=0)  # zeros for no link
 
     def _dc_caps_for(self, active: Sequence[int]) -> np.ndarray:
         return self.dc_cap - self.budget[:, list(active)].sum(1)
@@ -371,20 +383,19 @@ class SchedulingInstance:
         rel = (">=",) * len(self._lo_rows) + ("<=",) * len(self._hi_rows)
         return lux[:, held].T, rel, np.concatenate([lo[self._lo_rows], hi[self._hi_rows]])
 
-    def _solve_dc(self, active: tuple[int, ...],
-                  lit: Optional[np.ndarray] = None) -> np.ndarray:
+    def _solve_dc(self, active: tuple[int, ...]) -> np.ndarray:
         """Optimal lighting powers (optical W per chip) alongside the pattern
-        `active`, exact over the full grid. `lit` holds the pattern's powers
-        read off the lighting floor's basis when a batch has read them.
+        `active`, exact over the full grid.
 
         A pattern that no chip setting can light raises IlluminationInfeasible
-        before anything is solved. A pattern changes only the right sides and
-        chip caps of the floor's LP, never its costs or matrix, so the floor's
-        final basis stays dual feasible for it (right-hand-side ranging,
-        Chvatal 1983, ch. 10): where that basis is primal feasible too, as
-        `_lit_cleanly` checks, its powers are the pattern's optimum and no LP
-        is solved. The floor itself and every other pattern are solved by the
-        lighting LP over the lazy rows, its first round from the floor's basis.
+        before anything is solved; any other is lit after the lighting floor
+        (solved first if it is not yet) by the lighting LP over the lazy rows,
+        each round from the last one's basis, the first from the floor's. A
+        pattern changes only the floor LP's right sides and chip caps, so that
+        basis stays dual feasible for it (right-hand-side ranging, Chvatal
+        1983, ch. 10): the first round reads the pattern off it (`_floor_read`)
+        and, where the reading is primal feasible on the held rows
+        (`_lit_cleanly`), solves no LP.
         """
         ac = self._ac_field(active)
         lo = self.e_lo - ac
@@ -405,21 +416,24 @@ class SchedulingInstance:
             raise IlluminationInfeasible(
                 int(short), tuple(self.pts[int(short)]),
                 "lower illuminance bound exceeds what capped chips can deliver")
-        if self._floor is not None:
-            if lit is None:
-                lit = self._floor_lighting(ac[None], caps[None])[0]
-            if self._lit_cleanly(lit, lo, hi, caps):
-                return np.maximum(lit, 0.0)
+        if active and self._floor is None:
+            self.min_illumination_power()
 
         cost = 1.0 / self.dc_eta
-        # each round starts from the last one's basis, the first from the
-        # floor's: only right sides, caps and appended rows differ, so it stays
-        # dual feasible. Lower rows whose right side is <= 0 stay in the LP
-        # (redundant, as lux and powers are nonnegative) so that rows line up
-        held = None if self._floor is None else self._floor[0]
+        # lower rows whose right side is <= 0 stay in the LP (redundant, as
+        # lux and powers are nonnegative) so that rows line up
+        held = None if self._floor is None else self._floor.basis
+        read = held is not None  # the first round reads the pattern off that basis
 
         def solve() -> tuple[np.ndarray, np.ndarray]:
-            nonlocal held
+            nonlocal held, read
+            if read:
+                read = False
+                x = self._floor_read(ac, caps)
+                dc = np.maximum(x, 0.0)
+                field = dc @ self.dc_light
+                if self._lit_cleanly(x, field, lo, hi, caps):
+                    return dc, field
             a, rel, b = self._illum_rows(self.dc_light, lo, hi)
             sol = solve_lp(LinearProgram(c=cost, a=a, rel=rel, b=b, ub=caps), _warm=held)
             if sol.status == LpStatus.INFEASIBLE:
@@ -432,46 +446,47 @@ class SchedulingInstance:
             return dc, dc @ self.dc_light
 
         dc = self._with_lazy_rows("lighting", solve, lo, hi)
-        if not active and self._floor is None:
-            self._floor = (held, len(self._lo_rows))
+        if self._floor is None:
+            self._floor = self._decode_floor(dc, held)
         return dc
 
-    def _floor_lighting(self, ac: np.ndarray, caps: np.ndarray) -> np.ndarray:
-        """Chip powers of P patterns read off the lighting floor's basis, a
-        (P, T) array, from their data-beam lux (P, K) and chip caps (P, T).
-        Each nonbasic chip sits at zero, or at its cap when complemented, and
-        the k basic chips solve the k floor rows whose slacks are nonbasic,
-        with one k x k solve for all P patterns; NaN if that matrix is
-        singular."""
-        floor, rows, at_cap = self._floor_basis()
+    def _decode_floor(self, dc: np.ndarray, basis: Basis) -> _LightingFloor:
+        """The lighting floor's record from its powers and final basis, over
+        the rows held when it was solved."""
         T = len(self.dc_txs)
-        chips = floor.basic[floor.basic < T]
-        tight = np.ones(floor.basic.size, dtype=bool)  # slack nonbasic
-        tight[floor.basic[floor.basic >= T] - T] = False
-        pos = rows[tight]  # the tight rows' positions among the held rows
-        points = np.array(self._lo_rows + self._hi_rows, dtype=int)[pos]
-        bound = np.where(pos < len(self._lo_rows), self.e_lo[points], self.e_hi[points])
+        chips = basis.basic[basis.basic < T]
+        at_cap = np.flatnonzero(basis.complemented[:T] & ~np.isin(np.arange(T), chips))
+        rows = np.setdiff1d(np.arange(basis.basic.size), basis.basic[basis.basic >= T] - T)
+        n_lo = len(self._lo_rows)
+        points = np.array(self._lo_rows + self._hi_rows, dtype=int)[rows]
+        lux = self.dc_light[:, points]
+        return _LightingFloor(dc, basis, n_lo, chips, at_cap, points,
+                              np.where(rows < n_lo, self.e_lo[points], self.e_hi[points]),
+                              lux[chips].T, lux[at_cap])
+
+    def _floor_read(self, ac: np.ndarray, caps: np.ndarray) -> np.ndarray:
+        """Chip powers read off the lighting floor's basis for a pattern with
+        data-beam lux `ac` and chip caps `caps`: each nonbasic chip at zero, or
+        at its cap when the floor holds it there, and the basic chips from one
+        k x k solve on the floor's tight rows; NaN if that block is singular."""
+        f = self._floor
         x = np.zeros_like(caps)
-        x[:, at_cap] = caps[:, at_cap]
-        rhs = bound - ac[:, points] - x[:, at_cap] @ self.dc_light[np.ix_(at_cap, points)]
+        x[f.at_cap] = caps[f.at_cap]
+        rhs = f.bound - ac[f.points] - x[f.at_cap] @ f.cap_lux
         try:
-            x[:, chips] = np.linalg.solve(self.dc_light[np.ix_(chips, points)].T, rhs.T).T
+            x[f.chips] = np.linalg.solve(f.chip_lux, rhs)
         except np.linalg.LinAlgError:
             x[:] = np.nan
         return x
 
-    def _lit_cleanly(self, dc: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                     caps: np.ndarray) -> bool:
-        """Whether powers `dc` read off the floor's basis are what the
-        pattern's lighting LP would answer: loaded there it would pivot no
-        more (every chip within [0, cap] and every held row met, to
-        `lp._BOUND_TOL`), and no grid point would join the lazy rows
-        (`_ROW_CHECK_TOL`, as in `_collect_violations`)."""
-        if not (np.all(dc >= -_BOUND_TOL) and np.all(dc <= caps + _BOUND_TOL)):
-            return False
-        field = dc @ self.dc_light
+    def _lit_cleanly(self, x: np.ndarray, field: np.ndarray, lo: np.ndarray,
+                     hi: np.ndarray, caps: np.ndarray) -> bool:
+        """Whether powers `x` read off the floor's basis, which make `field`,
+        are what the pattern's lighting LP loaded there would answer without
+        a pivot: every chip within [0, cap] and every held row met, to
+        `lp._BOUND_TOL`. The other grid points are the lazy-row loop's."""
         short, over = lo - field, field - hi
-        return bool(np.all(short <= _ROW_CHECK_TOL) and np.all(over <= _ROW_CHECK_TOL)
+        return bool(np.all(x >= -_BOUND_TOL) and np.all(x <= caps + _BOUND_TOL)
                     and np.all(short[self._lo_rows] <= _BOUND_TOL)
                     and np.all(over[self._hi_rows] <= _BOUND_TOL))
 
@@ -526,13 +541,10 @@ class SchedulingInstance:
         shortfall until pricing finds a pattern."""
         if self._initial is None:
             self.min_illumination_power()
-            # every single link read off the floor's basis in one batch
-            lit = self._floor_lighting(self.ac_light,
-                                       np.maximum(self.dc_cap - self.budget.T, 0.0))
             cols = []
             for i in range(len(self.links)):
                 try:
-                    cols.append(self.build_column((i,), self._solve_dc((i,), lit[i])))
+                    cols.append(self.build_column((i,)))
                 except IlluminationInfeasible:
                     continue  # a beam nobody can light around; unusable as a column
             self._initial = (tuple(cols), tuple(self._lo_rows), tuple(self._hi_rows))
@@ -540,7 +552,8 @@ class SchedulingInstance:
 
     def column_is_valid(self, col: IndependentSetColumn) -> bool:
         """Recheck independence, power budgets and the illuminance band."""
-        if self.graph is not None and not self._independent(self._pattern(col.schedule.active)):
+        if self.graph is not None and not is_independent(col.schedule, self.graph,
+                                                         self.cap_groups):
             return False
         dc = np.asarray(col.dc_power)
         if np.any(dc < -1e-12):
@@ -553,14 +566,6 @@ class SchedulingInstance:
             np.all(field >= self.e_lo - ILLUM_SLACK)
             and np.all(field <= self.e_hi + ILLUM_SLACK)
         )
-
-    def _independent(self, active: Sequence[int]) -> bool:
-        """`conflict.is_independent` for a pattern of this instance's links,
-        read from its conflict graph and its cap groups, built once."""
-        idx = list(active)
-        groups, caps = self.cap_groups
-        return not (self.graph.adjacency[np.ix_(idx, idx)].any()
-                    or np.any(groups[:, idx].sum(axis=1) > caps))
 
     # -- restricted master ----------------------------------------------------
 
@@ -673,18 +678,6 @@ class SchedulingInstance:
         reduced_bound = objective - ABS_GAP - p0_elec - mu
         return column, reduced, reduced_bound
 
-    def _floor_basis(self) -> tuple[Basis, np.ndarray, np.ndarray]:
-        """The lighting floor's final basis, the position of each of its rows
-        among the held illuminance rows, lower then upper (the floor's rows
-        are prefixes of both, so its upper rows sit past any lower rows
-        added since), and the chips it holds nonbasic at their caps."""
-        floor, n_lo = self._floor
-        rows = np.concatenate([np.arange(n_lo), len(self._lo_rows)
-                               + np.arange(floor.basic.size - n_lo)])
-        at_cap = floor.complemented[:len(self.dc_txs)].copy()
-        at_cap[floor.basic[floor.basic < at_cap.size]] = False
-        return floor, rows, np.flatnonzero(at_cap)
-
     def _floor_start(self, n_fixed: int) -> Basis:
         """The lighting floor's final basis moved onto the pricing program,
         whose first `n_fixed` rows are the static and budget rows. With every
@@ -695,13 +688,15 @@ class SchedulingInstance:
         its slack basic, links are nonbasic at zero and nothing is
         complemented. A chip the floor holds nonbasic at its cap enters basic
         on its own budget row instead, as pricing bounds chips by that row."""
-        floor, rows, at_cap = self._floor_basis()
+        floor = self._floor
         L, T = len(self.links), len(self.dc_txs)
         n, n_rows = L + T, n_fixed + len(self._lo_rows) + len(self._hi_rows)
-        rows = n_fixed + rows
+        # the floor's upper rows sit past any lower rows added since
+        rows = n_fixed + np.concatenate([np.arange(floor.n_lo), len(self._lo_rows)
+                                         + np.arange(floor.basis.basic.size - floor.n_lo)])
         basic = np.arange(n, n + n_rows)
-        basic[rows] = np.concatenate([L + np.arange(T), n + rows])[floor.basic]
-        basic[n_fixed - T + at_cap] = L + at_cap
+        basic[rows] = np.concatenate([L + np.arange(T), n + rows])[floor.basis.basic]
+        basic[n_fixed - T + floor.at_cap] = L + floor.at_cap
         return Basis(basic, np.zeros(n + n_rows, dtype=bool))
 
     def _priced_links(self, lambda_bps: np.ndarray, mu: float,
@@ -719,13 +714,14 @@ class SchedulingInstance:
         computed from its own lighting. The links whose own share of the
         reduced cost is negative are the candidates, cheapest first: each
         pattern is grown from them by `_greedy_insert`, its links leave the
-        candidates, and it is lit by `_column_with_lighting`: off the
-        lighting floor's basis where that basis stays primal feasible, by
-        its lighting LP elsewhere (`_solve_dc`). It joins the batch when its
-        reduced cost is below `cutoff` and it is not in `known` (disjoint
-        patterns never repeat one another); growth stops when no candidate
-        is left. The batch proves nothing about the patterns it passed
-        over."""
+        candidates, and it is lit by `_column_with_lighting` like any
+        pattern (`_solve_dc`: read off the lighting floor's basis, with an
+        LP only where that reading is not primal feasible on the held rows
+        or leaves a grid point outside the band). It joins the batch when
+        its reduced cost is below `cutoff` and it is not in `known`
+        (disjoint patterns never repeat one another); growth stops when no
+        candidate is left. The batch proves nothing about the patterns it
+        passed over."""
         lam, mu, link_cost = self._priced_links(lambda_bps, mu)
         p0_elec, _ = self.min_illumination_power()
         order = np.argsort(link_cost, kind="stable")
@@ -768,7 +764,7 @@ class SchedulingInstance:
         if start is not None:
             initial = {col.schedule.active for col in pool}
             pool += [col for col in start.columns if col.schedule.active not in initial
-                     and self._independent(col.schedule.active)]
+                     and is_independent(col.schedule, self.graph, self.cap_groups)]
             if ([col.schedule.active for col in pool]
                     == [col.schedule.active for col in start.columns]):
                 held = start.basis

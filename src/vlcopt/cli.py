@@ -428,7 +428,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     _add_scenario_args(p)
     p.add_argument("--algo", choices=("cg", "vico", "mwis"), default="cg")
     p.add_argument("--no-illum-constraint", action="store_true",
-                   help="drop lighting requirements (vico comparison mode)")
+                   help="drop lighting requirements (--algo vico only)")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("sweep-sir", help="sweep the conflict threshold")
@@ -454,6 +454,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p.set_defaults(func=_cmd_heatmap)
 
     args = ap.parse_args(argv)
+    if getattr(args, "no_illum_constraint", False) and args.algo != "vico":
+        ap.error(f"--no-illum-constraint applies to --algo vico only, not {args.algo}")
     try:
         return args.func(args)
     except (IlluminationInfeasible, ScenarioError) as exc:

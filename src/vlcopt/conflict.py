@@ -147,14 +147,15 @@ def cap_groups(links: Sequence["Link"], s: "Scenario") -> tuple[np.ndarray, np.n
     return members, np.array([cap for cap, _ in groups.values()], dtype=float)
 
 
-def is_independent(x: ScheduleVector, g: ConflictGraph, s: "Scenario") -> bool:
-    """True when the activation pattern violates no pairwise conflict and no
-    multiplicity cap (per chip, per receiver, per access point, per terminal)."""
+def is_independent(x: ScheduleVector, g: ConflictGraph,
+                   groups: tuple[np.ndarray, np.ndarray]) -> bool:
+    """True when the activation pattern violates no pairwise conflict of `g`
+    and no multiplicity cap of `groups`, the `cap_groups` table of g's links."""
     idx = list(x.active)
     for i in idx:
         if not 0 <= i < g.n_links:
             raise IndexError(f"link index {i} out of range")
     if g.adjacency[np.ix_(idx, idx)].any():
         return False
-    members, caps = cap_groups(g.links, s)
+    members, caps = groups
     return bool(np.all(members[:, idx].sum(axis=1) <= caps))

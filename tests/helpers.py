@@ -99,7 +99,7 @@ def all_independent_sets(inst):
     found = []
     for r in range(1, n + 1):
         for combo in itertools.combinations(range(n), r):
-            if is_independent(ScheduleVector(combo), inst.graph, inst.s):
+            if is_independent(ScheduleVector(combo), inst.graph, inst.cap_groups):
                 found.append(combo)
     return found
 

@@ -86,7 +86,7 @@ def test_heuristic_columns_obey_all_constraints():
     for sol in (vico_random_schedule(s, seed=2, instance=inst),
                 mwis_schedule(s, instance=inst)):
         for col in sol.protocol.columns:
-            assert is_independent(col.schedule, inst.graph, inst.s)
+            assert is_independent(col.schedule, inst.graph, inst.cap_groups)
             assert inst.column_is_valid(col)
         assert float(np.sum(sol.protocol.omega)) <= 1.0 + 1e-9
 

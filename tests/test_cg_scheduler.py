@@ -540,7 +540,13 @@ def test_floor_start_maps_each_floor_row_onto_its_illuminance_row():
     L, T = len(inst.links), len(inst.dc_txs)
     complemented = np.zeros(T + 3, dtype=bool)
     complemented[1] = True
-    inst._floor = (lp_module.Basis(np.array([0, T + 1, 2]), complemented), 2)
+    inst._lo_rows, inst._hi_rows = [3, 7], [5]
+    inst._floor = inst._decode_floor(
+        np.zeros(T), lp_module.Basis(np.array([0, T + 1, 2]), complemented))
+    floor = inst._floor
+    assert floor.n_lo == 2 and floor.chips.tolist() == [0, 2] and floor.at_cap.tolist() == [1]
+    assert floor.points.tolist() == [3, 5]
+    assert floor.bound.tolist() == [inst.e_lo[3], inst.e_hi[5]]
     inst._lo_rows, inst._hi_rows = [3, 7, 11], [5, 9]
     n_static = 3
     top = n_static + T  # the first illuminance row of the pricing program
@@ -637,20 +643,23 @@ def test_a_pattern_lit_after_pricing_grew_the_rows_matches_a_fresh_instance():
 
 def _recording_lighting(monkeypatch):
     """Record every `_solve_dc` call: its pattern, the lighting LPs it
-    solved, whether the floor's basis lit it (None if never asked: the
-    floor, or a pattern rejected before any lighting) and its powers (None
-    if it raised)."""
+    solved, whether its reading off the floor's basis met the held rows and
+    chip caps (None if never read: the floor, or a pattern rejected before
+    any lighting), whether lazy rows joined, and its powers (None if it
+    raised)."""
     calls, inside = [], []
     solve_dc, lit_cleanly = SchedulingInstance._solve_dc, SchedulingInstance._lit_cleanly
     solve_lp = cg_scheduler.solve_lp
 
-    def recording_dc(self, active, *lit):
+    def recording_dc(self, active):
         calls.append({"active": active, "lps": 0, "clean": None, "dc": None})
         inside.append(calls[-1])
+        rows = len(self._lo_rows) + len(self._hi_rows)
         try:
-            inside[-1]["dc"] = solve_dc(self, active, *lit)
+            inside[-1]["dc"] = solve_dc(self, active)
             return inside[-1]["dc"]
         finally:
+            inside[-1]["grew"] = len(self._lo_rows) + len(self._hi_rows) > rows
             inside.pop()
 
     def recording_clean(self, *args):
@@ -680,8 +689,8 @@ def _full_grid_lighting(inst, active):
 
 def test_patterns_lit_off_the_floor_basis_match_the_warm_lighting_lp(monkeypatch):
     # every single link and every greedy-batch pattern the floor's basis
-    # lights is the answer of the pattern's lighting LP started there, which
-    # takes no pivot
+    # lights (its reading meets the held rows and no row joins) is the answer
+    # of the pattern's lighting LP started there, which takes no pivot
     inst = SchedulingInstance(scenario_from_dict(default_config(seed=7)), sir_threshold=3.0)
     calls = _recording_lighting(monkeypatch)
     singles = inst.initial_columns()
@@ -689,7 +698,7 @@ def test_patterns_lit_off_the_floor_basis_match_the_warm_lighting_lp(monkeypatch
     known = {col.schedule.active for col in singles}
     assert inst._greedy_pricing(rmp.lambda_bps, rmp.mu, known, 0.0)
     monkeypatch.undo()
-    lit = [call for call in calls if call["clean"]]
+    lit = [call for call in calls if call["clean"] and not call["grew"]]
     assert len([call for call in lit if len(call["active"]) == 1]) > len(inst.links) // 2
     assert any(len(call["active"]) >= 2 for call in lit)
     held = inst._lo_rows + inst._hi_rows
@@ -703,7 +712,7 @@ def test_patterns_lit_off_the_floor_basis_match_the_warm_lighting_lp(monkeypatch
         sol = lp_module.solve_lp(
             lp_module.LinearProgram(c=1.0 / inst.dc_eta, a=inst.dc_light[:, held].T,
                                     rel=rel, b=b, ub=caps),
-            _warm=inst._floor[0])
+            _warm=inst._floor.basis)
         assert sol.status is lp_module.LpStatus.OPTIMAL and sol.iterations == 0, active
         np.testing.assert_allclose(call["dc"], np.maximum(sol.x, 0.0), rtol=0.0, atol=1e-9)
         assert inst.column_is_valid(inst.build_column(active, call["dc"]))
@@ -727,7 +736,7 @@ def test_single_links_on_either_lighting_path_match_a_full_grid_re_solve(monkeyp
         assert all(call["clean"] is False and call["lps"] >= 1 for call in lit)
     else:
         assert all(call["clean"] and call["lps"] == 0 for call in lit)
-        _, _, at_cap = inst._floor_basis()
+        at_cap = inst._floor.at_cap
         assert at_cap.size and any(
             np.any(call["dc"][at_cap] < inst.dc_cap[at_cap]) for call in lit)
     for call in lit:
@@ -738,14 +747,11 @@ def test_single_links_on_either_lighting_path_match_a_full_grid_re_solve(monkeyp
         assert inst.column_is_valid(inst.build_column(call["active"], call["dc"]))
 
 
-@pytest.mark.parametrize("case, lit", [("unheld_point_short", False),
-                                       ("unheld_point_within_check", True),
-                                       ("held_row_short", False),
-                                       ("held_row_within_bound", True)])
-def test_floor_basis_lights_only_where_the_lighting_lp_would_not_move(monkeypatch, case, lit):
-    # the basis is accepted only where its LP would pivot no more (a held
-    # row met to lp._BOUND_TOL) and the lazy-row check would add no point
-    # (a grid point outside the held rows met to _ROW_CHECK_TOL)
+def _short_point_instance(case, short):
+    """A 4-terminal instance whose floor's basis lights link 0, with the
+    lower bound of one grid point raised to `short` lux above link 0's
+    lit field there: the darkest point no lower row holds ("unheld"), or
+    the held lower row with the most room, its slack basic ("held")."""
     inst = helpers.tiny_instance(n_uts=4, seed=1, channels=2,
                                  illum={"lower_lux": 300.0, "upper_lux": 500.0,
                                         "spacing": 0.25, "ambient_lux": 0.0})
@@ -753,19 +759,34 @@ def test_floor_basis_lights_only_where_the_lighting_lp_would_not_move(monkeypatc
     active = (0,)
     field = inst.illuminance(inst.optimize_dc_for_schedule(active), active)
     inst.e_lo = inst.e_lo.copy()
-    if case.startswith("unheld"):  # the darkest point no lower row holds
+    if case == "unheld":
         free = np.setdiff1d(np.arange(len(field)), inst._lo_rows)
         point = int(free[np.argmin(field[free])])
-        inst.e_lo[point] = field[point] + (1e-6 if case == "unheld_point_short" else 1e-7)
-    else:  # the held lower row with the most room, its slack basic
+    else:
         point = max(inst._lo_rows, key=lambda k: field[k] - inst.e_lo[k])
         assert field[point] - inst.e_lo[point] > 1e-3
-        inst.e_lo[point] = field[point] + (1e-8 if case == "held_row_short" else 1e-10)
+    inst.e_lo[point] = field[point] + short
+    return inst, active, field, point
+
+
+@pytest.mark.parametrize("case, lit", [("unheld_point_short", False),
+                                       ("unheld_point_within_check", True),
+                                       ("held_row_short", False),
+                                       ("held_row_within_bound", True)])
+def test_floor_basis_lights_only_where_the_lighting_lp_would_not_move(monkeypatch, case, lit):
+    # the reading answers its round only where the LP would pivot no more (a
+    # held row met to lp._BOUND_TOL); the lazy-row loop then adds a grid
+    # point outside the held rows short by more than _ROW_CHECK_TOL, and the
+    # next round solves the LP
+    short = {"unheld_point_short": 1e-6, "unheld_point_within_check": 1e-7,
+             "held_row_short": 1e-8, "held_row_within_bound": 1e-10}[case]
+    inst, active, field, point = _short_point_instance(case.split("_")[0], short)
     rows = (list(inst._lo_rows), list(inst._hi_rows))
     calls = _recording_lighting(monkeypatch)
     dc = inst.optimize_dc_for_schedule(active)
     monkeypatch.undo()
-    assert calls[0]["clean"] is lit and (calls[0]["lps"] == 0) is lit
+    assert calls[0]["clean"] is (case != "held_row_short")
+    assert (calls[0]["lps"] == 0) is lit
     if lit:
         assert (list(inst._lo_rows), list(inst._hi_rows)) == rows
         np.testing.assert_allclose(inst.illuminance(dc, active), field, rtol=0.0, atol=1e-9)
@@ -773,6 +794,25 @@ def test_floor_basis_lights_only_where_the_lighting_lp_would_not_move(monkeypatc
         if case == "unheld_point_short":
             assert inst._lo_rows == rows[0] + [point]
         assert inst.illuminance(dc, active)[point] >= inst.e_lo[point] - 1e-9
+
+
+def test_a_reading_short_only_off_the_held_rows_solves_one_lighting_lp(monkeypatch):
+    # the reading meets the held rows but leaves a grid point no row holds
+    # 1e-3 lux short: the reading's round adds that row, and the next round's
+    # one lighting LP, from the floor's basis, is the full-grid optimum
+    inst, active, _, point = _short_point_instance("unheld", 1e-3)
+    rows = list(inst._lo_rows)
+    calls = _recording_lighting(monkeypatch)
+    dc = inst.optimize_dc_for_schedule(active)
+    monkeypatch.undo()
+    assert [(call["clean"], call["lps"]) for call in calls] == [(True, 1)]
+    assert inst._lo_rows == rows + [point]
+    cost, a_ub, b_ub, bounds = _full_grid_lighting(inst, active)
+    ref = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    assert ref.status == 0
+    assert float(cost @ dc) == pytest.approx(ref.fun, rel=1e-9, abs=1e-12)
+    np.testing.assert_allclose(dc, ref.x, rtol=0.0, atol=1e-7)
+    assert inst.column_is_valid(inst.build_column(active, dc))
 
 
 @pytest.mark.parametrize("case, witnesses", [("unlit", [0, 80, 0, 0, 8]),
@@ -806,8 +846,9 @@ def test_after_the_floor_only_patterns_its_basis_cannot_light_solve_an_lp(monkey
     floor, *patterns = calls
     assert floor["active"] == () and floor["lps"] >= 1
     assert all(call["clean"] is not None for call in patterns)
-    assert all((call["lps"] == 0) is call["clean"] for call in patterns)
-    fallbacks = [call["active"] for call in patterns if not call["clean"]]
+    assert all((call["lps"] == 0) is (call["clean"] and not call["grew"])
+               for call in patterns)
+    fallbacks = [call["active"] for call in patterns if call["lps"]]
     assert len(patterns) > len(inst.links) and 4 * len(fallbacks) < len(patterns), fallbacks
 
 

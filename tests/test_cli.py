@@ -457,7 +457,7 @@ def test_start_drops_columns_the_new_graph_makes_dependent(monkeypatch):
     start = base.at_sir_threshold(2.0).column_generation(0.0)
     inst = base.at_sir_threshold(6.0)
     dependent = {col.schedule.active for col in start.columns
-                 if not is_independent(col.schedule, inst.graph, s)}
+                 if not is_independent(col.schedule, inst.graph, inst.cap_groups)}
     assert dependent and start.basis is not None
     firsts, _ = _recording_first_masters(monkeypatch)
     sol = inst.column_generation(0.0, start=start)
@@ -479,12 +479,12 @@ def test_sweep_solves_single_link_lighting_once(monkeypatch):
     solve_dc = SchedulingInstance._solve_dc
     initial_columns = SchedulingInstance.initial_columns
 
-    def counting_solve_dc(self, active, *lit):
+    def counting_solve_dc(self, active):
         # every single link passes here once, whether the lighting floor's
         # basis lights it or its lighting LP does
         if depth[0] and len(active) == 1:
             singles.append(active)
-        return solve_dc(self, active, *lit)
+        return solve_dc(self, active)
 
     def counting_initial_columns(self):
         depth[0] += 1
@@ -498,6 +498,29 @@ def test_sweep_solves_single_link_lighting_once(monkeypatch):
     sweep_sir(s, [1.0, 2.0, 4.0], epsilon=0.0)
     n_links = len(SchedulingInstance(s).links)
     assert Counter(singles) == {(i,): 1 for i in range(n_links)}
+
+
+def test_sweep_decodes_the_lighting_floor_once(monkeypatch):
+    # the base instance decodes its lighting floor once, and every instance
+    # derived at a threshold lights its patterns off that same record
+    decode, derive = SchedulingInstance._decode_floor, SchedulingInstance.at_sir_threshold
+    floors, derived = [], []
+
+    def counting_decode(self, *args):
+        floors.append(decode(self, *args))
+        return floors[-1]
+
+    def recording_derive(self, sir_threshold):
+        derived.append(derive(self, sir_threshold))
+        return derived[-1]
+
+    monkeypatch.setattr(SchedulingInstance, "_decode_floor", counting_decode)
+    monkeypatch.setattr(SchedulingInstance, "at_sir_threshold", recording_derive)
+    sweep_sir(scenario_from_dict(default_config(seed=7)),
+              [1.0, 2.0, 3.0, 4.0, 5.0, 6.0], epsilon=0.0)
+    monkeypatch.undo()
+    assert len(floors) == 1 and len(derived) == 6
+    assert all(inst._floor is floors[0] for inst in derived)
 
 
 def test_derived_instances_share_no_pricing_state():
@@ -567,6 +590,21 @@ def test_heatmap_without_lighting_flags_dark_idle(tmp_path):
     assert manifest["illum_violation_fraction"] == 1.0
     rows = _read_csv(out / "results.csv")
     assert float(rows[0]["illum_violation_fraction"]) == 1.0
+
+
+@pytest.mark.parametrize("command", ["solve", "heatmap"])
+@pytest.mark.parametrize("algo", ["cg", "mwis"])
+def test_no_illum_constraint_is_for_vico_only(tmp_path, capsys, command, algo):
+    # column generation and the max-weight baseline always light the room, so
+    # the flag would be ignored: the command refuses it before solving
+    cfg = _write_config(tmp_path, n_uts=2, seed=1, demand_bps=0.0)
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg, "--algo", algo, "--no-illum-constraint",
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--no-illum-constraint applies to --algo vico only" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_version_flag():

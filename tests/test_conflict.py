@@ -10,6 +10,7 @@ import helpers
 from vlcopt.conflict import (
     ScheduleVector,
     build_conflict_graph,
+    cap_groups,
     cross_gains,
     is_independent,
     sir_matrix,
@@ -172,13 +173,20 @@ def test_patterns_survive_threshold_relaxation():
 
 def test_empty_pattern_is_independent():
     inst = helpers.tiny_instance()
-    assert is_independent(ScheduleVector(()), inst.graph, inst.s)
+    assert is_independent(ScheduleVector(()), inst.graph, inst.cap_groups)
 
 
 def test_singletons_are_independent():
     inst = helpers.tiny_instance(n_uts=4, seed=3, channels=2)
     for i in range(inst.graph.n_links):
-        assert is_independent(ScheduleVector((i,)), inst.graph, inst.s)
+        assert is_independent(ScheduleVector((i,)), inst.graph, inst.cap_groups)
+
+
+def test_out_of_range_link_raises():
+    inst = helpers.tiny_instance()
+    for bad in (-1, inst.graph.n_links):
+        with pytest.raises(IndexError):
+            is_independent(ScheduleVector((bad,)), inst.graph, inst.cap_groups)
 
 
 def test_shared_receiver_rejected():
@@ -186,7 +194,7 @@ def test_shared_receiver_rejected():
     links = build_candidate_links(s)
     g = build_conflict_graph(links, cross_gains(links), 1.0)
     assert len(links) == 2
-    assert not is_independent(ScheduleVector((0, 1)), g, s)
+    assert not is_independent(ScheduleVector((0, 1)), g, cap_groups(links, s))
 
 
 def test_validity_matches_naive_rules():
@@ -214,7 +222,7 @@ def test_validity_matches_naive_rules():
                 for ut in {ln.ut_index for ln in chosen}:
                     ok &= sum(ln.ut_index == ut
                               for ln in chosen) <= s.uts[ut].n_receivers
-                assert is_independent(ScheduleVector(combo), g, s) == ok
+                assert is_independent(ScheduleVector(combo), g, inst.cap_groups) == ok
 
 
 def test_schedule_vector_requires_sorted_unique_indices():
