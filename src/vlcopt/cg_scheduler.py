@@ -30,8 +30,8 @@ calls raise the lower bound or prove optimality; an exact call that returns
 a pattern already in the pool ends the loop too, as the master is optimal
 over the pool and that pattern's negative reduced cost is LP round-off. A
 final validation pass recomputes link rates with the interference each
-column actually generates and re-optimizes the time shares over the
-scheduled columns alone.
+column actually generates, for every scheduled column in one batched pass,
+and re-optimizes the time shares over the scheduled columns alone.
 
 Every program is sliced from tables the instance holds: the lux each chip
 and each data beam gives every grid point, the transmitter budget table, and
@@ -66,13 +66,18 @@ the lighting floor's basis instead: with every link at zero the pricing LP
 is the floor's LP plus rows whose slacks are basic, so that basis, moved
 onto the pricing program, is a primal feasible advanced start (Bixby 1992,
 Implementing the simplex method: the initial basis), and every instance
-derived at another SIR threshold shares it. Only the floor and the first
-master start cold, and so does the validation pass's master, whose columns
-are not the pool's. A call given an earlier solution to start from, such
-as a SIR sweep's solution at the next higher threshold, also pools that
-solution's columns that are independent in this conflict graph, after the
-initial columns; when it keeps them all, the pool is that solution's last
-master's program, and the first master starts from its final basis.
+derived at another SIR threshold shares it. The validation pass's master
+has the last master's rows and costs over the scheduled columns, with only
+their rates lowered, so it starts from that master's final basis, moved
+onto the scheduled columns by position (also an advanced start); it starts
+cold when a pattern left out is basic there, when nothing is scheduled, or
+for a heuristic's schedule, which has no basis. Otherwise only the floor
+and the first master start cold. A call given an earlier solution to start
+from, such as a SIR sweep's solution at the next higher threshold, also
+pools that solution's columns that are independent in this conflict graph,
+after the initial columns; when it keeps them all, the pool is that
+solution's last master's program, and the first master starts from its
+final basis.
 """
 
 from __future__ import annotations
@@ -287,6 +292,8 @@ class SchedulingInstance:
         self.cap = np.array([ln.capacity_protocol for ln in self.links])
         self.ut_of_link = np.array([ln.ut_index for ln in self.links], dtype=int)
         self.p_ac_pp = np.array([ln.p_ac_pp for ln in self.links])
+        self.gain = np.array([ln.gain for ln in self.links])
+        self.bandwidth = np.array([ln.bandwidth_hz for ln in self.links])
         self.p_ac_elec = p_ac_avg / np.array([ln.eta_ac for ln in self.links])
 
         # budget[t, i]: link i's data-beam power drawn from lighting chip t's
@@ -572,7 +579,8 @@ class SchedulingInstance:
     def solve_rmp(self, columns: Sequence[IndependentSetColumn],
                   held: Optional[Basis] = None) -> RmpResult:
         """The restricted master over `columns`, starting from `held` when
-        given: the final basis of the master over a prefix of `columns`."""
+        given: the final basis of the master over a prefix of `columns`, or
+        one moved onto them (`_validation_start`)."""
         p0_elec, _ = self.min_illumination_power()
         M = len(self.s.uts)
         Q = len(columns)
@@ -606,16 +614,18 @@ class SchedulingInstance:
 
     def _static_pattern_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """Rows A x <= b over the links alone: conflict cliques, then the
-        multiplicity caps, each (members, cap) once and with two or more
-        members."""
+        multiplicity caps, each (members, cap) once, where it first occurs,
+        and with two or more members."""
         if self._static_rows is None:
             cliques = _clique_cover(self._require_graph().adjacency)
             groups, caps = self.cap_groups
             a = np.vstack([cliques, groups]).astype(float)
             b = np.concatenate([np.ones(len(cliques)), caps])
-            rows = np.nonzero(a.sum(1) >= 2)[0]
-            _, first = np.unique(np.column_stack([a, b])[rows], axis=0, return_index=True)
-            rows = rows[np.sort(first)]
+            keys = np.column_stack([a, b])
+            first: dict[bytes, int] = {}
+            for r in np.flatnonzero(a.sum(1) >= 2).tolist():
+                first.setdefault(keys[r].tobytes(), r)
+            rows = np.fromiter(first.values(), dtype=int, count=len(first))
             self._static_rows = (a[rows], b[rows])
         return self._static_rows
 
@@ -840,36 +850,43 @@ class SchedulingInstance:
 
     # -- validation pass ---------------------------------------------------------
 
-    def physical_rates(self, col: IndependentSetColumn) -> IndependentSetColumn:
-        """Column with rates recomputed under its own concurrent interference."""
-        idx = list(col.schedule.active)
-        rate = np.zeros(len(self.s.uts))
-        link_rates = []
-        p_interference = self._h_cross[np.ix_(idx, idx)] @ self.p_ac_pp[idx]
-        for i, p_i in zip(idx, p_interference.tolist()):
-            ln = self.links[i]
-            cap = physical_capacity(
-                ln.bandwidth_hz,
-                self.s.constants.responsivity,
-                ln.gain,
-                ln.p_ac_pp,
-                p_i,
-                self.s.constants.noise_variance,
-            )
-            rate[ln.ut_index] += cap
-            link_rates.append(LinkRate(i, float(self.cap[i]), float(cap)))
-        return replace(col, rate_per_ut=tuple(float(v) for v in rate),
-                       link_rates=tuple(link_rates))
+    def physical_rates(self, columns: Sequence[IndependentSetColumn],
+                       ) -> tuple[IndependentSetColumn, ...]:
+        """The columns with rates recomputed under the interference their
+        own links cause one another when they transmit together, all in one
+        batched pass: the optical power at each link's receiver is the
+        same-channel gain of every other active beam times its power, and
+        `physical_capacity` rates every active link at once."""
+        on = np.zeros((len(columns), len(self.links)), dtype=bool)
+        for q, col in enumerate(columns):
+            on[q, list(col.schedule.active)] = True
+        # p_interference[q, i]: what column q's beams put at link i's receiver
+        p_interference = (on * self.p_ac_pp) @ self._h_cross.T
+        q, i = np.nonzero(on)  # by column, then by link, as each column lists them
+        c = self.s.constants
+        cap = physical_capacity(self.bandwidth[i], c.responsivity, self.gain[i],
+                                self.p_ac_pp[i], p_interference[q, i], c.noise_variance)
+        rate = np.zeros((len(columns), len(self.s.uts)))
+        np.add.at(rate, (q, self.ut_of_link[i]), cap)
+        link_rates = [LinkRate(*r) for r in zip(i.tolist(), self.cap[i].tolist(), cap.tolist())]
+        starts = np.cumsum([0] + [len(col.schedule.active) for col in columns]).tolist()
+        return tuple(
+            replace(col, rate_per_ut=tuple(row), link_rates=tuple(link_rates[a:b]))
+            for col, row, a, b in zip(columns, rate.tolist(), starts, starts[1:]))
 
     def reality_check(self, sol: CgSolution) -> CgSolution:
         """Re-optimize time shares over the scheduled columns at the rates they
-        actually achieve when their links transmit concurrently."""
+        actually achieve when their links transmit concurrently.
+
+        Only the rates differ from the protocol master's, so that master's
+        final basis, moved onto the scheduled columns, is an advanced start
+        (Bixby 1992; `_validation_start`). The master starts cold for a
+        solution without a basis, such as a heuristic's."""
         t0 = time.monotonic()
-        chosen = [col for col, _ in sol.active()]
-        if not chosen:
-            chosen = [self.build_column(())]
-        real_cols = tuple(self.physical_rates(col) for col in chosen)
-        rmp = self.solve_rmp(real_cols)  # cold: these columns are not the pool's
+        chosen = [q for q, w in enumerate(sol.omega) if w > _OMEGA_TOL]
+        columns = [sol.columns[q] for q in chosen] or [self.build_column(())]
+        real_cols = self.physical_rates(columns)
+        rmp = self.solve_rmp(real_cols, self._validation_start(sol, chosen))
         return replace(
             sol,
             stage="reality",
@@ -884,6 +901,25 @@ class SchedulingInstance:
             wall_ms=(time.monotonic() - t0) * 1e3,
             basis=None,
         )
+
+    def _validation_start(self, sol: CgSolution, chosen: Sequence[int]) -> Optional[Basis]:
+        """`sol`'s final master basis moved by position onto the validation
+        master over `sol`'s columns `chosen`: shortfall ids stay, pattern
+        `chosen[k]` becomes the master's k-th pattern and slack ids shift
+        past the dropped patterns. None, a cold start, when `sol` holds no
+        basis or schedules nothing, or when a dropped pattern is basic."""
+        if sol.basis is None or not chosen:
+            return None
+        M, Q, K = len(self.s.uts), len(sol.columns), len(chosen)
+        new = np.full(M + Q + M + 1, -1)
+        new[:M] = np.arange(M)
+        new[M + np.asarray(chosen)] = M + np.arange(K)
+        new[M + Q:] = M + K + np.arange(M + 1)
+        basic = new[sol.basis.basic]
+        if np.any(basic < 0):
+            return None
+        # the master bounds no column above, so none is complemented
+        return Basis(basic, np.zeros(M + K + M + 1, dtype=bool))
 
 
 def _greedy_insert(inst: SchedulingInstance, order: Sequence[int]) -> list[int]:
@@ -919,24 +955,31 @@ def _column_with_lighting(
 
 def _clique_cover(adjacency: np.ndarray) -> np.ndarray:
     """Greedy clique cover of all edges, deterministic by index order, as a
-    (cliques, L) boolean membership matrix."""
+    (cliques, L) boolean membership matrix. Each uncovered edge (i, j), in
+    row-major order, seeds a clique that then takes, in index order, every
+    vertex adjacent to all its members. Vertex sets are Python-int bitsets."""
     L = adjacency.shape[0]
-    covered = np.zeros_like(adjacency)
-    cliques: list[np.ndarray] = []
+    nbytes = (L + 7) // 8
+    packed = np.packbits(adjacency, axis=1, bitorder="little")
+    nbr = [int.from_bytes(row.tobytes(), "little") for row in packed]
+    covered = [0] * L  # covered[i]: the vertices j where edge (i, j) is covered
+    cliques: list[int] = []
     for i in range(L):
-        for j in range(i + 1, L):
-            if not adjacency[i, j] or covered[i, j]:
-                continue
-            clique = np.zeros(L, dtype=bool)
-            clique[[i, j]] = True
-            mask = adjacency[i] & adjacency[j]
-            mask[i] = mask[j] = False
-            for v in range(L):
-                if mask[v]:
-                    clique[v] = True
-                    mask &= adjacency[v]
-            members = np.nonzero(clique)[0]
-            covered[np.ix_(members, members)] = True
+        todo = nbr[i] >> (i + 1) << (i + 1)  # neighbours above i
+        while todo := todo & ~covered[i]:
+            j = (todo & -todo).bit_length() - 1
+            clique = 1 << i | 1 << j
+            mask = nbr[i] & nbr[j] & ~clique
+            while mask:
+                v = (mask & -mask).bit_length() - 1
+                clique |= 1 << v
+                mask = (mask & nbr[v]) >> (v + 1) << (v + 1)
+            members = clique
+            while members:
+                u = (members & -members).bit_length() - 1
+                covered[u] |= clique
+                members &= members - 1
             cliques.append(clique)
-    return np.array(cliques, dtype=bool).reshape(-1, L)
-
+    out = np.frombuffer(b"".join(c.to_bytes(nbytes, "little") for c in cliques),
+                        dtype=np.uint8).reshape(len(cliques), nbytes)
+    return np.unpackbits(out, axis=1, count=L, bitorder="little").astype(bool)

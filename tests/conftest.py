@@ -1,6 +1,16 @@
-"""Pytest plumbing: collect acceptance verdicts and print them after the run."""
+"""Pytest plumbing: one BLAS thread, and acceptance verdicts collected and
+printed after the run."""
 
-import pytest
+import os
+
+# one BLAS thread, as the benchmark runs (bench/run.py's pin_threads): tied
+# optima, and so some verdicts, follow the thread count. numpy reads these
+# when it is first imported, which is after this file; an explicit setting
+# in the environment still wins
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import pytest  # noqa: E402
 
 _VERDICTS: list[tuple[int, str]] = []
 

@@ -185,3 +185,45 @@ def ref_link_gain(ln):
         ln.receiver.area_m2, ln.receiver.fov_half_deg,
         ln.receiver.filter_gain, ln.receiver.lens_index,
     )
+
+
+# -- reference pricing rows -----------------------------------------------------
+
+def ref_clique_cover(adjacency):
+    """Greedy clique cover of all edges as a (cliques, L) boolean matrix, by
+    a plain scan: each uncovered edge (i, j) in row-major order seeds a
+    clique, which then takes, in index order, every vertex adjacent to all
+    its members."""
+    L = adjacency.shape[0]
+    covered = np.zeros_like(adjacency)
+    cliques = []
+    for i in range(L):
+        for j in range(i + 1, L):
+            if not adjacency[i, j] or covered[i, j]:
+                continue
+            clique = np.zeros(L, dtype=bool)
+            clique[[i, j]] = True
+            mask = adjacency[i] & adjacency[j]
+            mask[i] = mask[j] = False
+            for v in range(L):
+                if mask[v]:
+                    clique[v] = True
+                    mask &= adjacency[v]
+            members = np.nonzero(clique)[0]
+            covered[np.ix_(members, members)] = True
+            cliques.append(clique)
+    return np.array(cliques, dtype=bool).reshape(-1, L)
+
+
+def ref_static_pattern_rows(inst):
+    """The pricing MILP's rows over the links alone: the reference clique
+    cover's cliques, then the multiplicity caps, each (members, cap) with
+    two or more members and kept where it first occurs."""
+    cliques = ref_clique_cover(inst.graph.adjacency)
+    groups, caps = inst.cap_groups
+    a = np.vstack([cliques, groups]).astype(float)
+    b = np.concatenate([np.ones(len(cliques)), caps])
+    rows = np.nonzero(a.sum(1) >= 2)[0]
+    _, first = np.unique(np.column_stack([a, b])[rows], axis=0, return_index=True)
+    rows = rows[np.sort(first)]
+    return a[rows], b[rows]

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -59,6 +60,34 @@ def test_negative_inputs_rejected():
         protocol_capacity(BAND, GAMMA, -1e-5, 0.1, NOISE)
     with pytest.raises(ValueError):
         physical_capacity(BAND, GAMMA, 1e-5, 0.1, -1e-3, NOISE)
+
+
+def test_arrays_rate_each_element_as_a_scalar_call_would():
+    h = np.array([1e-6, 1.624e-5, 9.9e-5])
+    p_i = np.array([0.0, 1e-6, 3e-5])
+    got = physical_capacity(BAND, GAMMA, h, 0.1, p_i, NOISE)
+    assert got.shape == (3,)
+    for k in range(3):
+        want = physical_capacity(BAND, GAMMA, float(h[k]), 0.1, float(p_i[k]), NOISE)
+        assert abs(got[k] - want) <= 4e-16 * want
+
+
+@pytest.mark.parametrize("name, position, bad", [
+    ("bandwidth_hz", 0, -1.0),
+    ("responsivity", 1, 0.0),
+    ("gain", 2, -1e-5),
+    ("p_ac", 3, -0.1),
+    ("p_interference", 4, -1e-3),
+    ("noise_variance", 5, 0.0),
+])
+def test_a_bad_element_of_an_array_is_rejected(name, position, bad):
+    args = [np.array([BAND, BAND]), np.array([GAMMA, GAMMA]), np.array([1e-5, 2e-5]),
+            np.array([0.1, 0.2]), np.array([0.0, 1e-6]), np.array([NOISE, NOISE])]
+    physical_capacity(*args)  # every element fine
+    args[position] = args[position].copy()
+    args[position][1] = bad
+    with pytest.raises(ValueError, match=f"^{name}={bad}: must be"):
+        physical_capacity(*args)
 
 
 # -- interference aggregation ---------------------------------------------------

@@ -3,14 +3,16 @@
 import copy
 import csv
 import math
+import sys
 from dataclasses import asdict, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 import helpers
-from vlcopt import cg_scheduler, cli
+from vlcopt import baselines, cg_scheduler, cli
 from vlcopt import lp as lp_module
 from vlcopt.capacity import physical_capacity
 from vlcopt.cg_scheduler import (
@@ -21,6 +23,11 @@ from vlcopt.cg_scheduler import (
 )
 from vlcopt.conflict import ScheduleVector
 from vlcopt.scenario import default_config, scenario_from_dict
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+import checks  # noqa: E402
+import workloads  # noqa: E402
 
 # on-axis desk illuminance per optical W per unit efficacy, 70 degree chip
 # 2.2 m overhead (independently derived; also pinned in the optics tests)
@@ -271,6 +278,31 @@ def test_pricing_survives_a_warm_child_that_fails_its_check(monkeypatch):
     ref = helpers.full_pool_optimum(inst)
     assert sol.status is CgStatus.INFEASIBLE and not ref.feasible
     assert sol.z_upper == pytest.approx(ref.z_upper, rel=1e-9)
+
+
+def test_clique_cover_matches_the_plain_scan():
+    # the bitset cover against the reference loop on random graphs of every
+    # size and density, the empty and the complete graph among them
+    rng = np.random.default_rng(11)
+    for k in range(300):
+        L = int(rng.integers(1, 71))
+        density = (0.0, 1.0)[k] if k < 2 else float(rng.uniform())
+        upper = np.triu(rng.random((L, L)) < density, 1)
+        adjacency = upper | upper.T
+        got = cg_scheduler._clique_cover(adjacency)
+        assert got.dtype == bool
+        assert np.array_equal(got, helpers.ref_clique_cover(adjacency))
+
+
+@pytest.mark.parametrize("workload", ["sir_sweep", "office_dense"])
+def test_static_pricing_rows_match_the_reference(workload):
+    # both benchmark instances, at every threshold the sweep solves
+    s = scenario_from_dict(workloads.WORKLOADS[workload].config(seed=7))
+    for sir in range(1, 7):
+        inst = SchedulingInstance(s, sir)
+        a, b = inst._static_pattern_rows()
+        ref_a, ref_b = helpers.ref_static_pattern_rows(inst)
+        assert np.array_equal(a, ref_a) and np.array_equal(b, ref_b)
 
 
 # -- the generation loop --------------------------------------------------------------
@@ -1049,13 +1081,12 @@ def test_loose_gap_never_needs_more_iterations():
 
 def test_concurrent_rates_never_beat_scheduled_rates():
     inst = helpers.tiny_instance(n_uts=4, seed=7)
-    for combo in helpers.all_independent_sets(inst):
-        try:
-            col = inst.build_column(combo)
-        except IlluminationInfeasible:
-            continue
-        real = inst.physical_rates(col)
+    cols = helpers.full_pool(inst)
+    reals = inst.physical_rates(cols)
+    assert len(reals) == len(cols)
+    for col, real in zip(cols, reals):
         assert real.schedule == col.schedule
+        assert real.dc_power == col.dc_power
         for a, b in zip(real.rate_per_ut, col.rate_per_ut):
             assert a <= b + 1e-9
         for lr in real.link_rates:
@@ -1069,9 +1100,10 @@ def test_validation_rates_match_reference_interference():
     # beams make the gains one-way: j's beam at i differs from i's at j)
     inst = helpers.tiny_instance(n_uts=3, seed=4, channels=2, sir=1.0, kind="b")
     c = inst.s.constants
-    for combo in helpers.all_independent_sets(inst):
-        col = inst.build_column(combo, dc=np.zeros(len(inst.dc_txs)))
-        for lr in inst.physical_rates(col).link_rates:
+    combos = helpers.all_independent_sets(inst)
+    cols = [inst.build_column(combo, dc=np.zeros(len(inst.dc_txs))) for combo in combos]
+    for combo, real in zip(combos, inst.physical_rates(cols)):
+        for lr in real.link_rates:
             ln = inst.links[lr.link_index]
             p_i = sum(
                 helpers.ref_channel_gain(
@@ -1085,6 +1117,33 @@ def test_validation_rates_match_reference_interference():
             assert lr.capacity_physical == pytest.approx(want, rel=1e-9)
 
 
+def test_batched_rates_match_per_link_scalar_calls():
+    # one batched pass against one scalar `physical_capacity` call per link,
+    # on every pattern of the criterion-1 tiny corpus and of 5 W beams, at
+    # the default threshold. The batch sums each link's interference in an
+    # order of its own, so the two agree to round-off (here bit for bit)
+    docs = [helpers.tiny_config(n_uts=n, seed=seed, channels=ch)
+            for seed in range(1, 9) for n, ch in ((2, 1), (3, 1), (4, 2))]
+    for doc in docs + [helpers.bright_beam_config()]:
+        inst = SchedulingInstance(scenario_from_dict(doc), 3.0)
+        c = inst.s.constants
+        cols = [inst.build_column(combo, dc=np.zeros(len(inst.dc_txs)))
+                for combo in [()] + helpers.all_independent_sets(inst)]
+        for col, real in zip(cols, inst.physical_rates(cols)):
+            active = col.schedule.active
+            assert [lr.link_index for lr in real.link_rates] == list(active)
+            rate = np.zeros(len(inst.s.uts))
+            for i, lr in zip(active, real.link_rates):
+                ln = inst.links[i]
+                p_i = sum(inst._h_cross[i, j] * inst.p_ac_pp[j] for j in active)
+                want = physical_capacity(ln.bandwidth_hz, c.responsivity, ln.gain,
+                                         ln.p_ac_pp, p_i, c.noise_variance)
+                assert lr.capacity_protocol == inst.cap[i]
+                assert abs(lr.capacity_physical - want) <= 4e-16 * want
+                rate[ln.ut_index] += want
+            np.testing.assert_allclose(real.rate_per_ut, rate, rtol=4e-16, atol=0.0)
+
+
 def test_interference_strictly_slows_a_shared_channel():
     # two terminals one cell apart hear each other, yet pass a loose threshold
     doc = helpers.pinned_config([(1.0, 1.0), (2.0, 1.0)],
@@ -1096,7 +1155,7 @@ def test_interference_strictly_slows_a_shared_channel():
     assert pair in helpers.all_independent_sets(inst)
     assert inst._h_cross[0, 1] > 0.0
     col = inst.build_column(pair)
-    real = inst.physical_rates(col)
+    (real,) = inst.physical_rates([col])
     assert sum(real.rate_per_ut) < sum(col.rate_per_ut)
 
 
@@ -1122,32 +1181,127 @@ def test_validation_reprices_only_scheduled_columns():
 
 
 
-def test_validation_starts_its_master_cold(monkeypatch):
-    # the validation master's columns are not the pool's, and a later call's
-    # first master has only the initial pool: neither extends a held master
-    inst = helpers.tiny_instance(n_uts=4, seed=7)
-    sol = inst.column_generation(epsilon=0.0)
-    warm, inside = [], [False]
-    solve_lp, solve_rmp = cg_scheduler.solve_lp, SchedulingInstance.solve_rmp
+def _record_masters(monkeypatch):
+    """(inside `reality_check`?, program, held basis, solution) of every
+    restricted master LP, appended as they are solved."""
+    masters, inside = [], set()
+    solve_lp = cg_scheduler.solve_lp
 
     def recording_lp(p, _warm=None):
-        if inside[0]:
-            warm.append(_warm)
-        return solve_lp(p, _warm=_warm)
+        sol = solve_lp(p, _warm=_warm)
+        if "solve_rmp" in inside:
+            masters.append(("reality_check" in inside, p, _warm, sol))
+        return sol
 
-    def master(self, *args):
-        inside[0] = True
-        try:
-            return solve_rmp(self, *args)
-        finally:
-            inside[0] = False
+    def entered(name):
+        method = getattr(SchedulingInstance, name)
+
+        def wrapped(self, *args):
+            inside.add(name)
+            try:
+                return method(self, *args)
+            finally:
+                inside.discard(name)
+
+        monkeypatch.setattr(SchedulingInstance, name, wrapped)
 
     monkeypatch.setattr(cg_scheduler, "solve_lp", recording_lp)
-    monkeypatch.setattr(SchedulingInstance, "solve_rmp", master)
+    entered("reality_check")
+    entered("solve_rmp")
+    return masters
+
+
+def _validation_masters(masters):
+    return [m[1:] for m in masters if m[0]]
+
+
+def test_validation_starts_from_the_protocol_basis(monkeypatch):
+    # only the rates of the scheduled columns differ from the protocol
+    # master's, so its final basis moves onto them by position; a heuristic's
+    # schedule has no basis, and a basis with a dropped pattern basic does
+    # not move: both start cold, as does a later call's first master
+    masters = _record_masters(monkeypatch)
+    inst = SchedulingInstance(scenario_from_dict(default_config(seed=2)), 3.0)
+    sol = inst.column_generation(epsilon=0.0)
+    masters.clear()
+    M, Q = len(inst.s.uts), len(sol.columns)
+    chosen = [q for q in range(Q) if sol.omega[q] > cg_scheduler._OMEGA_TOL]
+    assert 0 < len(chosen) < Q  # some patterns are dropped
+
+    def moved(j):
+        if j < M:
+            return j  # a shortfall column
+        if j < M + Q:
+            return M + chosen.index(j - M)  # a scheduled pattern
+        return j - (Q - len(chosen))  # a slack
+
     real = inst.reality_check(sol)
-    assert real.columns and warm == [None]
+    ((p, held, warm),) = _validation_masters(masters)
+    assert held.basic.tolist() == [moved(j) for j in sol.basis.basic.tolist()]
+    assert held.complemented.shape == (M + len(chosen) + M + 1,)
+    assert not held.complemented.any()
+
+    # the warm answer is the cold one, and HiGHS's
+    assert warm.objective == pytest.approx(lp_module.solve_lp(p).objective, rel=1e-9)
+    cold = inst.solve_rmp(real.columns)
+    assert real.z_upper == pytest.approx(cold.z_upper, rel=1e-9)
+    assert real.feasible == cold.feasible
+    highs = checks.highs_master_net(real.columns, inst.demands, sol.p_illumi_min)
+    assert real.z_upper - sol.p_illumi_min == pytest.approx(highs, rel=1e-7, abs=1e-7)
+
+    # a basis with a dropped pattern basic, as when a basic pattern sits at
+    # zero (here a basic pattern's share is zeroed)
+    q = next(j - M for j in sol.basis.basic.tolist() if M <= j < M + Q)
+    omega = sol.omega.copy()
+    omega[q] = 0.0
+    masters.clear()
+    inst.reality_check(replace(sol, omega=omega))
+    assert [held for _, held, _ in _validation_masters(masters)] == [None]
+
+    # a schedule of no pattern: the master prices the idle pattern alone
+    masters.clear()
+    idle = inst.reality_check(replace(sol, omega=np.zeros_like(sol.omega)))
+    assert [col.schedule.active for col in idle.columns] == [()]
+    assert [held for _, held, _ in _validation_masters(masters)] == [None]
+
+    # a heuristic's schedule
+    masters.clear()
+    vico = baselines.vico_random_schedule(inst.s, seed=1, instance=inst)
+    assert vico.columns and [held for _, held, _ in _validation_masters(masters)] == [None]
+
+    # a later call's first master has only the initial pool: it holds no basis
+    masters.clear()
     again = inst.column_generation(epsilon=0.0)
-    assert len(warm) == 1 + again.iterations and warm[1] is None
+    assert len(masters) == again.iterations and masters[0][2] is None
+
+
+@pytest.mark.parametrize("doc, sir", [
+    (helpers.bright_beam_config(), 3.0),
+    (helpers.bright_beam_config(), 6.0),
+    (default_config(seed=4), 2.0),
+])
+def test_warm_validation_matches_a_cold_solve(doc, sir):
+    inst = SchedulingInstance(scenario_from_dict(doc), sir)
+    sol = inst.column_generation(epsilon=0.0)
+    real = inst.reality_check(sol)
+    cold = inst.solve_rmp(real.columns)
+    assert real.z_upper == pytest.approx(cold.z_upper, rel=1e-9)
+    assert real.feasible == cold.feasible
+    highs = checks.highs_master_net(real.columns, inst.demands, sol.p_illumi_min)
+    assert real.z_upper - sol.p_illumi_min == pytest.approx(highs, rel=1e-7, abs=1e-7)
+
+
+def test_sweep_validations_take_fewer_pivots_than_cold_ones(monkeypatch):
+    masters = _record_masters(monkeypatch)
+    cli.sweep_sir(scenario_from_dict(default_config(seed=7)), range(1, 7), epsilon=0.0)
+    masters = _validation_masters(masters)
+    assert len(masters) == 6 and all(held is not None for _, held, _ in masters)
+    colds = [lp_module.solve_lp(p) for p, _, _ in masters]
+    for (_, _, warm), cold in zip(masters, colds):
+        assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
+    assert (sum(warm.iterations for _, _, warm in masters)
+            < sum(cold.iterations for cold in colds))
+
 
 # -- artifacts ------------------------------------------------------------------------
 
