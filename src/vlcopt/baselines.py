@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -29,10 +29,10 @@ from .cg_scheduler import (
     IterationRecord,
     SchedulingInstance,
     _SHORTFALL_TOL_BPS,
+    _bitsets,
     _column_with_lighting,
     _greedy_insert,
 )
-from .lp import Basis, LinearProgram, LpStatus, MixedIntegerProgram, solve_milp
 from .scenario import Scenario
 
 
@@ -171,6 +171,95 @@ def vico_random_schedule(
 # -- max-weight independent-set scheduling ------------------------------------
 
 
+class _MaxWeightSearch:
+    """Exact maximum-weight independent set of a conflict graph under cap
+    groups, by branch and bound on Python-int bitsets: Carraghan & Pardalos
+    (1990) with the weighted colouring bound of Östergård (2002) and
+    Tomita's branching order, read on the complement graph.
+
+    Built once per graph, from caps of at least 1 as `cap_groups` gives
+    them. Each link's neighbour bitset joins its conflict edges with the
+    co-members of every cap-1 group, so those groups are pairwise
+    conflicts; a group of cap 2 or more stays a counter.
+
+    At each node the candidates are partitioned greedily, in link-index
+    order, into conflict cliques; no independent set takes two links of one
+    clique, so the heaviest weight per clique, summed over the cliques up to
+    a candidate, bounds every set the search can still grow from the
+    candidates up to it. Candidates are branched on in reverse partition
+    order, and a branch whose bound cannot beat the incumbent ends the node.
+    """
+
+    def __init__(self, adjacency: np.ndarray, groups: np.ndarray, caps: np.ndarray):
+        self.nbr = _bitsets(adjacency)
+        self.counted: list[tuple[int, int]] = []  # (members, cap) of caps >= 2
+        self.counters_of: list[list[int]] = [[] for _ in self.nbr]
+        for members, cap in zip(_bitsets(groups), caps.astype(int).tolist()):
+            if cap >= 2:
+                self.counted.append((members, cap))
+            rest = members
+            while rest:
+                low = rest & -rest
+                v = low.bit_length() - 1
+                rest ^= low
+                if cap == 1:
+                    self.nbr[v] |= members ^ low
+                else:
+                    self.counters_of[v].append(len(self.counted) - 1)
+
+    def heaviest(self, candidates: Sequence[int], weights: Sequence[float]) -> list[int]:
+        """The heaviest independent set among `candidates`, in link order,
+        where weights[i] > 0 is link i's weight.
+
+        Tie rule: with tol = 1e-12 times the candidates' total weight, the
+        incumbent gives way only to a set heavier by more than tol, and the
+        search order is fixed by link index, so the answer depends on the
+        graph, the caps and the weights alone. It weighs at least the
+        optimum less tol.
+        """
+        nbr, counted, counters_of = self.nbr, self.counted, self.counters_of
+        used = [0] * len(counted)
+        tol = 1e-12 * sum(weights[i] for i in candidates)
+        start = 0
+        for i in candidates:
+            start |= 1 << i
+        best_weight, best = 0.0, 0
+
+        def expand(chosen: int, weight: float, pool: int) -> None:
+            nonlocal best_weight, best
+            if weight > best_weight + tol:
+                best_weight, best = weight, chosen
+            order: list[tuple[int, float]] = []  # (link, bound up to it)
+            total = 0.0
+            rest = pool
+            while rest:  # one conflict clique per pass, lowest link first
+                avail, top = rest, 0.0
+                while avail:
+                    low = avail & -avail
+                    v = low.bit_length() - 1
+                    rest ^= low
+                    avail &= nbr[v]
+                    if weights[v] > top:
+                        top = weights[v]
+                    order.append((v, total + top))
+                total += top
+            for v, bound in reversed(order):
+                if weight + bound <= best_weight + tol:
+                    return
+                pool ^= 1 << v
+                child = pool & ~nbr[v]
+                for g in counters_of[v]:
+                    used[g] += 1
+                    if used[g] >= counted[g][1]:
+                        child &= ~counted[g][0]
+                expand(chosen | 1 << v, weight + weights[v], child)
+                for g in counters_of[v]:
+                    used[g] -= 1
+
+        expand(0, 0.0, start)
+        return [v for v in range(best.bit_length()) if best >> v & 1]
+
+
 def mwis_schedule(
     s: Scenario,
     sir_threshold: float = 3.0,
@@ -178,31 +267,21 @@ def mwis_schedule(
 ) -> BaselineSolution:
     """Schedule the independent set maximizing total remaining demand.
 
-    Weights are the still-unserved bits of each link's terminal; the set is
-    found exactly by branch and bound over the conflict and multiplicity
-    rows. Served terminals drop out and the process repeats.
+    Weights are the still-unserved bits of each link's terminal. Each round's
+    set is found exactly by `_MaxWeightSearch`, a branch and bound on bitsets
+    over the conflict graph and the cap groups, built once per call. Ties
+    are settled by its rule: a set replaces the incumbent only when heavier
+    by more than 1e-12 of the candidates' total weight, and the search order
+    is fixed by link index, so the schedule depends on the graph, the caps
+    and the demands alone. Served terminals drop out and the process
+    repeats.
     """
     inst = instance if instance is not None else SchedulingInstance(
         s, sir_threshold=sir_threshold)
-    L = len(inst.links)
-    a, b = inst._static_pattern_rows()
-    # each round's MILP differs from the last only in costs and upper bounds,
-    # so its root starts from the last root's basis
-    held: Optional[Basis] = None
+    search = _MaxWeightSearch(inst._require_graph().adjacency, *inst.cap_groups)
 
     def pick(candidates: np.ndarray, remaining: np.ndarray) -> list[int]:
-        nonlocal held
-        c = np.zeros(L)
-        ub = np.zeros(L)
-        c[candidates] = -remaining[inst.ut_of_link[candidates]]
-        ub[candidates] = 1.0
-        lp = LinearProgram(c=c, a=a, rel=("<=",) * len(b), b=b, ub=ub)
-        res = solve_milp(MixedIntegerProgram(lp, np.ones(L, dtype=bool)), _warm=held)
-        if res.root is not None:
-            held = res.root.basis
-        if res.status != LpStatus.OPTIMAL or res.x is None:
-            return []
-        # links outside `candidates` have upper bound 0, so none is chosen
-        return np.nonzero(res.x > 0.5)[0].tolist()
+        weights = remaining[inst.ut_of_link].tolist()
+        return search.heaviest(candidates.tolist(), weights)
 
     return _run_rounds(inst, "mwis", pick, include_illum=True)

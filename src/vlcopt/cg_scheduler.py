@@ -953,6 +953,13 @@ def _column_with_lighting(
             members.pop()
 
 
+def _bitsets(rows: np.ndarray) -> list[int]:
+    """Each row of a boolean (R, L) matrix as a Python-int bitset: bit j of
+    entry r is set when rows[r, j] is."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
 def _clique_cover(adjacency: np.ndarray) -> np.ndarray:
     """Greedy clique cover of all edges, deterministic by index order, as a
     (cliques, L) boolean membership matrix. Each uncovered edge (i, j), in
@@ -960,8 +967,7 @@ def _clique_cover(adjacency: np.ndarray) -> np.ndarray:
     vertex adjacent to all its members. Vertex sets are Python-int bitsets."""
     L = adjacency.shape[0]
     nbytes = (L + 7) // 8
-    packed = np.packbits(adjacency, axis=1, bitorder="little")
-    nbr = [int.from_bytes(row.tobytes(), "little") for row in packed]
+    nbr = _bitsets(adjacency)
     covered = [0] * L  # covered[i]: the vertices j where edge (i, j) is covered
     cliques: list[int] = []
     for i in range(L):

@@ -29,6 +29,7 @@ from . import __version__, cg_scheduler, lp
 from .baselines import mwis_schedule, vico_random_schedule
 from .cg_scheduler import (
     CgSolution,
+    CgStatus,
     IlluminationInfeasible,
     IterationRecord,
     SchedulingInstance,
@@ -366,11 +367,14 @@ def _summarize(rows: list[dict], algos: list[str], values: list) -> list[dict]:
                 continue
             real = [r["reality_power_w"] for r in cell if r["reality_feasible"]]
             proto = [r["protocol_power_w"] for r in cell if r["protocol_feasible"]]
+            gaps = [r["net_gap"] for r in cell if not math.isnan(r["net_gap"])]
             summary.append({
                 "axis_value": value,
                 "algorithm": algo,
                 "n_seeds": len(cell),
                 "n_reality_feasible": len(real),
+                "n_optimal": sum(r["status"] == CgStatus.OPTIMAL.value for r in cell),
+                "worst_net_gap": max(gaps) if gaps else math.nan,
                 "mean_protocol_power_w": float(np.mean(proto)) if proto else math.nan,
                 "mean_reality_power_w": float(np.mean(real)) if real else math.nan,
             })

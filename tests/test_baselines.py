@@ -1,13 +1,23 @@
 """Heuristic schedulers measured against the exact solver's guarantees."""
 
+import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import helpers
+import vlcopt
+from vlcopt import baselines
 from vlcopt.baselines import mwis_schedule, vico_random_schedule
 from vlcopt.cg_scheduler import CgStatus, SchedulingInstance
 from vlcopt.conflict import is_independent
-from vlcopt.scenario import scenario_from_dict
+from vlcopt.lp import LinearProgram, LpStatus, MixedIntegerProgram, solve_milp
+from vlcopt.scenario import default_config, scenario_from_dict
 
 
 def _scenario(**kw):
@@ -115,3 +125,120 @@ def test_solution_carries_both_stages():
     assert sol.stage == "reality"
     assert sol.protocol.stage == "protocol"
     assert mwis_schedule(s).algorithm == "mwis"
+
+
+# -- the max-weight search ----------------------------------------------------
+
+
+def _random_problem(rng):
+    """A random conflict graph of 4-14 links with random cap groups, caps 1-3
+    among them, and random positive weights (repeated values in about half
+    the draws, so that ties occur)."""
+    n = int(rng.integers(4, 15))
+    upper = np.triu(rng.random((n, n)) < rng.uniform(0.05, 0.5), k=1)
+    adjacency = upper | upper.T
+    groups = rng.random((int(rng.integers(0, 6)), n)) < 0.4
+    caps = rng.integers(1, 4, size=len(groups)).astype(float)
+    if rng.random() < 0.5:
+        weights = rng.integers(1, 4, size=n) * 1e7
+    else:
+        weights = rng.uniform(1e6, 1e8, size=n)
+    return adjacency, groups, caps, weights.tolist()
+
+
+def _milp_optimum(adjacency, groups, caps, weights, candidates):
+    """The heaviest set's weight by `solve_milp`: one row per conflict edge
+    and one per cap group, links outside `candidates` bounded at 0."""
+    n = len(weights)
+    edges = np.argwhere(np.triu(adjacency, k=1))
+    a = np.zeros((len(edges), n))
+    a[np.arange(len(edges)), edges[:, 0]] = 1.0
+    a[np.arange(len(edges)), edges[:, 1]] = 1.0
+    a = np.vstack([a, groups.astype(float)])
+    b = np.concatenate([np.ones(len(edges)), caps])
+    ub = np.zeros(n)
+    ub[candidates] = 1.0
+    lp = LinearProgram(c=-np.asarray(weights), a=a, rel=("<=",) * len(b), b=b, ub=ub)
+    res = solve_milp(MixedIntegerProgram(lp, np.ones(n, dtype=bool)))
+    assert res.status is LpStatus.OPTIMAL
+    return -res.objective
+
+
+def test_max_weight_search_matches_the_milp_on_random_graphs():
+    rng = np.random.default_rng(2015)
+    for k in range(300):
+        adjacency, groups, caps, weights = _random_problem(rng)
+        n = len(weights)
+        candidates = np.flatnonzero(rng.random(n) < 0.85).tolist()
+        got = baselines._MaxWeightSearch(adjacency, groups, caps).heaviest(
+            candidates, weights)
+        assert set(got) <= set(candidates), k
+        assert not adjacency[np.ix_(got, got)].any(), k
+        assert np.all(groups[:, got].sum(axis=1) <= caps), k
+        best = _milp_optimum(adjacency, groups, caps, weights, candidates)
+        assert sum(weights[i] for i in got) == pytest.approx(best, rel=1e-9, abs=0.0), k
+
+
+def test_max_weight_search_matches_brute_force_on_the_tiny_corpus():
+    # the criterion-1 corpus shapes: 2x2 luminaire grid, 2-4 terminals
+    rng = np.random.default_rng(7)
+    for seed, (n_uts, channels) in itertools.product(range(1, 9),
+                                                     ((2, 1), (3, 1), (4, 2))):
+        inst = helpers.tiny_instance(n_uts=n_uts, seed=seed, channels=channels)
+        weights = rng.uniform(1e6, 1e8, size=len(inst.links)).tolist()
+        best = max(sum(weights[i] for i in combo)
+                   for combo in helpers.all_independent_sets(inst))
+        search = baselines._MaxWeightSearch(inst.graph.adjacency, *inst.cap_groups)
+        got = search.heaviest(list(range(len(inst.links))), weights)
+        assert helpers.all_independent_sets(inst).count(tuple(got)) == 1
+        assert sum(weights[i] for i in got) == pytest.approx(best, rel=1e-12), seed
+
+
+def test_near_tied_sets_follow_the_search_order_not_the_last_digits():
+    # link 1 is branched on first, and link 0 outweighs it by less than tol
+    adjacency = np.array([[False, True], [True, False]])
+    search = baselines._MaxWeightSearch(adjacency, np.zeros((0, 2), dtype=bool),
+                                        np.zeros(0))
+    for weights in ([1.0, 1.0], [1.0 + 1e-14, 1.0], [1.0, 1.0 + 1e-14]):
+        assert search.heaviest([0, 1], weights) == [1]
+    assert search.heaviest([0, 1], [1.0 + 1e-9, 1.0]) == [0]
+
+
+def test_max_weight_rounds_ignore_last_ulp_changes_to_the_weights(monkeypatch):
+    rounds = []
+    heaviest = baselines._MaxWeightSearch.heaviest
+
+    def record(self, candidates, weights):
+        got = heaviest(self, candidates, weights)
+        rounds.append((self, candidates, weights, got))
+        return got
+
+    monkeypatch.setattr(baselines._MaxWeightSearch, "heaviest", record)
+    mwis_schedule(scenario_from_dict(default_config(seed=7)))
+    assert len(rounds) >= 2
+    for search, candidates, weights, got in rounds:
+        scaled = [w * (1.0 + 1e-15) for w in weights]
+        assert heaviest(search, candidates, scaled) == got
+
+
+_SCHEDULE_UNDER_THREADS = """
+import json
+from vlcopt.baselines import mwis_schedule
+from vlcopt.scenario import default_config, scenario_from_dict
+sol = mwis_schedule(scenario_from_dict(default_config(seed=7)))
+print(json.dumps({"active": [list(c.schedule.active) for c in sol.protocol.columns],
+                  "net_w": repr(sol.z_upper - sol.p_illumi_min),
+                  "protocol_net_w": repr(sol.protocol.z_upper - sol.p_illumi_min)}))
+"""
+
+
+def test_max_weight_schedule_is_the_same_under_one_and_two_blas_threads():
+    src = str(Path(vlcopt.__file__).resolve().parents[1])
+    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
+        out = subprocess.run([sys.executable, "-c", _SCHEDULE_UNDER_THREADS], env=env,
+                             capture_output=True, text=True, timeout=300, check=True)
+        runs.append(json.loads(out.stdout))
+    assert runs[0] == runs[1]

@@ -188,6 +188,19 @@ def test_compare_grid_of_rows_and_summary(tmp_path):
     assert len(summary) == 2 * 3
     assert all(r["n_seeds"] == "2" for r in summary)
 
+    # per cell: rows whose status is optimal, and the worst certified net gap
+    for r in summary:
+        cell = [row for row in rows if (row["algorithm"], row["axis_value"])
+                == (r["algorithm"], r["axis_value"])]
+        assert int(r["n_optimal"]) == sum(row["status"] == "optimal" for row in cell)
+        gaps = [float(row["net_gap"]) for row in cell]
+        if r["algorithm"] == "cg":
+            assert float(r["worst_net_gap"]) == max(gaps) >= 0.0
+        else:
+            assert all(math.isnan(g) for g in gaps)
+            assert math.isnan(float(r["worst_net_gap"]))
+    assert sum(int(r["n_optimal"]) for r in summary if r["algorithm"] == "cg") == 4
+
     # the exact solver can never report more protocol power than a heuristic
     for value in ("2", "3"):
         for seed in ("1", "2"):
