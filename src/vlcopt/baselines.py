@@ -44,13 +44,11 @@ class BaselineSolution(CgSolution):
     frame ran out); there is no optimality or bound certificate.
     """
 
-    algorithm: str = ""
     protocol: Optional[CgSolution] = None
 
 
 def _finish(
     inst: SchedulingInstance,
-    algorithm: str,
     columns: list[IndependentSetColumn],
     taus: list[float],
     remaining: np.ndarray,
@@ -59,12 +57,13 @@ def _finish(
     include_illum: bool,
 ) -> BaselineSolution:
     p0_elec, dc_min = inst.min_illumination_power()
+    if not include_illum:
+        dc_min = np.zeros_like(dc_min)  # idle time stays dark
     met = float(np.sum(remaining)) <= _SHORTFALL_TOL_BPS
     omega = np.array(taus)
     idle = max(0.0, 1.0 - float(omega.sum()))
-    idle_power = p0_elec if include_illum else 0.0
     z_upper = float(sum(t * c.electrical_total for t, c in zip(taus, columns))
-                    + idle * idle_power)
+                    + idle * inst._dc_electrical(dc_min))
     proto = CgSolution(
         stage="protocol",
         status=CgStatus.OPTIMAL if met else CgStatus.INFEASIBLE,
@@ -83,12 +82,11 @@ def _finish(
         wall_ms=(time.monotonic() - t_start) * 1e3,
     )
     real = inst.reality_check(proto)
-    return BaselineSolution(algorithm=algorithm, protocol=proto, **vars(real))
+    return BaselineSolution(protocol=proto, **vars(real))
 
 
 def _run_rounds(
     inst: SchedulingInstance,
-    algorithm: str,
     pick_set,
     include_illum: bool,
 ) -> BaselineSolution:
@@ -116,7 +114,7 @@ def _run_rounds(
             break
         column = _column_with_lighting(inst, members, include_illum)
         if column is None:
-            break  # even a single beam cannot be lit around
+            break  # the set was shed to nothing: not one member can be lit around
         members = list(column.schedule.active)
         tau = max(remaining[inst.ut_of_link[i]] / inst.cap[i] for i in members)
         tau = min(tau, budget)
@@ -135,8 +133,7 @@ def _run_rounds(
     if not columns:
         columns = [_column_with_lighting(inst, [], include_illum)]
         taus = [0.0]
-    return _finish(inst, algorithm, columns, taus, remaining, log,
-                   t_start, include_illum)
+    return _finish(inst, columns, taus, remaining, log, t_start, include_illum)
 
 
 # -- random maximal-set scheduling -------------------------------------------
@@ -154,8 +151,9 @@ def vico_random_schedule(
     Each round permutes the links of still-unserved terminals uniformly at
     random, grows a maximal independent set greedily in that order, and runs
     it until its slowest member finishes. With include_illum False the
-    lighting optimization is skipped entirely (bias currents stay at zero),
-    reproducing the comparison scheme that ignores lighting requirements.
+    lighting optimization is skipped entirely (bias currents stay at zero,
+    idle time too, through validation), reproducing the comparison scheme
+    that ignores lighting requirements.
     """
     inst = instance if instance is not None else SchedulingInstance(
         s, sir_threshold=sir_threshold)
@@ -165,7 +163,7 @@ def vico_random_schedule(
         order = candidates[rng.permutation(candidates.size)]
         return _greedy_insert(inst, order.tolist())
 
-    return _run_rounds(inst, "vico", pick, include_illum)
+    return _run_rounds(inst, pick, include_illum)
 
 
 # -- max-weight independent-set scheduling ------------------------------------
@@ -284,4 +282,4 @@ def mwis_schedule(
         weights = remaining[inst.ut_of_link].tolist()
         return search.heaviest(candidates.tolist(), weights)
 
-    return _run_rounds(inst, "mwis", pick, include_illum=True)
+    return _run_rounds(inst, pick, include_illum=True)

@@ -9,21 +9,11 @@ rates every scheduled link with one call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
 Real = Union[float, np.ndarray]
-
-
-@dataclass(frozen=True)
-class LinkRate:
-    """Rates attached to one link: scheduling-time and validated."""
-
-    link_index: int
-    capacity_protocol: float
-    capacity_physical: Optional[float] = None
 
 
 def _check_common(bandwidth_hz: float, responsivity: float, gain: float,

@@ -91,7 +91,7 @@ from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 import numpy as np
 
-from .capacity import LinkRate, physical_capacity
+from .capacity import physical_capacity
 from .conflict import (
     ConflictGraph,
     ScheduleVector,
@@ -148,18 +148,14 @@ class CgError(RuntimeError):
 
 @dataclass(frozen=True)
 class IndependentSetColumn:
-    """One activation pattern with its optimal lighting state and rates."""
+    """One activation pattern with its lighting state, and the two numbers
+    the master reads from it: the electrical power the state draws and the
+    rate it gives each terminal."""
 
     schedule: ScheduleVector
     dc_power: tuple[float, ...]          # optical W per lighting-capable chip
-    p_ac_electrical: float               # W, sum over active links
-    p_dc_electrical: float               # W, lighting converters included
+    electrical_total: float              # W: active data beams plus lighting converters
     rate_per_ut: tuple[float, ...]       # bit/s delivered to each terminal
-    link_rates: tuple[LinkRate, ...]
-
-    @property
-    def electrical_total(self) -> float:
-        return self.p_ac_electrical + self.p_dc_electrical
 
 
 @dataclass(frozen=True)
@@ -196,7 +192,7 @@ class CgSolution:
     z_upper: float
     z_lower: float
     p_illumi_min: float        # electrical W of the lighting-only state
-    dc_min: tuple[float, ...]  # optical W per lighting chip, lighting-only state
+    dc_min: tuple[float, ...]  # optical W per lighting chip when idle; zeros if left dark
     epsilon: Optional[float]
     sir_threshold: Optional[float]
     lambda_bps: tuple[float, ...]
@@ -350,7 +346,11 @@ class SchedulingInstance:
         """Cheapest lighting-only state: (electrical W, optical W per chip)."""
         if self._floor is None:
             self._solve_dc(())
-        return float(np.sum(self._floor.dc / self.dc_eta)), self._floor.dc
+        return self._dc_electrical(self._floor.dc), self._floor.dc
+
+    def _dc_electrical(self, dc: Sequence[float]) -> float:
+        """Electrical W the lighting chips draw at optical powers `dc`."""
+        return float(np.sum(np.asarray(dc) / self.dc_eta))
 
     def optimize_dc_for_schedule(self, active: Sequence[int]) -> np.ndarray:
         """Optimal lighting currents (optical W per chip) alongside a pattern."""
@@ -528,17 +528,14 @@ class SchedulingInstance:
         if dc is None:
             dc = self._solve_dc(active)
         rate = np.zeros(len(self.s.uts))
-        link_rates = []
         for i in active:
             rate[self.ut_of_link[i]] += self.cap[i]
-            link_rates.append(LinkRate(i, float(self.cap[i])))
+        p_ac = float(np.sum(self.p_ac_elec[list(active)])) if active else 0.0
         return IndependentSetColumn(
             schedule=ScheduleVector(active),
             dc_power=tuple(float(v) for v in dc),
-            p_ac_electrical=float(np.sum(self.p_ac_elec[list(active)])) if active else 0.0,
-            p_dc_electrical=float(np.sum(dc / self.dc_eta)),
+            electrical_total=p_ac + self._dc_electrical(dc),
             rate_per_ut=tuple(float(v) for v in rate),
-            link_rates=tuple(link_rates),
         )
 
     def initial_columns(self) -> list[IndependentSetColumn]:
@@ -577,18 +574,21 @@ class SchedulingInstance:
     # -- restricted master ----------------------------------------------------
 
     def solve_rmp(self, columns: Sequence[IndependentSetColumn],
-                  held: Optional[Basis] = None) -> RmpResult:
+                  held: Optional[Basis] = None,
+                  idle_w: Optional[float] = None) -> RmpResult:
         """The restricted master over `columns`, starting from `held` when
         given: the final basis of the master over a prefix of `columns`, or
-        one moved onto them (`_validation_start`)."""
-        p0_elec, _ = self.min_illumination_power()
+        one moved onto them (`_validation_start`). Frame time left idle
+        draws `idle_w` electrical W, by default the lighting floor's."""
+        if idle_w is None:
+            idle_w, _ = self.min_illumination_power()
         M = len(self.s.uts)
         Q = len(columns)
         # one shortfall column per terminal, then omega: patterns appended
         # since the held master enter its basis nonbasic at zero, which keeps
         # it primal feasible
         c = np.concatenate([np.full(M, SHORTFALL_COST),
-                            [col.electrical_total - p0_elec for col in columns]])
+                            [col.electrical_total - idle_w for col in columns]])
         a = np.zeros((M + 1, M + Q))
         a[:M, :M] = np.eye(M)
         a[:M, M:] = np.reshape([col.rate_per_ut for col in columns], (Q, M)).T / RATE_SCALE
@@ -602,7 +602,7 @@ class SchedulingInstance:
         shortfall = np.maximum(sol.x[:M], 0.0) * RATE_SCALE
         lam = np.maximum(sol.duals[:M], 0.0) / RATE_SCALE
         mu = min(float(sol.duals[M]), 0.0)
-        z_upper = float(sol.objective) + p0_elec
+        z_upper = float(sol.objective) + idle_w
         return RmpResult(omega, z_upper, lam, mu, shortfall, sol.basis)
 
     # -- pricing --------------------------------------------------------------
@@ -868,11 +868,8 @@ class SchedulingInstance:
                                 self.p_ac_pp[i], p_interference[q, i], c.noise_variance)
         rate = np.zeros((len(columns), len(self.s.uts)))
         np.add.at(rate, (q, self.ut_of_link[i]), cap)
-        link_rates = [LinkRate(*r) for r in zip(i.tolist(), self.cap[i].tolist(), cap.tolist())]
-        starts = np.cumsum([0] + [len(col.schedule.active) for col in columns]).tolist()
-        return tuple(
-            replace(col, rate_per_ut=tuple(row), link_rates=tuple(link_rates[a:b]))
-            for col, row, a, b in zip(columns, rate.tolist(), starts, starts[1:]))
+        return tuple(replace(col, rate_per_ut=tuple(row))
+                     for col, row in zip(columns, rate.tolist()))
 
     def reality_check(self, sol: CgSolution) -> CgSolution:
         """Re-optimize time shares over the scheduled columns at the rates they
@@ -881,12 +878,14 @@ class SchedulingInstance:
         Only the rates differ from the protocol master's, so that master's
         final basis, moved onto the scheduled columns, is an advanced start
         (Bixby 1992; `_validation_start`). The master starts cold for a
-        solution without a basis, such as a heuristic's."""
+        solution without a basis, such as a heuristic's. Idle time keeps
+        `sol`'s idle state, `sol.dc_min`, and its power."""
         t0 = time.monotonic()
         chosen = [q for q, w in enumerate(sol.omega) if w > _OMEGA_TOL]
         columns = [sol.columns[q] for q in chosen] or [self.build_column(())]
         real_cols = self.physical_rates(columns)
-        rmp = self.solve_rmp(real_cols, self._validation_start(sol, chosen))
+        rmp = self.solve_rmp(real_cols, self._validation_start(sol, chosen),
+                             self._dc_electrical(sol.dc_min))
         return replace(
             sol,
             stage="reality",
@@ -940,7 +939,9 @@ def _greedy_insert(inst: SchedulingInstance, order: Sequence[int]) -> list[int]:
 def _column_with_lighting(
     inst: SchedulingInstance, members: list[int], include_illum: bool
 ) -> Optional[IndependentSetColumn]:
-    """Column for the set, shedding last-added members if lighting fails."""
+    """Column for the set, shedding last-added members while lighting
+    fails; None once nothing is left to light, so a non-empty set is never
+    shed to the empty pattern."""
     if not include_illum:
         dc = np.zeros(len(inst.dc_txs))
         return inst.build_column(members, dc=dc)
@@ -948,7 +949,7 @@ def _column_with_lighting(
         try:
             return inst.build_column(tuple(members))
         except IlluminationInfeasible:
-            if not members:
+            if len(members) <= 1:
                 return None
             members.pop()
 

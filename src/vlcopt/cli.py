@@ -49,6 +49,7 @@ _TOLERANCES = {
     "reduced_cost_cutoff": cg_scheduler.REDUCED_COST_TOL,
     "illuminance_slack_lux": cg_scheduler.ILLUM_SLACK,
 }
+_ALGORITHMS = ("cg", "vico", "mwis")
 
 
 # -- experiment operations (importable, CLI-independent) ----------------------
@@ -144,21 +145,21 @@ def result_row(inst: SchedulingInstance, algorithm: str, proto: CgSolution,
     return row
 
 
-def export_heatmap(inst: SchedulingInstance, sol: CgSolution, path: Path,
-                   include_idle_lighting: bool = True) -> tuple[list[dict], float]:
+def export_heatmap(inst: SchedulingInstance, sol: CgSolution,
+                   path: Path) -> tuple[list[dict], float]:
     """Per-grid-point lux: time-weighted mean plus min/max across states.
 
     States are the scheduled columns with positive time share plus, when the
-    frame is not fully used, the idle state (lighting-only, or dark when the
-    schedule was built without lighting). Returns the rows and the fraction
-    of grid points that leave the illuminance band in at least one state.
+    frame is not fully used, the idle state `sol.dc_min` (lighting-only, or
+    dark when the schedule was built without lighting). Returns the rows and
+    the fraction of grid points that leave the illuminance band in at least
+    one state.
     """
     s = inst.s
     states = [(w, col.dc_power, col.schedule.active) for col, w in sol.active()]
     idle = 1.0 - sum(w for w, _, _ in states)
     if idle > 1e-9:
-        dc_idle = sol.dc_min if include_idle_lighting else np.zeros(len(inst.dc_txs))
-        states.append((idle, dc_idle, ()))
+        states.append((idle, sol.dc_min, ()))
     fields = np.stack([inst.illuminance(dc, active) + s.illum.ambient_lux
                        for _, dc, active in states])
     weights = np.array([w for w, _, _ in states])
@@ -300,6 +301,8 @@ def _cmd_solve(args) -> int:
 
 def _cmd_sweep_sir(args) -> int:
     start = getattr(args, "from")
+    if not start >= 1.0:
+        raise SystemExit("--from must be >= 1")
     if not args.step > 0.0:
         raise SystemExit("--step must be positive")
     if not args.to >= start:
@@ -319,16 +322,20 @@ def _cmd_sweep_sir(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    out = _outdir(args)
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
     if not algos:
         raise SystemExit("no algorithms given")
+    unknown = [a for a in algos if a not in _ALGORITHMS]
+    if unknown:
+        raise SystemExit(f"unknown algorithm {unknown[0]!r}: choose from "
+                         f"{', '.join(_ALGORITHMS)}")
     values = _parse_values(args.values, int if args.axis == "uts" else float)
     if not values:
         raise SystemExit("no axis values given")
     seeds = _parse_values(args.seeds, int)
     if not seeds:
         raise SystemExit("no seeds given")
+    out = _outdir(args)
     rows = []
     iter_rows = []
     digests = []
@@ -385,11 +392,9 @@ def _cmd_heatmap(args) -> int:
     out = _outdir(args)
     s = _scenario_from_args(args)
     inst = SchedulingInstance(s, sir_threshold=args.sir)
-    include_illum = not args.no_illum_constraint
     proto, real = run_algorithm(inst, args.algo, args.epsilon, args.seed,
-                                include_illum=include_illum)
-    rows, fraction = export_heatmap(inst, real, out / "heatmap.csv",
-                                    include_idle_lighting=include_illum)
+                                include_illum=not args.no_illum_constraint)
+    rows, fraction = export_heatmap(inst, real, out / "heatmap.csv")
     _write_csv(out / "results.csv",
                [result_row(inst, args.algo, proto, real, args.seed,
                            illum_violation_fraction=fraction)])
@@ -430,7 +435,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     p = sub.add_parser("solve", help="solve one scenario")
     _add_scenario_args(p)
-    p.add_argument("--algo", choices=("cg", "vico", "mwis"), default="cg")
+    p.add_argument("--algo", choices=_ALGORITHMS, default="cg")
     p.add_argument("--no-illum-constraint", action="store_true",
                    help="drop lighting requirements (--algo vico only)")
     p.set_defaults(func=_cmd_solve)
@@ -453,13 +458,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     p = sub.add_parser("heatmap", help="export desk-plane illuminance")
     _add_scenario_args(p)
-    p.add_argument("--algo", choices=("cg", "vico", "mwis"), default="cg")
+    p.add_argument("--algo", choices=_ALGORITHMS, default="cg")
     p.add_argument("--no-illum-constraint", action="store_true")
     p.set_defaults(func=_cmd_heatmap)
 
     args = ap.parse_args(argv)
     if getattr(args, "no_illum_constraint", False) and args.algo != "vico":
         ap.error(f"--no-illum-constraint applies to --algo vico only, not {args.algo}")
+    if not args.sir >= 1.0:
+        raise SystemExit(f"--sir {args.sir}: must be >= 1")
+    if not 0.0 <= args.epsilon < 1.0:
+        raise SystemExit(f"--epsilon {args.epsilon}: must lie in [0, 1)")
     try:
         return args.func(args)
     except (IlluminationInfeasible, ScenarioError) as exc:

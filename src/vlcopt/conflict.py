@@ -88,13 +88,11 @@ def sir_matrix(links: Sequence["Link"], gains: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class ConflictGraph:
-    links: tuple
-    sir_threshold: float
     adjacency: np.ndarray  # boolean, symmetric, zero diagonal
 
     @property
     def n_links(self) -> int:
-        return len(self.links)
+        return self.adjacency.shape[0]
 
     def edges(self) -> list[tuple[int, int]]:
         ii, jj = np.nonzero(np.triu(self.adjacency, k=1))
@@ -119,7 +117,7 @@ def build_conflict_graph(links: Sequence["Link"], gains: np.ndarray,
     adj = _same(links, "channel_index") & (shared | (np.minimum(sir, sir.T) < sir_threshold))
     np.fill_diagonal(adj, False)
     adj.setflags(write=False)
-    return ConflictGraph(tuple(links), float(sir_threshold), adj)
+    return ConflictGraph(adj)
 
 
 def cap_groups(links: Sequence["Link"], s: "Scenario") -> tuple[np.ndarray, np.ndarray]:

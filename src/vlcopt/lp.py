@@ -416,8 +416,7 @@ class _Unbounded(Exception):
 
 
 class _Numerical(Exception):
-    def __init__(self, msg: str = ""):
-        self.msg = msg
+    pass
 
 
 def solve_lp(p: LinearProgram, _warm: Optional[Basis] = None) -> LpSolution:

@@ -114,7 +114,6 @@ class IlluminanceGrid:
     upper_lux: float
     ambient_lux: float
     positions: tuple[tuple[float, float], ...]
-    spacing: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -465,13 +464,13 @@ def _expand_illum(raw: dict, room: Vec3) -> IlluminanceGrid:
         for i, (x, y) in enumerate(pts):
             _require(0.0 <= x <= room[0] and 0.0 <= y <= room[1], f"illum.points[{i}]",
                      "must lie inside the room footprint")
-        return IlluminanceGrid(lower, upper, ambient, pts, None)
+        return IlluminanceGrid(lower, upper, ambient, pts)
     spacing = num["spacing"]
     _require(spacing > 0, "illum.spacing", "must be positive")
     xs = np.linspace(0.0, room[0], int(round(room[0] / spacing)) + 1)
     ys = np.linspace(0.0, room[1], int(round(room[1] / spacing)) + 1)
     pts = tuple((float(x), float(y)) for y in ys for x in xs)
-    return IlluminanceGrid(lower, upper, ambient, pts, spacing)
+    return IlluminanceGrid(lower, upper, ambient, pts)
 
 
 # ---------------------------------------------------------------------------

@@ -129,8 +129,7 @@ def test_criterion_3_illuminance_band_held(office_runs, acceptance_report,
     inst, _, _ = office_runs[0.01]
     dark = vico_random_schedule(inst.s, seed=2, instance=inst,
                                 include_illum=False)
-    _, fraction = export_heatmap(inst, dark, tmp_path / "dark.csv",
-                                 include_idle_lighting=False)
+    _, fraction = export_heatmap(inst, dark, tmp_path / "dark.csv")
     ok = band_ok and fraction > 0.30
     acceptance_report(
         3, ok, f"{n_states} states span [{worst_lo:.3f}, {worst_hi:.3f}] lux; "

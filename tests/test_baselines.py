@@ -110,6 +110,42 @@ def test_lighting_opt_out_keeps_bias_dark():
     assert dark.z_upper < lit.z_upper
 
 
+def test_validation_keeps_a_lighting_free_schedule_idle_dark():
+    # idle time draws what the schedule's idle state draws: nothing without
+    # lighting, so validation stretches no dark column over the whole frame
+    s = scenario_from_dict(default_config(n_uts=6, seed=7))
+    inst = SchedulingInstance(s, sir_threshold=3.0)
+    p0 = inst.min_illumination_power()[0]
+    dark = vico_random_schedule(s, seed=7, instance=inst, include_illum=False)
+    assert dark.dc_min == dark.protocol.dc_min == (0.0,) * len(inst.dc_txs)
+    assert dark.feasible
+    used = float(np.sum(dark.protocol.omega))
+    assert used == pytest.approx(0.1044055, abs=1e-6)
+    assert used <= float(np.sum(dark.omega)) == pytest.approx(0.1144696, abs=1e-6)
+    spent = sum(w * col.electrical_total for col, w in zip(dark.columns, dark.omega))
+    assert dark.z_upper == pytest.approx(spent, rel=1e-12)
+    assert dark.z_upper - p0 == pytest.approx(-1130.7779, abs=1e-3)
+    # a lit schedule's idle time still draws the lighting floor
+    lit = vico_random_schedule(s, seed=7, instance=inst)
+    assert lit.dc_min == tuple(inst.min_illumination_power()[1])
+    spent = sum(w * col.electrical_total for col, w in zip(lit.columns, lit.omega))
+    idle = 1.0 - float(np.sum(lit.omega))
+    assert lit.z_upper == pytest.approx(spent + idle * p0, rel=1e-12)
+
+
+def test_heuristics_buy_all_demand_as_shortfall_when_no_link_can_be_lit():
+    # every round's set is shed to nothing, which ends the rounds: only the
+    # idle column is scheduled, as column generation schedules no pattern
+    s = scenario_from_dict(helpers.unlit_links_config())
+    demands = [ut.demand_bps for ut in s.uts]
+    for sol in (vico_random_schedule(s, seed=7), mwis_schedule(s)):
+        assert [col.schedule.active for col in sol.protocol.columns] == [()]
+        for stage in (sol.protocol, sol):
+            assert stage.status is CgStatus.INFEASIBLE
+            assert not stage.feasible
+            np.testing.assert_allclose(stage.shortfall_bps, demands, rtol=1e-9)
+
+
 def test_impossible_demand_is_flagged():
     s = _scenario(n_uts=2, seed=1, demand_bps=1e12)
     for sol in (vico_random_schedule(s, seed=3), mwis_schedule(s)):
@@ -120,11 +156,9 @@ def test_impossible_demand_is_flagged():
 
 def test_solution_carries_both_stages():
     s = _scenario(n_uts=2, seed=2)
-    sol = vico_random_schedule(s, seed=4)
-    assert sol.algorithm == "vico"
-    assert sol.stage == "reality"
-    assert sol.protocol.stage == "protocol"
-    assert mwis_schedule(s).algorithm == "mwis"
+    for sol in (vico_random_schedule(s, seed=4), mwis_schedule(s)):
+        assert sol.stage == "reality"
+        assert sol.protocol.stage == "protocol"
 
 
 # -- the max-weight search ----------------------------------------------------

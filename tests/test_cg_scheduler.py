@@ -413,7 +413,7 @@ def test_matches_full_enumeration():
             # the priced column keeps the MILP's lighting, which is optimal
             assert inst.column_is_valid(priced)
             dc = inst.optimize_dc_for_schedule(priced.schedule.active)
-            assert priced.p_dc_electrical == pytest.approx(
+            assert float(np.sum(np.asarray(priced.dc_power) / inst.dc_eta)) == pytest.approx(
                 float(np.sum(dc / inst.dc_eta)), rel=1e-9)
 
 
@@ -1079,6 +1079,15 @@ def test_loose_gap_never_needs_more_iterations():
 
 # -- validation pass -----------------------------------------------------------------
 
+def _served_by(inst, active):
+    """Each active link's terminal, which no other active link serves: every
+    terminal here has one receiver, whose cap-1 group admits one active link
+    per pattern, so a terminal's rate is its one link's rate."""
+    uts = [int(inst.ut_of_link[i]) for i in active]
+    assert len(set(uts)) == len(uts)
+    return uts
+
+
 def test_concurrent_rates_never_beat_scheduled_rates():
     inst = helpers.tiny_instance(n_uts=4, seed=7)
     cols = helpers.full_pool(inst)
@@ -1089,9 +1098,10 @@ def test_concurrent_rates_never_beat_scheduled_rates():
         assert real.dc_power == col.dc_power
         for a, b in zip(real.rate_per_ut, col.rate_per_ut):
             assert a <= b + 1e-9
-        for lr in real.link_rates:
-            assert lr.capacity_physical is not None
-            assert lr.capacity_physical <= lr.capacity_protocol + 1e-9
+        active = col.schedule.active
+        for i, ut in zip(active, _served_by(inst, active)):
+            assert col.rate_per_ut[ut] == inst.cap[i]
+            assert real.rate_per_ut[ut] <= inst.cap[i] + 1e-9
 
 
 def test_validation_rates_match_reference_interference():
@@ -1103,8 +1113,8 @@ def test_validation_rates_match_reference_interference():
     combos = helpers.all_independent_sets(inst)
     cols = [inst.build_column(combo, dc=np.zeros(len(inst.dc_txs))) for combo in combos]
     for combo, real in zip(combos, inst.physical_rates(cols)):
-        for lr in real.link_rates:
-            ln = inst.links[lr.link_index]
+        for i, ut in zip(combo, _served_by(inst, combo)):
+            ln = inst.links[i]
             p_i = sum(
                 helpers.ref_channel_gain(
                     other.ac_pose.origin, other.ac_pose.direction, other.ac_pose.ml,
@@ -1114,7 +1124,7 @@ def test_validation_rates_match_reference_interference():
                 if other.index != ln.index and other.channel_index == ln.channel_index)
             want = physical_capacity(ln.bandwidth_hz, c.responsivity, ln.gain,
                                      ln.p_ac_pp, p_i, c.noise_variance)
-            assert lr.capacity_physical == pytest.approx(want, rel=1e-9)
+            assert real.rate_per_ut[ut] == pytest.approx(want, rel=1e-9)
 
 
 def test_batched_rates_match_per_link_scalar_calls():
@@ -1131,15 +1141,14 @@ def test_batched_rates_match_per_link_scalar_calls():
                 for combo in [()] + helpers.all_independent_sets(inst)]
         for col, real in zip(cols, inst.physical_rates(cols)):
             active = col.schedule.active
-            assert [lr.link_index for lr in real.link_rates] == list(active)
             rate = np.zeros(len(inst.s.uts))
-            for i, lr in zip(active, real.link_rates):
+            for i, ut in zip(active, _served_by(inst, active)):
                 ln = inst.links[i]
                 p_i = sum(inst._h_cross[i, j] * inst.p_ac_pp[j] for j in active)
                 want = physical_capacity(ln.bandwidth_hz, c.responsivity, ln.gain,
                                          ln.p_ac_pp, p_i, c.noise_variance)
-                assert lr.capacity_protocol == inst.cap[i]
-                assert abs(lr.capacity_physical - want) <= 4e-16 * want
+                assert col.rate_per_ut[ut] == inst.cap[i]
+                assert abs(real.rate_per_ut[ut] - want) <= 4e-16 * want
                 rate[ln.ut_index] += want
             np.testing.assert_allclose(real.rate_per_ut, rate, rtol=4e-16, atol=0.0)
 

@@ -174,6 +174,43 @@ def test_solve_without_lit_single_links_reports_infeasible(tmp_path, capsys):
     assert "protocol: feasible=False" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("algo", ["vico", "mwis"])
+def test_heuristics_without_lit_single_links_report_infeasible(tmp_path, capsys, algo):
+    path = tmp_path / "unlit.json"
+    path.write_text(json.dumps(helpers.unlit_links_config()))
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(path), "--algo", algo,
+                 "--out", str(out)]) == 0
+    row = _read_csv(out / "results.csv")[0]
+    assert row["protocol_feasible"] == "0"
+    assert row["reality_feasible"] == "0"
+    assert "protocol: feasible=False" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, named", [
+    pytest.param(["solve", "--sir", "0.5"], "--sir", id="sir-below-1"),
+    pytest.param(["compare", "--axis", "uts", "--values", "2", "--sir", "nan"], "--sir",
+                 id="sir-nan"),
+    pytest.param(["solve", "--epsilon", "1"], "--epsilon", id="epsilon-1"),
+    pytest.param(["heatmap", "--epsilon", "-0.1"], "--epsilon", id="epsilon-negative"),
+    pytest.param(["sweep-sir", "--from", "0.5"], "--from", id="from-below-1"),
+    pytest.param(["compare", "--axis", "uts", "--values", "2", "--algos", "cg,greedy"],
+                 "'greedy'", id="unknown-algo"),
+])
+def test_out_of_range_arguments_are_refused_before_solving(tmp_path, monkeypatch,
+                                                          argv, named):
+    def solve(*args, **kwargs):
+        raise AssertionError("an out-of-range argument reached a solve")
+
+    monkeypatch.setattr(cli, "SchedulingInstance", solve)
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--config", _write_config(tmp_path), "--out", str(out)])
+    assert isinstance(exc.value.code, str)
+    assert named in exc.value.code and "\n" not in exc.value.code
+    assert not out.exists()
+
+
 # -- compare -----------------------------------------------------------------------
 
 def test_compare_grid_of_rows_and_summary(tmp_path):
@@ -434,10 +471,10 @@ def _recording_first_masters(monkeypatch):
         calls.append((start, column_generation(self, epsilon, start=start)))
         return calls[-1][1]
 
-    def recording_rmp(self, columns, held=None):
+    def recording_rmp(self, columns, held=None, idle_w=None):
         if firsts and not firsts[-1]:
             firsts[-1].append(held)
-        return solve_rmp(self, columns, held)
+        return solve_rmp(self, columns, held, idle_w)
 
     monkeypatch.setattr(SchedulingInstance, "column_generation", recording_cg)
     monkeypatch.setattr(SchedulingInstance, "solve_rmp", recording_rmp)

@@ -207,7 +207,7 @@ def test_validity_matches_naive_rules():
         n = g.n_links
         for r in range(n + 1):
             for combo in itertools.combinations(range(n), r):
-                chosen = [g.links[i] for i in combo]
+                chosen = [inst.links[i] for i in combo]
                 ok = all(not g.adjacency[i, j]
                          for i, j in itertools.combinations(combo, 2))
                 for key in {(ln.ap_index, ln.chip_index) for ln in chosen}:

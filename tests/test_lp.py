@@ -351,16 +351,35 @@ def test_matches_scipy_with_lower_bounds_and_mixed_rows():
         _assert_matches_highs(_random_mixed_lp(rng, n, m))
 
 
+def _beale() -> LinearProgram:
+    c = [-0.75, 20.0, -0.5, 6.0]
+    a = [[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]]
+    return LinearProgram(c=c, a=a, rel=("<=", "<=", "<="), b=[0.0, 0.0, 1.0])
+
+
 def test_beale_cycling_example_terminates():
     # Beale (1955): Dantzig pricing with the lowest-index leaving rule cycles
     # here without an anti-cycling fallback
-    c = [-0.75, 20.0, -0.5, 6.0]
-    a = [[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]]
-    p = LinearProgram(c=c, a=a, rel=("<=", "<=", "<="), b=[0.0, 0.0, 1.0])
+    p = _beale()
     sol = solve_lp(p)
     assert sol.status is LpStatus.OPTIMAL
     assert sol.objective == pytest.approx(-1.25)
     _assert_matches_highs(p)
+
+
+def test_blands_rule_in_both_phases_matches_highs(monkeypatch):
+    # with no degenerate pivot tolerated, the dual and the primal phase each
+    # hand over to Bland's rule after their first pivot: the random box
+    # corpus, the mixed-row corpus and Beale's example still end as HiGHS does
+    monkeypatch.setattr(lp_module, "_STALL_LIMIT", -1)
+    rng = np.random.default_rng(7)
+    for trial in range(20):
+        _assert_matches_highs(_random_box_lp(rng, n=10, m=10))
+    rng = np.random.default_rng(19)
+    for trial in range(40):
+        n, m = int(rng.integers(2, 8)), int(rng.integers(1, 7))
+        _assert_matches_highs(_random_mixed_lp(rng, n, m))
+    _assert_matches_highs(_beale())
 
 
 @pytest.mark.parametrize("c, a, rel, b, ub, x", [
@@ -860,6 +879,27 @@ def test_integral_relaxation_needs_one_node():
     assert sol.status is LpStatus.OPTIMAL
     assert sol.nodes == 1
     assert sol.objective == pytest.approx(-1.0)
+
+
+def test_branch_past_a_bound_is_not_solved():
+    # max x, x integer, x <= 2.5: the up branch x >= 3 crosses the bound and
+    # is skipped, so only the root and the down branch are solved
+    lp = LinearProgram(c=[-1.0], a=[[1.0]], rel=(">=",), b=[0.0], ub=[2.5])
+    sol = solve_milp(MixedIntegerProgram(lp, np.array([True])))
+    assert sol.status is LpStatus.OPTIMAL
+    assert sol.nodes == 2
+    assert sol.objective == pytest.approx(-2.0)
+    assert sol.x[0] == 2.0
+
+
+def test_milp_without_integer_variables_returns_its_root():
+    lp = LinearProgram(c=[-1.0, -1.0], a=[[2.0, 1.0]], rel=("<=",), b=[2.5],
+                       ub=[1.0, 1.0])
+    sol = solve_milp(MixedIntegerProgram(lp, np.array([False, False])))
+    assert sol.status is LpStatus.OPTIMAL
+    assert sol.nodes == 1
+    np.testing.assert_array_equal(sol.x, sol.root.x)
+    assert sol.objective == sol.root.objective == pytest.approx(-1.75)
 
 
 def test_fractional_equality_infeasible_in_integers():
