@@ -29,8 +29,8 @@ from .cg_scheduler import (
     IterationRecord,
     SchedulingInstance,
     _SHORTFALL_TOL_BPS,
-    _bitsets,
     _column_with_lighting,
+    _ConflictBits,
     _greedy_insert,
 )
 from .scenario import Scenario
@@ -158,10 +158,11 @@ def vico_random_schedule(
     inst = instance if instance is not None else SchedulingInstance(
         s, sir_threshold=sir_threshold)
     rng = np.random.default_rng(seed)
+    bits = inst._conflict_bits()
 
     def pick(candidates: np.ndarray, remaining: np.ndarray) -> list[int]:
         order = candidates[rng.permutation(candidates.size)]
-        return _greedy_insert(inst, order.tolist())
+        return _greedy_insert(bits, order.tolist())
 
     return _run_rounds(inst, pick, include_illum)
 
@@ -175,10 +176,9 @@ class _MaxWeightSearch:
     (1990) with the weighted colouring bound of Östergård (2002) and
     Tomita's branching order, read on the complement graph.
 
-    Built once per graph, from caps of at least 1 as `cap_groups` gives
-    them. Each link's neighbour bitset joins its conflict edges with the
-    co-members of every cap-1 group, so those groups are pairwise
-    conflicts; a group of cap 2 or more stays a counter.
+    It reads the instance's packed conflicts (`cg_scheduler._ConflictBits`):
+    cap-1 groups are pairwise conflicts there, and a group of cap 2 or more
+    is a counter.
 
     At each node the candidates are partitioned greedily, in link-index
     order, into conflict cliques; no independent set takes two links of one
@@ -188,22 +188,8 @@ class _MaxWeightSearch:
     order, and a branch whose bound cannot beat the incumbent ends the node.
     """
 
-    def __init__(self, adjacency: np.ndarray, groups: np.ndarray, caps: np.ndarray):
-        self.nbr = _bitsets(adjacency)
-        self.counted: list[tuple[int, int]] = []  # (members, cap) of caps >= 2
-        self.counters_of: list[list[int]] = [[] for _ in self.nbr]
-        for members, cap in zip(_bitsets(groups), caps.astype(int).tolist()):
-            if cap >= 2:
-                self.counted.append((members, cap))
-            rest = members
-            while rest:
-                low = rest & -rest
-                v = low.bit_length() - 1
-                rest ^= low
-                if cap == 1:
-                    self.nbr[v] |= members ^ low
-                else:
-                    self.counters_of[v].append(len(self.counted) - 1)
+    def __init__(self, bits: _ConflictBits):
+        self.bits = bits
 
     def heaviest(self, candidates: Sequence[int], weights: Sequence[float]) -> list[int]:
         """The heaviest independent set among `candidates`, in link order,
@@ -215,7 +201,7 @@ class _MaxWeightSearch:
         graph, the caps and the weights alone. It weighs at least the
         optimum less tol.
         """
-        nbr, counted, counters_of = self.nbr, self.counted, self.counters_of
+        nbr, counted, counters_of = self.bits.nbr, self.bits.counted, self.bits.counters_of
         used = [0] * len(counted)
         tol = 1e-12 * sum(weights[i] for i in candidates)
         start = 0
@@ -266,8 +252,8 @@ def mwis_schedule(
     """Schedule the independent set maximizing total remaining demand.
 
     Weights are the still-unserved bits of each link's terminal. Each round's
-    set is found exactly by `_MaxWeightSearch`, a branch and bound on bitsets
-    over the conflict graph and the cap groups, built once per call. Ties
+    set is found exactly by `_MaxWeightSearch`, a branch and bound on the
+    instance's bitsets of the conflict graph and the cap groups. Ties
     are settled by its rule: a set replaces the incumbent only when heavier
     by more than 1e-12 of the candidates' total weight, and the search order
     is fixed by link index, so the schedule depends on the graph, the caps
@@ -276,7 +262,7 @@ def mwis_schedule(
     """
     inst = instance if instance is not None else SchedulingInstance(
         s, sir_threshold=sir_threshold)
-    search = _MaxWeightSearch(inst._require_graph().adjacency, *inst.cap_groups)
+    search = _MaxWeightSearch(inst._conflict_bits())
 
     def pick(candidates: np.ndarray, remaining: np.ndarray) -> list[int]:
         weights = remaining[inst.ut_of_link].tolist()

@@ -70,9 +70,10 @@ derived at another SIR threshold shares it. The validation pass's master
 has the last master's rows and costs over the scheduled columns, with only
 their rates lowered, so it starts from that master's final basis, moved
 onto the scheduled columns by position (also an advanced start); it starts
-cold when a pattern left out is basic there, when nothing is scheduled, or
-for a heuristic's schedule, which has no basis. Otherwise only the floor
-and the first master start cold. A call given an earlier solution to start
+from the big-M basis, every demand bought as shortfall and the frame idle,
+when a pattern left out is basic there, when nothing is scheduled, or for a
+heuristic's schedule, which has no basis. Otherwise only the floor and the
+first master start cold. A call given an earlier solution to start
 from, such as a SIR sweep's solution at the next higher threshold, also
 pools that solution's columns that are independent in this conflict graph,
 after the initial columns; when it keeps them all, the pool is that
@@ -307,6 +308,7 @@ class SchedulingInstance:
         self._initial: Optional[tuple[tuple[IndependentSetColumn, ...],
                                       tuple[int, ...], tuple[int, ...]]] = None
         self._static_rows: Optional[tuple] = None
+        self._bits: Optional[_ConflictBits] = None
         # the lighting floor, and the final basis of the last pricing MILP's root
         self._floor: Optional[_LightingFloor] = None
         self._pricing_root: Optional[Basis] = None
@@ -314,6 +316,13 @@ class SchedulingInstance:
     def _start_rows(self, lo: Sequence[int], hi: Sequence[int]) -> None:
         self._lo_rows: list[int] = list(lo)
         self._hi_rows: list[int] = list(hi)
+        self._hold_rows()
+
+    def _hold_rows(self) -> None:
+        """Refresh the held rows' index arrays, which the hot paths read in
+        place of the lists."""
+        self._lo_idx = np.array(self._lo_rows, dtype=int)
+        self._hi_idx = np.array(self._hi_rows, dtype=int)
 
     def at_sir_threshold(self, sir_threshold: float) -> SchedulingInstance:
         """This scenario at another SIR threshold, sharing this instance's
@@ -337,6 +346,7 @@ class SchedulingInstance:
         inst.sir_threshold = float(sir_threshold)
         inst._start_rows(lo, hi)
         inst._static_rows = None
+        inst._bits = None
         inst._pricing_root = None
         return inst
 
@@ -386,9 +396,10 @@ class SchedulingInstance:
         one shifts the upper rows, so a basis held before loads onto the new
         program by position or, if singular there, leaves the cold start;
         neither benchmark workload ever adds an upper row."""
-        held = self._lo_rows + self._hi_rows
-        rel = (">=",) * len(self._lo_rows) + ("<=",) * len(self._hi_rows)
-        return lux[:, held].T, rel, np.concatenate([lo[self._lo_rows], hi[self._hi_rows]])
+        lo_idx, hi_idx = self._lo_idx, self._hi_idx
+        rel = (">=",) * lo_idx.size + ("<=",) * hi_idx.size
+        return (lux[:, np.concatenate([lo_idx, hi_idx])].T, rel,
+                np.concatenate([lo[lo_idx], hi[hi_idx]]))
 
     def _solve_dc(self, active: tuple[int, ...]) -> np.ndarray:
         """Optimal lighting powers (optical W per chip) alongside the pattern
@@ -407,21 +418,21 @@ class SchedulingInstance:
         ac = self._ac_field(active)
         lo = self.e_lo - ac
         hi = self.e_hi - ac
-        k_bad = int(np.argmin(hi))
+        k_bad = int(hi.argmin())
         if hi[k_bad] < -ILLUM_SLACK:
             raise IlluminationInfeasible(
                 k_bad, tuple(self.pts[k_bad]),
                 "data beams alone exceed the upper illuminance bound")
         caps = self._dc_caps_for(active)
-        if np.any(caps < -1e-9):
+        if (caps < -1e-9).any():
             raise IlluminationInfeasible(
                 -1, (), "active data beams exceed a transmitter power budget")
         caps = np.maximum(caps, 0.0)
         reachable = self.dc_light.T @ caps  # max attainable lighting, per point
-        short = np.argmax(lo - reachable)
+        short = int((lo - reachable).argmax())
         if lo[short] - reachable[short] > ILLUM_SLACK:
             raise IlluminationInfeasible(
-                int(short), tuple(self.pts[int(short)]),
+                short, tuple(self.pts[short]),
                 "lower illuminance bound exceeds what capped chips can deliver")
         if active and self._floor is None:
             self.min_illumination_power()
@@ -477,9 +488,11 @@ class SchedulingInstance:
         at its cap when the floor holds it there, and the basic chips from one
         k x k solve on the floor's tight rows; NaN if that block is singular."""
         f = self._floor
-        x = np.zeros_like(caps)
-        x[f.at_cap] = caps[f.at_cap]
-        rhs = f.bound - ac[f.points] - x[f.at_cap] @ f.cap_lux
+        x = np.zeros(caps.shape)
+        rhs = f.bound - ac[f.points]
+        if f.at_cap.size:
+            x[f.at_cap] = capped = caps[f.at_cap]
+            rhs -= capped @ f.cap_lux
         try:
             x[f.chips] = np.linalg.solve(f.chip_lux, rhs)
         except np.linalg.LinAlgError:
@@ -492,10 +505,10 @@ class SchedulingInstance:
         are what the pattern's lighting LP loaded there would answer without
         a pivot: every chip within [0, cap] and every held row met, to
         `lp._BOUND_TOL`. The other grid points are the lazy-row loop's."""
-        short, over = lo - field, field - hi
-        return bool(np.all(x >= -_BOUND_TOL) and np.all(x <= caps + _BOUND_TOL)
-                    and np.all(short[self._lo_rows] <= _BOUND_TOL)
-                    and np.all(over[self._hi_rows] <= _BOUND_TOL))
+        lo_idx, hi_idx = self._lo_idx, self._hi_idx
+        return bool((x >= -_BOUND_TOL).all() and (x <= caps + _BOUND_TOL).all()
+                    and (not lo_idx.size or (lo[lo_idx] - field[lo_idx] <= _BOUND_TOL).all())
+                    and (not hi_idx.size or (field[hi_idx] - hi[hi_idx] <= _BOUND_TOL).all()))
 
     def _with_lazy_rows(self, what: str, solve: Callable[[], tuple[_Answer, np.ndarray]],
                         lo: np.ndarray, hi: np.ndarray) -> _Answer:
@@ -512,12 +525,16 @@ class SchedulingInstance:
         """Add up to 30 of the worst violated grid points not yet held, per
         side; the number added."""
         added = 0
-        for viol, rows in ((lo - field, self._lo_rows), (field - hi, self._hi_rows)):
-            viol[rows] = 0.0  # a held point is not added again
-            bad = np.nonzero(viol > _ROW_CHECK_TOL)[0]
-            worst = bad[np.argsort(viol[bad])[::-1][:30]].tolist()
-            rows.extend(worst)
-            added += len(worst)
+        for viol, rows, held in ((lo - field, self._lo_rows, self._lo_idx),
+                                 (field - hi, self._hi_rows, self._hi_idx)):
+            viol[held] = 0.0  # a held point is not added again
+            bad = (viol > _ROW_CHECK_TOL).nonzero()[0]
+            if bad.size:
+                worst = bad[np.argsort(viol[bad])[::-1][:30]].tolist()
+                rows.extend(worst)
+                added += len(worst)
+        if added:
+            self._hold_rows()
         return added
 
     # -- columns ------------------------------------------------------------
@@ -525,17 +542,17 @@ class SchedulingInstance:
     def build_column(self, active: Sequence[int],
                      dc: Optional[np.ndarray] = None) -> IndependentSetColumn:
         active = tuple(sorted(self._pattern(active)))
-        if dc is None:
-            dc = self._solve_dc(active)
-        rate = np.zeros(len(self.s.uts))
-        for i in active:
-            rate[self.ut_of_link[i]] += self.cap[i]
-        p_ac = float(np.sum(self.p_ac_elec[list(active)])) if active else 0.0
+        dc = self._solve_dc(active) if dc is None else np.asarray(dc, dtype=float)
+        idx = list(active)
+        # each terminal's rate summed over its links in index order, from 0.0
+        rate = np.bincount(self.ut_of_link[idx], weights=self.cap[idx],
+                           minlength=len(self.s.uts))
+        p_ac = float(self.p_ac_elec[idx].sum()) if active else 0.0
         return IndependentSetColumn(
             schedule=ScheduleVector(active),
-            dc_power=tuple(float(v) for v in dc),
+            dc_power=tuple(dc.tolist()),
             electrical_total=p_ac + self._dc_electrical(dc),
-            rate_per_ut=tuple(float(v) for v in rate),
+            rate_per_ut=tuple(rate.tolist()),
         )
 
     def initial_columns(self) -> list[IndependentSetColumn]:
@@ -628,6 +645,13 @@ class SchedulingInstance:
             rows = np.fromiter(first.values(), dtype=int, count=len(first))
             self._static_rows = (a[rows], b[rows])
         return self._static_rows
+
+    def _conflict_bits(self) -> _ConflictBits:
+        """The conflict graph and the cap groups as bitsets, packed on first
+        use."""
+        if self._bits is None:
+            self._bits = _pack_conflicts(self._require_graph().adjacency, *self.cap_groups)
+        return self._bits
 
     def solve_pricing(self, lambda_bps: np.ndarray, mu: float,
                       ) -> tuple[IndependentSetColumn, float, float]:
@@ -737,7 +761,8 @@ class SchedulingInstance:
         order = np.argsort(link_cost, kind="stable")
         candidates = order[link_cost[order] < 0.0].tolist()
         batch = []
-        while members := _greedy_insert(self, candidates):
+        bits = self._conflict_bits()
+        while members := _greedy_insert(bits, candidates):
             grown = set(members)
             candidates = [i for i in candidates if i not in grown]
             if tuple(sorted(members)) in known:
@@ -877,9 +902,9 @@ class SchedulingInstance:
 
         Only the rates differ from the protocol master's, so that master's
         final basis, moved onto the scheduled columns, is an advanced start
-        (Bixby 1992; `_validation_start`). The master starts cold for a
-        solution without a basis, such as a heuristic's. Idle time keeps
-        `sol`'s idle state, `sol.dc_min`, and its power."""
+        (Bixby 1992; `_validation_start`). The master starts from the big-M
+        basis for a solution without a basis, such as a heuristic's. Idle
+        time keeps `sol`'s idle state, `sol.dc_min`, and its power."""
         t0 = time.monotonic()
         chosen = [q for q, w in enumerate(sol.omega) if w > _OMEGA_TOL]
         columns = [sol.columns[q] for q in chosen] or [self.build_column(())]
@@ -901,38 +926,44 @@ class SchedulingInstance:
             basis=None,
         )
 
-    def _validation_start(self, sol: CgSolution, chosen: Sequence[int]) -> Optional[Basis]:
+    def _validation_start(self, sol: CgSolution, chosen: Sequence[int]) -> Basis:
         """`sol`'s final master basis moved by position onto the validation
         master over `sol`'s columns `chosen`: shortfall ids stay, pattern
         `chosen[k]` becomes the master's k-th pattern and slack ids shift
-        past the dropped patterns. None, a cold start, when `sol` holds no
-        basis or schedules nothing, or when a dropped pattern is basic."""
+        past the dropped patterns. When `sol` holds no basis, schedules
+        nothing or has a dropped pattern basic, the big-M basis instead:
+        each terminal's shortfall basic on its demand row and the frame's
+        slack on the frame row, which is primal feasible for any rates."""
+        M, K = len(self.s.uts), max(len(chosen), 1)  # an empty schedule prices the idle pattern
+        complemented = np.zeros(M + K + M + 1, dtype=bool)  # the master bounds no column above
+        big_m = Basis(np.append(np.arange(M), M + K + M), complemented)
         if sol.basis is None or not chosen:
-            return None
-        M, Q, K = len(self.s.uts), len(sol.columns), len(chosen)
+            return big_m
+        Q = len(sol.columns)
         new = np.full(M + Q + M + 1, -1)
         new[:M] = np.arange(M)
         new[M + np.asarray(chosen)] = M + np.arange(K)
         new[M + Q:] = M + K + np.arange(M + 1)
         basic = new[sol.basis.basic]
-        if np.any(basic < 0):
-            return None
-        # the master bounds no column above, so none is complemented
-        return Basis(basic, np.zeros(M + K + M + 1, dtype=bool))
+        return big_m if (basic < 0).any() else Basis(basic, complemented)
 
 
-def _greedy_insert(inst: SchedulingInstance, order: Sequence[int]) -> list[int]:
-    """Maximal independent set grown in the given link order."""
-    adjacency = inst.graph.adjacency
-    groups, caps = inst.cap_groups
-    used = np.zeros(len(caps))
+def _greedy_insert(bits: _ConflictBits, order: Sequence[int]) -> list[int]:
+    """Maximal independent set grown in the given link order: a link joins
+    unless it conflicts with a member or one of its cap groups is full."""
+    nbr, counted, counters_of = bits.nbr, bits.counted, bits.counters_of
+    used = [0] * len(counted)
+    barred = 0  # the links that can no longer join
     members: list[int] = []
     for i in order:
-        mine = groups[:, i]
-        if adjacency[i, members].any() or np.any(used[mine] >= caps[mine]):
+        if barred >> i & 1:
             continue
         members.append(i)
-        used[mine] += 1
+        barred |= nbr[i] | 1 << i
+        for g in counters_of[i]:
+            used[g] += 1
+            if used[g] >= counted[g][1]:
+                barred |= counted[g][0]
     return members
 
 
@@ -959,6 +990,41 @@ def _bitsets(rows: np.ndarray) -> list[int]:
     entry r is set when rows[r, j] is."""
     packed = np.packbits(rows, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+@dataclass(frozen=True)
+class _ConflictBits:
+    """A conflict graph and its cap groups as Python-int bitsets, for the
+    greedy insertion and the max-weight baseline's search. Each link's
+    neighbour bitset joins its conflict edges with the co-members of every
+    cap-1 group, so those groups are pairwise conflicts; a group of cap 2 or
+    more stays a counter."""
+
+    nbr: list[int]                  # per link: the links it cannot join
+    counted: list[tuple[int, int]]  # (members, cap) of each group of cap >= 2
+    counters_of: list[list[int]]    # per link: its groups in `counted`
+
+
+def _pack_conflicts(adjacency: np.ndarray, groups: np.ndarray,
+                    caps: np.ndarray) -> _ConflictBits:
+    """The bitsets of a conflict graph and of cap groups whose caps are at
+    least 1, as `cap_groups` gives them."""
+    nbr = _bitsets(adjacency)
+    counted: list[tuple[int, int]] = []
+    counters_of: list[list[int]] = [[] for _ in nbr]
+    for members, cap in zip(_bitsets(groups), caps.astype(int).tolist()):
+        if cap >= 2:
+            counted.append((members, cap))
+        rest = members
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            rest ^= low
+            if cap == 1:
+                nbr[v] |= members ^ low
+            else:
+                counters_of[v].append(len(counted) - 1)
+    return _ConflictBits(nbr, counted, counters_of)
 
 
 def _clique_cover(adjacency: np.ndarray) -> np.ndarray:

@@ -329,6 +329,9 @@ def _cmd_compare(args) -> int:
     if unknown:
         raise SystemExit(f"unknown algorithm {unknown[0]!r}: choose from "
                          f"{', '.join(_ALGORITHMS)}")
+    repeated = [a for i, a in enumerate(algos) if a in algos[:i]]
+    if repeated:
+        raise SystemExit(f"algorithm {repeated[0]!r} is given more than once")
     values = _parse_values(args.values, int if args.axis == "uts" else float)
     if not values:
         raise SystemExit("no axis values given")
@@ -409,7 +412,8 @@ def _args_dict(args) -> dict:
     return {k: v for k, v in vars(args).items() if k != "func"}
 
 
-def _add_scenario_args(p: argparse.ArgumentParser) -> None:
+def _add_scenario_args(p: argparse.ArgumentParser, sir: bool = True) -> None:
+    """The scenario options; `--sir` only where one threshold is solved."""
     p.add_argument("--config", help="scenario JSON file (overrides generator args)")
     p.add_argument("--light-config", choices=("a", "b", "c"), default="a",
                    help="light-source layout (default a)")
@@ -417,8 +421,9 @@ def _add_scenario_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--demand-mbps", type=float, default=20.0,
                    help="per-terminal demand in Mbit/s")
     p.add_argument("--seed", type=int, default=7, help="terminal placement seed")
-    p.add_argument("--sir", type=float, default=3.0,
-                   help="signal-to-interference conflict threshold")
+    if sir:
+        p.add_argument("--sir", type=float, default=3.0,
+                       help="signal-to-interference conflict threshold")
     p.add_argument("--epsilon", type=float, default=0.01,
                    help="termination gap of the scheduler")
     p.add_argument("--out", default="vlcopt_out", help="output directory")
@@ -441,7 +446,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("sweep-sir", help="sweep the conflict threshold")
-    _add_scenario_args(p)
+    _add_scenario_args(p, sir=False)  # the thresholds come from --from/--to/--step
     p.add_argument("--from", type=float, default=1.0, dest="from")
     p.add_argument("--to", type=float, default=6.0)
     p.add_argument("--step", type=float, default=1.0)
@@ -465,7 +470,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = ap.parse_args(argv)
     if getattr(args, "no_illum_constraint", False) and args.algo != "vico":
         ap.error(f"--no-illum-constraint applies to --algo vico only, not {args.algo}")
-    if not args.sir >= 1.0:
+    if not getattr(args, "sir", 1.0) >= 1.0:
         raise SystemExit(f"--sir {args.sir}: must be >= 1")
     if not 0.0 <= args.epsilon < 1.0:
         raise SystemExit(f"--epsilon {args.epsilon}: must lie in [0, 1)")

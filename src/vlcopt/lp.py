@@ -262,7 +262,7 @@ class _Tableau:
 
     def _lowest_id(self, slots: np.ndarray) -> int:
         """The slot among `slots` whose column has the lowest id."""
-        return int(slots[np.argmin(self.nonbasic[slots])])
+        return int(slots[0] if slots.size == 1 else slots[self.nonbasic[slots].argmin()])
 
     def _flip_nonbasic(self, s: int) -> None:
         t, j = self.t, self.nonbasic[s]
@@ -321,36 +321,40 @@ class _Tableau:
         t, m = self.t, self.m
         if m == 0:
             return
+        viol, over = np.empty(m), np.empty(m)
+        eligible = np.empty(t.shape[1] - 1, dtype=bool)
         bland, stall, last, fresh = False, 0, -math.inf, False
         while True:
             beta, ub = t[:m, -1], self.u_basic
-            viol = np.maximum(-beta, beta - ub)
+            np.maximum(np.negative(beta, out=viol), np.subtract(beta, ub, out=over), out=viol)
             if bland:
-                bad = np.nonzero(viol > _BOUND_TOL)[0]
+                bad = (viol > _BOUND_TOL).nonzero()[0]
                 if bad.size == 0:
                     return
-                r = int(bad[np.argmin(self.basic[bad])])
+                r = int(bad[self.basic[bad].argmin()])
             else:  # the first of the largest violations
-                r = int(np.argmax(viol))
+                r = int(viol.argmax())
                 if not viol[r] > _BOUND_TOL:
                     return
             if beta[r] > ub[r]:
                 self._flip_basic(r)
             row = t[r, :-1]
-            cand = np.nonzero((row < -PIVOT_TOL) & self.movable_nonbasic)[0]
+            np.less(row, -PIVOT_TOL, out=eligible)
+            cand = np.logical_and(eligible, self.movable_nonbasic, out=eligible).nonzero()[0]
             if cand.size == 0:
                 if fresh:
                     raise _Infeasible
                 self._load(self.basic, self.flip, cost)  # rule out drift first
                 fresh = True
                 continue
-            # Harris: the largest pivot among ratios within RC_TOL of the least
-            # (the least alone took 1e-9 pivots and left a singular basis)
-            alpha = -row[cand]
-            ratio = t[-1, cand] / alpha
-            near = ratio <= np.min((t[-1, cand] + RC_TOL) / alpha)
-            alpha = np.where(near, alpha, 0.0)
-            self._pivot(r, self._lowest_id(cand[alpha == alpha.max()]))
+            if cand.size > 1:
+                # Harris: the largest pivot among ratios within RC_TOL of the
+                # least (the least alone took 1e-9 pivots and left a singular
+                # basis)
+                alpha, d = -row[cand], t[-1, cand]
+                alpha[~(d / alpha <= np.minimum.reduce((d + RC_TOL) / alpha))] = 0.0
+                cand = cand[alpha == np.maximum.reduce(alpha)]
+            self._pivot(r, self._lowest_id(cand))
             fresh = False
             z = -t[-1, -1]
             stall = 0 if z > last + 1e-12 else stall + 1
@@ -360,30 +364,36 @@ class _Tableau:
     def _primal(self) -> None:
         """Bounded primal simplex pivots from a primal feasible basis."""
         t, m = self.t, self.m
+        eligible = np.empty(t.shape[1] - 1, dtype=bool)
+        ratio, down, up = np.empty(m), np.empty(m, dtype=bool), np.empty(m, dtype=bool)
         bland, stall, last = False, 0, math.inf
         while True:
-            cand = np.nonzero((t[-1, :-1] < -RC_TOL) & self.movable_nonbasic)[0]
+            d = t[-1, :-1]
+            np.less(d, -RC_TOL, out=eligible)
+            cand = np.logical_and(eligible, self.movable_nonbasic, out=eligible).nonzero()[0]
             if cand.size == 0:
                 return
-            if not bland:  # Dantzig: the most negative reduced costs
-                cand = cand[t[-1, cand] == t[-1, cand].min()]
+            if cand.size > 1 and not bland:  # Dantzig: the most negative reduced costs
+                dc = d[cand]
+                cand = cand[dc == np.minimum.reduce(dc)]
             s = self._lowest_id(cand)
             col, beta, ub = t[:m, s], t[:m, -1], self.u_basic
-            ratio = np.full(m, np.inf)
-            down = col > PIVOT_TOL
-            up = (col < -PIVOT_TOL) & np.isfinite(ub)
-            ratio[down] = beta[down] / col[down]
-            ratio[up] = (beta[up] - ub[up]) / col[up]
-            ratio = np.maximum(ratio, 0.0)
-            step = float(ratio.min()) if m else math.inf
+            np.greater(col, PIVOT_TOL, out=down)
+            np.less(col, -PIVOT_TOL, out=up)
+            up &= np.isfinite(ub)
+            ratio.fill(np.inf)
+            np.divide(beta, col, out=ratio, where=down)
+            np.divide(beta - ub, col, out=ratio, where=up)
+            np.maximum(ratio, 0.0, out=ratio)
+            step = float(np.minimum.reduce(ratio)) if m else math.inf
             q = self.nonbasic[s]
             if self.u[q] <= step:  # the entering column reaches its own bound
                 if math.isinf(self.u[q]):
                     raise _Unbounded
                 self._flip_nonbasic(s)
                 continue
-            ties = np.nonzero(ratio <= step + 1e-12)[0]
-            r = int(ties[np.argmin(self.basic[ties])])
+            ties = (ratio <= step + 1e-12).nonzero()[0]
+            r = int(ties[0]) if ties.size == 1 else int(ties[self.basic[ties].argmin()])
             at_upper = col[r] < 0.0
             self._pivot(r, s)
             if at_upper:  # the leaving column, now in slot s, sits at its bound

@@ -413,6 +413,7 @@ def _expand_uts(raw: Any, room: Vec3, desk: float) -> tuple[UserTerminal, ...]:
         spec = _numbers(raw, "uts.", {"count": 0, "seed": 0, **_DEFAULTS["uts"]})
         count, seed, demand = spec["count"], spec["seed"], spec["demand_bps"]
         _require(count > 0, "uts.count", "must be positive")
+        _require(seed >= 0, "uts.seed", "must be >= 0")
         _require(demand >= 0, "uts.demand_bps", "must be >= 0")
         rng = np.random.default_rng(seed)
         xy = rng.uniform([0.0, 0.0], [room[0], room[1]], size=(count, 2))

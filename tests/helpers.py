@@ -126,6 +126,21 @@ def ref_reduced_cost(inst, col, lambda_bps, mu):
     return col.electrical_total - p0 - credit - mu
 
 
+def ref_greedy_insert(adjacency, groups, caps, order):
+    """Maximal independent set grown in link order `order` by a plain scan:
+    a link joins unless it is adjacent to a member or one of its cap groups
+    already holds its cap of members."""
+    used = np.zeros(len(caps))
+    members = []
+    for i in order:
+        mine = groups[:, i]
+        if adjacency[i, members].any() or np.any(used[mine] >= caps[mine]):
+            continue
+        members.append(i)
+        used[mine] += 1
+    return members
+
+
 # -- reference photometry -----------------------------------------------------
 
 def ref_lambertian(theta_half_deg):

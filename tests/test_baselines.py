@@ -14,7 +14,7 @@ import helpers
 import vlcopt
 from vlcopt import baselines
 from vlcopt.baselines import mwis_schedule, vico_random_schedule
-from vlcopt.cg_scheduler import CgStatus, SchedulingInstance
+from vlcopt.cg_scheduler import CgStatus, SchedulingInstance, _greedy_insert, _pack_conflicts
 from vlcopt.conflict import is_independent
 from vlcopt.lp import LinearProgram, LpStatus, MixedIntegerProgram, solve_milp
 from vlcopt.scenario import default_config, scenario_from_dict
@@ -180,6 +180,33 @@ def _random_problem(rng):
     return adjacency, groups, caps, weights.tolist()
 
 
+def test_greedy_insert_matches_the_reference_scan_on_random_graphs():
+    rng = np.random.default_rng(2016)
+    for k in range(300):
+        adjacency, groups, caps, _ = _random_problem(rng)
+        n = len(adjacency)
+        order = rng.permutation(n)[:int(rng.integers(1, n + 1))].tolist()
+        got = _greedy_insert(_pack_conflicts(adjacency, groups, caps), order)
+        assert got == helpers.ref_greedy_insert(adjacency, groups, caps, order), k
+
+
+def test_greedy_insert_matches_the_reference_scan_on_every_vico_round(monkeypatch):
+    inst = SchedulingInstance(scenario_from_dict(default_config(seed=7)), 3.0)
+    rounds = []
+
+    def recording(bits, order):
+        got = _greedy_insert(bits, order)
+        rounds.append((order, got))
+        return got
+
+    monkeypatch.setattr(baselines, "_greedy_insert", recording)
+    vico_random_schedule(inst.s, seed=7, instance=inst)
+    assert len(rounds) >= 2
+    groups, caps = inst.cap_groups
+    for order, got in rounds:
+        assert got == helpers.ref_greedy_insert(inst.graph.adjacency, groups, caps, order)
+
+
 def _milp_optimum(adjacency, groups, caps, weights, candidates):
     """The heaviest set's weight by `solve_milp`: one row per conflict edge
     and one per cap group, links outside `candidates` bounded at 0."""
@@ -204,7 +231,7 @@ def test_max_weight_search_matches_the_milp_on_random_graphs():
         adjacency, groups, caps, weights = _random_problem(rng)
         n = len(weights)
         candidates = np.flatnonzero(rng.random(n) < 0.85).tolist()
-        got = baselines._MaxWeightSearch(adjacency, groups, caps).heaviest(
+        got = baselines._MaxWeightSearch(_pack_conflicts(adjacency, groups, caps)).heaviest(
             candidates, weights)
         assert set(got) <= set(candidates), k
         assert not adjacency[np.ix_(got, got)].any(), k
@@ -222,7 +249,7 @@ def test_max_weight_search_matches_brute_force_on_the_tiny_corpus():
         weights = rng.uniform(1e6, 1e8, size=len(inst.links)).tolist()
         best = max(sum(weights[i] for i in combo)
                    for combo in helpers.all_independent_sets(inst))
-        search = baselines._MaxWeightSearch(inst.graph.adjacency, *inst.cap_groups)
+        search = baselines._MaxWeightSearch(inst._conflict_bits())
         got = search.heaviest(list(range(len(inst.links))), weights)
         assert helpers.all_independent_sets(inst).count(tuple(got)) == 1
         assert sum(weights[i] for i in got) == pytest.approx(best, rel=1e-12), seed
@@ -231,8 +258,8 @@ def test_max_weight_search_matches_brute_force_on_the_tiny_corpus():
 def test_near_tied_sets_follow_the_search_order_not_the_last_digits():
     # link 1 is branched on first, and link 0 outweighs it by less than tol
     adjacency = np.array([[False, True], [True, False]])
-    search = baselines._MaxWeightSearch(adjacency, np.zeros((0, 2), dtype=bool),
-                                        np.zeros(0))
+    search = baselines._MaxWeightSearch(
+        _pack_conflicts(adjacency, np.zeros((0, 2), dtype=bool), np.zeros(0)))
     for weights in ([1.0, 1.0], [1.0 + 1e-14, 1.0], [1.0, 1.0 + 1e-14]):
         assert search.heaviest([0, 1], weights) == [1]
     assert search.heaviest([0, 1], [1.0 + 1e-9, 1.0]) == [0]

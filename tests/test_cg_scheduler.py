@@ -128,6 +128,48 @@ def test_bright_beam_overruns_dim_ceiling():
         inst.optimize_dc_for_schedule([0])
 
 
+def test_held_row_arrays_follow_the_row_lists():
+    # the hot paths read the held rows as index arrays, refreshed wherever
+    # rows join or restart
+    def follows(inst):
+        assert inst._lo_idx.tolist() == inst._lo_rows
+        assert inst._hi_idx.tolist() == inst._hi_rows
+
+    inst = SchedulingInstance(scenario_from_dict(helpers.bright_beam_config()), 3.0)
+    follows(inst)
+    inst._start_rows([4, 2], [7])
+    follows(inst)
+    field = 0.5 * (inst.e_lo + inst.e_hi)
+    field[[0, 2]] = inst.e_lo[[0, 2]] - 1.0  # point 2 is held already
+    field[9] = inst.e_hi[9] + 1.0
+    assert inst._collect_violations(field, inst.e_lo, inst.e_hi) == 2
+    assert inst._lo_rows == [4, 2, 0] and inst._hi_rows == [7, 9]
+    follows(inst)
+
+    base = SchedulingInstance(scenario_from_dict(helpers.bright_beam_config()))
+    base.initial_columns()
+    rows = (list(base._lo_rows), list(base._hi_rows))
+    derived = base.at_sir_threshold(3.0)
+    follows(derived)
+    derived.column_generation(epsilon=0.0)  # adds an upper row
+    assert len(derived._hi_rows) > len(rows[1])
+    follows(derived)
+    assert (base._lo_rows, base._hi_rows) == rows
+    follows(base)
+
+
+def test_derived_instances_pack_their_own_conflicts():
+    # the packed conflicts follow the conflict graph, so an instance derived
+    # at another threshold packs its own
+    base = SchedulingInstance(scenario_from_dict(default_config(seed=7)), 1.0)
+    packed = base._conflict_bits()
+    derived = base.at_sir_threshold(6.0)
+    assert not np.array_equal(derived.graph.adjacency, base.graph.adjacency)
+    assert derived._conflict_bits() == cg_scheduler._pack_conflicts(
+        derived.graph.adjacency, *derived.cap_groups)
+    assert base._conflict_bits() is packed
+
+
 def test_lazy_rows_add_the_worst_points_not_yet_held():
     # the 30 worst points are already held: the next worst one must still
     # join, or row generation stops on a field short at a point outside
@@ -1228,7 +1270,8 @@ def test_validation_starts_from_the_protocol_basis(monkeypatch):
     # only the rates of the scheduled columns differ from the protocol
     # master's, so its final basis moves onto them by position; a heuristic's
     # schedule has no basis, and a basis with a dropped pattern basic does
-    # not move: both start cold, as does a later call's first master
+    # not move: both start from the big-M basis, every demand bought as
+    # shortfall and the frame idle. A later call's first master starts cold
     masters = _record_masters(monkeypatch)
     inst = SchedulingInstance(scenario_from_dict(default_config(seed=2)), 3.0)
     sol = inst.column_generation(epsilon=0.0)
@@ -1244,19 +1287,29 @@ def test_validation_starts_from_the_protocol_basis(monkeypatch):
             return M + chosen.index(j - M)  # a scheduled pattern
         return j - (Q - len(chosen))  # a slack
 
+    def answers_as_cold_and_highs(real, p, warm):
+        # the warm answer is the cold one, and HiGHS's
+        assert warm.objective == pytest.approx(lp_module.solve_lp(p).objective, rel=1e-9)
+        cold = inst.solve_rmp(real.columns)
+        assert real.z_upper == pytest.approx(cold.z_upper, rel=1e-9)
+        assert real.feasible == cold.feasible
+        highs = checks.highs_master_net(real.columns, inst.demands, real.p_illumi_min)
+        assert real.z_upper - real.p_illumi_min == pytest.approx(highs, rel=1e-7, abs=1e-7)
+
+    def started_from_big_m(real):
+        ((p, held, warm),) = _validation_masters(masters)
+        K = len(real.columns)
+        assert held.basic.tolist() == list(range(M)) + [M + K + M]
+        assert held.complemented.shape == (M + K + M + 1,)
+        assert not held.complemented.any()
+        answers_as_cold_and_highs(real, p, warm)
+
     real = inst.reality_check(sol)
     ((p, held, warm),) = _validation_masters(masters)
     assert held.basic.tolist() == [moved(j) for j in sol.basis.basic.tolist()]
     assert held.complemented.shape == (M + len(chosen) + M + 1,)
     assert not held.complemented.any()
-
-    # the warm answer is the cold one, and HiGHS's
-    assert warm.objective == pytest.approx(lp_module.solve_lp(p).objective, rel=1e-9)
-    cold = inst.solve_rmp(real.columns)
-    assert real.z_upper == pytest.approx(cold.z_upper, rel=1e-9)
-    assert real.feasible == cold.feasible
-    highs = checks.highs_master_net(real.columns, inst.demands, sol.p_illumi_min)
-    assert real.z_upper - sol.p_illumi_min == pytest.approx(highs, rel=1e-7, abs=1e-7)
+    answers_as_cold_and_highs(real, p, warm)
 
     # a basis with a dropped pattern basic, as when a basic pattern sits at
     # zero (here a basic pattern's share is zeroed)
@@ -1264,19 +1317,19 @@ def test_validation_starts_from_the_protocol_basis(monkeypatch):
     omega = sol.omega.copy()
     omega[q] = 0.0
     masters.clear()
-    inst.reality_check(replace(sol, omega=omega))
-    assert [held for _, held, _ in _validation_masters(masters)] == [None]
+    started_from_big_m(inst.reality_check(replace(sol, omega=omega)))
 
     # a schedule of no pattern: the master prices the idle pattern alone
     masters.clear()
     idle = inst.reality_check(replace(sol, omega=np.zeros_like(sol.omega)))
     assert [col.schedule.active for col in idle.columns] == [()]
-    assert [held for _, held, _ in _validation_masters(masters)] == [None]
+    started_from_big_m(idle)
 
     # a heuristic's schedule
     masters.clear()
     vico = baselines.vico_random_schedule(inst.s, seed=1, instance=inst)
-    assert vico.columns and [held for _, held, _ in _validation_masters(masters)] == [None]
+    assert vico.columns
+    started_from_big_m(vico)
 
     # a later call's first master has only the initial pool: it holds no basis
     masters.clear()

@@ -196,6 +196,8 @@ def test_heuristics_without_lit_single_links_report_infeasible(tmp_path, capsys,
     pytest.param(["sweep-sir", "--from", "0.5"], "--from", id="from-below-1"),
     pytest.param(["compare", "--axis", "uts", "--values", "2", "--algos", "cg,greedy"],
                  "'greedy'", id="unknown-algo"),
+    pytest.param(["compare", "--axis", "uts", "--values", "2", "--algos", "vico,cg,vico"],
+                 "'vico'", id="repeated-algo"),
 ])
 def test_out_of_range_arguments_are_refused_before_solving(tmp_path, monkeypatch,
                                                           argv, named):
@@ -392,6 +394,14 @@ def test_malformed_scenario_exits_with_code_2(tmp_path, capsys):
     assert main(["solve", "--config", str(path),
                  "--out", str(tmp_path / "o")]) == 2
     assert "error: illum:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["solve", "--seed", "-1"],
+                                     ["compare", "--axis", "uts", "--values", "2",
+                                      "--seeds", "-1"]])
+def test_negative_terminal_seed_exits_with_code_2(tmp_path, capsys, command):
+    assert main(command + ["--out", str(tmp_path / "o")]) == 2
+    assert "error: uts.seed: must be >= 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field, change", helpers.WRONG_SCALARS)
@@ -654,6 +664,17 @@ def test_no_illum_constraint_is_for_vico_only(tmp_path, capsys, command, algo):
               "--out", str(out)])
     assert exc.value.code == 2
     assert "--no-illum-constraint applies to --algo vico only" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_sir_has_no_sir_option(tmp_path, capsys):
+    # the sweep's thresholds come from --from/--to/--step alone
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep-sir", "--config", _write_config(tmp_path), "--sir", "5",
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --sir 5" in capsys.readouterr().err
     assert not out.exists()
 
 

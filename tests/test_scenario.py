@@ -137,6 +137,7 @@ def _changed(field, change, doc):
     lambda d: d.update(uts=[[1.0, 1.0]]),
     # wrong scalars: these return the field their error must name
     *(functools.partial(_changed, field, change) for field, change in helpers.WRONG_SCALARS),
+    functools.partial(_changed, "uts.seed", {"uts": {"count": 2, "seed": -1}}),
 ])
 def test_invariant_violations_rejected(mutate):
     doc = helpers.tiny_config()
