@@ -73,12 +73,12 @@ onto the scheduled columns by position (also an advanced start); it starts
 from the big-M basis, every demand bought as shortfall and the frame idle,
 when a pattern left out is basic there, when nothing is scheduled, or for a
 heuristic's schedule, which has no basis. Otherwise only the floor and the
-first master start cold. A call given an earlier solution to start
-from, such as a SIR sweep's solution at the next higher threshold, also
-pools that solution's columns that are independent in this conflict graph,
-after the initial columns; when it keeps them all, the pool is that
-solution's last master's program, and the first master starts from its
-final basis.
+first master start cold. A call may instead start from an earlier protocol
+solution of the same scenario at this SIR threshold or a higher one, such as
+a sweep's at the next higher threshold. A higher threshold only adds
+conflict edges and the cap groups do not depend on it, so every column of
+that solution is independent here: its pool is the call's first pool, and
+its last master's final basis is the first master's start.
 """
 
 from __future__ import annotations
@@ -94,7 +94,6 @@ import numpy as np
 
 from .capacity import physical_capacity
 from .conflict import (
-    ConflictGraph,
     ScheduleVector,
     build_conflict_graph,
     cap_groups,
@@ -195,7 +194,7 @@ class CgSolution:
     p_illumi_min: float        # electrical W of the lighting-only state
     dc_min: tuple[float, ...]  # optical W per lighting chip when idle; zeros if left dark
     epsilon: Optional[float]
-    sir_threshold: Optional[float]
+    sir_threshold: float
     lambda_bps: tuple[float, ...]
     mu: float
     shortfall_bps: tuple[float, ...]
@@ -206,11 +205,6 @@ class CgSolution:
     @property
     def iterations(self) -> int:
         return len(self.iteration_log)
-
-    @property
-    def last_reduced_cost(self) -> float:
-        """The last iteration's pricing reduced cost; NaN with no iteration."""
-        return self.iteration_log[-1].reduced_cost if self.iteration_log else math.nan
 
     @property
     def feasible(self) -> bool:
@@ -251,20 +245,17 @@ class _LightingFloor:
 
 
 class SchedulingInstance:
-    """Precomputed tables shared by every optimization pass on one scenario."""
+    """Precomputed tables shared by every optimization pass on one scenario
+    at one SIR threshold."""
 
-    def __init__(self, s: Scenario, sir_threshold: Optional[float] = None):
+    def __init__(self, s: Scenario, sir_threshold: float):
         self.s = s
         self.links: list[Link] = build_candidate_links(s)
         # _h_cross[i, j] is the gain of link j's beam at link i's receiver
         # (same channel only, zero on the diagonal)
         self._h_cross = cross_gains(self.links)
-        if sir_threshold is not None:
-            self.graph = build_conflict_graph(self.links, self._h_cross, sir_threshold)
-            self.sir_threshold = float(sir_threshold)
-        else:
-            self.graph = None
-            self.sir_threshold = None
+        self.graph = build_conflict_graph(self.links, self._h_cross, sir_threshold)
+        self.sir_threshold = float(sir_threshold)
         self.cap_groups = cap_groups(self.links, s)
 
         self.demands = np.array([ut.demand_bps for ut in s.uts])
@@ -301,37 +292,29 @@ class SchedulingInstance:
             draws &= tx[:, 1:] == [ln.chip_index for ln in self.links]
         self.budget = np.where(draws, self.p_ac_pp, 0.0)
 
-        # lazy working sets of illuminance grid rows: only rows some solve violated
-        self._start_rows((), ())
+        # lazy working sets of illuminance grid rows, as index arrays: only
+        # rows some solve violated. They grow into new arrays, never in place,
+        # so instances can share them
+        self._lo_rows = self._hi_rows = np.zeros(0, dtype=int)
 
         # single-link columns, with the lazy rows held right after they were built
         self._initial: Optional[tuple[tuple[IndependentSetColumn, ...],
-                                      tuple[int, ...], tuple[int, ...]]] = None
+                                      np.ndarray, np.ndarray]] = None
         self._static_rows: Optional[tuple] = None
         self._bits: Optional[_ConflictBits] = None
         # the lighting floor, and the final basis of the last pricing MILP's root
         self._floor: Optional[_LightingFloor] = None
         self._pricing_root: Optional[Basis] = None
 
-    def _start_rows(self, lo: Sequence[int], hi: Sequence[int]) -> None:
-        self._lo_rows: list[int] = list(lo)
-        self._hi_rows: list[int] = list(hi)
-        self._hold_rows()
-
-    def _hold_rows(self) -> None:
-        """Refresh the held rows' index arrays, which the hot paths read in
-        place of the lists."""
-        self._lo_idx = np.array(self._lo_rows, dtype=int)
-        self._hi_idx = np.array(self._hi_rows, dtype=int)
-
     def at_sir_threshold(self, sir_threshold: float) -> SchedulingInstance:
         """This scenario at another SIR threshold, sharing this instance's
-        threshold-free tables, lighting floor and initial columns (solved here
-        if they are not yet); only the conflict graph is built anew.
+        tables that do not depend on the threshold, its lighting floor and its
+        initial columns (solved here if they are not yet); only the conflict
+        graph is built anew.
 
-        The lazy rows start from a copy of those held right after the initial
-        columns were built, and the lighting floor's record, decoded once and
-        changed by no later solve, is shared. The held pricing root is not
+        The lazy rows start as those held right after the initial columns
+        were built, and the lighting floor's record, decoded once and changed
+        by no later solve, is shared. The held pricing root is not
         (the conflict graph differs), so the first pricing MILP starts from
         the floor's basis, as on a new instance. So when this instance built
         the initial columns before solving anything else, the result solves
@@ -340,11 +323,10 @@ class SchedulingInstance:
         the result changes them on no other instance.
         """
         self.initial_columns()
-        _, lo, hi = self._initial
         inst = copy.copy(self)
         inst.graph = build_conflict_graph(self.links, self._h_cross, sir_threshold)
         inst.sir_threshold = float(sir_threshold)
-        inst._start_rows(lo, hi)
+        _, inst._lo_rows, inst._hi_rows = self._initial
         inst._static_rows = None
         inst._bits = None
         inst._pricing_root = None
@@ -396,10 +378,10 @@ class SchedulingInstance:
         one shifts the upper rows, so a basis held before loads onto the new
         program by position or, if singular there, leaves the cold start;
         neither benchmark workload ever adds an upper row."""
-        lo_idx, hi_idx = self._lo_idx, self._hi_idx
-        rel = (">=",) * lo_idx.size + ("<=",) * hi_idx.size
-        return (lux[:, np.concatenate([lo_idx, hi_idx])].T, rel,
-                np.concatenate([lo[lo_idx], hi[hi_idx]]))
+        lo_rows, hi_rows = self._lo_rows, self._hi_rows
+        rel = (">=",) * lo_rows.size + ("<=",) * hi_rows.size
+        return (lux[:, np.concatenate([lo_rows, hi_rows])].T, rel,
+                np.concatenate([lo[lo_rows], hi[hi_rows]]))
 
     def _solve_dc(self, active: tuple[int, ...]) -> np.ndarray:
         """Optimal lighting powers (optical W per chip) alongside the pattern
@@ -476,7 +458,7 @@ class SchedulingInstance:
         at_cap = np.flatnonzero(basis.complemented[:T] & ~np.isin(np.arange(T), chips))
         rows = np.setdiff1d(np.arange(basis.basic.size), basis.basic[basis.basic >= T] - T)
         n_lo = len(self._lo_rows)
-        points = np.array(self._lo_rows + self._hi_rows, dtype=int)[rows]
+        points = np.concatenate([self._lo_rows, self._hi_rows])[rows]
         lux = self.dc_light[:, points]
         return _LightingFloor(dc, basis, n_lo, chips, at_cap, points,
                               np.where(rows < n_lo, self.e_lo[points], self.e_hi[points]),
@@ -505,10 +487,10 @@ class SchedulingInstance:
         are what the pattern's lighting LP loaded there would answer without
         a pivot: every chip within [0, cap] and every held row met, to
         `lp._BOUND_TOL`. The other grid points are the lazy-row loop's."""
-        lo_idx, hi_idx = self._lo_idx, self._hi_idx
+        lo_rows, hi_rows = self._lo_rows, self._hi_rows
         return bool((x >= -_BOUND_TOL).all() and (x <= caps + _BOUND_TOL).all()
-                    and (not lo_idx.size or (lo[lo_idx] - field[lo_idx] <= _BOUND_TOL).all())
-                    and (not hi_idx.size or (field[hi_idx] - hi[hi_idx] <= _BOUND_TOL).all()))
+                    and (not lo_rows.size or (lo[lo_rows] - field[lo_rows] <= _BOUND_TOL).all())
+                    and (not hi_rows.size or (field[hi_rows] - hi[hi_rows] <= _BOUND_TOL).all()))
 
     def _with_lazy_rows(self, what: str, solve: Callable[[], tuple[_Answer, np.ndarray]],
                         lo: np.ndarray, hi: np.ndarray) -> _Answer:
@@ -523,18 +505,17 @@ class SchedulingInstance:
 
     def _collect_violations(self, field: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> int:
         """Add up to 30 of the worst violated grid points not yet held, per
-        side; the number added."""
+        side, each side into a new array; the number added."""
         added = 0
-        for viol, rows, held in ((lo - field, self._lo_rows, self._lo_idx),
-                                 (field - hi, self._hi_rows, self._hi_idx)):
-            viol[held] = 0.0  # a held point is not added again
+        rows = [self._lo_rows, self._hi_rows]
+        for side, viol in enumerate((lo - field, field - hi)):
+            viol[rows[side]] = 0.0  # a held point is not added again
             bad = (viol > _ROW_CHECK_TOL).nonzero()[0]
             if bad.size:
-                worst = bad[np.argsort(viol[bad])[::-1][:30]].tolist()
-                rows.extend(worst)
-                added += len(worst)
-        if added:
-            self._hold_rows()
+                worst = bad[np.argsort(viol[bad])[::-1][:30]]
+                rows[side] = np.concatenate([rows[side], worst])
+                added += worst.size
+        self._lo_rows, self._hi_rows = rows
         return added
 
     # -- columns ------------------------------------------------------------
@@ -568,13 +549,12 @@ class SchedulingInstance:
                     cols.append(self.build_column((i,)))
                 except IlluminationInfeasible:
                     continue  # a beam nobody can light around; unusable as a column
-            self._initial = (tuple(cols), tuple(self._lo_rows), tuple(self._hi_rows))
+            self._initial = (tuple(cols), self._lo_rows, self._hi_rows)
         return list(self._initial[0])
 
     def column_is_valid(self, col: IndependentSetColumn) -> bool:
         """Recheck independence, power budgets and the illuminance band."""
-        if self.graph is not None and not is_independent(col.schedule, self.graph,
-                                                         self.cap_groups):
+        if not is_independent(col.schedule, self.graph, self.cap_groups):
             return False
         dc = np.asarray(col.dc_power)
         if np.any(dc < -1e-12):
@@ -624,17 +604,12 @@ class SchedulingInstance:
 
     # -- pricing --------------------------------------------------------------
 
-    def _require_graph(self) -> ConflictGraph:
-        if self.graph is None:
-            raise CgError("this operation needs a conflict graph; pass sir_threshold")
-        return self.graph
-
     def _static_pattern_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """Rows A x <= b over the links alone: conflict cliques, then the
         multiplicity caps, each (members, cap) once, where it first occurs,
         and with two or more members."""
         if self._static_rows is None:
-            cliques = _clique_cover(self._require_graph().adjacency)
+            cliques = _clique_cover(self.graph.adjacency)
             groups, caps = self.cap_groups
             a = np.vstack([cliques, groups]).astype(float)
             b = np.concatenate([np.ones(len(cliques)), caps])
@@ -650,7 +625,7 @@ class SchedulingInstance:
         """The conflict graph and the cap groups as bitsets, packed on first
         use."""
         if self._bits is None:
-            self._bits = _pack_conflicts(self._require_graph().adjacency, *self.cap_groups)
+            self._bits = _pack_conflicts(self.graph.adjacency, *self.cap_groups)
         return self._bits
 
     def solve_pricing(self, lambda_bps: np.ndarray, mu: float,
@@ -666,7 +641,6 @@ class SchedulingInstance:
         keeps the MILP's powers and no lighting LP is solved: once the full
         grid check is clean they are optimal for the pattern.
         """
-        self._require_graph()
         p0_elec, _ = self.min_illumination_power()
         _, mu, link_cost = self._priced_links(lambda_bps, mu)
         L = len(self.links)
@@ -783,26 +757,29 @@ class SchedulingInstance:
         """Column generation from the initial columns, to proven optimality
         or to within a factor 1 + `epsilon` of the certified lower bound.
 
-        `start` is an earlier solution to start from, such as the same
-        scenario's at a higher SIR threshold: its columns that are not pooled
-        yet and are independent in this instance's conflict graph follow the
-        initial columns. When that pool is exactly `start`'s, in order, the
-        first master starts from `start`'s last master's final basis.
+        `start`, if given, is an earlier protocol solution of the same
+        scenario at this SIR threshold or a higher one, such as a sweep's at
+        the next higher threshold. A higher threshold only adds conflict
+        edges, so its columns are independent here: they are the first pool,
+        and its last master's final basis is the first master's start. A
+        `start` without a basis (a validation pass's or a heuristic's
+        solution) or solved below this threshold raises ValueError before
+        anything is solved.
         """
         if not 0.0 <= epsilon < 1.0:
             raise ValueError(f"epsilon={epsilon}: must lie in [0, 1)")
-        self._require_graph()
+        if start is not None and (start.basis is None
+                                  or start.sir_threshold < self.sir_threshold):
+            raise ValueError("start must be a protocol solution at this SIR threshold "
+                             f"or above ({self.sir_threshold}); got stage {start.stage!r} "
+                             f"at {start.sir_threshold}")
         t_start = time.monotonic()
         p0_elec, dc_min = self.min_illumination_power()
+        # built with a start too, so the lazy rows are as on any first solve
         pool = self.initial_columns()
         held: Optional[Basis] = None
         if start is not None:
-            initial = {col.schedule.active for col in pool}
-            pool += [col for col in start.columns if col.schedule.active not in initial
-                     and is_independent(col.schedule, self.graph, self.cap_groups)]
-            if ([col.schedule.active for col in pool]
-                    == [col.schedule.active for col in start.columns]):
-                held = start.basis
+            pool, held = list(start.columns), start.basis
         keys = {col.schedule.active for col in pool}
         z_lower = -math.inf
         log: list[IterationRecord] = []

@@ -61,29 +61,35 @@ def sweep_sir(s: Scenario, thresholds: Sequence[float], epsilon: float = 0.01,
 
     Returns (sir_lower, sir_upper, table): the smallest threshold whose
     validation pass stays feasible, the largest whose protocol solution is
-    feasible, and one table row per threshold, in ascending order.
+    feasible, and one table row per threshold, in ascending order;
+    (None, None, []) for no threshold.
 
     The lighting floor and the single-link columns do not depend on the
-    threshold, so the sweep solves them once, before the first threshold;
-    each row's `wall_ms` excludes that shared time. A higher threshold only
-    adds conflict edges, so every pattern independent at one threshold is
-    independent at every lower one: the thresholds are solved from the top
-    down, each starting from the one above (`column_generation`'s `start`),
-    with its columns and its last master's final basis.
+    threshold, so the sweep solves them once, on the instance at the top
+    threshold, before any column generation; each row's `wall_ms` excludes
+    that shared time. A higher threshold only adds conflict edges, so every
+    pattern independent at one threshold is independent at every lower one:
+    the thresholds are solved from the top down, each lower one on an
+    instance derived from the top one (`at_sir_threshold`) and starting from
+    the solution above it (`column_generation`'s `start`), with its columns
+    and its last master's final basis.
     """
     thresholds = list(thresholds)
     if any(t > u for t, u in zip(thresholds, thresholds[1:])):
         raise ValueError("thresholds must be sorted ascending")
-    if thresholds and thresholds[0] < 1.0:
+    if not thresholds:
+        return None, None, []
+    if thresholds[0] < 1.0:
         raise ValueError("thresholds must be >= 1")
-    base = SchedulingInstance(s)
-    p0 = base.min_illumination_power()[0]
+    top = SchedulingInstance(s, float(thresholds[-1]))
+    p0 = top.min_illumination_power()[0]
+    top.initial_columns()
     table = []
     sir_upper = None
     sir_lower = None
     proto = None
     for t in reversed(thresholds):
-        inst = base.at_sir_threshold(float(t))
+        inst = top if proto is None else top.at_sir_threshold(float(t))
         proto = inst.column_generation(epsilon=epsilon, start=proto)
         real = inst.reality_check(proto)
         if proto.feasible and sir_upper is None:
@@ -474,6 +480,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         raise SystemExit(f"--sir {args.sir}: must be >= 1")
     if not 0.0 <= args.epsilon < 1.0:
         raise SystemExit(f"--epsilon {args.epsilon}: must lie in [0, 1)")
+    if args.config and args.seed < 0:
+        # without --config, --seed is uts.seed, which the scenario refuses
+        print(f"error: --seed {args.seed}: must be >= 0", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except (IlluminationInfeasible, ScenarioError) as exc:

@@ -94,13 +94,6 @@ class ConflictGraph:
     def n_links(self) -> int:
         return self.adjacency.shape[0]
 
-    def edges(self) -> list[tuple[int, int]]:
-        ii, jj = np.nonzero(np.triu(self.adjacency, k=1))
-        return list(zip(ii.tolist(), jj.tolist()))
-
-    def conflicts(self, i: int, j: int) -> bool:
-        return bool(self.adjacency[i, j])
-
 
 def build_conflict_graph(links: Sequence["Link"], gains: np.ndarray,
                          sir_threshold: float) -> ConflictGraph:

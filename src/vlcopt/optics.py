@@ -145,11 +145,6 @@ def channel_gain_many(
     return np.where((cos_inc >= np.cos(fov)) & (cos_inc > 0.0), gain, 0.0)
 
 
-def illum_gain(tx: BeamPose, point: Sequence[float]) -> float:
-    """Horizontal illuminance gain (1/m^2) at a desk-plane point facing +z."""
-    return float(illum_gain_many([tx], [point])[0, 0])
-
-
 def illum_gain_many(txs: Sequence[BeamPose], points: np.ndarray) -> np.ndarray:
     """Horizontal illuminance gains (1/m^2), (len(txs), K), at K desk-plane
     points: the channel gain of a unit aperture facing +z with no

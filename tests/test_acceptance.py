@@ -89,7 +89,7 @@ def test_criterion_2_gap_certificate(office_runs, acceptance_report):
     for eps in (0.01, 0.005):
         _, sol, elapsed = office_runs[eps]
         ratio = sol.z_upper / sol.z_lower if sol.z_lower > 0 else math.inf
-        certified = ratio <= 1.0 + eps + 1e-12 or sol.last_reduced_cost >= -1e-9
+        certified = ratio <= 1.0 + eps + 1e-12 or sol.iteration_log[-1].reduced_cost >= -1e-9
         ok &= certified and elapsed <= 120.0 and sol.feasible
         details.append(f"eps={eps}: ratio {ratio:.6f} in {sol.iterations} iters, "
                        f"{elapsed:.0f}s")
@@ -103,7 +103,7 @@ def test_criterion_2_gap_certificate(office_runs, acceptance_report):
         _, sol, elapsed = office_runs[eps]
         assert sol.feasible
         assert (sol.z_upper / sol.z_lower <= 1.0 + eps + 1e-12
-                or sol.last_reduced_cost >= -1e-9)
+                or sol.iteration_log[-1].reduced_cost >= -1e-9)
         assert elapsed <= 120.0
     assert loose_iters < exact_iters
 
@@ -241,7 +241,8 @@ def test_criterion_8_formula_spot_checks(acceptance_report):
                        area_m2=1e-4, fov_half_deg=60.0)
     inv_square = near / far == pytest.approx((2.2 / 1.1) ** 2, rel=1e-12)
 
-    inst = SchedulingInstance(scenario_from_dict(helpers.tiny_config(n_uts=2, seed=1)))
+    inst = SchedulingInstance(scenario_from_dict(helpers.tiny_config(n_uts=2, seed=1)),
+                              SIR_DEFAULT)
     rng = np.random.default_rng(3)
     da = rng.uniform(0.0, 3.0, size=len(inst.dc_txs))
     db = rng.uniform(0.0, 3.0, size=len(inst.dc_txs))

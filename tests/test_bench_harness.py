@@ -14,6 +14,13 @@ def test_traced_selfcheck_passes():
     assert workloads.selfcheck() == []
 
 
+def test_traced_lazy_rows_count_the_rows_solves_add():
+    # the tracer reads the held rows through getattr with an empty default,
+    # so a renamed row attribute would read as zero rows without failing
+    for w in workloads.WORKLOADS.values():
+        assert workloads.traced_run(w, 1, tiny=True)["metrics"]["cg_scheduler.lazy_rows"] > 0
+
+
 def test_manifest_matches_emitted_metrics():
     assert run.manifest_problems(workloads) == []
 

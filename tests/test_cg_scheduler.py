@@ -49,7 +49,7 @@ def test_ambient_alone_inside_band_costs_nothing():
     doc = helpers.tiny_config(n_uts=1,
                               illum={"lower_lux": 300.0, "upper_lux": 500.0,
                                      "spacing": 0.5, "ambient_lux": 400.0})
-    p0, dc = SchedulingInstance(scenario_from_dict(doc)).min_illumination_power()
+    p0, dc = SchedulingInstance(scenario_from_dict(doc), 3.0).min_illumination_power()
     assert p0 == 0.0
     assert np.all(dc == 0.0)
 
@@ -57,7 +57,7 @@ def test_ambient_alone_inside_band_costs_nothing():
 def test_single_lamp_inversion():
     # one chip, one constraint point: required optical power inverts in closed form
     s = scenario_from_dict(_one_lamp_doc(lower=200.0, upper=500.0))
-    p0, dc = SchedulingInstance(s).min_illumination_power()
+    p0, dc = SchedulingInstance(s, 3.0).min_illumination_power()
     want_optical = 200.0 / (300.0 * GAIN_BELOW_WIDE)
     assert dc[0] == pytest.approx(want_optical, rel=1e-9)
     assert p0 == pytest.approx(want_optical / 0.1, rel=1e-9)
@@ -67,7 +67,7 @@ def test_unreachable_floor_names_witness_point():
     # 12.5 W through the closed-form gain caps the field near 203 lux
     s = scenario_from_dict(_one_lamp_doc(lower=300.0, upper=500.0))
     with pytest.raises(IlluminationInfeasible) as exc:
-        SchedulingInstance(s).min_illumination_power()
+        SchedulingInstance(s, 3.0).min_illumination_power()
     assert exc.value.point_index == 0
     assert exc.value.point[:2] == (1.0, 1.0)
 
@@ -75,7 +75,7 @@ def test_unreachable_floor_names_witness_point():
 def test_office_idle_field_stays_in_band():
     """Default office: recompute the optimized idle field from scratch."""
     s = scenario_from_dict(default_config())
-    p0, dc = SchedulingInstance(s).min_illumination_power()
+    p0, dc = SchedulingInstance(s, 3.0).min_illumination_power()
     assert p0 == pytest.approx(float(np.sum(dc / 0.1)), rel=1e-12)
     field = helpers.ref_idle_field(s, dc)
     assert np.all(field >= 300.0 - 1e-4)
@@ -128,34 +128,37 @@ def test_bright_beam_overruns_dim_ceiling():
         inst.optimize_dc_for_schedule([0])
 
 
-def test_held_row_arrays_follow_the_row_lists():
-    # the hot paths read the held rows as index arrays, refreshed wherever
-    # rows join or restart
-    def follows(inst):
-        assert inst._lo_idx.tolist() == inst._lo_rows
-        assert inst._hi_idx.tolist() == inst._hi_rows
-
+def test_held_rows_grow_into_new_arrays():
+    # the held rows are index arrays that grow by concatenation, in the order
+    # the points joined, and never in place: instances share them uncopied
     inst = SchedulingInstance(scenario_from_dict(helpers.bright_beam_config()), 3.0)
-    follows(inst)
-    inst._start_rows([4, 2], [7])
-    follows(inst)
+    assert inst._lo_rows.tolist() == [] and inst._hi_rows.tolist() == []
+    lo, hi = np.array([4, 2]), np.array([7])
+    inst._lo_rows, inst._hi_rows = lo, hi
     field = 0.5 * (inst.e_lo + inst.e_hi)
     field[[0, 2]] = inst.e_lo[[0, 2]] - 1.0  # point 2 is held already
     field[9] = inst.e_hi[9] + 1.0
     assert inst._collect_violations(field, inst.e_lo, inst.e_hi) == 2
-    assert inst._lo_rows == [4, 2, 0] and inst._hi_rows == [7, 9]
-    follows(inst)
+    assert inst._lo_rows.tolist() == [4, 2, 0] and inst._hi_rows.tolist() == [7, 9]
+    assert lo.tolist() == [4, 2] and hi.tolist() == [7]
 
-    base = SchedulingInstance(scenario_from_dict(helpers.bright_beam_config()))
+
+def test_solving_a_derived_instance_leaves_other_rows_unchanged():
+    # a derived instance starts from the rows held right after the initial
+    # columns, shared with its base and its siblings; its solve grows only
+    # its own
+    base = SchedulingInstance(scenario_from_dict(helpers.bright_beam_config()), 6.0)
     base.initial_columns()
-    rows = (list(base._lo_rows), list(base._hi_rows))
-    derived = base.at_sir_threshold(3.0)
-    follows(derived)
+    initial = [rows.copy() for rows in base._initial[1:]]
+    derived, sibling = base.at_sir_threshold(3.0), base.at_sir_threshold(4.0)
+    assert derived._lo_rows is base._initial[1] and derived._hi_rows is base._initial[2]
+    base.column_generation(epsilon=0.0)
+    held = [base._lo_rows.copy(), base._hi_rows.copy()]
     derived.column_generation(epsilon=0.0)  # adds an upper row
-    assert len(derived._hi_rows) > len(rows[1])
-    follows(derived)
-    assert (base._lo_rows, base._hi_rows) == rows
-    follows(base)
+    assert len(derived._hi_rows) > len(initial[1])
+    for rows, want in zip((base._lo_rows, base._hi_rows, sibling._lo_rows,
+                           sibling._hi_rows, *base._initial[1:]), held + initial * 2):
+        assert rows.tolist() == want.tolist()
 
 
 def test_derived_instances_pack_their_own_conflicts():
@@ -175,12 +178,12 @@ def test_lazy_rows_add_the_worst_points_not_yet_held():
     # join, or row generation stops on a field short at a point outside
     inst = helpers.tiny_instance(illum={"lower_lux": 300.0, "upper_lux": 500.0,
                                         "spacing": 0.25, "ambient_lux": 0.0})
-    inst._start_rows(range(30), ())
+    inst._lo_rows = np.arange(30)
     field = 0.5 * (inst.e_lo + inst.e_hi)
     field[:30] = inst.e_lo[:30] - 1e-3
     field[30] = inst.e_lo[30] - 1e-4
     assert inst._collect_violations(field, inst.e_lo, inst.e_hi) == 1
-    assert inst._lo_rows == list(range(31)) and inst._hi_rows == []
+    assert inst._lo_rows.tolist() == list(range(31)) and inst._hi_rows.tolist() == []
 
 
 # -- seed columns and the restricted master ----------------------------------------
@@ -231,10 +234,10 @@ def test_master_without_columns_buys_shortfall():
 def test_master_buys_exactly_the_needed_share():
     doc = helpers.tiny_config(n_uts=1)
     doc["uts"] = [{"position": [0.6, 0.6], "demand_bps": 1e6}]
-    probe = SchedulingInstance(scenario_from_dict(doc))
+    probe = SchedulingInstance(scenario_from_dict(doc), 3.0)
     half = float(probe.cap[0]) / 2.0
     doc["uts"][0]["demand_bps"] = half
-    inst = SchedulingInstance(scenario_from_dict(doc))
+    inst = SchedulingInstance(scenario_from_dict(doc), 3.0)
 
     col = inst.initial_columns()[0]
     res = inst.solve_rmp([col])
@@ -502,7 +505,7 @@ def test_every_program_after_the_first_of_its_kind_starts_warm(monkeypatch):
     doc = helpers.tiny_config(n_uts=4, seed=1, demand_bps=4e8, channels=2, kind="b")
     doc["chip"].update(p_ac_pp=1.0, p_ac_avg=0.5)
     inst = SchedulingInstance(scenario_from_dict(doc), sir_threshold=3.0)
-    bright = SchedulingInstance(scenario_from_dict(helpers.bright_beam_config()))
+    bright = SchedulingInstance(scenario_from_dict(helpers.bright_beam_config()), 3.0)
     inside, entered = [], []
 
     def tagged(kind, method):
@@ -568,10 +571,11 @@ def test_first_pricing_root_from_the_floor_matches_the_cold_start(monkeypatch, c
     # the first pricing MILP starts from the lighting floor's basis moved
     # onto its program: the bright beams add an upper row after the floor,
     # the saturated floor's capped chips start basic on their budget rows,
-    # and the office is derived from its base instance as `sweep_sir` does
+    # and the office is derived from the top threshold's instance as
+    # `sweep_sir` derives the lower ones
     if case == "office":
-        base = SchedulingInstance(scenario_from_dict(default_config(seed=7)))
-        inst = base.at_sir_threshold(6.0)
+        top = SchedulingInstance(scenario_from_dict(default_config(seed=7)), 6.0)
+        inst = top.at_sir_threshold(3.0)
     else:
         doc = (helpers.bright_beam_config() if case == "bright_beam"
                else _saturated_floor_config())
@@ -614,14 +618,14 @@ def test_floor_start_maps_each_floor_row_onto_its_illuminance_row():
     L, T = len(inst.links), len(inst.dc_txs)
     complemented = np.zeros(T + 3, dtype=bool)
     complemented[1] = True
-    inst._lo_rows, inst._hi_rows = [3, 7], [5]
+    inst._lo_rows, inst._hi_rows = np.array([3, 7]), np.array([5])
     inst._floor = inst._decode_floor(
         np.zeros(T), lp_module.Basis(np.array([0, T + 1, 2]), complemented))
     floor = inst._floor
     assert floor.n_lo == 2 and floor.chips.tolist() == [0, 2] and floor.at_cap.tolist() == [1]
     assert floor.points.tolist() == [3, 5]
     assert floor.bound.tolist() == [inst.e_lo[3], inst.e_hi[5]]
-    inst._lo_rows, inst._hi_rows = [3, 7, 11], [5, 9]
+    inst._lo_rows, inst._hi_rows = np.array([3, 7, 11]), np.array([5, 9])
     n_static = 3
     top = n_static + T  # the first illuminance row of the pricing program
     start = inst._floor_start(top)
@@ -654,7 +658,7 @@ def test_patterns_lit_after_the_floor_solve_at_most_a_chip_block(monkeypatch):
 
     inst = helpers.tiny_instance(n_uts=4, seed=1, channels=2)
     inst.min_illumination_power()  # holds the floor
-    rows = (list(inst._lo_rows), list(inst._hi_rows))
+    rows = (inst._lo_rows.tolist(), inst._hi_rows.tolist())
     chips = len(inst.dc_txs)
     monkeypatch.setattr(np.linalg, "solve", counting)
     monkeypatch.setattr(cg_scheduler, "solve_lp", recording_lp)
@@ -663,7 +667,7 @@ def test_patterns_lit_after_the_floor_solve_at_most_a_chip_block(monkeypatch):
     for active in patterns:
         inst.optimize_dc_for_schedule(active)
     monkeypatch.undo()
-    assert (list(inst._lo_rows), list(inst._hi_rows)) == rows
+    assert (inst._lo_rows.tolist(), inst._hi_rows.tolist()) == rows
     # here the floor's basis lights every pattern: one block solve each, no LP
     assert loaded == [] and len(dense) == len(patterns)
     held = len(rows[0]) + len(rows[1])
@@ -672,7 +676,7 @@ def test_patterns_lit_after_the_floor_solve_at_most_a_chip_block(monkeypatch):
 
     # bright beams: the floor's basis lights no single link, and each
     # link's first lighting LP loads it by position, as the same block
-    inst = SchedulingInstance(scenario_from_dict(helpers.bright_beam_config()))
+    inst = SchedulingInstance(scenario_from_dict(helpers.bright_beam_config()), 3.0)
     inst.min_illumination_power()
     rows = len(inst._lo_rows) + len(inst._hi_rows)
     dense.clear()
@@ -775,7 +779,7 @@ def test_patterns_lit_off_the_floor_basis_match_the_warm_lighting_lp(monkeypatch
     lit = [call for call in calls if call["clean"] and not call["grew"]]
     assert len([call for call in lit if len(call["active"]) == 1]) > len(inst.links) // 2
     assert any(len(call["active"]) >= 2 for call in lit)
-    held = inst._lo_rows + inst._hi_rows
+    held = np.concatenate([inst._lo_rows, inst._hi_rows])
     rel = (">=",) * len(inst._lo_rows) + ("<=",) * len(inst._hi_rows)
     for call in lit:
         active = call["active"]
@@ -837,7 +841,7 @@ def _short_point_instance(case, short):
         free = np.setdiff1d(np.arange(len(field)), inst._lo_rows)
         point = int(free[np.argmin(field[free])])
     else:
-        point = max(inst._lo_rows, key=lambda k: field[k] - inst.e_lo[k])
+        point = max(inst._lo_rows.tolist(), key=lambda k: field[k] - inst.e_lo[k])
         assert field[point] - inst.e_lo[point] > 1e-3
     inst.e_lo[point] = field[point] + short
     return inst, active, field, point
@@ -855,18 +859,18 @@ def test_floor_basis_lights_only_where_the_lighting_lp_would_not_move(monkeypatc
     short = {"unheld_point_short": 1e-6, "unheld_point_within_check": 1e-7,
              "held_row_short": 1e-8, "held_row_within_bound": 1e-10}[case]
     inst, active, field, point = _short_point_instance(case.split("_")[0], short)
-    rows = (list(inst._lo_rows), list(inst._hi_rows))
+    rows = (inst._lo_rows.tolist(), inst._hi_rows.tolist())
     calls = _recording_lighting(monkeypatch)
     dc = inst.optimize_dc_for_schedule(active)
     monkeypatch.undo()
     assert calls[0]["clean"] is (case != "held_row_short")
     assert (calls[0]["lps"] == 0) is lit
     if lit:
-        assert (list(inst._lo_rows), list(inst._hi_rows)) == rows
+        assert (inst._lo_rows.tolist(), inst._hi_rows.tolist()) == rows
         np.testing.assert_allclose(inst.illuminance(dc, active), field, rtol=0.0, atol=1e-9)
     else:  # the point is met, an unheld one once it joins the rows
         if case == "unheld_point_short":
-            assert inst._lo_rows == rows[0] + [point]
+            assert inst._lo_rows.tolist() == rows[0] + [point]
         assert inst.illuminance(dc, active)[point] >= inst.e_lo[point] - 1e-9
 
 
@@ -875,12 +879,12 @@ def test_a_reading_short_only_off_the_held_rows_solves_one_lighting_lp(monkeypat
     # 1e-3 lux short: the reading's round adds that row, and the next round's
     # one lighting LP, from the floor's basis, is the full-grid optimum
     inst, active, _, point = _short_point_instance("unheld", 1e-3)
-    rows = list(inst._lo_rows)
+    rows = inst._lo_rows.tolist()
     calls = _recording_lighting(monkeypatch)
     dc = inst.optimize_dc_for_schedule(active)
     monkeypatch.undo()
     assert [(call["clean"], call["lps"]) for call in calls] == [(True, 1)]
-    assert inst._lo_rows == rows + [point]
+    assert inst._lo_rows.tolist() == rows + [point]
     cost, a_ub, b_ub, bounds = _full_grid_lighting(inst, active)
     ref = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
     assert ref.status == 0
@@ -954,12 +958,13 @@ def test_column_is_valid_rejects_each_broken_property():
     # accepted twin shows
     s = scenario_from_dict(helpers.tiny_config(n_uts=4, seed=1, channels=1))
     inst = SchedulingInstance(s, sir_threshold=6.0)
-    edges = np.argwhere(np.triu(inst.graph.adjacency, k=1))
+    low = inst.at_sir_threshold(1.0)
+    edges = np.argwhere(np.triu(inst.graph.adjacency & ~low.graph.adjacency, k=1))
     assert edges.size
-    # a dependent pair, lit for its own beams: valid only without a conflict graph
+    # a pair, lit for its own beams: dependent here, independent at threshold 1
     pair = edges[0].tolist()
     dependent = inst.build_column(pair)
-    assert SchedulingInstance(s).column_is_valid(dependent)
+    assert low.column_is_valid(dependent)
     assert not inst.column_is_valid(dependent)
 
     col = inst.initial_columns()[0]

@@ -9,8 +9,8 @@ import pytest
 
 import helpers
 from vlcopt import cg_scheduler, cli, lp
+from vlcopt.baselines import vico_random_schedule
 from vlcopt.cg_scheduler import SchedulingInstance
-from vlcopt.conflict import is_independent
 from vlcopt.cli import _parse_values, main, result_row, run_algorithm, sweep_sir
 from vlcopt.scenario import default_config, scenario_from_dict
 
@@ -398,10 +398,19 @@ def test_malformed_scenario_exits_with_code_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", [["solve", "--seed", "-1"],
                                      ["compare", "--axis", "uts", "--values", "2",
-                                      "--seeds", "-1"]])
-def test_negative_terminal_seed_exits_with_code_2(tmp_path, capsys, command):
+                                      "--seeds", "-1"],
+                                     ["solve", "--config", "tiny.json", "--algo", "vico",
+                                      "--seed", "-1"],
+                                     ["heatmap", "--config", "tiny.json", "--algo", "vico",
+                                      "--seed", "-1"]])
+def test_negative_terminal_seed_exits_with_code_2(tmp_path, capsys, monkeypatch, command):
+    # with --config, --seed seeds only the random baseline's link order, and
+    # the command refuses it itself; otherwise it is the scenario's uts.seed
+    _write_config(tmp_path, "tiny.json", n_uts=2)
+    monkeypatch.chdir(tmp_path)
     assert main(command + ["--out", str(tmp_path / "o")]) == 2
-    assert "error: uts.seed: must be >= 0" in capsys.readouterr().err
+    field = "--seed -1" if "--config" in command else "uts.seed"
+    assert f"error: {field}: must be >= 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field, change", helpers.WRONG_SCALARS)
@@ -508,28 +517,25 @@ def test_sweep_starts_each_lower_threshold_from_the_master_above(monkeypatch):
                 == [col.schedule.active for col in above.columns])
 
 
-def test_start_drops_columns_the_new_graph_makes_dependent(monkeypatch):
-    # patterns of a solve at threshold 2 that conflict at threshold 6 are not
-    # carried; the pool is then not the start's program, and the first master
-    # starts cold
+def test_start_below_the_threshold_or_without_a_basis_is_refused():
+    # only a protocol solution at this threshold or above has a pool that is
+    # independent here and a final basis to start from: a lower threshold's
+    # (some of its patterns conflict at 6), a validation pass's and a
+    # heuristic's are refused before anything is solved
     s = _loaded_office()
-    base = SchedulingInstance(s)
-    start = base.at_sir_threshold(2.0).column_generation(0.0)
-    inst = base.at_sir_threshold(6.0)
-    dependent = {col.schedule.active for col in start.columns
-                 if not is_independent(col.schedule, inst.graph, inst.cap_groups)}
-    assert dependent and start.basis is not None
-    firsts, _ = _recording_first_masters(monkeypatch)
-    sol = inst.column_generation(0.0, start=start)
-    monkeypatch.undo()
-    assert firsts == [[None]]
-    pooled = {col.schedule.active for col in sol.columns}
-    assert pooled.isdisjoint(dependent)
-    assert {col.schedule.active for col in start.columns} - dependent <= pooled
+    below = SchedulingInstance(s, 2.0).column_generation(0.0)
+    inst = SchedulingInstance(s, 6.0)
+    assert not all(inst.column_is_valid(col) for col in below.columns)
+    above = SchedulingInstance(s, 6.0)
+    proto = above.column_generation(0.0)
+    vico = vico_random_schedule(s, seed=1, instance=above)
+    for start in (below, above.reality_check(proto), vico, vico.protocol):
+        with pytest.raises(ValueError, match="start must be"):
+            inst.column_generation(0.0, start=start)
+    assert inst._floor is None and inst._initial is None
+    sol = inst.column_generation(0.0, start=proto)  # the same threshold is fine
+    assert sol.columns[:len(proto.columns)] == proto.columns
     assert all(inst.column_is_valid(col) for col in sol.columns)
-    fresh = SchedulingInstance(s, sir_threshold=6.0).column_generation(0.0)
-    assert sol.status is fresh.status
-    assert _net(sol) == pytest.approx(_net(fresh), rel=0.0, abs=1e-9)
 
 
 def test_sweep_solves_single_link_lighting_once(monkeypatch):
@@ -556,13 +562,14 @@ def test_sweep_solves_single_link_lighting_once(monkeypatch):
     monkeypatch.setattr(SchedulingInstance, "_solve_dc", counting_solve_dc)
     monkeypatch.setattr(SchedulingInstance, "initial_columns", counting_initial_columns)
     sweep_sir(s, [1.0, 2.0, 4.0], epsilon=0.0)
-    n_links = len(SchedulingInstance(s).links)
+    n_links = len(SchedulingInstance(s, 1.0).links)
     assert Counter(singles) == {(i,): 1 for i in range(n_links)}
 
 
 def test_sweep_decodes_the_lighting_floor_once(monkeypatch):
-    # the base instance decodes its lighting floor once, and every instance
-    # derived at a threshold lights its patterns off that same record
+    # the top threshold's instance decodes its lighting floor once, and every
+    # instance derived from it at a lower threshold lights its patterns off
+    # that same record
     decode, derive = SchedulingInstance._decode_floor, SchedulingInstance.at_sir_threshold
     floors, derived = [], []
 
@@ -579,17 +586,17 @@ def test_sweep_decodes_the_lighting_floor_once(monkeypatch):
     sweep_sir(scenario_from_dict(default_config(seed=7)),
               [1.0, 2.0, 3.0, 4.0, 5.0, 6.0], epsilon=0.0)
     monkeypatch.undo()
-    assert len(floors) == 1 and len(derived) == 6
+    assert len(floors) == 1 and len(derived) == 5
     assert all(inst._floor is floors[0] for inst in derived)
 
 
 def test_derived_instances_share_no_pricing_state():
     s = scenario_from_dict(helpers.bright_beam_config())
-    base = SchedulingInstance(s)
+    base = SchedulingInstance(s, 1.0)
     base.solve_rmp(base.initial_columns())  # lazy rows of the base's own
 
     def rows(inst):
-        return list(inst._lo_rows), list(inst._hi_rows)
+        return inst._lo_rows.tolist(), inst._hi_rows.tolist()
 
     def root(inst):
         """The held pricing root's basis, copied out."""
@@ -622,6 +629,11 @@ def test_sweep_validates_threshold_list():
         sweep_sir(s, [2.0, 1.0])
     with pytest.raises(ValueError):
         sweep_sir(s, [0.5, 1.0])
+
+
+def test_sweep_of_no_threshold_is_empty():
+    s = scenario_from_dict(helpers.tiny_config(n_uts=1))
+    assert sweep_sir(s, []) == (None, None, [])
 
 
 # -- heatmap -----------------------------------------------------------------------

@@ -14,7 +14,6 @@ from vlcopt.optics import (
     channel_gain,
     channel_gain_many,
     coverage_center,
-    illum_gain,
     illum_gain_many,
     lambertian_order,
     lighting_pose,
@@ -117,19 +116,19 @@ def test_channel_gain_matches_reference_at_random_offsets():
 
 def test_illum_gain_below_wide_chip_frozen_value():
     pose = BeamPose((0.0, 0.0, 3.0), DOWN, lambertian_order(70.0))
-    assert illum_gain(pose, (0.0, 0.0, 0.8)) == pytest.approx(0.05412776651255537,
-                                                              rel=1e-12)
+    assert illum_gain_many([pose], [(0.0, 0.0, 0.8)])[0, 0] == pytest.approx(
+        0.05412776651255537, rel=1e-12)
 
 
 def test_illum_gain_vanishes_at_right_angle():
     pose = BeamPose((0.0, 0.0, 3.0), DOWN, 1.0)
-    assert illum_gain(pose, (5.0, 0.0, 3.0)) == 0.0
+    assert illum_gain_many([pose], [(5.0, 0.0, 3.0)])[0, 0] == 0.0
 
 
 def test_illum_gain_has_no_aperture_cutoff():
     # grazing geometry far beyond any detector FOV still receives light
     pose = BeamPose((0.0, 0.0, 3.0), DOWN, lambertian_order(70.0))
-    assert illum_gain(pose, (40.0, 0.0, 0.8)) > 0.0
+    assert illum_gain_many([pose], [(40.0, 0.0, 0.8)])[0, 0] > 0.0
 
 
 def test_illum_gain_decreases_with_horizontal_offset():
@@ -143,11 +142,11 @@ def test_illum_gain_decreases_with_horizontal_offset():
 
 def test_one_pair_gains_equal_their_batched_entries():
     # numpy scalars and arrays raise to a power by different routines that
-    # disagree in the last ulp on some inputs; the one-pair forms must give
-    # exactly what the instance's batched tables hold
+    # disagree in the last ulp on some inputs; the one-pair form and a
+    # one-emitter batch must give exactly what the instance's tables hold
     doc = default_config(n_uts=60)
     doc["illum"]["spacing"] = 0.5
-    inst = SchedulingInstance(scenario_from_dict(doc))
+    inst = SchedulingInstance(scenario_from_dict(doc), sir_threshold=3.0)
     rho = inst.s.constants.luminosity_efficacy
     for i, victim in enumerate(inst.links):
         r = victim.receiver
@@ -159,8 +158,7 @@ def test_one_pair_gains_equal_their_batched_entries():
                 assert g == inst._h_cross[i, j], (i, j)
     for t, (a, c) in enumerate(inst.dc_txs):
         pose = lighting_pose(inst.s.aps[a], inst.s.aps[a].chips[c])
-        for k, point in enumerate(inst.pts):
-            assert rho * illum_gain(pose, point) == inst.dc_light[t, k], (t, k)
+        assert (rho * illum_gain_many([pose], inst.pts)[0] == inst.dc_light[t]).all(), t
 
 
 # -- beam poses per luminaire configuration ------------------------------------
@@ -279,14 +277,14 @@ def test_illuminance_field_single_source_frozen_product():
     doc["uts"] = [{"position": [1.0, 1.0], "demand_bps": 0.0}]
     doc["illum"] = {"points": [[1.0, 1.0]], "lower_lux": 0.0,
                     "upper_lux": 1000.0, "ambient_lux": 0.0}
-    inst = SchedulingInstance(scenario_from_dict(doc))
+    inst = SchedulingInstance(scenario_from_dict(doc), sir_threshold=3.0)
     field = inst.illuminance(np.array([12.5]), ())
     assert field.shape == (1,)
     assert field[0] == pytest.approx(202.97912442208263, rel=1e-9)
 
 
 def test_illuminance_field_additive_in_sources():
-    inst = SchedulingInstance(scenario_from_dict(helpers.tiny_config(n_uts=3, seed=5)))
+    inst = SchedulingInstance(scenario_from_dict(helpers.tiny_config(n_uts=3, seed=5)), 3.0)
     rng = np.random.default_rng(0)
     n_tx = len(inst.dc_txs)
     a = rng.uniform(0.0, 6.0, n_tx)
