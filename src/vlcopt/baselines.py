@@ -29,10 +29,8 @@ from .cg_scheduler import (
     IterationRecord,
     SchedulingInstance,
     _SHORTFALL_TOL_BPS,
-    _column_with_lighting,
-    _ConflictBits,
-    _greedy_insert,
 )
+from .conflict import ConflictBits, greedy_insert
 from .scenario import Scenario
 
 
@@ -63,7 +61,7 @@ def _finish(
     omega = np.array(taus)
     idle = max(0.0, 1.0 - float(omega.sum()))
     z_upper = float(sum(t * c.electrical_total for t, c in zip(taus, columns))
-                    + idle * inst._dc_electrical(dc_min))
+                    + idle * (p0_elec if include_illum else 0.0))
     proto = CgSolution(
         stage="protocol",
         status=CgStatus.OPTIMAL if met else CgStatus.INFEASIBLE,
@@ -83,6 +81,14 @@ def _finish(
     )
     real = inst.reality_check(proto)
     return BaselineSolution(protocol=proto, **vars(real))
+
+
+def _column(inst: SchedulingInstance, members: list[int],
+            include_illum: bool) -> Optional[IndependentSetColumn]:
+    """The round's column: lit by `lit_column`, or with every lighting chip dark."""
+    if include_illum:
+        return inst.lit_column(members)
+    return inst.build_column(members, dc=np.zeros(len(inst.dc_txs)))
 
 
 def _run_rounds(
@@ -112,7 +118,7 @@ def _run_rounds(
         members = pick_set(candidates, remaining)
         if not members:
             break
-        column = _column_with_lighting(inst, members, include_illum)
+        column = _column(inst, members, include_illum)
         if column is None:
             break  # the set was shed to nothing: not one member can be lit around
         members = list(column.schedule.active)
@@ -131,7 +137,7 @@ def _run_rounds(
                                    (time.monotonic() - t0) * 1e3, columns_added=1))
 
     if not columns:
-        columns = [_column_with_lighting(inst, [], include_illum)]
+        columns = [_column(inst, [], include_illum)]
         taus = [0.0]
     return _finish(inst, columns, taus, remaining, log, t_start, include_illum)
 
@@ -158,11 +164,11 @@ def vico_random_schedule(
     inst = instance if instance is not None else SchedulingInstance(
         s, sir_threshold=sir_threshold)
     rng = np.random.default_rng(seed)
-    bits = inst._conflict_bits()
+    bits = inst.graph.bits
 
     def pick(candidates: np.ndarray, remaining: np.ndarray) -> list[int]:
         order = candidates[rng.permutation(candidates.size)]
-        return _greedy_insert(bits, order.tolist())
+        return greedy_insert(bits, order.tolist())
 
     return _run_rounds(inst, pick, include_illum)
 
@@ -170,15 +176,13 @@ def vico_random_schedule(
 # -- max-weight independent-set scheduling ------------------------------------
 
 
-class _MaxWeightSearch:
-    """Exact maximum-weight independent set of a conflict graph under cap
-    groups, by branch and bound on Python-int bitsets: Carraghan & Pardalos
+def heaviest_set(bits: ConflictBits, candidates: Sequence[int],
+                 weights: Sequence[float]) -> list[int]:
+    """The heaviest independent set among `candidates`, in link order,
+    where weights[i] > 0 is link i's weight, by branch and bound on the
+    conflict graph's bitsets (`ConflictGraph.bits`): Carraghan & Pardalos
     (1990) with the weighted colouring bound of Östergård (2002) and
     Tomita's branching order, read on the complement graph.
-
-    It reads the instance's packed conflicts (`cg_scheduler._ConflictBits`):
-    cap-1 groups are pairwise conflicts there, and a group of cap 2 or more
-    is a counter.
 
     At each node the candidates are partitioned greedily, in link-index
     order, into conflict cliques; no independent set takes two links of one
@@ -186,62 +190,54 @@ class _MaxWeightSearch:
     a candidate, bounds every set the search can still grow from the
     candidates up to it. Candidates are branched on in reverse partition
     order, and a branch whose bound cannot beat the incumbent ends the node.
+
+    Tie rule: with tol = 1e-12 times the candidates' total weight, the
+    incumbent gives way only to a set heavier by more than tol, and the
+    search order is fixed by link index, so the answer depends on the
+    graph, the caps and the weights alone. It weighs at least the optimum
+    less tol.
     """
+    nbr, counted, counters_of = bits.nbr, bits.counted, bits.counters_of
+    used = [0] * len(counted)
+    tol = 1e-12 * sum(weights[i] for i in candidates)
+    start = 0
+    for i in candidates:
+        start |= 1 << i
+    best_weight, best = 0.0, 0
 
-    def __init__(self, bits: _ConflictBits):
-        self.bits = bits
+    def expand(chosen: int, weight: float, pool: int) -> None:
+        nonlocal best_weight, best
+        if weight > best_weight + tol:
+            best_weight, best = weight, chosen
+        order: list[tuple[int, float]] = []  # (link, bound up to it)
+        total = 0.0
+        rest = pool
+        while rest:  # one conflict clique per pass, lowest link first
+            avail, top = rest, 0.0
+            while avail:
+                low = avail & -avail
+                v = low.bit_length() - 1
+                rest ^= low
+                avail &= nbr[v]
+                if weights[v] > top:
+                    top = weights[v]
+                order.append((v, total + top))
+            total += top
+        for v, bound in reversed(order):
+            if weight + bound <= best_weight + tol:
+                return
+            pool ^= 1 << v
+            child = pool & ~nbr[v]
+            for g in counters_of[v]:
+                used[g] += 1
+                if used[g] >= counted[g][1]:
+                    child &= ~counted[g][0]
+            expand(chosen | 1 << v, weight + weights[v], child)
+            for g in counters_of[v]:
+                used[g] -= 1
 
-    def heaviest(self, candidates: Sequence[int], weights: Sequence[float]) -> list[int]:
-        """The heaviest independent set among `candidates`, in link order,
-        where weights[i] > 0 is link i's weight.
-
-        Tie rule: with tol = 1e-12 times the candidates' total weight, the
-        incumbent gives way only to a set heavier by more than tol, and the
-        search order is fixed by link index, so the answer depends on the
-        graph, the caps and the weights alone. It weighs at least the
-        optimum less tol.
-        """
-        nbr, counted, counters_of = self.bits.nbr, self.bits.counted, self.bits.counters_of
-        used = [0] * len(counted)
-        tol = 1e-12 * sum(weights[i] for i in candidates)
-        start = 0
-        for i in candidates:
-            start |= 1 << i
-        best_weight, best = 0.0, 0
-
-        def expand(chosen: int, weight: float, pool: int) -> None:
-            nonlocal best_weight, best
-            if weight > best_weight + tol:
-                best_weight, best = weight, chosen
-            order: list[tuple[int, float]] = []  # (link, bound up to it)
-            total = 0.0
-            rest = pool
-            while rest:  # one conflict clique per pass, lowest link first
-                avail, top = rest, 0.0
-                while avail:
-                    low = avail & -avail
-                    v = low.bit_length() - 1
-                    rest ^= low
-                    avail &= nbr[v]
-                    if weights[v] > top:
-                        top = weights[v]
-                    order.append((v, total + top))
-                total += top
-            for v, bound in reversed(order):
-                if weight + bound <= best_weight + tol:
-                    return
-                pool ^= 1 << v
-                child = pool & ~nbr[v]
-                for g in counters_of[v]:
-                    used[g] += 1
-                    if used[g] >= counted[g][1]:
-                        child &= ~counted[g][0]
-                expand(chosen | 1 << v, weight + weights[v], child)
-                for g in counters_of[v]:
-                    used[g] -= 1
-
-        expand(0, 0.0, start)
-        return [v for v in range(best.bit_length()) if best >> v & 1]
+    expand(0, 0.0, start)
+    return [v for v in range(best.bit_length()) if best >> v & 1]
 
 
 def mwis_schedule(
@@ -252,8 +248,8 @@ def mwis_schedule(
     """Schedule the independent set maximizing total remaining demand.
 
     Weights are the still-unserved bits of each link's terminal. Each round's
-    set is found exactly by `_MaxWeightSearch`, a branch and bound on the
-    instance's bitsets of the conflict graph and the cap groups. Ties
+    set is found exactly by `heaviest_set`, a branch and bound on the
+    bitsets of the instance's conflict graph and cap groups. Ties
     are settled by its rule: a set replaces the incumbent only when heavier
     by more than 1e-12 of the candidates' total weight, and the search order
     is fixed by link index, so the schedule depends on the graph, the caps
@@ -262,10 +258,10 @@ def mwis_schedule(
     """
     inst = instance if instance is not None else SchedulingInstance(
         s, sir_threshold=sir_threshold)
-    search = _MaxWeightSearch(inst._conflict_bits())
+    bits = inst.graph.bits
 
     def pick(candidates: np.ndarray, remaining: np.ndarray) -> list[int]:
         weights = remaining[inst.ut_of_link].tolist()
-        return search.heaviest(candidates.tolist(), weights)
+        return heaviest_set(bits, candidates.tolist(), weights)
 
     return _run_rounds(inst, pick, include_illum=True)

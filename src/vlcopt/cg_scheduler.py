@@ -33,14 +33,15 @@ final validation pass recomputes link rates with the interference each
 column actually generates, for every scheduled column in one batched pass,
 and re-optimizes the time shares over the scheduled columns alone.
 
-Every program is sliced from tables the instance holds: the lux each chip
-and each data beam gives every grid point, the transmitter budget table, and
-one cached block of conflict-clique and multiplicity-cap rows. Illuminance
-rows are generated lazily, by one loop that serves both the lighting LP and
-the pricing MILP: an instance's working sets of grid points start empty, each
-solution is checked against the full grid, and the worst violated rows join
-the working set until the check is clean, so the sets hold only rows some
-solve violated. Solutions are exact for the full row set.
+Every program is sliced from tables the instance holds (the lux each chip
+and each data beam gives every grid point, the transmitter budget table) and
+from its conflict graph's clique and multiplicity-cap rows
+(`conflict.ConflictGraph.pattern_rows`). Illuminance rows are generated
+lazily, by one loop that serves both the lighting LP and the pricing MILP:
+an instance's working sets of grid points start empty, each solution is
+checked against the full grid, and the worst violated rows join the working
+set until the check is clean, so the sets hold only rows some solve
+violated. Solutions are exact for the full row set.
 
 A pattern's lighting LP is the lighting floor's LP with other right sides
 (the lux its data beams add) and chip caps (the power they draw), so the
@@ -98,6 +99,7 @@ from .conflict import (
     build_conflict_graph,
     cap_groups,
     cross_gains,
+    greedy_insert,
     is_independent,
 )
 from .lp import (
@@ -254,9 +256,9 @@ class SchedulingInstance:
         # _h_cross[i, j] is the gain of link j's beam at link i's receiver
         # (same channel only, zero on the diagonal)
         self._h_cross = cross_gains(self.links)
-        self.graph = build_conflict_graph(self.links, self._h_cross, sir_threshold)
+        self.graph = build_conflict_graph(self.links, self._h_cross, sir_threshold,
+                                          cap_groups(self.links, s))
         self.sir_threshold = float(sir_threshold)
-        self.cap_groups = cap_groups(self.links, s)
 
         self.demands = np.array([ut.demand_bps for ut in s.uts])
         self.pts = s.grid_points()
@@ -300,8 +302,6 @@ class SchedulingInstance:
         # single-link columns, with the lazy rows held right after they were built
         self._initial: Optional[tuple[tuple[IndependentSetColumn, ...],
                                       np.ndarray, np.ndarray]] = None
-        self._static_rows: Optional[tuple] = None
-        self._bits: Optional[_ConflictBits] = None
         # the lighting floor, and the final basis of the last pricing MILP's root
         self._floor: Optional[_LightingFloor] = None
         self._pricing_root: Optional[Basis] = None
@@ -310,7 +310,8 @@ class SchedulingInstance:
         """This scenario at another SIR threshold, sharing this instance's
         tables that do not depend on the threshold, its lighting floor and its
         initial columns (solved here if they are not yet); only the conflict
-        graph is built anew.
+        graph is built anew, with the same cap table, and it derives its own
+        bitsets and pricing rows.
 
         The lazy rows start as those held right after the initial columns
         were built, and the lighting floor's record, decoded once and changed
@@ -324,11 +325,10 @@ class SchedulingInstance:
         """
         self.initial_columns()
         inst = copy.copy(self)
-        inst.graph = build_conflict_graph(self.links, self._h_cross, sir_threshold)
+        inst.graph = build_conflict_graph(self.links, self._h_cross, sir_threshold,
+                                          self.graph.cap_groups)
         inst.sir_threshold = float(sir_threshold)
         _, inst._lo_rows, inst._hi_rows = self._initial
-        inst._static_rows = None
-        inst._bits = None
         inst._pricing_root = None
         return inst
 
@@ -536,6 +536,19 @@ class SchedulingInstance:
             rate_per_ut=tuple(rate.tolist()),
         )
 
+    def lit_column(self, members: Sequence[int]) -> Optional[IndependentSetColumn]:
+        """Column for `members` with its optimal lighting, shedding the last
+        members listed while lighting fails; None once nothing is left to
+        light, so a non-empty pattern is never shed to the empty one."""
+        members = list(members)
+        while True:
+            try:
+                return self.build_column(tuple(members))
+            except IlluminationInfeasible:
+                if len(members) <= 1:
+                    return None
+                members.pop()
+
     def initial_columns(self) -> list[IndependentSetColumn]:
         """One column per link that admits lighting on its own, solved once
         (after the lighting floor) and returned as a new list on every call;
@@ -554,7 +567,7 @@ class SchedulingInstance:
 
     def column_is_valid(self, col: IndependentSetColumn) -> bool:
         """Recheck independence, power budgets and the illuminance band."""
-        if not is_independent(col.schedule, self.graph, self.cap_groups):
+        if not is_independent(col.schedule, self.graph):
             return False
         dc = np.asarray(col.dc_power)
         if np.any(dc < -1e-12):
@@ -604,30 +617,6 @@ class SchedulingInstance:
 
     # -- pricing --------------------------------------------------------------
 
-    def _static_pattern_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """Rows A x <= b over the links alone: conflict cliques, then the
-        multiplicity caps, each (members, cap) once, where it first occurs,
-        and with two or more members."""
-        if self._static_rows is None:
-            cliques = _clique_cover(self.graph.adjacency)
-            groups, caps = self.cap_groups
-            a = np.vstack([cliques, groups]).astype(float)
-            b = np.concatenate([np.ones(len(cliques)), caps])
-            keys = np.column_stack([a, b])
-            first: dict[bytes, int] = {}
-            for r in np.flatnonzero(a.sum(1) >= 2).tolist():
-                first.setdefault(keys[r].tobytes(), r)
-            rows = np.fromiter(first.values(), dtype=int, count=len(first))
-            self._static_rows = (a[rows], b[rows])
-        return self._static_rows
-
-    def _conflict_bits(self) -> _ConflictBits:
-        """The conflict graph and the cap groups as bitsets, packed on first
-        use."""
-        if self._bits is None:
-            self._bits = _pack_conflicts(self.graph.adjacency, *self.cap_groups)
-        return self._bits
-
     def solve_pricing(self, lambda_bps: np.ndarray, mu: float,
                       ) -> tuple[IndependentSetColumn, float, float]:
         """Most negative reduced-cost activation pattern under the given duals.
@@ -654,7 +643,7 @@ class SchedulingInstance:
         integer = np.concatenate([np.ones(L, bool), np.zeros(T, bool)])
 
         # static rows over the links, then one budget row per lighting chip
-        static_a, static_b = self._static_pattern_rows()
+        static_a, static_b = self.graph.pattern_rows
         fixed_a = np.block([[static_a, np.zeros((len(static_b), T))],
                             [self.budget, np.eye(T)]])
         fixed_b = np.concatenate([static_b, self.dc_cap])
@@ -721,27 +710,24 @@ class SchedulingInstance:
         """A batch of link-disjoint patterns, each with its reduced cost,
         computed from its own lighting. The links whose own share of the
         reduced cost is negative are the candidates, cheapest first: each
-        pattern is grown from them by `_greedy_insert`, its links leave the
-        candidates, and it is lit by `_column_with_lighting` like any
-        pattern (`_solve_dc`: read off the lighting floor's basis, with an
-        LP only where that reading is not primal feasible on the held rows
-        or leaves a grid point outside the band). It joins the batch when
-        its reduced cost is below `cutoff` and it is not in `known`
-        (disjoint patterns never repeat one another); growth stops when no
-        candidate is left. The batch proves nothing about the patterns it
-        passed over."""
+        pattern is grown from them by `conflict.greedy_insert`, its links
+        leave the candidates, and it is lit by `lit_column` like any
+        pattern. It joins the batch when its reduced cost is below `cutoff`
+        and it is not in `known` (disjoint patterns never repeat one
+        another); growth stops when no candidate is left. The batch proves
+        nothing about the patterns it passed over."""
         lam, mu, link_cost = self._priced_links(lambda_bps, mu)
         p0_elec, _ = self.min_illumination_power()
         order = np.argsort(link_cost, kind="stable")
         candidates = order[link_cost[order] < 0.0].tolist()
         batch = []
-        bits = self._conflict_bits()
-        while members := _greedy_insert(bits, candidates):
+        bits = self.graph.bits
+        while members := greedy_insert(bits, candidates):
             grown = set(members)
             candidates = [i for i in candidates if i not in grown]
             if tuple(sorted(members)) in known:
                 continue
-            column = _column_with_lighting(self, members, include_illum=True)
+            column = self.lit_column(members)
             if column is None or column.schedule.active in known:
                 continue
             reduced = (column.electrical_total - p0_elec
@@ -924,112 +910,3 @@ class SchedulingInstance:
         basic = new[sol.basis.basic]
         return big_m if (basic < 0).any() else Basis(basic, complemented)
 
-
-def _greedy_insert(bits: _ConflictBits, order: Sequence[int]) -> list[int]:
-    """Maximal independent set grown in the given link order: a link joins
-    unless it conflicts with a member or one of its cap groups is full."""
-    nbr, counted, counters_of = bits.nbr, bits.counted, bits.counters_of
-    used = [0] * len(counted)
-    barred = 0  # the links that can no longer join
-    members: list[int] = []
-    for i in order:
-        if barred >> i & 1:
-            continue
-        members.append(i)
-        barred |= nbr[i] | 1 << i
-        for g in counters_of[i]:
-            used[g] += 1
-            if used[g] >= counted[g][1]:
-                barred |= counted[g][0]
-    return members
-
-
-def _column_with_lighting(
-    inst: SchedulingInstance, members: list[int], include_illum: bool
-) -> Optional[IndependentSetColumn]:
-    """Column for the set, shedding last-added members while lighting
-    fails; None once nothing is left to light, so a non-empty set is never
-    shed to the empty pattern."""
-    if not include_illum:
-        dc = np.zeros(len(inst.dc_txs))
-        return inst.build_column(members, dc=dc)
-    while True:
-        try:
-            return inst.build_column(tuple(members))
-        except IlluminationInfeasible:
-            if len(members) <= 1:
-                return None
-            members.pop()
-
-
-def _bitsets(rows: np.ndarray) -> list[int]:
-    """Each row of a boolean (R, L) matrix as a Python-int bitset: bit j of
-    entry r is set when rows[r, j] is."""
-    packed = np.packbits(rows, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-
-@dataclass(frozen=True)
-class _ConflictBits:
-    """A conflict graph and its cap groups as Python-int bitsets, for the
-    greedy insertion and the max-weight baseline's search. Each link's
-    neighbour bitset joins its conflict edges with the co-members of every
-    cap-1 group, so those groups are pairwise conflicts; a group of cap 2 or
-    more stays a counter."""
-
-    nbr: list[int]                  # per link: the links it cannot join
-    counted: list[tuple[int, int]]  # (members, cap) of each group of cap >= 2
-    counters_of: list[list[int]]    # per link: its groups in `counted`
-
-
-def _pack_conflicts(adjacency: np.ndarray, groups: np.ndarray,
-                    caps: np.ndarray) -> _ConflictBits:
-    """The bitsets of a conflict graph and of cap groups whose caps are at
-    least 1, as `cap_groups` gives them."""
-    nbr = _bitsets(adjacency)
-    counted: list[tuple[int, int]] = []
-    counters_of: list[list[int]] = [[] for _ in nbr]
-    for members, cap in zip(_bitsets(groups), caps.astype(int).tolist()):
-        if cap >= 2:
-            counted.append((members, cap))
-        rest = members
-        while rest:
-            low = rest & -rest
-            v = low.bit_length() - 1
-            rest ^= low
-            if cap == 1:
-                nbr[v] |= members ^ low
-            else:
-                counters_of[v].append(len(counted) - 1)
-    return _ConflictBits(nbr, counted, counters_of)
-
-
-def _clique_cover(adjacency: np.ndarray) -> np.ndarray:
-    """Greedy clique cover of all edges, deterministic by index order, as a
-    (cliques, L) boolean membership matrix. Each uncovered edge (i, j), in
-    row-major order, seeds a clique that then takes, in index order, every
-    vertex adjacent to all its members. Vertex sets are Python-int bitsets."""
-    L = adjacency.shape[0]
-    nbytes = (L + 7) // 8
-    nbr = _bitsets(adjacency)
-    covered = [0] * L  # covered[i]: the vertices j where edge (i, j) is covered
-    cliques: list[int] = []
-    for i in range(L):
-        todo = nbr[i] >> (i + 1) << (i + 1)  # neighbours above i
-        while todo := todo & ~covered[i]:
-            j = (todo & -todo).bit_length() - 1
-            clique = 1 << i | 1 << j
-            mask = nbr[i] & nbr[j] & ~clique
-            while mask:
-                v = (mask & -mask).bit_length() - 1
-                clique |= 1 << v
-                mask = (mask & nbr[v]) >> (v + 1) << (v + 1)
-            members = clique
-            while members:
-                u = (members & -members).bit_length() - 1
-                covered[u] |= clique
-                members &= members - 1
-            cliques.append(clique)
-    out = np.frombuffer(b"".join(c.to_bytes(nbytes, "little") for c in cliques),
-                        dtype=np.uint8).reshape(len(cliques), nbytes)
-    return np.unpackbits(out, axis=1, count=L, bitorder="little").astype(bool)

@@ -285,8 +285,8 @@ def _outdir(args) -> Path:
 
 
 def _cmd_solve(args) -> int:
-    out = _outdir(args)
     s = _scenario_from_args(args)
+    out = _outdir(args)
     inst = SchedulingInstance(s, sir_threshold=args.sir)
     proto, real = run_algorithm(inst, args.algo, args.epsilon, args.seed,
                                 include_illum=not args.no_illum_constraint)
@@ -313,8 +313,8 @@ def _cmd_sweep_sir(args) -> int:
         raise SystemExit("--step must be positive")
     if not args.to >= start:
         raise SystemExit("--to must not be below --from")
-    out = _outdir(args)
     s = _scenario_from_args(args)
+    out = _outdir(args)
     # whole steps that fit, forgiving round-off in (to - from) / step
     n = math.floor((args.to - start) / args.step + 1e-9)
     thresholds = [start + i * args.step for i in range(n + 1)]
@@ -344,26 +344,26 @@ def _cmd_compare(args) -> int:
     seeds = _parse_values(args.seeds, int)
     if not seeds:
         raise SystemExit("no seeds given")
+    # every scenario is built, and so checked, before the output directory is made
+    uts = args.axis == "uts"
+    scenarios = [(value, seed, _scenario_from_args(
+        args, seed=seed, n_uts=int(value) if uts else None,
+        demand_bps=None if uts else value * 1e6)) for value in values for seed in seeds]
     out = _outdir(args)
     rows = []
     iter_rows = []
     digests = []
-    for value in values:
-        for seed in seeds:
-            if args.axis == "uts":
-                s = _scenario_from_args(args, seed=seed, n_uts=int(value))
-            else:
-                s = _scenario_from_args(args, seed=seed, demand_bps=value * 1e6)
-            inst = SchedulingInstance(s, sir_threshold=args.sir)
-            digests.append(s.digest())
-            for algo in algos:
-                proto, real = run_algorithm(inst, algo, args.epsilon, seed)
-                rows.append(result_row(
-                    inst, algo, proto, real, seed,
-                    axis=args.axis, axis_value=value))
-                iter_rows.extend(
-                    {"algorithm": algo, "axis_value": value, "seed": seed, **asdict(rec)}
-                    for rec in proto.iteration_log)
+    for value, seed, s in scenarios:
+        inst = SchedulingInstance(s, sir_threshold=args.sir)
+        digests.append(s.digest())
+        for algo in algos:
+            proto, real = run_algorithm(inst, algo, args.epsilon, seed)
+            rows.append(result_row(
+                inst, algo, proto, real, seed,
+                axis=args.axis, axis_value=value))
+            iter_rows.extend(
+                {"algorithm": algo, "axis_value": value, "seed": seed, **asdict(rec)}
+                for rec in proto.iteration_log)
     _write_csv(out / "results.csv", rows)
     _write_csv(out / "iterations.csv", iter_rows,
                ["algorithm", "axis_value", "seed"] + _ITERATION_COLUMNS)
@@ -398,8 +398,8 @@ def _summarize(rows: list[dict], algos: list[str], values: list) -> list[dict]:
 
 
 def _cmd_heatmap(args) -> int:
-    out = _outdir(args)
     s = _scenario_from_args(args)
+    out = _outdir(args)
     inst = SchedulingInstance(s, sir_threshold=args.sir)
     proto, real = run_algorithm(inst, args.algo, args.epsilon, args.seed,
                                 include_illum=not args.no_illum_constraint)

@@ -11,13 +11,17 @@ each active link actually receives.
 
 `cap_groups` is the one table of activation caps that are not pairwise: one
 group per transmitter chip and per receiver (one stream each, across all
-channels), per access point and per terminal. `is_independent`, the greedy
-heuristic and the pricing problem's rows all read it.
+channels), per access point and per terminal, whatever the threshold.
+
+A `ConflictGraph` holds both and is the one record, read by every scheduler,
+of which patterns a threshold allows; the forms its readers need (bitsets,
+pricing rows) are built on first use and kept on the graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -86,19 +90,85 @@ def sir_matrix(links: Sequence["Link"], gains: np.ndarray) -> np.ndarray:
     return sir
 
 
+def _bitsets(rows: np.ndarray) -> list[int]:
+    """Each row of a boolean (R, L) matrix as a Python-int bitset, bit j for column j."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+@dataclass(frozen=True)
+class ConflictBits:
+    """A conflict graph and its cap groups as Python-int bitsets. A link's
+    neighbours join its conflict edges with the co-members of each of its
+    cap-1 groups, so those are pairwise conflicts; a larger cap is a counter."""
+
+    nbr: list[int]                  # per link: the links it cannot join
+    counted: list[tuple[int, int]]  # (members, cap) of each group of cap >= 2
+    counters_of: list[list[int]]    # per link: its groups in `counted`
+
+
 @dataclass(eq=False)
 class ConflictGraph:
+    """Which activation patterns one SIR threshold allows: the pairwise
+    conflicts and the `cap_groups` table of the same links."""
+
     adjacency: np.ndarray  # boolean, symmetric, zero diagonal
+    cap_groups: tuple[np.ndarray, np.ndarray]  # (members, caps), as `cap_groups` gives them
 
     @property
     def n_links(self) -> int:
         return self.adjacency.shape[0]
 
+    @cached_property
+    def neighbours(self) -> list[int]:
+        """Each link's conflict edges as a Python-int bitset."""
+        return _bitsets(self.adjacency)
+
+    @cached_property
+    def bits(self) -> ConflictBits:
+        """The conflicts and the cap groups (caps at least 1) packed for
+        `greedy_insert` and the max-weight search."""
+        nbr = list(self.neighbours)
+        counted: list[tuple[int, int]] = []
+        counters_of: list[list[int]] = [[] for _ in nbr]
+        groups, caps = self.cap_groups
+        for members, cap in zip(_bitsets(groups), caps.astype(int).tolist()):
+            if cap >= 2:
+                counted.append((members, cap))
+            rest = members
+            while rest:
+                low = rest & -rest
+                v = low.bit_length() - 1
+                rest ^= low
+                if cap == 1:
+                    nbr[v] |= members ^ low
+                else:
+                    counters_of[v].append(len(counted) - 1)
+        return ConflictBits(nbr, counted, counters_of)
+
+    @cached_property
+    def pattern_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The pricing MILP's rows A x <= b over the links alone: the cliques
+        of `clique_cover`, then the caps, each (members, cap) once, where it
+        first occurs, and with two or more members."""
+        cliques = clique_cover(self.neighbours)
+        groups, caps = self.cap_groups
+        a = np.vstack([cliques, groups]).astype(float)
+        b = np.concatenate([np.ones(len(cliques)), caps])
+        keys = np.column_stack([a, b])
+        first: dict[bytes, int] = {}
+        for r in np.flatnonzero(a.sum(1) >= 2).tolist():
+            first.setdefault(keys[r].tobytes(), r)
+        rows = np.fromiter(first.values(), dtype=int, count=len(first))
+        return a[rows], b[rows]
+
 
 def build_conflict_graph(links: Sequence["Link"], gains: np.ndarray,
-                         sir_threshold: float) -> ConflictGraph:
+                         sir_threshold: float,
+                         groups: tuple[np.ndarray, np.ndarray]) -> ConflictGraph:
     """Conflict graph over candidate links at one SIR threshold (>= 1), read
-    from their cross gains `cross_gains(links)`.
+    from their cross gains `cross_gains(links)`, holding `groups`, their
+    `cap_groups` table, which does not depend on the threshold.
 
     Edges are strict: a pair sitting exactly on the threshold stays compatible.
     Links on different channels never share an edge.
@@ -110,7 +180,7 @@ def build_conflict_graph(links: Sequence["Link"], gains: np.ndarray,
     adj = _same(links, "channel_index") & (shared | (np.minimum(sir, sir.T) < sir_threshold))
     np.fill_diagonal(adj, False)
     adj.setflags(write=False)
-    return ConflictGraph(adj)
+    return ConflictGraph(adj, groups)
 
 
 def cap_groups(links: Sequence["Link"], s: "Scenario") -> tuple[np.ndarray, np.ndarray]:
@@ -138,15 +208,64 @@ def cap_groups(links: Sequence["Link"], s: "Scenario") -> tuple[np.ndarray, np.n
     return members, np.array([cap for cap, _ in groups.values()], dtype=float)
 
 
-def is_independent(x: ScheduleVector, g: ConflictGraph,
-                   groups: tuple[np.ndarray, np.ndarray]) -> bool:
+def is_independent(x: ScheduleVector, g: ConflictGraph) -> bool:
     """True when the activation pattern violates no pairwise conflict of `g`
-    and no multiplicity cap of `groups`, the `cap_groups` table of g's links."""
+    and no multiplicity cap of its `cap_groups`."""
     idx = list(x.active)
     for i in idx:
         if not 0 <= i < g.n_links:
             raise IndexError(f"link index {i} out of range")
     if g.adjacency[np.ix_(idx, idx)].any():
         return False
-    members, caps = groups
+    members, caps = g.cap_groups
     return bool(np.all(members[:, idx].sum(axis=1) <= caps))
+
+
+def greedy_insert(bits: ConflictBits, order: Sequence[int]) -> list[int]:
+    """Maximal independent set grown in the given link order: a link joins
+    unless it conflicts with a member or one of its cap groups is full."""
+    nbr, counted, counters_of = bits.nbr, bits.counted, bits.counters_of
+    used = [0] * len(counted)
+    barred = 0  # the links that can no longer join
+    members: list[int] = []
+    for i in order:
+        if barred >> i & 1:
+            continue
+        members.append(i)
+        barred |= nbr[i] | 1 << i
+        for g in counters_of[i]:
+            used[g] += 1
+            if used[g] >= counted[g][1]:
+                barred |= counted[g][0]
+    return members
+
+
+def clique_cover(nbr: Sequence[int]) -> np.ndarray:
+    """Greedy clique cover of all edges of the graph whose neighbour bitsets
+    are `nbr` (`ConflictGraph.neighbours`), deterministic by index order, as
+    a (cliques, L) boolean membership matrix. Each uncovered edge (i, j), in
+    row-major order, seeds a clique that then takes, in index order, every
+    vertex adjacent to all its members."""
+    L = len(nbr)
+    nbytes = (L + 7) // 8
+    covered = [0] * L  # covered[i]: the vertices j where edge (i, j) is covered
+    cliques: list[int] = []
+    for i in range(L):
+        todo = nbr[i] >> (i + 1) << (i + 1)  # neighbours above i
+        while todo := todo & ~covered[i]:
+            j = (todo & -todo).bit_length() - 1
+            clique = 1 << i | 1 << j
+            mask = nbr[i] & nbr[j] & ~clique
+            while mask:
+                v = (mask & -mask).bit_length() - 1
+                clique |= 1 << v
+                mask = (mask & nbr[v]) >> (v + 1) << (v + 1)
+            members = clique
+            while members:
+                u = (members & -members).bit_length() - 1
+                covered[u] |= clique
+                members &= members - 1
+            cliques.append(clique)
+    out = np.frombuffer(b"".join(c.to_bytes(nbytes, "little") for c in cliques),
+                        dtype=np.uint8).reshape(len(cliques), nbytes)
+    return np.unpackbits(out, axis=1, count=L, bitorder="little").astype(bool)

@@ -252,8 +252,13 @@ def default_config(
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    with open(path) as fh:
-        doc = json.load(fh)
+    """The scenario in the JSON file `path`; ScenarioError naming the path
+    when the file cannot be read, decoded or parsed (the last two ValueErrors)."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ScenarioError(f"{path}: not a readable JSON file ({exc})") from None
     return scenario_from_dict(doc)
 
 

@@ -99,7 +99,7 @@ def all_independent_sets(inst):
     found = []
     for r in range(1, n + 1):
         for combo in itertools.combinations(range(n), r):
-            if is_independent(ScheduleVector(combo), inst.graph, inst.cap_groups):
+            if is_independent(ScheduleVector(combo), inst.graph):
                 found.append(combo)
     return found
 
@@ -235,7 +235,7 @@ def ref_static_pattern_rows(inst):
     cover's cliques, then the multiplicity caps, each (members, cap) with
     two or more members and kept where it first occurs."""
     cliques = ref_clique_cover(inst.graph.adjacency)
-    groups, caps = inst.cap_groups
+    groups, caps = inst.graph.cap_groups
     a = np.vstack([cliques, groups]).astype(float)
     b = np.concatenate([np.ones(len(cliques)), caps])
     rows = np.nonzero(a.sum(1) >= 2)[0]

@@ -14,8 +14,8 @@ import helpers
 import vlcopt
 from vlcopt import baselines
 from vlcopt.baselines import mwis_schedule, vico_random_schedule
-from vlcopt.cg_scheduler import CgStatus, SchedulingInstance, _greedy_insert, _pack_conflicts
-from vlcopt.conflict import is_independent
+from vlcopt.cg_scheduler import CgStatus, SchedulingInstance
+from vlcopt.conflict import ConflictGraph, greedy_insert, is_independent
 from vlcopt.lp import LinearProgram, LpStatus, MixedIntegerProgram, solve_milp
 from vlcopt.scenario import default_config, scenario_from_dict
 
@@ -96,7 +96,7 @@ def test_heuristic_columns_obey_all_constraints():
     for sol in (vico_random_schedule(s, seed=2, instance=inst),
                 mwis_schedule(s, instance=inst)):
         for col in sol.protocol.columns:
-            assert is_independent(col.schedule, inst.graph, inst.cap_groups)
+            assert is_independent(col.schedule, inst.graph)
             assert inst.column_is_valid(col)
         assert float(np.sum(sol.protocol.omega)) <= 1.0 + 1e-9
 
@@ -186,7 +186,7 @@ def test_greedy_insert_matches_the_reference_scan_on_random_graphs():
         adjacency, groups, caps, _ = _random_problem(rng)
         n = len(adjacency)
         order = rng.permutation(n)[:int(rng.integers(1, n + 1))].tolist()
-        got = _greedy_insert(_pack_conflicts(adjacency, groups, caps), order)
+        got = greedy_insert(ConflictGraph(adjacency, (groups, caps)).bits, order)
         assert got == helpers.ref_greedy_insert(adjacency, groups, caps, order), k
 
 
@@ -195,14 +195,14 @@ def test_greedy_insert_matches_the_reference_scan_on_every_vico_round(monkeypatc
     rounds = []
 
     def recording(bits, order):
-        got = _greedy_insert(bits, order)
+        got = greedy_insert(bits, order)
         rounds.append((order, got))
         return got
 
-    monkeypatch.setattr(baselines, "_greedy_insert", recording)
+    monkeypatch.setattr(baselines, "greedy_insert", recording)
     vico_random_schedule(inst.s, seed=7, instance=inst)
     assert len(rounds) >= 2
-    groups, caps = inst.cap_groups
+    groups, caps = inst.graph.cap_groups
     for order, got in rounds:
         assert got == helpers.ref_greedy_insert(inst.graph.adjacency, groups, caps, order)
 
@@ -231,8 +231,8 @@ def test_max_weight_search_matches_the_milp_on_random_graphs():
         adjacency, groups, caps, weights = _random_problem(rng)
         n = len(weights)
         candidates = np.flatnonzero(rng.random(n) < 0.85).tolist()
-        got = baselines._MaxWeightSearch(_pack_conflicts(adjacency, groups, caps)).heaviest(
-            candidates, weights)
+        got = baselines.heaviest_set(ConflictGraph(adjacency, (groups, caps)).bits,
+                                     candidates, weights)
         assert set(got) <= set(candidates), k
         assert not adjacency[np.ix_(got, got)].any(), k
         assert np.all(groups[:, got].sum(axis=1) <= caps), k
@@ -249,8 +249,7 @@ def test_max_weight_search_matches_brute_force_on_the_tiny_corpus():
         weights = rng.uniform(1e6, 1e8, size=len(inst.links)).tolist()
         best = max(sum(weights[i] for i in combo)
                    for combo in helpers.all_independent_sets(inst))
-        search = baselines._MaxWeightSearch(inst._conflict_bits())
-        got = search.heaviest(list(range(len(inst.links))), weights)
+        got = baselines.heaviest_set(inst.graph.bits, list(range(len(inst.links))), weights)
         assert helpers.all_independent_sets(inst).count(tuple(got)) == 1
         assert sum(weights[i] for i in got) == pytest.approx(best, rel=1e-12), seed
 
@@ -258,28 +257,27 @@ def test_max_weight_search_matches_brute_force_on_the_tiny_corpus():
 def test_near_tied_sets_follow_the_search_order_not_the_last_digits():
     # link 1 is branched on first, and link 0 outweighs it by less than tol
     adjacency = np.array([[False, True], [True, False]])
-    search = baselines._MaxWeightSearch(
-        _pack_conflicts(adjacency, np.zeros((0, 2), dtype=bool), np.zeros(0)))
+    bits = ConflictGraph(adjacency, (np.zeros((0, 2), dtype=bool), np.zeros(0))).bits
     for weights in ([1.0, 1.0], [1.0 + 1e-14, 1.0], [1.0, 1.0 + 1e-14]):
-        assert search.heaviest([0, 1], weights) == [1]
-    assert search.heaviest([0, 1], [1.0 + 1e-9, 1.0]) == [0]
+        assert baselines.heaviest_set(bits, [0, 1], weights) == [1]
+    assert baselines.heaviest_set(bits, [0, 1], [1.0 + 1e-9, 1.0]) == [0]
 
 
 def test_max_weight_rounds_ignore_last_ulp_changes_to_the_weights(monkeypatch):
     rounds = []
-    heaviest = baselines._MaxWeightSearch.heaviest
+    heaviest = baselines.heaviest_set
 
-    def record(self, candidates, weights):
-        got = heaviest(self, candidates, weights)
-        rounds.append((self, candidates, weights, got))
+    def record(bits, candidates, weights):
+        got = heaviest(bits, candidates, weights)
+        rounds.append((bits, candidates, weights, got))
         return got
 
-    monkeypatch.setattr(baselines._MaxWeightSearch, "heaviest", record)
+    monkeypatch.setattr(baselines, "heaviest_set", record)
     mwis_schedule(scenario_from_dict(default_config(seed=7)))
     assert len(rounds) >= 2
-    for search, candidates, weights, got in rounds:
+    for bits, candidates, weights, got in rounds:
         scaled = [w * (1.0 + 1e-15) for w in weights]
-        assert heaviest(search, candidates, scaled) == got
+        assert heaviest(bits, candidates, scaled) == got
 
 
 _SCHEDULE_UNDER_THREADS = """

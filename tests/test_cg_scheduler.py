@@ -21,7 +21,7 @@ from vlcopt.cg_scheduler import (
     IterationRecord,
     SchedulingInstance,
 )
-from vlcopt.conflict import ScheduleVector
+from vlcopt.conflict import ConflictGraph, ScheduleVector, clique_cover
 from vlcopt.scenario import default_config, scenario_from_dict
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -159,18 +159,6 @@ def test_solving_a_derived_instance_leaves_other_rows_unchanged():
     for rows, want in zip((base._lo_rows, base._hi_rows, sibling._lo_rows,
                            sibling._hi_rows, *base._initial[1:]), held + initial * 2):
         assert rows.tolist() == want.tolist()
-
-
-def test_derived_instances_pack_their_own_conflicts():
-    # the packed conflicts follow the conflict graph, so an instance derived
-    # at another threshold packs its own
-    base = SchedulingInstance(scenario_from_dict(default_config(seed=7)), 1.0)
-    packed = base._conflict_bits()
-    derived = base.at_sir_threshold(6.0)
-    assert not np.array_equal(derived.graph.adjacency, base.graph.adjacency)
-    assert derived._conflict_bits() == cg_scheduler._pack_conflicts(
-        derived.graph.adjacency, *derived.cap_groups)
-    assert base._conflict_bits() is packed
 
 
 def test_lazy_rows_add_the_worst_points_not_yet_held():
@@ -334,20 +322,33 @@ def test_clique_cover_matches_the_plain_scan():
         density = (0.0, 1.0)[k] if k < 2 else float(rng.uniform())
         upper = np.triu(rng.random((L, L)) < density, 1)
         adjacency = upper | upper.T
-        got = cg_scheduler._clique_cover(adjacency)
+        no_groups = (np.zeros((0, L), dtype=bool), np.zeros(0))
+        got = clique_cover(ConflictGraph(adjacency, no_groups).neighbours)
         assert got.dtype == bool
         assert np.array_equal(got, helpers.ref_clique_cover(adjacency))
 
 
 @pytest.mark.parametrize("workload", ["sir_sweep", "office_dense"])
 def test_static_pricing_rows_match_the_reference(workload):
-    # both benchmark instances, at every threshold the sweep solves
+    # both benchmark instances, at every threshold the sweep solves: each
+    # built anew, and each below the top derived from the top threshold's
+    # instance as the sweep derives it, holding its own graph's forms
     s = scenario_from_dict(workloads.WORKLOADS[workload].config(seed=7))
+    top = SchedulingInstance(s, 6)
+    packed = top.graph.bits
     for sir in range(1, 7):
-        inst = SchedulingInstance(s, sir)
-        a, b = inst._static_pattern_rows()
-        ref_a, ref_b = helpers.ref_static_pattern_rows(inst)
-        assert np.array_equal(a, ref_a) and np.array_equal(b, ref_b)
+        fresh = SchedulingInstance(s, sir)
+        derived = top.at_sir_threshold(sir) if sir < 6 else top
+        for inst in (fresh, derived):
+            a, b = inst.graph.pattern_rows
+            ref_a, ref_b = helpers.ref_static_pattern_rows(inst)
+            assert np.array_equal(a, ref_a) and np.array_equal(b, ref_b)
+        for got, want in zip(derived.graph.pattern_rows, fresh.graph.pattern_rows):
+            assert np.array_equal(got, want)
+        assert np.array_equal(derived.graph.adjacency, fresh.graph.adjacency)
+        assert derived.graph.bits == fresh.graph.bits
+    # deriving leaves the top instance's packing as it was
+    assert top.graph.bits is packed and packed == SchedulingInstance(s, 6).graph.bits
 
 
 # -- the generation loop --------------------------------------------------------------

@@ -386,14 +386,31 @@ def test_sweep_never_passes_its_upper_end(tmp_path, monkeypatch, to, step, expec
     assert solved == pytest.approx(expected)
 
 
-def test_malformed_scenario_exits_with_code_2(tmp_path, capsys):
+def _bad_field(tmp_path):
     doc = helpers.tiny_config(n_uts=1)
     doc["illum"] = [300.0, 500.0]
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
-    assert main(["solve", "--config", str(path),
-                 "--out", str(tmp_path / "o")]) == 2
-    assert "error: illum:" in capsys.readouterr().err
+    return str(path), "error: illum:"
+
+
+def _missing(tmp_path):
+    path = str(tmp_path / "missing.json")
+    return path, f"error: {path}:"
+
+
+def _not_json(tmp_path):
+    return "/dev/null", "error: /dev/null:"
+
+
+@pytest.mark.parametrize("scenario_file", [_missing, _not_json, _bad_field],
+                         ids=["missing", "not-json", "bad-field"])
+def test_malformed_scenario_exits_with_code_2(tmp_path, capsys, scenario_file):
+    # refused before the output directory is made
+    path, error = scenario_file(tmp_path)
+    assert main(["solve", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert error in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", [["solve", "--seed", "-1"],
@@ -411,6 +428,7 @@ def test_negative_terminal_seed_exits_with_code_2(tmp_path, capsys, monkeypatch,
     assert main(command + ["--out", str(tmp_path / "o")]) == 2
     field = "--seed -1" if "--config" in command else "uts.seed"
     assert f"error: {field}: must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("field, change", helpers.WRONG_SCALARS)

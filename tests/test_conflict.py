@@ -71,17 +71,20 @@ def test_dead_link_reports_zero_ratio():
 # -- graph construction ----------------------------------------------------------
 
 def test_threshold_below_one_rejected():
-    links = build_candidate_links(_row([(1.0, 1.0), (2.0, 1.0)]))
+    s = _row([(1.0, 1.0), (2.0, 1.0)])
+    links = build_candidate_links(s)
     with pytest.raises(ValueError):
-        build_conflict_graph(links, cross_gains(links), 0.8)
+        build_conflict_graph(links, cross_gains(links), 0.8, cap_groups(links, s))
 
 
 def test_threshold_tie_stays_compatible():
     s = _row([(1.0, 1.0), (2.0, 1.0)])
     links = build_candidate_links(s)
     tie = min(_sir(links, 0, 1))
-    assert not build_conflict_graph(links, cross_gains(links), tie).adjacency[0, 1]
-    assert build_conflict_graph(links, cross_gains(links), tie * (1.0 + 1e-9)).adjacency[0, 1]
+    groups = cap_groups(links, s)
+    assert not build_conflict_graph(links, cross_gains(links), tie, groups).adjacency[0, 1]
+    assert build_conflict_graph(links, cross_gains(links), tie * (1.0 + 1e-9),
+                                groups).adjacency[0, 1]
 
 
 def test_huge_threshold_serializes_each_channel():
@@ -89,7 +92,7 @@ def test_huge_threshold_serializes_each_channel():
     links = build_candidate_links(s)
     finite = [v for i, j in itertools.combinations(range(len(links)), 2)
               for v in _sir(links, i, j) if math.isfinite(v)]
-    g = build_conflict_graph(links, cross_gains(links), max(finite) + 1.0)
+    g = build_conflict_graph(links, cross_gains(links), max(finite) + 1.0, cap_groups(links, s))
     for i, j in itertools.combinations(range(len(links)), 2):
         same_channel = links[i].channel_index == links[j].channel_index
         assert g.adjacency[i, j] == same_channel
@@ -98,7 +101,7 @@ def test_huge_threshold_serializes_each_channel():
 def test_shared_transmitter_and_receiver_always_conflict():
     s = _row([(2.0, 1.0), (2.0, 1.0)])  # same serving chip, ratio tie of 1.0
     links = build_candidate_links(s)
-    g = build_conflict_graph(links, cross_gains(links), 1.0)
+    g = build_conflict_graph(links, cross_gains(links), 1.0, cap_groups(links, s))
     assert g.adjacency[0, 1]
 
 
@@ -107,7 +110,7 @@ def test_edge_set_matches_reference_rule():
     s = scenario_from_dict(helpers.tiny_config(n_uts=3, seed=8))
     links = build_candidate_links(s)
     for threshold in (1.0, 1.5, 3.0, 6.0):
-        g = build_conflict_graph(links, cross_gains(links), threshold)
+        g = build_conflict_graph(links, cross_gains(links), threshold, cap_groups(links, s))
         for i, j in itertools.combinations(range(len(links)), 2):
             a, b = links[i], links[j]
             if a.channel_index != b.channel_index:
@@ -155,7 +158,8 @@ def test_edges_grow_with_threshold():
     links = build_candidate_links(s)
     previous: set = set()
     for threshold in (1.0, 1.4, 2.0, 3.0, 6.0):
-        adjacency = build_conflict_graph(links, cross_gains(links), threshold).adjacency
+        adjacency = build_conflict_graph(links, cross_gains(links), threshold,
+                                         cap_groups(links, s)).adjacency
         edges = set(map(tuple, np.argwhere(np.triu(adjacency, k=1)).tolist()))
         assert previous <= edges
         previous = edges
@@ -174,28 +178,28 @@ def test_patterns_survive_threshold_relaxation():
 
 def test_empty_pattern_is_independent():
     inst = helpers.tiny_instance()
-    assert is_independent(ScheduleVector(()), inst.graph, inst.cap_groups)
+    assert is_independent(ScheduleVector(()), inst.graph)
 
 
 def test_singletons_are_independent():
     inst = helpers.tiny_instance(n_uts=4, seed=3, channels=2)
     for i in range(inst.graph.n_links):
-        assert is_independent(ScheduleVector((i,)), inst.graph, inst.cap_groups)
+        assert is_independent(ScheduleVector((i,)), inst.graph)
 
 
 def test_out_of_range_link_raises():
     inst = helpers.tiny_instance()
     for bad in (-1, inst.graph.n_links):
         with pytest.raises(IndexError):
-            is_independent(ScheduleVector((bad,)), inst.graph, inst.cap_groups)
+            is_independent(ScheduleVector((bad,)), inst.graph)
 
 
 def test_shared_receiver_rejected():
     s = _row([(2.0, 1.0)], channels=2)  # one terminal, one receiver, two bands
     links = build_candidate_links(s)
-    g = build_conflict_graph(links, cross_gains(links), 1.0)
+    g = build_conflict_graph(links, cross_gains(links), 1.0, cap_groups(links, s))
     assert len(links) == 2
-    assert not is_independent(ScheduleVector((0, 1)), g, cap_groups(links, s))
+    assert not is_independent(ScheduleVector((0, 1)), g)
 
 
 def test_validity_matches_naive_rules():
@@ -223,7 +227,7 @@ def test_validity_matches_naive_rules():
                 for ut in {ln.ut_index for ln in chosen}:
                     ok &= sum(ln.ut_index == ut
                               for ln in chosen) <= s.uts[ut].n_receivers
-                assert is_independent(ScheduleVector(combo), g, inst.cap_groups) == ok
+                assert is_independent(ScheduleVector(combo), g) == ok
 
 
 def test_schedule_vector_requires_sorted_unique_indices():

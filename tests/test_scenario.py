@@ -156,7 +156,8 @@ def test_load_scenario_roundtrip(tmp_path):
 def test_load_scenario_surfaces_parse_errors(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
-    with pytest.raises(json.JSONDecodeError):
+    # the parser's own message, under the file's name
+    with pytest.raises(ScenarioError, match=re.escape(f"{path}: ") + ".*Expecting property name"):
         load_scenario(path)
 
 

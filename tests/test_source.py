@@ -132,3 +132,39 @@ def test_every_private_module_name_is_read_in_the_package():
     unread = [f"{module}: {name} (line {line})" for module, tree in trees.items()
               for name, line in _private_definitions(tree).items() if name not in reads]
     assert unread == []
+
+
+def _private_imports(trees: dict[str, ast.Module]) -> list[str]:
+    """Private functions and classes one module imports from another, as
+    "importer: name from module (line)". `trees` maps each module's name in
+    the package to its parsed source; a private constant may be imported."""
+    code = {module: {node.name for node in tree.body
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+            for module, tree in trees.items()}
+    found = []
+    for importer, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom) or node.module is None:
+                continue
+            if node.level == 0 and not node.module.startswith("vlcopt."):
+                continue
+            module = node.module.rpartition(".")[2] if node.level == 0 else node.module
+            found += [f"{importer}: {alias.name} from {module} (line {node.lineno})"
+                      for alias in node.names if alias.name in code.get(module, ())
+                      and alias.name.startswith("_") and not alias.name.startswith("__")]
+    return found
+
+
+def test_a_private_function_or_class_import_is_found():
+    trees = {
+        "a": ast.parse("_TOL = 1.0\ndef _helper(): pass\nclass _Record: pass\n"),
+        "b": ast.parse("from .a import _TOL, _helper\nfrom vlcopt.a import _Record\n"),
+    }
+    assert _private_imports(trees) == ["b: _helper from a (line 1)",
+                                       "b: _Record from a (line 2)"]
+
+
+def test_no_module_imports_a_private_function_or_class_of_another():
+    # private constants stay importable: the benchmark reads tolerances by name
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    assert _private_imports(trees) == []
