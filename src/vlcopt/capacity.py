@@ -3,8 +3,9 @@
 The scheduling layer prices links with an interference-free rate (conflicts
 are delegated to the SIR graph); the validation pass recomputes rates with
 the optical interference actually received from concurrently active beams.
-`physical_capacity` takes numpy arrays as well as numbers, so that pass
-rates every scheduled link with one call.
+Both take numpy arrays as well as numbers: link building rates every
+candidate link with one `protocol_capacity` call, and the validation pass
+every scheduled link with one `physical_capacity` call.
 """
 
 from __future__ import annotations
@@ -37,18 +38,20 @@ def _least(value: Real) -> float:
 
 
 def protocol_capacity(
-    bandwidth_hz: float,
-    responsivity: float,
-    gain: float,
-    p_ac: float,
-    noise_variance: float,
-) -> float:
-    """Shannon rate (bit/s) with all interference handled by exclusion."""
-    _check_common(bandwidth_hz, responsivity, gain, p_ac, noise_variance)
+    bandwidth_hz: Real,
+    responsivity: Real,
+    gain: Real,
+    p_ac: Real,
+    noise_variance: Real,
+) -> Real:
+    """Shannon rate (bit/s) with all interference handled by exclusion. Any
+    argument may be a numpy array, as in `physical_capacity`, so one call
+    rates every candidate link."""
+    _check_common(*map(_least, (bandwidth_hz, responsivity, gain, p_ac, noise_variance)))
     snr = (responsivity * gain * p_ac) ** 2 / noise_variance
     # numpy's log2, as in physical_capacity, so that zero interference
     # gives this rate bit for bit
-    return bandwidth_hz * float(np.log2(1.0 + snr))
+    return bandwidth_hz * np.log2(1.0 + snr)
 
 
 def physical_capacity(

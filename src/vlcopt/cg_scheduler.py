@@ -101,6 +101,9 @@ from .conflict import (
     cross_gains,
     greedy_insert,
     is_independent,
+    link_ids,
+    pair_table,
+    sir_matrix,
 )
 from .lp import (
     _BOUND_TOL,
@@ -253,11 +256,23 @@ class SchedulingInstance:
     def __init__(self, s: Scenario, sir_threshold: float):
         self.s = s
         self.links: list[Link] = build_candidate_links(s)
+        links = self.links
+        ids = link_ids(links)
+        self.ut_of_link = ids[:, 2].copy()
+        self.p_ac_pp = np.array([ln.p_ac_pp for ln in links])
+        self.gain = np.array([ln.gain for ln in links])
+        self.cap = np.array([ln.capacity_protocol for ln in links])
+        self.bandwidth = np.array([ln.bandwidth_hz for ln in links])
+        p_ac_avg = np.array([ln.p_ac_avg for ln in links])
+        self.p_ac_elec = p_ac_avg / np.array([ln.eta_ac for ln in links])
+
         # _h_cross[i, j] is the gain of link j's beam at link i's receiver
         # (same channel only, zero on the diagonal)
-        self._h_cross = cross_gains(self.links)
-        self.graph = build_conflict_graph(self.links, self._h_cross, sir_threshold,
-                                          cap_groups(self.links, s))
+        self._h_cross = cross_gains(links)
+        # the conflict graph at any threshold is one comparison against this
+        # table, which instances derived at other thresholds share
+        self._pairs = pair_table(ids, sir_matrix(links, self._h_cross))
+        self.graph = build_conflict_graph(self._pairs, sir_threshold, cap_groups(ids, s))
         self.sir_threshold = float(sir_threshold)
 
         self.demands = np.array([ut.demand_bps for ut in s.uts])
@@ -274,24 +289,16 @@ class SchedulingInstance:
         # lux per optical W of each lighting chip
         self.dc_light = rho * illum_gain_many(
             [lighting_pose(s.aps[a], s.aps[a].chips[c]) for a, c in self.dc_txs], self.pts)
-
-        p_ac_avg = np.array([ln.p_ac_avg for ln in self.links])
         # lux contributed by each active link
         self.ac_light = rho * p_ac_avg[:, None] * illum_gain_many(
-            [ln.ac_pose for ln in self.links], self.pts)
-        self.cap = np.array([ln.capacity_protocol for ln in self.links])
-        self.ut_of_link = np.array([ln.ut_index for ln in self.links], dtype=int)
-        self.p_ac_pp = np.array([ln.p_ac_pp for ln in self.links])
-        self.gain = np.array([ln.gain for ln in self.links])
-        self.bandwidth = np.array([ln.bandwidth_hz for ln in self.links])
-        self.p_ac_elec = p_ac_avg / np.array([ln.eta_ac for ln in self.links])
+            [ln.ac_pose for ln in links], self.pts)
 
         # budget[t, i]: link i's data-beam power drawn from lighting chip t's
         # budget, which is the same chip, or the whole access point for config c
         tx = np.array(self.dc_txs, dtype=int).reshape(T, 2)
-        draws = tx[:, :1] == [ln.ap_index for ln in self.links]
+        draws = tx[:, :1] == ids[:, 0]
         if s.config_kind != "c":
-            draws &= tx[:, 1:] == [ln.chip_index for ln in self.links]
+            draws &= tx[:, 1:] == ids[:, 1]
         self.budget = np.where(draws, self.p_ac_pp, 0.0)
 
         # lazy working sets of illuminance grid rows, as index arrays: only
@@ -310,8 +317,9 @@ class SchedulingInstance:
         """This scenario at another SIR threshold, sharing this instance's
         tables that do not depend on the threshold, its lighting floor and its
         initial columns (solved here if they are not yet); only the conflict
-        graph is built anew, with the same cap table, and it derives its own
-        bitsets and pricing rows.
+        graph is built anew, by one comparison against the shared pair table
+        (`conflict.pair_table`) and with the same cap table, and it derives
+        its own bitsets and pricing rows.
 
         The lazy rows start as those held right after the initial columns
         were built, and the lighting floor's record, decoded once and changed
@@ -325,8 +333,7 @@ class SchedulingInstance:
         """
         self.initial_columns()
         inst = copy.copy(self)
-        inst.graph = build_conflict_graph(self.links, self._h_cross, sir_threshold,
-                                          self.graph.cap_groups)
+        inst.graph = build_conflict_graph(self._pairs, sir_threshold, self.graph.cap_groups)
         inst.sir_threshold = float(sir_threshold)
         _, inst._lo_rows, inst._hi_rows = self._initial
         inst._pricing_root = None

@@ -307,6 +307,9 @@ def _cmd_solve(args) -> int:
 
 def _cmd_sweep_sir(args) -> int:
     start = getattr(args, "from")
+    for flag, value in (("--from", start), ("--to", args.to), ("--step", args.step)):
+        if not math.isfinite(value):
+            raise SystemExit(f"{flag} must be finite")
     if not start >= 1.0:
         raise SystemExit("--from must be >= 1")
     if not args.step > 0.0:

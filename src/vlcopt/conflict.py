@@ -9,13 +9,19 @@ scheduling threshold, and outright when they share a transmitter chip or a
 receiver. The validation pass reuses the same matrix for the interference
 each active link actually receives.
 
-`cap_groups` is the one table of activation caps that are not pairwise: one
-group per transmitter chip and per receiver (one stream each, across all
-channels), per access point and per terminal, whatever the threshold.
+Everything else is read from the links' integer ids (`link_ids`, read once
+per instance). `pair_table` folds the ratios and the shared-chip,
+shared-receiver and same-channel masks into one threshold-free L x L table,
+so the graph at any threshold is one comparison against it
+(`build_conflict_graph`). `cap_groups` is the one table of activation caps
+that are not pairwise: one group per transmitter chip and per receiver (one
+stream each, across all channels), per access point and per terminal,
+whatever the threshold.
 
-A `ConflictGraph` holds both and is the one record, read by every scheduler,
-of which patterns a threshold allows; the forms its readers need (bitsets,
-pricing rows) are built on first use and kept on the graph.
+A `ConflictGraph` holds the adjacency and the cap table and is the one
+record, read by every scheduler, of which patterns a threshold allows; the
+forms its readers need (bitsets, pricing rows) are built on first use and
+kept on the graph.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .optics import channel_gain_many, pose_arrays
+from .optics import as_components, channel_gain_many, pose_arrays
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scenario import Link, Scenario
@@ -43,37 +49,36 @@ class ScheduleVector:
             raise ValueError("active link indices must be sorted and unique")
 
 
-def _same(links: Sequence["Link"], *attrs: str) -> np.ndarray:
-    """(L, L) mask of link pairs that agree on every named attribute."""
-    k = np.array([[getattr(ln, a) for a in attrs] for ln in links]).reshape(len(links), len(attrs))
-    return np.all(k[:, None, :] == k[None, :, :], axis=-1)
+def link_ids(links: Sequence["Link"]) -> np.ndarray:
+    """(L, 5) integer ids of each link, in the columns access point, chip,
+    terminal, receiver and channel."""
+    return np.array([(ln.ap_index, ln.chip_index, ln.ut_index, ln.rx_index, ln.channel_index)
+                     for ln in links], dtype=int).reshape(len(links), 5)
 
 
 def cross_gains(links: Sequence["Link"]) -> np.ndarray:
     """H[i, j]: gain of link j's data beam at link i's receiver, seen through
     link i's field of view; zero across channels and on the diagonal."""
 
-    def vec(values) -> np.ndarray:
-        return np.array(values, dtype=float).reshape(len(links), 3)
-
-    def num(values) -> np.ndarray:
-        return np.array(values, dtype=float)
+    def column(values) -> np.ndarray:
+        return np.array(values, dtype=float)[:, None]
 
     origin, direction, ml = pose_arrays([ln.ac_pose for ln in links])
     rx = [ln.receiver for ln in links]
     # interferers j run along axis 1, victims i along axis 0
     h = channel_gain_many(
-        origin[None],
-        direction[None],
+        origin[:, None],
+        direction[:, None],
         ml[None],
-        vec([ln.rx_position for ln in links])[:, None],
-        vec([ln.rx_normal for ln in links])[:, None],
-        area_m2=num([r.area_m2 for r in rx])[:, None],
-        fov_half_deg=num([r.fov_half_deg for r in rx])[:, None],
-        filter_gain=num([r.filter_gain for r in rx])[:, None],
-        lens_index=num([r.lens_index for r in rx])[:, None],
+        as_components([ln.rx_position for ln in links])[:, :, None],
+        as_components([ln.rx_normal for ln in links])[:, :, None],
+        area_m2=column([r.area_m2 for r in rx]),
+        fov_half_deg=column([r.fov_half_deg for r in rx]),
+        filter_gain=column([r.filter_gain for r in rx]),
+        lens_index=column([r.lens_index for r in rx]),
     )
-    h[~_same(links, "channel_index")] = 0.0
+    channel = np.array([ln.channel_index for ln in links], dtype=int)
+    h[channel[:, None] != channel] = 0.0
     np.fill_diagonal(h, 0.0)
     return h
 
@@ -163,49 +168,65 @@ class ConflictGraph:
         return a[rows], b[rows]
 
 
-def build_conflict_graph(links: Sequence["Link"], gains: np.ndarray,
-                         sir_threshold: float,
+def pair_table(ids: np.ndarray, sir: np.ndarray) -> np.ndarray:
+    """The threshold-free (L, L) table of link pairs, from the links'
+    `link_ids` and their `sir_matrix`: a pair conflicts at threshold t
+    exactly where its entry is below t. Entries are min(S, S^T) for
+    same-channel pairs, 0 for same-channel pairs that share a transmitter
+    chip or a receiver (below every threshold, which is at least 1), and
+    +inf across channels and on the diagonal."""
+    ap, chip, ut, rx, channel = ids.T
+    shared = ((ap[:, None] == ap) & (chip[:, None] == chip)
+              | (ut[:, None] == ut) & (rx[:, None] == rx))
+    table = np.where(shared, 0.0, np.minimum(sir, sir.T))
+    table[channel[:, None] != channel] = np.inf
+    np.fill_diagonal(table, np.inf)
+    table.setflags(write=False)
+    return table
+
+
+def build_conflict_graph(table: np.ndarray, sir_threshold: float,
                          groups: tuple[np.ndarray, np.ndarray]) -> ConflictGraph:
     """Conflict graph over candidate links at one SIR threshold (>= 1), read
-    from their cross gains `cross_gains(links)`, holding `groups`, their
-    `cap_groups` table, which does not depend on the threshold.
+    from their `pair_table`, holding `groups`, their `cap_groups` table;
+    neither depends on the threshold.
 
     Edges are strict: a pair sitting exactly on the threshold stays compatible.
     Links on different channels never share an edge.
     """
     if not sir_threshold >= 1.0:
         raise ValueError(f"sir_threshold={sir_threshold}: must be >= 1")
-    sir = sir_matrix(links, gains)
-    shared = _same(links, "ap_index", "chip_index") | _same(links, "ut_index", "rx_index")
-    adj = _same(links, "channel_index") & (shared | (np.minimum(sir, sir.T) < sir_threshold))
-    np.fill_diagonal(adj, False)
+    adj = table < sir_threshold
     adj.setflags(write=False)
     return ConflictGraph(adj, groups)
 
 
-def cap_groups(links: Sequence["Link"], s: "Scenario") -> tuple[np.ndarray, np.ndarray]:
-    """Activation caps as (members, caps): row g of the boolean (G, L) matrix
-    marks the links of group g, of which at most caps[g] may be on at once.
+def cap_groups(ids: np.ndarray, s: "Scenario") -> tuple[np.ndarray, np.ndarray]:
+    """Activation caps as (members, caps) over links with the given
+    `link_ids`: row g of the boolean (G, L) matrix marks the links of group
+    g, of which at most caps[g] may be on at once.
 
     Groups come per transmitter chip, then per receiver (cap 1 each, across
     all channels), then per access point and per terminal; within a kind, in
     order of first appearance among the links.
     """
-    kinds = (
-        lambda ln: (("tx", ln.ap_index, ln.chip_index), 1),
-        lambda ln: (("rx", ln.ut_index, ln.rx_index), 1),
-        lambda ln: (("ap", ln.ap_index), s.ap_concurrency_cap(ln.ap_index)),
-        lambda ln: (("ut", ln.ut_index), s.uts[ln.ut_index].n_receivers),
-    )
-    groups: dict[tuple, tuple[int, list[int]]] = {}
-    for group_of in kinds:
-        for i, ln in enumerate(links):
-            key, cap = group_of(ln)
-            groups.setdefault(key, (cap, []))[1].append(i)
-    members = np.zeros((len(groups), len(links)), dtype=bool)
-    for g, (_, idx) in enumerate(groups.values()):
-        members[g, idx] = True
-    return members, np.array([cap for cap, _ in groups.values()], dtype=float)
+    ap, chip, ut, rx = ids[:, 0], ids[:, 1], ids[:, 2], ids[:, 3]
+    tx_groups, _ = _by_first_appearance(ap * (chip.max() + 1) + chip)
+    rx_groups, _ = _by_first_appearance(ut * (rx.max() + 1) + rx)
+    ap_groups, ap_first = _by_first_appearance(ap)
+    ut_groups, ut_first = _by_first_appearance(ut)
+    caps = np.concatenate([np.ones(len(tx_groups) + len(rx_groups)),
+                           [s.ap_concurrency_cap(a) for a in ap[ap_first].tolist()],
+                           [s.uts[u].n_receivers for u in ut[ut_first].tolist()]])
+    return np.vstack([tx_groups, rx_groups, ap_groups, ut_groups]), caps
+
+
+def _by_first_appearance(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Links grouped by equal `key`, groups in order of first appearance:
+    the (G, L) membership matrix and each group's first link."""
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return inverse == order[:, None], first[order]
 
 
 def is_independent(x: ScheduleVector, g: ConflictGraph) -> bool:

@@ -194,7 +194,8 @@ class _Tableau:
             raise _Infeasible
         m, n = p.n_rows, p.n_vars
         self.sign = np.array([-1.0 if r == ">=" else 1.0 for r in p.rel])
-        self.a0 = np.hstack([p.a * self.sign[:, None], np.eye(m)])
+        # the structural columns; slack n + i is the unit vector e_i
+        self.a0 = p.a * self.sign[:, None]
         self.b0 = self.sign * (p.b - p.a @ p.lb)
         self.c0 = np.concatenate([p.c, np.zeros(m)])
         self.u = np.concatenate([np.maximum(p.ub - p.lb, 0.0),
@@ -211,15 +212,22 @@ class _Tableau:
         solved on the k rows whose slacks are nonbasic, with one k x k dense
         solve (none for k = 0), and each basic slack's row follows from them
         by substitution."""
-        m, total = self.m, self.c0.shape[0]
-        nonbasic = np.ones(total, dtype=bool)
+        m, n = self.m, self.a0.shape[1]
+        nonbasic = np.ones(n + m, dtype=bool)
         nonbasic[basic] = False
         nonbasic = np.flatnonzero(nonbasic)
         sign, body = np.where(flip, -1.0, 1.0), self.t[:-1]
-        np.multiply(self.a0[:, nonbasic], sign[nonbasic], out=body[:, :-1])
-        body[:, -1] = self.b0 - self.a0[:, flip] @ self.u[flip]
-        struct = basic < total - m
-        rows = basic[~struct] - (total - m)  # the rows whose slacks are basic
+        # slots in id order: the structural columns, then the slacks' e_i
+        split = int(np.searchsorted(nonbasic, n))
+        struct_nb, slacks = nonbasic[:split], nonbasic[split:]
+        np.multiply(self.a0[:, struct_nb], sign[struct_nb], out=body[:, :split])
+        body[:, split:-1] = 0.0 * sign[slacks]  # e_i * sign: its zeros carry the sign too
+        body[slacks - n, np.arange(split, split + slacks.size)] = sign[slacks]
+        # a complemented slack sits at its bound 0 (only an == row's slack
+        # has a finite one), so it moves no right side
+        body[:, -1] = self.b0 - self.a0[:, flip[:n]] @ self.u[:n][flip[:n]]
+        struct = basic < n
+        rows = basic[~struct] - n  # the rows whose slacks are basic
         a = self.a0[:, basic[struct]]
         top = body[:0]
         if a.shape[1]:
@@ -491,7 +499,9 @@ def _verify(p: LinearProgram, x: np.ndarray, duals_int: np.ndarray,
     # term plus the reduced costs of the columns held at their upper bounds
     at_upper = tab.flip.copy()
     at_upper[tab.basic] = False
-    d_upper = tab.c0[at_upper] - duals_int @ tab.a0[:, at_upper]
+    n = p.n_vars
+    d_upper = tab.c0[at_upper] - np.concatenate(  # slack n + i is the unit vector e_i
+        [duals_int @ tab.a0[:, at_upper[:n]], duals_int[np.flatnonzero(at_upper[n:])]])
     z_int = objective - float(p.c @ p.lb)
     z_dual = float(duals_int @ tab.b0) + float(d_upper @ tab.u[at_upper])
     return abs(z_int - z_dual) <= DUALITY_REL_TOL * (1.0 + abs(z_int))

@@ -7,6 +7,10 @@ beams). The kernel gives the channel gain seen by a photodiode and, as the
 gain of a unit aperture facing up with no concentrator and no field-of-view
 cutoff, the horizontal illuminance gain on the desk plane (Komine and
 Nakagawa 2004 use the one law for both).
+
+The kernel takes points and directions component first, shape (3, ...):
+each of x, y and z is then one contiguous array, and every product and sum
+runs over those arrays rather than over strided views of an (..., 3) array.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ class BeamPose:
     ml: float
 
     def __post_init__(self) -> None:
-        norm = math.sqrt(sum(c * c for c in self.direction))
+        norm = math.hypot(*self.direction)
         if abs(norm - 1.0) > _UNIT_TOL:
             raise ValueError(f"beam direction must be a unit vector, |d|={norm}")
         if not self.ml > 0.0:
@@ -62,19 +66,18 @@ def _unit(v: Sequence[float]) -> np.ndarray:
     return a / n
 
 
-def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # written out so every element rounds the same way whatever the array
-    # shape (a BLAS product or einsum may sum in another order)
-    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+def as_components(points: Sequence[Sequence[float]]) -> np.ndarray:
+    """Points or directions given one per row, (n, 3), as the contiguous
+    component-first (3, n) array the kernel takes."""
+    return np.array(points, dtype=float).reshape(-1, 3).T.copy()
 
 
 def pose_arrays(poses: Sequence[BeamPose]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Origins (n, 3), directions (n, 3) and Lambertian orders (n,) of the
+    """Origins (3, n), directions (3, n) and Lambertian orders (n,) of the
     given emitters, for the vectorised gains."""
-    n = len(poses)
-    return (np.array([p.origin for p in poses], dtype=float).reshape(n, 3),
-            np.array([p.direction for p in poses], dtype=float).reshape(n, 3),
-            np.array([p.ml for p in poses], dtype=float).reshape(n))
+    return (as_components([p.origin for p in poses]),
+            as_components([p.direction for p in poses]),
+            np.array([p.ml for p in poses], dtype=float).reshape(len(poses)))
 
 
 def channel_gain(
@@ -96,8 +99,9 @@ def channel_gain(
     # differs in the last ulp from the array loop on some inputs, so only
     # arrays give a link's own gain bit for bit what a batch gives it
     return float(channel_gain_many(
-        *pose_arrays([tx]), [rx_position], [rx_normal], area_m2=area_m2,
-        fov_half_deg=fov_half_deg, filter_gain=filter_gain, lens_index=lens_index)[0])
+        *pose_arrays([tx]), np.reshape(rx_position, (3, 1)), np.reshape(rx_normal, (3, 1)),
+        area_m2=area_m2, fov_half_deg=fov_half_deg, filter_gain=filter_gain,
+        lens_index=lens_index)[0])
 
 
 def channel_gain_many(
@@ -113,23 +117,25 @@ def channel_gain_many(
     lens_index: float | np.ndarray = 1.5,
 ) -> np.ndarray:
     """Vectorised channel_gain over emitters and receivers that broadcast
-    against each other; points and directions run along a last axis of 3.
+    against each other; points and directions are (3, ...) arrays, x, y and
+    z along the first axis, and the Lambertian orders and receiver numbers
+    broadcast against what follows it.
 
     Emitter directions must be unit vectors (a BeamPose checks that);
     receiver normals are normalised here.
     """
-    origin, direction, rx_position, rx_normal = (
+    (ox, oy, oz), (ex, ey, ez), (px, py, pz), (nx, ny, nz) = (
         np.asarray(v, dtype=float) for v in (origin, direction, rx_position, rx_normal))
-    n_len = np.sqrt(_dot3(rx_normal, rx_normal))
+    n_len = np.sqrt(nx * nx + ny * ny + nz * nz)
     if np.any(n_len < 1e-12):
         raise ValueError("zero-length vector has no direction")
-    d = rx_position - origin
-    dist = np.sqrt(_dot3(d, d))
+    dx, dy, dz = px - ox, py - oy, pz - oz
+    dist = np.sqrt(dx * dx + dy * dy + dz * dz)
     if np.any(dist < 1e-12):
         raise ValueError("transmitter and receiver are co-located")
-    u = d / dist[..., None]
-    cos_rad = np.maximum(_dot3(u, direction), 0.0)
-    cos_inc = -_dot3(u, rx_normal / n_len[..., None])
+    ux, uy, uz = dx / dist, dy / dist, dz / dist
+    cos_rad = np.maximum(ux * ex + uy * ey + uz * ez, 0.0)
+    cos_inc = -(ux * (nx / n_len) + uy * (ny / n_len) + uz * (nz / n_len))
     fov = np.radians(fov_half_deg)
     sin_fov = np.sin(fov)  # squared as a product: a scalar's ** 2 calls pow
     gain = (
@@ -148,11 +154,16 @@ def channel_gain_many(
 def illum_gain_many(txs: Sequence[BeamPose], points: np.ndarray) -> np.ndarray:
     """Horizontal illuminance gains (1/m^2), (len(txs), K), at K desk-plane
     points: the channel gain of a unit aperture facing +z with no
-    concentrator (lens index 1) and no field-of-view cutoff (90 degrees)."""
-    origin, direction, ml = pose_arrays(txs)
-    return channel_gain_many(origin[:, None], direction[:, None], ml[:, None],
-                             np.asarray(points, dtype=float)[None], (0.0, 0.0, 1.0),
-                             area_m2=1.0, fov_half_deg=90.0, lens_index=1.0)
+    concentrator (lens index 1) and no field-of-view cutoff (90 degrees).
+
+    Equal poses (the data beams of links that one chip serves) are evaluated
+    once, and their rows copied."""
+    row: dict[BeamPose, int] = {}
+    index = [row.setdefault(tx, len(row)) for tx in txs]
+    origin, direction, ml = pose_arrays(list(row))
+    return channel_gain_many(origin[:, :, None], direction[:, :, None], ml[:, None],
+                             as_components(points)[:, None], (0.0, 0.0, 1.0),
+                             area_m2=1.0, fov_half_deg=90.0, lens_index=1.0)[index]
 
 
 def _vertical_pose(origin: Vec3, theta_half_deg: float) -> BeamPose:

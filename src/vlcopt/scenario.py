@@ -15,10 +15,11 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 import numpy as np
 
@@ -48,7 +49,8 @@ _NOT_NUMBERS = (TypeError, ValueError, OverflowError)  # what int()/float() rais
 
 def _numbers(raw: dict, where: str, defaults: dict) -> dict:
     """`defaults` with `raw`'s values for the same names, each converted to
-    its default's type; an int field takes only a whole number (not 2.5)."""
+    its default's type; an int field takes only a whole number (not 2.5),
+    and a float field only a finite one."""
     out = dict(defaults)
     try:
         for name, default in defaults.items():
@@ -59,6 +61,9 @@ def _numbers(raw: dict, where: str, defaults: dict) -> dict:
     except _NOT_NUMBERS:
         kind = "a whole number" if isinstance(defaults[name], int) else "a number"
         raise ScenarioError(f"{where}{name}: must be {kind}") from None
+    for name, number in out.items():
+        if not (isinstance(number, int) or math.isfinite(number)):
+            raise ScenarioError(f"{where}{name}: must be finite")
     return out
 
 
@@ -123,9 +128,10 @@ class PhysicalConstants:
     responsivity: float = 0.54
 
 
-@dataclass(frozen=True)
-class Link:
-    """One candidate downlink: (access point, chip) -> (terminal, receiver)."""
+class Link(NamedTuple):
+    """One candidate downlink: (access point, chip) -> (terminal, receiver).
+    A named tuple: each scheduling instance builds one per candidate link,
+    at about a fifth of a frozen dataclass's cost."""
 
     index: int
     ap_index: int
@@ -271,6 +277,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         room = tuple(float(v) for v in room_raw)
     except _NOT_NUMBERS:
         raise ScenarioError("room: dimensions must be numbers") from None
+    _require(all(math.isfinite(v) for v in room), "room", "dimensions must be finite")
     _require(all(v > 0 for v in room), "room", "dimensions must be positive")
     top = _numbers(doc, "", {k: _DEFAULTS[k] for k in ("desk_height", "association_k", "config_c_n")})
     desk = top["desk_height"]
@@ -444,7 +451,9 @@ def _expand_uts(raw: Any, room: Vec3, desk: float) -> tuple[UserTerminal, ...]:
             demand = float(entry.get("demand_bps", 0.0))
         except _NOT_NUMBERS:
             raise ScenarioError(f"uts[{i}].demand_bps: must be a number") from None
-        _require(demand >= 0, f"uts[{i}].demand_bps", "must be >= 0")
+        if not 0.0 <= demand < math.inf:
+            rule = "must be >= 0" if demand < 0.0 else "must be finite"
+            raise ScenarioError(f"uts[{i}].demand_bps: {rule}")
         n_rx = entry.get("receivers", 1)
         try:
             n = int(n_rx)
@@ -484,43 +493,57 @@ def _expand_illum(raw: dict, room: Vec3) -> IlluminanceGrid:
 
 def build_candidate_links(s: Scenario) -> list[Link]:
     """Candidate downlinks: each terminal's receivers paired with its k nearest
-    access points on every channel, with per-link pose, gain and rate."""
-    specs = []
-    ap_xy = np.array([ap.position[:2] for ap in s.aps])
-    for ut in s.uts:
-        d = np.linalg.norm(ap_xy - np.asarray(ut.position[:2]), axis=1)
-        order = sorted(range(len(s.aps)), key=lambda i: (d[i], i))
-        nearest = order[: s.association_k]
+    access points on every channel, with per-link pose, gain and rate.
+
+    The k nearest come from one stable argsort of the terminals x access
+    points distance matrix, so a tie goes to the lower access point index.
+    A data pose that depends on the chip alone (layouts a and c) is built
+    once per (access point, chip), and a terminal's receiver normal once per
+    access point. Gains come from one `optics.channel_gain_many` call and
+    rates from one `capacity.protocol_capacity` call over all links; each
+    equals that link's own one-link call bit for bit.
+    """
+    ap_xy = np.array([ap.position[:2] for ap in s.aps], dtype=float)
+    ut_xy = np.array([ut.position[:2] for ut in s.uts], dtype=float)
+    dx, dy = ut_xy[:, :1] - ap_xy[:, 0], ut_xy[:, 1:] - ap_xy[:, 1]
+    dist = np.sqrt(dx * dx + dy * dy)  # np.linalg.norm's sums, without its call overhead
+    nearest = np.argsort(dist, axis=1, kind="stable")[:, : s.association_k].tolist()
+    shared_pose: dict[tuple[int, int], BeamPose] = {}
+    specs = []  # (ap_index, chip_index, terminal, rx_index, channel, pose, rx normal)
+    for ut, aps_of in zip(s.uts, nearest):
+        served = []
+        for ap_index in aps_of:
+            ap = s.aps[ap_index]
+            chip_index = _serving_chip(s, ap, ut)
+            pose = shared_pose.get((ap_index, chip_index))
+            if pose is None:
+                pose = optics.beam_for_link(s.config_kind, ap, ap.chips[chip_index],
+                                            ut.position)
+                if s.config_kind != "b":  # only layout b aims at the terminal
+                    shared_pose[ap_index, chip_index] = pose
+            served.append((ap_index, chip_index, pose, _receiver_normal(s, ap, ut)))
         for rx_index in range(ut.n_receivers):
             for ch in s.channels:
-                for ap_index in nearest:
-                    ap = s.aps[ap_index]
-                    chip_index = _serving_chip(s, ap, ut)
-                    ac_pose = optics.beam_for_link(s.config_kind, ap, ap.chips[chip_index],
-                                                   ut.position)
-                    specs.append((ap_index, chip_index, ut, rx_index, ch, ac_pose,
-                                  _receiver_normal(s, ap, ut)))
-    # one batch: each entry equals that link's own `channel_gain` bit for bit
+                for ap_index, chip_index, pose, normal in served:
+                    specs.append((ap_index, chip_index, ut, rx_index, ch, pose, normal))
+    chips = [s.aps[ap_index].chips[chip_index] for ap_index, chip_index, *_ in specs]
     rx = s.receiver
     gains = optics.channel_gain_many(
         *optics.pose_arrays([pose for *_, pose, _ in specs]),
-        np.array([ut.position for _, _, ut, *_ in specs], dtype=float).reshape(-1, 3),
-        np.array([normal for *_, normal in specs], dtype=float).reshape(-1, 3),
+        optics.as_components([ut.position for _, _, ut, *_ in specs]),
+        optics.as_components([normal for *_, normal in specs]),
         area_m2=rx.area_m2, fov_half_deg=rx.fov_half_deg, filter_gain=rx.filter_gain,
         lens_index=rx.lens_index)
-    links: list[Link] = []
-    for (ap_index, chip_index, ut, rx_index, ch, ac_pose, rx_normal), gain in zip(
-            specs, gains.tolist()):
-        chip = s.aps[ap_index].chips[chip_index]
-        rate = capacity.protocol_capacity(ch.bandwidth_hz, s.constants.responsivity, gain,
-                                          chip.p_ac_pp, s.constants.noise_variance)
-        links.append(Link(
-            index=len(links), ap_index=ap_index, chip_index=chip_index, ut_index=ut.index,
-            rx_index=rx_index, channel_index=ch.index, ac_pose=ac_pose,
-            rx_position=ut.position, rx_normal=rx_normal, receiver=rx,
-            bandwidth_hz=ch.bandwidth_hz, gain=gain, capacity_protocol=rate,
-            p_ac_pp=chip.p_ac_pp, p_ac_avg=chip.p_ac_avg, eta_ac=chip.eta_ac))
-    return links
+    rates = capacity.protocol_capacity(
+        np.array([ch.bandwidth_hz for _, _, _, _, ch, *_ in specs], dtype=float),
+        s.constants.responsivity, gains,
+        np.array([chip.p_ac_pp for chip in chips], dtype=float), s.constants.noise_variance)
+    return [  # fields in declaration order
+        Link(i, ap_index, chip_index, ut.index, rx_index, ch.index, ac_pose, ut.position,
+             rx_normal, rx, ch.bandwidth_hz, gain, rate, chip.p_ac_pp, chip.p_ac_avg,
+             chip.eta_ac)
+        for i, ((ap_index, chip_index, ut, rx_index, ch, ac_pose, rx_normal), chip, gain, rate)
+        in enumerate(zip(specs, chips, gains.tolist(), rates.tolist()))]
 
 
 def _serving_chip(s: Scenario, ap: AccessPoint, ut: UserTerminal) -> int:

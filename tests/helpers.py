@@ -72,6 +72,16 @@ WRONG_SCALARS = [
     ("association_k", {"association_k": 1.5}),
     ("config_c_n", {"config_kind": "c", "config_c_n": 2.5}),
     ("uts[0].receivers", {"uts": [{"position": [1.0, 1.0], "receivers": 1.5}]}),
+    # non-finite numbers, which JSON spells Infinity and NaN
+    ("chip.p_max", {"chip": {"p_max": math.inf}}),
+    ("receiver.area_m2", {"receiver": {"area_m2": math.inf}}),
+    ("channels[0].bandwidth_hz", {"channels": [{"bandwidth_hz": math.inf}]}),
+    ("constants.responsivity", {"constants": {"responsivity": math.inf}}),
+    ("illum.upper_lux", {"illum": {"upper_lux": math.inf}}),
+    ("illum.lower_lux", {"illum": {"lower_lux": math.nan}}),
+    ("room", {"room": [2.0, math.inf, 3.0]}),
+    ("uts.demand_bps", {"uts": {"count": 1, "seed": 1, "demand_bps": math.inf}}),
+    ("uts[0].demand_bps", {"uts": [{"position": [1.0, 1.0], "demand_bps": math.inf}]}),
 ]
 
 
@@ -200,6 +210,75 @@ def ref_link_gain(ln):
         ln.receiver.area_m2, ln.receiver.fov_half_deg,
         ln.receiver.filter_gain, ln.receiver.lens_index,
     )
+
+
+# -- reference instance building: the per-link loops the array passes replaced --
+
+def ref_nearest_aps(s):
+    """Each terminal's k nearest access points, nearest first and ties to
+    the lower index, by one sort per terminal."""
+    ap_xy = np.array([ap.position[:2] for ap in s.aps])
+    out = []
+    for ut in s.uts:
+        d = np.linalg.norm(ap_xy - np.asarray(ut.position[:2]), axis=1)
+        out.append(sorted(range(len(s.aps)), key=lambda i: (d[i], i))[: s.association_k])
+    return out
+
+
+def ref_channel_gain_many(origin, direction, ml, rx_position, rx_normal, *, area_m2,
+                          fov_half_deg, filter_gain=1.0, lens_index=1.5):
+    """The LOS kernel on points and directions along a last axis of 3, with
+    the operations of `optics.channel_gain_many` in the same order."""
+
+    def dot3(a, b):
+        return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+    origin, direction, rx_position, rx_normal = (
+        np.asarray(v, dtype=float) for v in (origin, direction, rx_position, rx_normal))
+    n_len = np.sqrt(dot3(rx_normal, rx_normal))
+    d = rx_position - origin
+    dist = np.sqrt(dot3(d, d))
+    u = d / dist[..., None]
+    cos_rad = np.maximum(dot3(u, direction), 0.0)
+    cos_inc = -dot3(u, rx_normal / n_len[..., None])
+    fov = np.radians(fov_half_deg)
+    sin_fov = np.sin(fov)
+    gain = ((ml + 1.0) * area_m2 / (2.0 * math.pi * dist * dist) * cos_rad**ml * filter_gain
+            * (lens_index * lens_index / (sin_fov * sin_fov)) * cos_inc)
+    return np.where((cos_inc >= np.cos(fov)) & (cos_inc > 0.0), gain, 0.0)
+
+
+def ref_protocol_capacity(bandwidth_hz, responsivity, gain, p_ac, noise_variance):
+    """One link's interference-free rate from plain floats."""
+    snr = (responsivity * gain * p_ac) ** 2 / noise_variance
+    return bandwidth_hz * float(np.log2(1.0 + snr))
+
+
+def ref_same(links, *attrs):
+    """(L, L) mask of link pairs that agree on every named attribute."""
+    k = np.array([[getattr(ln, a) for a in attrs] for ln in links]).reshape(len(links), len(attrs))
+    return np.all(k[:, None, :] == k[None, :, :], axis=-1)
+
+
+def ref_cap_groups(links, s):
+    """Activation caps as (members, caps), grouped by a dict walk over the
+    links: per chip, per receiver, per access point, per terminal, each kind
+    in order of first appearance."""
+    kinds = (
+        lambda ln: (("tx", ln.ap_index, ln.chip_index), 1),
+        lambda ln: (("rx", ln.ut_index, ln.rx_index), 1),
+        lambda ln: (("ap", ln.ap_index), s.ap_concurrency_cap(ln.ap_index)),
+        lambda ln: (("ut", ln.ut_index), s.uts[ln.ut_index].n_receivers),
+    )
+    groups = {}
+    for group_of in kinds:
+        for i, ln in enumerate(links):
+            key, cap = group_of(ln)
+            groups.setdefault(key, (cap, []))[1].append(i)
+    members = np.zeros((len(groups), len(links)), dtype=bool)
+    for g, (_, idx) in enumerate(groups.values()):
+        members[g, idx] = True
+    return members, np.array([cap for cap, _ in groups.values()], dtype=float)
 
 
 # -- reference pricing rows -----------------------------------------------------

@@ -194,6 +194,10 @@ def test_heuristics_without_lit_single_links_report_infeasible(tmp_path, capsys,
     pytest.param(["solve", "--epsilon", "1"], "--epsilon", id="epsilon-1"),
     pytest.param(["heatmap", "--epsilon", "-0.1"], "--epsilon", id="epsilon-negative"),
     pytest.param(["sweep-sir", "--from", "0.5"], "--from", id="from-below-1"),
+    pytest.param(["sweep-sir", "--from", "inf"], "--from", id="from-inf"),
+    pytest.param(["sweep-sir", "--to", "inf"], "--to", id="to-inf"),
+    pytest.param(["sweep-sir", "--to", "nan"], "--to", id="to-nan"),
+    pytest.param(["sweep-sir", "--step", "inf"], "--step", id="step-inf"),
     pytest.param(["compare", "--axis", "uts", "--values", "2", "--algos", "cg,greedy"],
                  "'greedy'", id="unknown-algo"),
     pytest.param(["compare", "--axis", "uts", "--values", "2", "--algos", "vico,cg,vico"],
@@ -440,6 +444,13 @@ def test_wrong_scalar_in_scenario_exits_with_code_2(tmp_path, capsys, field, cha
     assert main(["solve", "--config", str(path),
                  "--out", str(tmp_path / "o")]) == 2
     assert f"error: {field}:" in capsys.readouterr().err
+
+
+def test_infinite_demand_exits_with_code_2_before_the_output_directory(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["solve", "--uts", "2", "--demand-mbps", "inf", "--out", str(out)]) == 2
+    assert "error: uts.demand_bps: must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_feasibility_never_recovers_as_threshold_grows():

@@ -13,6 +13,8 @@ from vlcopt.conflict import (
     cap_groups,
     cross_gains,
     is_independent,
+    link_ids,
+    pair_table,
     sir_matrix,
 )
 from vlcopt.scenario import build_candidate_links, scenario_from_dict
@@ -26,6 +28,12 @@ def _sir(links, i, j):
     """(SIR at link i's receiver from link j, SIR at j's receiver from i)."""
     sir = sir_matrix(links, cross_gains(links))
     return sir[i, j], sir[j, i]
+
+
+def _graph(s, links, threshold):
+    ids = link_ids(links)
+    return build_conflict_graph(pair_table(ids, sir_matrix(links, cross_gains(links))),
+                                threshold, cap_groups(ids, s))
 
 
 def _ref_gain(victim, rival):
@@ -74,17 +82,15 @@ def test_threshold_below_one_rejected():
     s = _row([(1.0, 1.0), (2.0, 1.0)])
     links = build_candidate_links(s)
     with pytest.raises(ValueError):
-        build_conflict_graph(links, cross_gains(links), 0.8, cap_groups(links, s))
+        _graph(s, links, 0.8)
 
 
 def test_threshold_tie_stays_compatible():
     s = _row([(1.0, 1.0), (2.0, 1.0)])
     links = build_candidate_links(s)
     tie = min(_sir(links, 0, 1))
-    groups = cap_groups(links, s)
-    assert not build_conflict_graph(links, cross_gains(links), tie, groups).adjacency[0, 1]
-    assert build_conflict_graph(links, cross_gains(links), tie * (1.0 + 1e-9),
-                                groups).adjacency[0, 1]
+    assert not _graph(s, links, tie).adjacency[0, 1]
+    assert _graph(s, links, tie * (1.0 + 1e-9)).adjacency[0, 1]
 
 
 def test_huge_threshold_serializes_each_channel():
@@ -92,7 +98,7 @@ def test_huge_threshold_serializes_each_channel():
     links = build_candidate_links(s)
     finite = [v for i, j in itertools.combinations(range(len(links)), 2)
               for v in _sir(links, i, j) if math.isfinite(v)]
-    g = build_conflict_graph(links, cross_gains(links), max(finite) + 1.0, cap_groups(links, s))
+    g = _graph(s, links, max(finite) + 1.0)
     for i, j in itertools.combinations(range(len(links)), 2):
         same_channel = links[i].channel_index == links[j].channel_index
         assert g.adjacency[i, j] == same_channel
@@ -101,7 +107,7 @@ def test_huge_threshold_serializes_each_channel():
 def test_shared_transmitter_and_receiver_always_conflict():
     s = _row([(2.0, 1.0), (2.0, 1.0)])  # same serving chip, ratio tie of 1.0
     links = build_candidate_links(s)
-    g = build_conflict_graph(links, cross_gains(links), 1.0, cap_groups(links, s))
+    g = _graph(s, links, 1.0)
     assert g.adjacency[0, 1]
 
 
@@ -110,7 +116,7 @@ def test_edge_set_matches_reference_rule():
     s = scenario_from_dict(helpers.tiny_config(n_uts=3, seed=8))
     links = build_candidate_links(s)
     for threshold in (1.0, 1.5, 3.0, 6.0):
-        g = build_conflict_graph(links, cross_gains(links), threshold, cap_groups(links, s))
+        g = _graph(s, links, threshold)
         for i, j in itertools.combinations(range(len(links)), 2):
             a, b = links[i], links[j]
             if a.channel_index != b.channel_index:
@@ -158,8 +164,7 @@ def test_edges_grow_with_threshold():
     links = build_candidate_links(s)
     previous: set = set()
     for threshold in (1.0, 1.4, 2.0, 3.0, 6.0):
-        adjacency = build_conflict_graph(links, cross_gains(links), threshold,
-                                         cap_groups(links, s)).adjacency
+        adjacency = _graph(s, links, threshold).adjacency
         edges = set(map(tuple, np.argwhere(np.triu(adjacency, k=1)).tolist()))
         assert previous <= edges
         previous = edges
@@ -197,7 +202,7 @@ def test_out_of_range_link_raises():
 def test_shared_receiver_rejected():
     s = _row([(2.0, 1.0)], channels=2)  # one terminal, one receiver, two bands
     links = build_candidate_links(s)
-    g = build_conflict_graph(links, cross_gains(links), 1.0, cap_groups(links, s))
+    g = _graph(s, links, 1.0)
     assert len(links) == 2
     assert not is_independent(ScheduleVector((0, 1)), g)
 

@@ -58,7 +58,7 @@ def test_link_geometry_forty_five_degree_offset():
     # gives each pair exactly what the one-pair form gives
     tx = BeamPose((0.0, 0.0, 3.0), DOWN, 1.0)
     rx = np.array([(0.0, 0.0, 0.8), (2.2, 0.0, 0.8)])
-    g = channel_gain_many(tx.origin, tx.direction, tx.ml, rx, UP,
+    g = channel_gain_many(tx.origin, tx.direction, tx.ml, rx.T, UP,
                           area_m2=1e-4, fov_half_deg=60.0)
     want = _LOS_SCALE * math.cos(math.pi / 4.0) ** 2 / (2.2 * math.sqrt(2.0)) ** 2
     assert g[1] == pytest.approx(want, rel=1e-12)
